@@ -37,6 +37,7 @@ from .observables import (
 )
 from .sweep import (
     SweepConfig,
+    _point_params,
     compute_row,
     format_cell,
     load_config,
@@ -75,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid", metavar="SPEC",
                     help="vg:lo:hi:n,vsd:lo:hi:n (either axis optional)")
     ps.add_argument("--workers", type=int,
-                    help="worker processes (EXCLAB_WORKERS as fallback)")
+                    help="accepted for symmetry with simulate; the sweep "
+                         "runs vectorised in one process")
 
     pm = sub.add_parser(
         "simulate", help="Monte Carlo comparison at one grid point")
@@ -85,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--n", type=int, default=100_000,
                     help="number of excursions")
     pm.add_argument("--seed", type=int, default=1234)
-    pm.add_argument("--workers", type=int)
+    pm.add_argument("--workers", type=int,
+                    help="sampler processes (EXCLAB_WORKERS as fallback)")
     pm.add_argument("--dump-trajectory", metavar="PATH",
                     help="simulate a single trajectory instead of an "
                          "ensemble and write one line per jump")
@@ -124,13 +127,6 @@ def _resolve_config(args) -> SweepConfig:
 
 def _gate_shift(cfg: SweepConfig, default: bool) -> bool:
     return default if cfg.gate_shift is None else cfg.gate_shift
-
-
-def _point_params(cfg: SweepConfig, vg: float, vsd: float, shift: bool) -> DqdParams:
-    return DqdParams(
-        g=cfg.g, gamma=cfg.gamma, temperature=cfg.temperature, u=cfg.u,
-        vg=vg - cfg.u / 2.0 if shift else vg, vsd=vsd, blockade=cfg.blockade,
-    )
 
 
 def _schemes(params: DqdParams, n: int) -> dict[str, WeightScheme]:
@@ -227,7 +223,7 @@ def cmd_simulate(args) -> int:
     else:
         sample = sample_excursions(
             model, schemes, args.n, seed=cfg.seed,
-            workers=cfg.workers or 1)
+            workers=cfg.resolve_workers())
 
     out.append(f"point: vg={args.vg:g} vsd={args.vsd:g} "
                f"({'blockade' if cfg.blockade else '4-state'}), "

@@ -4,13 +4,19 @@ State ordering is fixed as (00, 10, 01, 11): both dots empty, left occupied,
 right occupied, both occupied.  The Coulomb-blockade variant drops state 11.
 All energies and rates are in MHz with k_B = hbar = e = 1, and the bias
 enters through mu_L = -vsd/2, mu_R = +vsd/2.
+
+Gate and bias voltages may be equal-shape arrays: the parameters then
+describe a batch of points, and the builders return stacked rate matrices
+of shape (..., n, n).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFermi
+import numpy as np
+
+from .errors import DegenerateFermi, raise_first
 from .markov import RateMatrix, validate_rate_matrix
 
 __all__ = [
@@ -35,7 +41,8 @@ class DqdParams:
 
     ``vg`` sets a common gate voltage for both dots; pass ``vg_left`` and
     ``vg_right`` instead to detune them (used for the effective-coupling
-    formula, the transport results assume equal gates).
+    formula, the transport results assume equal gates).  The voltages may
+    be equal-shape arrays, one entry per point of a batch.
     """
 
     g: float
@@ -61,6 +68,12 @@ class DqdParams:
             object.__setattr__(self, "vg_right", self.vg)
 
     @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Shape of the batch of points; () for a single point."""
+        return np.broadcast_shapes(
+            np.shape(self.vg_left), np.shape(self.vg_right), np.shape(self.vsd))
+
+    @property
     def mu_left(self) -> float:
         return -self.vsd / 2.0
 
@@ -79,13 +92,22 @@ class FermiSet:
     f_right_u: float
 
 
-def fermi(energy: float, mu: float, temperature: float) -> float:
-    """Fermi occupation 1 / (exp((energy - mu) / T) + 1), overflow safe."""
+def fermi(energy, mu, temperature):
+    """Fermi occupation 1 / (exp((energy - mu) / T) + 1), overflow safe.
+
+    Elementwise over arrays.  The exponential is the C library's
+    ``math.exp``: numpy's vectorised ``exp`` can differ in the last bit,
+    and the 1 - f forms of the rates would carry that into stiff chains.
+    """
     x = (energy - mu) / temperature
-    if x >= 0.0:
-        e = math.exp(-x)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(x))
+    if not isinstance(x, np.ndarray):
+        if x >= 0.0:
+            e = math.exp(-x)
+            return e / (1.0 + e)
+        return 1.0 / (1.0 + math.exp(x))
+    e = np.fromiter(map(math.exp, (-np.abs(x)).ravel().tolist()), float, x.size)
+    e = e.reshape(x.shape)
+    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 def effective_coupling(g: float, gamma: float, vg_left: float, vg_right: float) -> float:
@@ -113,7 +135,7 @@ def lead_log_ratio(p: DqdParams, side: str, shifted: bool = False) -> float:
     else:
         raise ValueError("side must be 'L' or 'R'")
     if shifted:
-        energy += p.u
+        energy = energy + p.u
     return (energy - mu) / p.temperature
 
 
@@ -123,8 +145,8 @@ def require_finite_fermi(f: FermiSet, with_u: bool = True) -> None:
     if with_u:
         vals += [f.f_left_u, f.f_right_u]
     for v in vals:
-        if v <= 0.0 or v >= 1.0:
-            raise DegenerateFermi(f"Fermi occupation {v} is degenerate")
+        raise_first((v <= 0.0) | (v >= 1.0), DegenerateFermi,
+                    "Fermi occupation {} is degenerate", v)
 
 
 def build_dqd(p: DqdParams) -> RateMatrix:
@@ -137,12 +159,13 @@ def build_dqd(p: DqdParams) -> RateMatrix:
     f = fermi_set(p)
     gam = p.gamma
     geff = effective_coupling(p.g, gam, p.vg_left, p.vg_right)
-    w = [
-        [0.0, gam * (1 - f.f_left), gam * (1 - f.f_right), 0.0],
-        [gam * f.f_left, 0.0, geff, gam * (1 - f.f_right_u)],
-        [gam * f.f_right, geff, 0.0, gam * (1 - f.f_left_u)],
-        [0.0, gam * f.f_right_u, gam * f.f_left_u, 0.0],
-    ]
+    w = np.zeros(p.batch_shape + (4, 4))
+    w[..., 0, 1], w[..., 0, 2] = gam * (1 - f.f_left), gam * (1 - f.f_right)
+    w[..., 1, 0], w[..., 1, 2] = gam * f.f_left, geff
+    w[..., 1, 3] = gam * (1 - f.f_right_u)
+    w[..., 2, 0], w[..., 2, 1] = gam * f.f_right, geff
+    w[..., 2, 3] = gam * (1 - f.f_left_u)
+    w[..., 3, 1], w[..., 3, 2] = gam * f.f_right_u, gam * f.f_left_u
     return validate_rate_matrix(w, labels=LABELS_4)
 
 
@@ -152,11 +175,10 @@ def build_dqd_blockade(p: DqdParams) -> RateMatrix:
     f = fermi_set(p)
     gam = p.gamma
     geff = effective_coupling(p.g, gam, p.vg_left, p.vg_right)
-    w = [
-        [0.0, gam * (1 - f.f_left), gam * (1 - f.f_right)],
-        [gam * f.f_left, 0.0, geff],
-        [gam * f.f_right, geff, 0.0],
-    ]
+    w = np.zeros(p.batch_shape + (3, 3))
+    w[..., 0, 1], w[..., 0, 2] = gam * (1 - f.f_left), gam * (1 - f.f_right)
+    w[..., 1, 0], w[..., 1, 2] = gam * f.f_left, geff
+    w[..., 2, 0], w[..., 2, 1] = gam * f.f_right, geff
     return validate_rate_matrix(w, labels=LABELS_3)
 
 

@@ -1,4 +1,7 @@
-"""Exception types raised by the exclab library."""
+"""Exception types raised by the exclab library, and the per-cell check
+that raises them for a batch of parameter points."""
+
+import numpy as np
 
 
 class ExclabError(Exception):
@@ -71,3 +74,18 @@ class UnknownColumn(ExclabError):
 
 class MalformedCsv(ExclabError):
     """Sweep CSV could not be parsed as a complete rectangular grid."""
+
+
+def raise_first(bad, exc_type, template: str, *values) -> None:
+    """Raise ``exc_type`` if the mask ``bad`` is true at any cell.
+
+    ``bad`` has the batch shape of the checked arrays (0-d for one point).
+    The message is ``template`` formatted with each of ``values`` taken at
+    the first failing cell.
+    """
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return
+    i = int(np.argmax(bad))
+    shape = np.shape(bad)
+    raise exc_type(template.format(
+        *(np.broadcast_to(v, shape).flat[i].item() for v in values)))

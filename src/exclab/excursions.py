@@ -11,6 +11,12 @@ exp(weights * chi) on every off-diagonal rate.  First and second derivatives
 at (0, 0) are evaluated with exact insertion formulas; each chi derivative
 inserts one weighted block V = weights * w, each s derivative inserts one
 extra factor of the fundamental matrix G = (-gen_B)^(-1).
+
+A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
+insertion formulas then run as broadcast matrix products over the batch;
+every check is made cell by cell.  The transform oracles
+(:func:`joint_characteristic`, :func:`finite_difference_moments`,
+:func:`outcome_distribution`) take single chains only.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ from .errors import (
     NonIntegerScheme,
     SingularB,
     SingularResolvent,
+    raise_first,
 )
 from .markov import RateMatrix, WeightScheme, steady_state
 
@@ -51,13 +58,14 @@ class BlockDecomposition:
     ``w_ab`` (1 x nb) and ``w_ba`` (nb x 1) are the off-diagonal coupling
     blocks, ``gen_b`` the substochastic B block of the generator, and
     ``fundamental`` its negated inverse G, whose entries are expected
-    occupation times in B before absorption into A.
+    occupation times in B before absorption into A.  For a stacked chain
+    every block carries the leading batch axes and ``gamma_a`` is an array.
     """
 
     parent: RateMatrix
     a_state: int
     b_states: tuple[int, ...]
-    gamma_a: float
+    gamma_a: float | np.ndarray
     w_ab: np.ndarray
     w_ba: np.ndarray
     w_b: np.ndarray
@@ -69,9 +77,16 @@ class BlockDecomposition:
         return len(self.b_states)
 
 
-def _scalar(x) -> float:
-    """Extract the single entry of a (1, 1) product."""
-    return float(np.asarray(x).reshape(-1)[0])
+def _scalar(x):
+    """The entry of a (..., 1, 1) product: a float, or one per cell."""
+    v = np.asarray(x)[..., 0, 0]
+    return float(v) if v.ndim == 0 else v
+
+
+def _block(x: np.ndarray, rows, cols) -> np.ndarray:
+    """Sub-block ``x[..., rows, cols]`` over the last two axes, C-contiguous
+    so that every cell's products take the same BLAS path as one point."""
+    return np.ascontiguousarray(x[..., rows, :][..., cols])
 
 
 def partition(m: RateMatrix, a) -> BlockDecomposition:
@@ -93,44 +108,47 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
         raise BadPartition(f"state index {a_state} out of range")
     b_states = tuple(i for i in range(m.n) if i != a_state)
     bi = list(b_states)
-    w_ab = m.w[np.ix_([a_state], bi)]
-    w_ba = m.w[np.ix_(bi, [a_state])]
-    w_b = m.w[np.ix_(bi, bi)]
-    gen_b = m.generator[np.ix_(bi, bi)]
+    w_ab = _block(m.w, [a_state], bi)
+    w_ba = _block(m.w, bi, [a_state])
+    w_b = _block(m.w, bi, bi)
+    gen_b = _block(m.generator, bi, bi)
     try:
         fund = np.linalg.solve(-gen_b, np.eye(len(bi)))
     except np.linalg.LinAlgError as exc:
         raise SingularB(str(exc)) from None
-    gamma_a = float(m.gamma[a_state])
-    _check_decomposition(m, a_state, bi, gen_b, fund, w_ab, w_ba, gamma_a)
+    gamma_a = m.gamma[..., a_state]
+    gamma_a = float(gamma_a) if gamma_a.ndim == 0 else gamma_a
+    _check_decomposition(m, bi, gen_b, fund, w_ab, w_ba, gamma_a)
     return BlockDecomposition(
         parent=m, a_state=a_state, b_states=b_states, gamma_a=gamma_a,
         w_ab=w_ab, w_ba=w_ba, w_b=w_b, gen_b=gen_b, fundamental=fund,
     )
 
 
-def _check_decomposition(m, a_state, bi, gen_b, fund, w_ab, w_ba, gamma_a):
-    scale = max(float(np.max(m.gamma)), 1.0)
+def _check_decomposition(m, bi, gen_b, fund, w_ab, w_ba, gamma_a):
+    scale = np.maximum(np.max(m.gamma, axis=-1), 1.0)
     # substochastic B block: column sums <= 0, at least one strictly negative
-    colsum = gen_b.sum(axis=0)
-    if np.any(colsum > 1e-12 * scale) or not np.any(colsum < -1e-12 * scale):
-        raise SingularB("B block of the generator is not substochastic")
-    if np.any(fund < -1e-12 / scale):
-        raise SingularB("fundamental matrix has negative entries")
+    colsum = gen_b.sum(axis=-2)
+    tol = 1e-12 * scale[..., None]
+    raise_first(np.any(colsum > tol, axis=-1) | ~np.any(colsum < -tol, axis=-1),
+                SingularB, "B block of the generator is not substochastic")
+    raise_first(np.any(fund < -1e-12 / scale[..., None, None], axis=(-2, -1)),
+                SingularB, "fundamental matrix has negative entries")
     # backward-stable solves leave a residual ~ eps * |gen_b| * |G|, so the
     # 1e-10 criterion is taken relative to that conditioning scale
-    cond = max(
+    cond = np.maximum(
         1.0,
-        float(np.abs(gen_b).sum(axis=1).max() * np.abs(fund).sum(axis=1).max()),
+        np.abs(gen_b).sum(axis=-1).max(axis=-1)
+        * np.abs(fund).sum(axis=-1).max(axis=-1),
     )
-    resid = np.max(np.abs(gen_b @ fund + np.eye(len(bi))))
-    if resid > 1e-10 * cond:
-        raise SingularB(f"fundamental-matrix residual {resid:.3e}")
+    resid = np.max(np.abs(gen_b @ fund + np.eye(len(bi))), axis=(-2, -1))
+    raise_first(resid > 1e-10 * cond, SingularB,
+                "fundamental-matrix residual {:.3e}", resid)
     norm = _scalar(w_ab @ fund @ w_ba)
-    if abs(norm - gamma_a) > 1e-10 * gamma_a * max(1.0, 1e-4 * cond):
-        raise SingularB(
-            f"normalization identity violated: {norm!r} != {gamma_a!r}"
-        )
+    raise_first(
+        np.abs(norm - gamma_a) > 1e-10 * gamma_a * np.maximum(1.0, 1e-4 * cond),
+        SingularB, "normalization identity violated: {!r} != {!r}",
+        norm, gamma_a)
 
 
 def _scheme_blocks(d: BlockDecomposition, scheme: WeightScheme, power: int = 1):
@@ -139,8 +157,8 @@ def _scheme_blocks(d: BlockDecomposition, scheme: WeightScheme, power: int = 1):
         raise DimensionMismatch("scheme dimension does not match chain")
     v = scheme.weights**power * d.parent.w
     bi = list(d.b_states)
-    v_b = v[np.ix_(bi, bi)]
-    return v[np.ix_([d.a_state], bi)], v[np.ix_(bi, [d.a_state])], v_b
+    a = [d.a_state]
+    return _block(v, a, bi), _block(v, bi, a), _block(v, bi, bi)
 
 
 def time_moments(d: BlockDecomposition):
@@ -225,7 +243,8 @@ def noise_decomposition(d: BlockDecomposition, scheme: WeightScheme):
 
 @dataclass(frozen=True)
 class ExcursionReport:
-    """Every excursion-level statistic for one (model, scheme) pair.
+    """Every excursion-level statistic for one (model, scheme) pair; each
+    field is an array over the cells of a stacked model.
 
     Invariants (up to rounding on the raw-moment scale): nonnegative
     variances, mu = e_t + e_tau, delta2 = var_t + e_tau^2, d = d1+d2+d3,
@@ -256,17 +275,17 @@ def excursion_report(d: BlockDecomposition, scheme: WeightScheme) -> ExcursionRe
     """
     e_t, e_t2, var_t, mu, delta2 = time_moments(d)
     e_q, _, var_q, _, cov_qt = observable_moments(d, scheme)
-    jump_bound = 2.0 + float(np.max(d.parent.gamma)) * float(
-        np.abs(d.fundamental).sum(axis=0).max()
+    jump_bound = 2.0 + np.max(d.parent.gamma, axis=-1) * (
+        np.abs(d.fundamental).sum(axis=-2).max(axis=-1)
     )
-    q_scale = max(1.0, (scheme.max_abs_weight() * jump_bound) ** 2)
-    t_scale = max(1.0, e_t2)
-    if var_t < -1e-9 * t_scale or var_q < -1e-9 * q_scale:
-        raise ValueError("negative variance in excursion report")
-    bound = np.sqrt(max(var_q, 0.0) * max(var_t, 0.0))
-    if abs(cov_qt) > bound + 1e-9 * max(q_scale, t_scale):
-        raise ValueError("covariance violates Cauchy-Schwarz")
-    var_q = max(var_q, 0.0)
+    q_scale = np.maximum(1.0, (scheme.max_abs_weight() * jump_bound) ** 2)
+    t_scale = np.maximum(1.0, e_t2)
+    raise_first((var_t < -1e-9 * t_scale) | (var_q < -1e-9 * q_scale),
+                ValueError, "negative variance in excursion report")
+    bound = np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_t, 0.0))
+    raise_first(np.abs(cov_qt) > bound + 1e-9 * np.maximum(q_scale, t_scale),
+                ValueError, "covariance violates Cauchy-Schwarz")
+    var_q = np.maximum(var_q, 0.0)
     d1 = var_q / mu
     d2 = delta2 / mu**3 * e_q * e_q
     d3 = -2.0 * e_q / mu**2 * cov_qt
@@ -463,9 +482,9 @@ def excess_time(d: BlockDecomposition) -> float:
     Combines the A residence time, the cycle mean and the steady-state
     weighted residence in B.
     """
-    p = steady_state(d.parent)
-    p_b = p[list(d.b_states)]
-    gam_b = d.parent.gamma[list(d.b_states)]
+    bi = list(d.b_states)
+    p_b = steady_state(d.parent)[..., bi]
+    gam_b = d.parent.gamma[..., bi]
     e_t, _, _, mu, _ = time_moments(d)
     ga = d.gamma_a
-    return (1.0 / ga + mu * ga * float(np.sum(p_b / gam_b))) / (1.0 + ga * e_t)
+    return (1.0 / ga + mu * ga * np.sum(p_b / gam_b, axis=-1)) / (1.0 + ga * e_t)

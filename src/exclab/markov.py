@@ -4,6 +4,12 @@ tilted generators, and long-time full-counting-statistics current/noise.
 Conventions: ``w[x, y]`` is the rate for the jump y -> x, ``gamma[x]`` is the
 total escape rate out of x (column sum of ``w``), and the generator is
 ``w - diag(gamma)``, whose columns sum to zero.
+
+Chains may be stacked: ``w`` of shape (..., n, n) holds one chain per cell
+of the leading batch axes.  Validation and the steady state then work cell
+by cell, with every check applied to each cell at its single-chain
+tolerance; a 2-D ``w`` is the single-chain case.  The tilted-generator
+oracle takes single chains only.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from .errors import (
     Reducible,
     SingularSystem,
     StepCollapse,
+    raise_first,
 )
 
 __all__ = [
@@ -45,11 +52,11 @@ class RateMatrix:
     ----------
     n : int
         Number of states.
-    w : ndarray, shape (n, n)
+    w : ndarray, shape (..., n, n)
         Off-diagonal jump rates (1/time), zero diagonal.
-    gamma : ndarray, shape (n,)
+    gamma : ndarray, shape (..., n)
         Escape rates, ``gamma[x] = sum_y w[y, x]``.
-    generator : ndarray, shape (n, n)
+    generator : ndarray, shape (..., n, n)
         ``w - diag(gamma)``; every column sums to zero.
     labels : tuple of str
         Per-state identifiers.
@@ -69,7 +76,8 @@ class WeightScheme:
     ``weights[x, y]`` is the weight picked up by a jump y -> x; the diagonal
     is ignored (forced to zero).  ``kind`` is "transition" for generic
     weights or "state" when the weight depends only on the departed state
-    (all columns constant).
+    (all columns constant).  Weights of shape (..., n, n) give one scheme
+    per cell of a batch of chains.
     """
 
     weights: np.ndarray
@@ -79,16 +87,18 @@ class WeightScheme:
 
     def __post_init__(self):
         nu = np.asarray(self.weights, dtype=float).copy()
-        if nu.ndim != 2 or nu.shape[0] != nu.shape[1]:
+        if nu.ndim < 2 or nu.shape[-1] != nu.shape[-2]:
             raise DimensionMismatch("weight matrix must be square")
-        np.fill_diagonal(nu, 0.0)
+        n = nu.shape[-1]
+        diag = np.arange(n)
+        nu[..., diag, diag] = 0.0
         if self.kind not in ("transition", "state"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "state":
-            off = ~np.eye(nu.shape[0], dtype=bool)
-            for y in range(nu.shape[0]):
-                col = nu[off[:, y], y]
-                if col.size and not np.all(col == col[0]):
+            off = ~np.eye(n, dtype=bool)
+            for y in range(n):
+                col = nu[..., off[:, y], y]
+                if col.size and not np.all(col == col[..., :1]):
                     raise ValueError("state scheme requires constant columns")
         object.__setattr__(self, "weights", _frozen(nu))
         object.__setattr__(
@@ -97,37 +107,37 @@ class WeightScheme:
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-1]
 
     @property
     def antisymmetric(self) -> bool:
         """True when the scheme defines a thermodynamic current."""
-        return bool(np.allclose(self.weights, -self.weights.T, atol=0.0))
+        flipped = np.swapaxes(self.weights, -1, -2)
+        return bool(np.allclose(self.weights, -flipped, atol=0.0))
 
-    def max_abs_weight(self) -> float:
-        return float(np.max(np.abs(self.weights)))
+    def max_abs_weight(self):
+        """Largest |weight|: a float, or one per cell for a batch."""
+        m = np.max(np.abs(self.weights), axis=(-2, -1))
+        return float(m) if m.ndim == 0 else m
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Strong connectivity of the directed graph with adjacency ``adj``.
+def _strongly_connected(adj: np.ndarray) -> np.ndarray:
+    """Strong connectivity of each directed graph in the stack ``adj``
+    (..., n, n), where ``adj[x, y]`` marks an edge y -> x.
 
     Every node reachable from node 0 in the graph and in its reverse
-    implies strong connectivity of the whole graph.
+    implies strong connectivity of the whole graph; n - 1 rounds of
+    boolean products reach every node that a path can reach.
     """
-    n = adj.shape[0]
-    for a in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            x = stack.pop()
-            for y in np.nonzero(a[:, x])[0]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(int(y))
-        if not seen.all():
-            return False
-    return True
+    n = adj.shape[-1]
+    ok = np.ones(adj.shape[:-2], dtype=bool)
+    for a in (adj, np.swapaxes(adj, -1, -2)):
+        seen = np.zeros(adj.shape[:-1] + (1,), dtype=bool)
+        seen[..., 0, 0] = True
+        for _ in range(n - 1):
+            seen = seen | (a @ seen)
+        ok &= seen.all(axis=(-2, -1))
+    return ok
 
 
 def validate_rate_matrix(raw, labels=None) -> RateMatrix:
@@ -135,7 +145,7 @@ def validate_rate_matrix(raw, labels=None) -> RateMatrix:
 
     Parameters
     ----------
-    raw : array_like, shape (n, n)
+    raw : array_like, shape (..., n, n)
         ``raw[x, y]`` is the jump rate y -> x; diagonal must be zero.
     labels : sequence of str, optional
         State names; defaults to "0", "1", ...
@@ -145,22 +155,24 @@ def validate_rate_matrix(raw, labels=None) -> RateMatrix:
     NegativeRate, NonzeroDiagonal, Reducible
     """
     w = np.array(raw, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2] or w.shape[-1] < 2:
         raise DimensionMismatch("rate matrix must be square with n >= 2")
-    n = w.shape[0]
-    if np.any(np.diag(w) != 0.0):
-        raise NonzeroDiagonal("raw rate matrix must have a zero diagonal")
-    off = w[~np.eye(n, dtype=bool)]
-    if np.any(off < 0.0):
-        raise NegativeRate("off-diagonal rates must be nonnegative")
-    if not _strongly_connected(w > 0.0):
-        raise Reducible("transition graph is not strongly connected")
-    gamma = w.sum(axis=0)
-    gen = w - np.diag(gamma)
+    n = w.shape[-1]
+    diag = np.arange(n)
+    raise_first(np.any(w[..., diag, diag] != 0.0, axis=-1), NonzeroDiagonal,
+                "raw rate matrix must have a zero diagonal")
+    off = w[..., ~np.eye(n, dtype=bool)]
+    raise_first(np.any(off < 0.0, axis=-1), NegativeRate,
+                "off-diagonal rates must be nonnegative")
+    raise_first(~_strongly_connected(w > 0.0), Reducible,
+                "transition graph is not strongly connected")
+    gamma = w.sum(axis=-2)
+    gen = w.copy()
+    gen[..., diag, diag] = -gamma
     # construction identity: columns of the generator sum to zero
-    colsum = np.abs(gen.sum(axis=0))
-    if np.any(colsum > 1e-12 * np.maximum(gamma, 1e-300)):
-        raise SingularSystem("generator column sums exceed tolerance")
+    colsum = np.abs(gen.sum(axis=-2))
+    raise_first(np.any(colsum > 1e-12 * np.maximum(gamma, 1e-300), axis=-1),
+                SingularSystem, "generator column sums exceed tolerance")
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     return RateMatrix(
@@ -170,27 +182,29 @@ def validate_rate_matrix(raw, labels=None) -> RateMatrix:
 
 
 def steady_state(m: RateMatrix) -> np.ndarray:
-    """Stationary distribution p with ``generator @ p = 0`` and ``sum(p) = 1``.
+    """Stationary distribution p with ``generator @ p = 0`` and ``sum(p) = 1``,
+    shape (..., n).
 
     Solved through the bordered system (one generator row replaced by the
     normalization row), which is deterministic and well conditioned for the
     small chains used here.
     """
     a = m.generator.copy()
-    a[0, :] = 1.0
-    b = np.zeros(m.n)
-    b[0] = 1.0
+    a[..., 0, :] = 1.0
+    b = np.zeros(m.gamma.shape + (1,))
+    b[..., 0, 0] = 1.0
     try:
-        p = np.linalg.solve(a, b)
+        p = np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    resid = np.max(np.abs(m.generator @ p))
-    if not np.isfinite(resid) or resid > 1e-10 * max(np.max(m.gamma), 1.0):
-        raise SingularSystem(f"steady-state residual {resid:.3e} too large")
-    if np.any(p < -1e-12):
-        raise SingularSystem("steady state has a negative component")
+    resid = np.max(np.abs(m.generator @ p[..., None]), axis=(-2, -1))
+    scale = np.maximum(np.max(m.gamma, axis=-1), 1.0)
+    raise_first(~np.isfinite(resid) | (resid > 1e-10 * scale), SingularSystem,
+                "steady-state residual {:.3e} too large", resid)
+    raise_first(np.any(p < -1e-12, axis=-1), SingularSystem,
+                "steady state has a negative component")
     p = np.maximum(p, 0.0)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def tilt_generator(m: RateMatrix, scheme: WeightScheme, chi: float) -> np.ndarray:

@@ -39,6 +39,16 @@ __all__ = [
 _BATCH = 65536        # ensemble batch size, fixed for reproducibility
 _DIRECT_BATCHES = 32  # batch-means batches for the direct noise estimate
 
+# Powers of (largest |weight|, mean cycle time) that give each estimate its
+# own scale, and the relative rounding slack on that scale (the slack the
+# analytic excursion report allows its variance rails).
+_DIMENSIONS = {
+    "e_q": (1, 0), "var_q": (2, 0), "e_t": (0, 1), "var_t": (0, 2),
+    "cov_qt": (1, 1), "mu": (0, 1), "delta2": (0, 2), "j": (1, -1),
+    "d": (2, -1), "j_direct": (1, -1), "d_direct": (2, -1),
+}
+_ROUNDING = 1e-9
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -314,10 +324,12 @@ def _sample_batch_star(args):
 class EmpiricalReport:
     """Point estimates with jackknife standard errors, keyed by the same
     names as the analytic excursion report, plus the long-run direct
-    estimates of the current and noise."""
+    estimates of the current and noise.  ``scales`` gives each estimate's
+    natural magnitude, from the scheme's weights and the cycle time."""
 
     estimates: dict[str, tuple[float, float]]
     n: int
+    scales: dict[str, float] = field(default_factory=dict)
 
     def value(self, key: str) -> float:
         return self.estimates[key][0]
@@ -326,10 +338,15 @@ class EmpiricalReport:
         return self.estimates[key][1]
 
     def z(self, key: str, analytic: float) -> float:
+        """(estimate - analytic) / se.  A sample without spread (se = 0)
+        gives 0 when it matches ``analytic`` to rounding on the estimate's
+        scale, as at equilibrium where both are zero up to rounding, and
+        inf otherwise."""
         v, se = self.estimates[key]
         if se > 0:
             return (v - analytic) / se
-        return 0.0 if v == analytic else np.inf
+        floor = _ROUNDING * self.scales.get(key, 0.0)
+        return 0.0 if v == analytic or abs(v - analytic) <= floor else np.inf
 
 
 def _jackknife(stats_fn, cols: list[np.ndarray]):
@@ -398,7 +415,10 @@ def empirical_moments(
     se_d = d_direct * np.sqrt(2.0 / (k - 1))
     estimates["j_direct"] = (j_direct, se_j)
     estimates["d_direct"] = (d_direct, se_d)
-    return EmpiricalReport(estimates=estimates, n=n)
+    w_max = sample.schemes[scheme_name].max_abs_weight()
+    mu = estimates["mu"][0]
+    scales = {k: w_max**a * mu**b for k, (a, b) in _DIMENSIONS.items()}
+    return EmpiricalReport(estimates=estimates, n=n, scales=scales)
 
 
 def empirical_outcome_histogram(sample: ExcursionSample, scheme_name: str):

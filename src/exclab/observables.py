@@ -1,6 +1,10 @@
 """Weight schemes for the double-dot model and the derived physics:
 outcome probabilities, blockade closed forms, populations, mutual
 information, Fano factor and the uncertainty-relation bounds.
+
+Entropy weights, outcome probabilities, populations and mutual information
+follow a batch of parameter points (array voltages, stacked chains) cell
+by cell; the closed forms and the bounds report take single points.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from .dqd import (
     lead_log_ratio,
     require_finite_fermi,
 )
-from .errors import DivergentFano
+from .errors import DivergentFano, raise_first
 from .excursions import (
     BlockDecomposition,
     excess_time,
@@ -90,18 +94,18 @@ def entropy_weights(p: DqdParams) -> WeightScheme:
     require_finite_fermi(fermi_set(p), with_u=not p.blockade)
     z_l = lead_log_ratio(p, "L")
     z_r = lead_log_ratio(p, "R")
-    nu = np.zeros((n, n))
-    nu[_EMPTY, _LEFT] = z_l
-    nu[_LEFT, _EMPTY] = -z_l
-    nu[_EMPTY, _RIGHT] = z_r
-    nu[_RIGHT, _EMPTY] = -z_r
+    nu = np.zeros(p.batch_shape + (n, n))
+    nu[..., _EMPTY, _LEFT] = z_l
+    nu[..., _LEFT, _EMPTY] = -z_l
+    nu[..., _EMPTY, _RIGHT] = z_r
+    nu[..., _RIGHT, _EMPTY] = -z_r
     if n == 4:
         z_lu = lead_log_ratio(p, "L", shifted=True)
         z_ru = lead_log_ratio(p, "R", shifted=True)
-        nu[_LEFT, _BOTH] = z_ru    # 11 -> 10 releases into the right lead
-        nu[_BOTH, _LEFT] = -z_ru
-        nu[_RIGHT, _BOTH] = z_lu
-        nu[_BOTH, _RIGHT] = -z_lu
+        nu[..., _LEFT, _BOTH] = z_ru    # 11 -> 10 releases into the right lead
+        nu[..., _BOTH, _LEFT] = -z_ru
+        nu[..., _RIGHT, _BOTH] = z_lu
+        nu[..., _BOTH, _RIGHT] = -z_lu
     return WeightScheme(nu, name="entropy")
 
 
@@ -116,7 +120,7 @@ def state_weights(values) -> WeightScheme:
 def excess_time_weights(m: RateMatrix) -> WeightScheme:
     """State scheme weighted by mean residence times 1/gamma; its current
     is one by construction and its noise equals the excess time."""
-    nu = np.tile(1.0 / m.gamma, (m.n, 1))
+    nu = np.repeat((1.0 / m.gamma)[..., None, :], m.n, axis=-2)
     return WeightScheme(nu, kind="state", name="excess_time")
 
 
@@ -130,10 +134,10 @@ class OutcomeTriple:
 
     def __post_init__(self):
         for v in (self.p_suc, self.p_fail, self.p_dis):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"outcome probability {v} outside [0, 1]")
-        if abs(self.p_suc + self.p_fail + self.p_dis - 1.0) > 1e-12:
-            raise ValueError("outcome probabilities do not sum to one")
+            raise_first(np.logical_not((0.0 <= v) & (v <= 1.0)), ValueError,
+                        "outcome probability {} outside [0, 1]", v)
+        raise_first(np.abs(self.p_suc + self.p_fail + self.p_dis - 1.0) > 1e-12,
+                    ValueError, "outcome probabilities do not sum to one")
 
 
 def success_fail_disaster(p: DqdParams) -> OutcomeTriple:
@@ -226,47 +230,53 @@ class Populations:
 
 def populations(m: RateMatrix) -> Populations:
     """Steady-state components plus per-dot marginals; p11 = 0 for the
-    three-state chain."""
+    three-state chain.  Fields are arrays for a stacked chain."""
     p = steady_state(m)
-    p11 = float(p[_BOTH]) if m.n == 4 else 0.0
-    return Populations(
-        p00=float(p[_EMPTY]), p10=float(p[_LEFT]), p01=float(p[_RIGHT]),
-        p11=p11, p_left=float(p[_LEFT]) + p11, p_right=float(p[_RIGHT]) + p11,
+    p11 = p[..., _BOTH] if m.n == 4 else np.zeros_like(p[..., _EMPTY])
+    pop = Populations(
+        p00=p[..., _EMPTY], p10=p[..., _LEFT], p01=p[..., _RIGHT],
+        p11=p11, p_left=p[..., _LEFT] + p11, p_right=p[..., _RIGHT] + p11,
     )
+    return pop if p.ndim > 1 else Populations(*map(float, vars(pop).values()))
 
 
-def _mi_terms(joint: np.ndarray) -> float:
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    mi = 0.0
-    for i in range(2):
-        for k in range(2):
-            pj = joint[i, k]
-            if pj > 0.0:
-                mi += pj * math.log(pj / (px[i] * py[k]))
-    return mi
+def _mi_terms(joint: np.ndarray):
+    """Mutual information of the 2 x 2 joint distributions given as
+    ``joint[..., :] = (p00, p01, p10, p11)``; the logarithm is the C
+    library's, as in :func:`exclab.dqd.fermi`."""
+    joint = joint.reshape(joint.shape[:-1] + (2, 2))
+    marginals = joint.sum(axis=-1)[..., :, None] * joint.sum(axis=-2)[..., None, :]
+    live = joint > 0.0
+    ratio = np.where(live, joint / np.where(live, marginals, 1.0), 1.0)
+    logs = np.fromiter(map(math.log, ratio.ravel().tolist()), float, ratio.size)
+    terms = np.where(live, joint * logs.reshape(joint.shape), 0.0)
+    mi = terms[..., 0, 0] + terms[..., 0, 1] + terms[..., 1, 0] + terms[..., 1, 1]
+    return mi if mi.ndim else float(mi)
 
 
-def mutual_information(pop: Populations) -> float:
+def mutual_information(pop: Populations):
     """Mutual information (nats) between the two dot occupancies, treating
     (n_left, n_right) in {0,1}^2 as a joint binary distribution."""
-    joint = np.array([[pop.p00, pop.p01], [pop.p10, pop.p11]])
-    return _mi_terms(joint)
+    return _mi_terms(np.stack([pop.p00, pop.p01, pop.p10, pop.p11], axis=-1))
 
 
-def mutual_information_exclusive(pop: Populations) -> float:
+def mutual_information_exclusive(pop: Populations):
     """Variant over the exclusive indicators 1{state=10}, 1{state=01}
     (the pairwise reading of the dot-correlation figure)."""
-    joint = np.array([[1.0 - pop.p10 - pop.p01, pop.p01], [pop.p10, 0.0]])
-    return _mi_terms(joint)
+    return _mi_terms(np.stack(
+        [1.0 - pop.p10 - pop.p01, pop.p01, pop.p10, np.zeros_like(pop.p10)],
+        axis=-1))
+
+
+ZERO_CURRENT = 1e-14  # |J| below this makes the Fano factor divergent
 
 
 def fano(j: float, d: float, signed: bool = False) -> float:
     """Fano factor D / |J| (signed variant keeps the current's sign).
 
-    Raises DivergentFano when |J| < 1e-14.
+    Raises DivergentFano when |J| < ZERO_CURRENT (1e-14).
     """
-    if abs(j) < 1e-14:
+    if abs(j) < ZERO_CURRENT:
         raise DivergentFano(f"current {j!r} is numerically zero")
     return d / j if signed else d / abs(j)
 

@@ -1,27 +1,28 @@
 """Parameter sweeps over the Coulomb diamond: grid evaluation, the fixed
-CSV row schema, and deterministic parallel execution.
+CSV row schema, and the CSV writer.
 
 Gate shift: diamond plots recenter the gate axis by substituting
 vg -> vg - u/2 before building the model; the CSV always reports the grid
 coordinate.  Rows are emitted vsd-major (all vg values for the first vsd,
-then the next vsd), independent of the worker count.
+then the next vsd).  The grid is evaluated in one process, a block of
+cells per pass of the batched engine, so the output does not depend on
+the worker count (which only the Monte Carlo sampler uses).
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dqd import DqdParams, build_model
-from .errors import DivergentFano
+from .errors import ExclabError
 from .excursions import excess_time, excursion_report, partition
 from .observables import (
+    ZERO_CURRENT,
     activity_weights,
     entropy_weights,
-    fano,
     mutual_information,
     populations,
     success_fail_disaster,
@@ -49,6 +50,11 @@ CANONICAL_COLUMNS = (
 
 # columns that stay empty outside blockade mode
 _BLOCKADE_ONLY = ("p_suc", "p_fail", "p_dis")
+
+# Grid cells per pass of the batched engine.  Bigger blocks save little
+# time but hold more stacked arrays at once, which sets the sweep's peak
+# memory.
+_BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,7 @@ def parse_grid_spec(spec: str) -> dict:
     return updates
 
 
-def _point_params(cfg: SweepConfig, vg: float, vsd: float, gate_shift: bool) -> DqdParams:
+def _point_params(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> DqdParams:
     vg_phys = vg - cfg.u / 2.0 if gate_shift else vg
     return DqdParams(
         g=cfg.g, gamma=cfg.gamma, temperature=cfg.temperature, u=cfg.u,
@@ -179,40 +185,63 @@ def _point_params(cfg: SweepConfig, vg: float, vsd: float, gate_shift: bool) -> 
     )
 
 
-def compute_row(cfg: SweepConfig, vg: float, vsd: float, gate_shift: bool) -> dict:
-    """All canonical columns at one grid point; keys are column names and
-    values floats (blockade-only cells are None outside blockade mode)."""
-    params = _point_params(cfg, vg, vsd, gate_shift)
+def _columns(cfg: SweepConfig, params: DqdParams) -> dict:
     model = build_model(params)
     dec = partition(model, 0)
     rep = excursion_report(dec, transport_weights("R", model.n))
     j_act = excursion_report(dec, activity_weights(model.n)).j
     j_sigma = excursion_report(dec, entropy_weights(params)).j
     pop = populations(model)
-    mi = mutual_information(pop)
-    try:
-        fano_val = fano(rep.j, rep.d)
-    except DivergentFano:
-        fano_val = math.inf
-    lhs = rep.d / rep.j**2 if abs(rep.j) > 1e-13 else math.inf
-    tur_rhs = 2.0 / j_sigma if j_sigma != 0.0 else math.inf
-    kur_rhs = 1.0 / j_act
-    cur_rhs = excess_time(dec)
-    row = {
-        "vg": vg, "vsd": vsd, "j_qr": rep.j, "d_qr": rep.d,
-        "d1": rep.d1, "d2": rep.d2, "d3": rep.d3, "fano": fano_val,
-        "j_act": j_act, "j_sigma": j_sigma, "mu": rep.mu, "e_t": rep.e_t,
-        "var_t": rep.var_t, "e_tau": rep.e_tau, "cov_qt": rep.cov_qt,
-        "p00": pop.p00, "p10": pop.p10, "p01": pop.p01, "p11": pop.p11,
-        "mi": mi, "tur_lhs": lhs, "tur_rhs": tur_rhs,
-        "kur_rhs": kur_rhs, "cur_rhs": cur_rhs,
+    # numpy values even for one point, so that a zero divisor gives inf
+    j, d, j_sigma = np.asarray(rep.j), rep.d, np.asarray(j_sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fano_val = np.where(np.abs(j) < ZERO_CURRENT, math.inf, d / np.abs(j))
+        lhs = np.where(np.abs(j) > 1e-13, d / j**2, math.inf)
+        tur_rhs = np.where(j_sigma != 0.0, 2.0 / j_sigma, math.inf)
+    cols = {
+        "j_qr": j, "d_qr": d, "d1": rep.d1, "d2": rep.d2, "d3": rep.d3,
+        "fano": fano_val, "j_act": j_act, "j_sigma": j_sigma, "mu": rep.mu,
+        "e_t": rep.e_t, "var_t": rep.var_t, "e_tau": rep.e_tau,
+        "cov_qt": rep.cov_qt, "p00": pop.p00, "p10": pop.p10,
+        "p01": pop.p01, "p11": pop.p11, "mi": mutual_information(pop),
+        "tur_lhs": lhs, "tur_rhs": tur_rhs, "kur_rhs": 1.0 / j_act,
+        "cur_rhs": excess_time(dec),
     }
     if cfg.blockade:
         triple = success_fail_disaster(params)
-        row.update(p_suc=triple.p_suc, p_fail=triple.p_fail, p_dis=triple.p_dis)
+        cols.update(p_suc=triple.p_suc, p_fail=triple.p_fail, p_dis=triple.p_dis)
     else:
-        row.update(p_suc=None, p_fail=None, p_dis=None)
-    return row
+        cols.update(p_suc=None, p_fail=None, p_dis=None)
+    return cols
+
+
+def compute_row(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> dict:
+    """All canonical columns at one grid point; keys are column names and
+    values floats (blockade-only cells are None outside blockade mode).
+
+    Equal-shape arrays ``vg`` and ``vsd`` evaluate a block of points in one
+    pass of the engine; every value is then an array of that shape.  When
+    a check fails, the points are evaluated one at a time up to the first
+    failing one, which raises its own exception type with a message that
+    names the class and the point's grid coordinates.
+    """
+    if np.shape(vg) != np.shape(vsd):
+        raise ValueError("vg and vsd must have the same shape")
+    params = _point_params(cfg, vg, vsd, gate_shift)
+    try:
+        cols = {"vg": vg, "vsd": vsd, **_columns(cfg, params)}
+    except (ExclabError, ValueError):
+        for at_vg, at_vsd in zip(np.ravel(vg).tolist(), np.ravel(vsd).tolist()):
+            try:
+                _columns(cfg, _point_params(cfg, at_vg, at_vsd, gate_shift))
+            except (ExclabError, ValueError) as exc:
+                raise type(exc)(
+                    f"{type(exc).__name__} at vg={at_vg:g}, vsd={at_vsd:g}: {exc}"
+                ) from None
+        raise
+    if np.ndim(vg) == 0:
+        return {k: None if v is None else float(v) for k, v in cols.items()}
+    return cols
 
 
 def format_cell(v) -> str:
@@ -222,31 +251,24 @@ def format_cell(v) -> str:
     return format(float(v), ".17g")
 
 
-def _row_worker(args) -> dict:
-    cfg, vg, vsd, gate_shift = args
-    return compute_row(cfg, vg, vsd, gate_shift)
-
-
 def sweep_rows(cfg: SweepConfig, gate_shift: bool | None = None) -> list[dict]:
-    """Evaluate the whole grid, vsd-major, with a bounded worker pool.
-
-    The output order is fixed by the grid indices, so any worker count
-    yields identical results.
+    """Evaluate the whole grid, vsd-major, one block of cells per
+    :func:`compute_row` call.  A failing cell aborts the sweep with an
+    error that names its grid coordinates.
     """
     shift = cfg.gate_shift if gate_shift is None else gate_shift
     if shift is None:
         shift = True
-    tasks = [
-        (cfg, float(vg), float(vsd), shift)
-        for vsd in cfg.vsd_values()
-        for vg in cfg.vg_values()
-    ]
-    workers = cfg.resolve_workers()
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_row_worker, tasks, chunksize=chunk))
-    return [_row_worker(t) for t in tasks]
+    cfg.resolve_workers()  # rejects a bad EXCLAB_WORKERS, though unused here
+    vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
+    rows = []
+    for lo in range(0, vg.size, _BLOCK_CELLS):
+        block = slice(lo, lo + _BLOCK_CELLS)
+        cols = compute_row(cfg, vg[block], vsd[block], shift)
+        n = vg[block].size
+        values = [[None] * n if v is None else v.tolist() for v in cols.values()]
+        rows.extend(dict(zip(cols, cells)) for cells in zip(*values))
+    return rows
 
 
 def write_csv(rows: list[dict], path: str, columns=CANONICAL_COLUMNS) -> None:

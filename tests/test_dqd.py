@@ -75,6 +75,20 @@ class TestBuildDqd:
             f = fermi_set(p)
             assert f.f_left_u < f.f_left and f.f_right_u < f.f_right
 
+    @pytest.mark.parametrize("builder", [build_dqd, build_dqd_blockade])
+    def test_batch_rates_equal_single_points_bitwise(self, builder):
+        # array voltages stack one chain per point; the stiff gate edge
+        # and the low temperature exercise the far Fermi tails
+        vg, vsd = np.meshgrid(np.linspace(-15, 5, 13), np.linspace(-20, 20, 13))
+        for temperature in (1.0, 0.5):
+            kw = dict(g=1.0, gamma=GAMMA, temperature=temperature, u=10.0)
+            batch = builder(DqdParams(vg=vg, vsd=vsd, **kw))
+            assert batch.w.shape == vg.shape + (batch.n, batch.n)
+            for idx in np.ndindex(vg.shape):
+                one = builder(DqdParams(vg=float(vg[idx]), vsd=float(vsd[idx]), **kw))
+                assert np.array_equal(batch.w[idx], one.w), idx
+                assert np.array_equal(batch.generator[idx], one.generator), idx
+
     def test_builders_produce_irreducible_chains(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -210,6 +210,25 @@ class TestEmpiricalMoments:
         for key in ("e_q", "var_q", "cov_qt", "j", "d"):
             assert emp.estimates[key][0] == 0.0
 
+    def test_zero_spread_z_uses_a_rounding_floor(self):
+        # every excursion carries the same q, so its standard error is 0;
+        # only a gap beyond rounding on the observable's scale is a failure
+        rng = np.random.default_rng(8)
+        n = 4096
+        scheme = transport_weights("R", 4)
+        sample = ExcursionSample(
+            durations=rng.exponential(2.0, n), residences=rng.exponential(1.0, n),
+            q={"transport": np.full(n, 0.5)}, schemes={"transport": scheme},
+            gamma_a=1.0)
+        emp = empirical_moments(sample, "transport")
+        assert emp.se("e_q") == 0.0 and emp.value("e_q") == 0.5
+        assert emp.z("e_q", 0.5) == 0.0
+        assert emp.z("e_q", 0.5 + 1e-12) == 0.0
+        assert emp.z("e_q", 0.5 + 1e-3) == math.inf
+        assert emp.z("e_q", 0.5 - 1e-3) == math.inf
+        v, se = emp.estimates["e_t"]
+        assert se > 0 and emp.z("e_t", 2.0) == (v - 2.0) / se
+
     def test_too_few_records(self, ref_model):
         schemes = {"transport": transport_weights("R", 4)}
         sample = sample_excursions(ref_model, schemes, 10, seed=1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from exclab.heatmap import render_heatmap
-from exclab.errors import MalformedCsv, UnknownColumn
+from exclab.errors import DegenerateFermi, MalformedCsv, UnknownColumn
 from exclab.sweep import (
     CANONICAL_COLUMNS,
     SweepConfig,
@@ -150,6 +150,42 @@ class TestSweep:
         manual = compute_row(cfg, -cfg.u / 2.0, 7.0, False)
         assert shifted["j_qr"] == manual["j_qr"]
 
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_batch_matches_single_points(self, blockade):
+        # one engine pass over a 7 x 7 block, including the stiff edge
+        # vg = -10, against one scalar call per cell
+        cfg = SweepConfig(temperature=1.0, blockade=blockade)
+        vg, vsd = np.meshgrid(np.linspace(-10, 10, 7), np.linspace(-20, 20, 7))
+        block = compute_row(cfg, vg, vsd, True)
+        # d = d1 + d2 + d3 cancels in stiff cells, so d and the columns
+        # divided by J or J^2 are compared on the scale of the summands
+        divisor = {"d_qr": lambda j: 1.0, "fano": abs, "tur_lhs": lambda j: j * j}
+        for idx in np.ndindex(vg.shape):
+            single = compute_row(cfg, float(vg[idx]), float(vsd[idx]), True)
+            for col, want in single.items():
+                if want is None:
+                    assert block[col] is None, col
+                    continue
+                got = float(block[col][idx])
+                if got == want:
+                    continue
+                if col in divisor:
+                    summands = sum(abs(single[k]) for k in ("d1", "d2", "d3"))
+                    tol = 1e-12 * summands / divisor[col](single["j_qr"])
+                else:
+                    tol = max(1e-12 * max(abs(got), abs(want)), 1e-15)
+                assert abs(got - want) <= tol, (col, idx, got, want)
+
+    def test_failing_cell_is_named(self):
+        # only the point (vg, vsd) = (-10, -60) has a lead occupation of 1
+        cfg = SweepConfig(temperature=1.0)
+        vg = np.array([[0.0, 5.0], [-10.0, 5.0]])
+        vsd = np.array([[-60.0, -60.0], [-60.0, 0.0]])
+        with pytest.raises(DegenerateFermi, match=r"vg=-10, vsd=-60"):
+            compute_row(cfg, vg, vsd, False)
+        with pytest.raises(DegenerateFermi, match=r"vg=-10, vsd=-60"):
+            compute_row(cfg, -10.0, -60.0, False)
+
     def test_serialization_round_trips(self, tmp_path):
         cfg = SweepConfig(vg_n=3, vsd_n=3, temperature=2.0)
         rows = sweep_rows(cfg)
@@ -286,6 +322,22 @@ class TestCli:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert "worst |z|" in r1.stdout
+
+    def test_simulate_at_equilibrium_passes(self):
+        # at vsd = 0 every entropy sample is exactly 0 (standard error 0)
+        # and the analytic values are rounding noise around 0
+        r = run_cli("simulate", "--vsd", "0", "--n", "20000")
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert "worst |z| = inf" not in r.stdout
+
+    def test_sweep_failure_names_the_cell(self, tmp_path):
+        out = tmp_path / "cold.csv"
+        r = run_cli("sweep", "--temperature", "0.2", "--grid",
+                    "vg:-10:10:21,vsd:-20:20:21", "--out", str(out))
+        assert r.returncode == 2
+        assert "vg=" in r.stderr and "vsd=" in r.stderr
+        assert "DegenerateFermi" in r.stderr
+        assert not out.exists() and not (tmp_path / "cold.csv.tmp").exists()
 
     def test_simulate_too_few_records(self):
         r = run_cli("simulate", "--n", "10", "--temperature", "2")
