@@ -12,9 +12,21 @@ single long trajectory which :func:`excursion_filter` segments into
 excursion records, and :func:`sample_excursions` draws independent
 excursions directly as a vectorized ensemble (excursions of a renewal
 cycle are iid, so this is exact and much faster for large counts).
+
+The trajectory path walks only where it must.  :func:`simulate` walks the
+jump chain on Python lists, refilling each state's table of next states
+from the jump stream in the order the walk needs them, and computes the
+holds afterwards as one array from the separate hold stream.
+:func:`excursion_filter` finds the visits of the reference state with
+``flatnonzero``, sums each excursion's holds in trajectory order with one
+vectorised add per position, and tallies every transition with one
+``bincount``.  Both reproduce the per-jump loops they replaced bit for bit;
+``tests/reference_montecarlo.py`` keeps those loops as oracles.
 """
 from __future__ import annotations
 
+import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,6 +49,8 @@ __all__ = [
 ]
 
 _BATCH = 65536        # ensemble batch size, fixed for reproducibility
+_BLOCK = 8192         # trajectory draws per refill, fixed for reproducibility
+_FEW_SEGMENTS = 16    # segments that excursion_filter sums one at a time
 _DIRECT_BATCHES = 32  # batch-means batches for the direct noise estimate
 
 # Powers of (largest |weight|, mean cycle time) that give each estimate its
@@ -78,6 +92,29 @@ def _cumulative_jump_probs(m: RateMatrix) -> np.ndarray:
     return cum
 
 
+def _walk(states, tables, refill, a_state, steps, returns_left):
+    """Extend the jump chain ``states`` by up to ``steps`` jumps.
+
+    ``tables[x]`` holds the unused next states out of ``x``, the next one
+    last; ``refill(x)`` supplies a fresh table when it runs dry.  The walk
+    stops early at the return to ``a_state`` that brings ``returns_left``
+    to zero; the count still missing is returned.
+    """
+    state = states[-1]
+    append = states.append
+    for _ in range(steps):
+        row = tables[state]
+        if not row:
+            row = tables[state] = refill(state)
+        state = row.pop()
+        append(state)
+        if state == a_state:
+            returns_left -= 1
+            if returns_left <= 0:
+                break
+    return returns_left
+
+
 def simulate(
     m: RateMatrix,
     seed: int,
@@ -91,7 +128,8 @@ def simulate(
 
     Stops once the accumulated time reaches ``max_time`` (the crossing hold
     is kept whole) or once ``max_excursions`` returns to ``a_state`` have
-    occurred, whichever is given.
+    occurred, whichever is given; after the last return one more hold in
+    ``a_state`` is kept, so the final excursion stays complete.
     """
     if max_time is None and max_excursions is None:
         raise ValueError("need max_time or max_excursions")
@@ -101,50 +139,77 @@ def simulate(
     root = np.random.SeedSequence(seed)
     jump_rng, hold_rng = (np.random.Generator(np.random.Philox(s)) for s in root.spawn(2))
 
-    block = 8192
-    next_blocks = [np.empty(0, dtype=np.int64)] * m.n
-    next_ptr = [0] * m.n
-    hold_block = np.empty(0)
-    hold_ptr = 0
+    def refill(x):
+        u = jump_rng.random(_BLOCK)
+        return np.searchsorted(cum[x], u, side="right")[::-1].tolist()
 
+    # Holds are draws from their own stream, taken _BLOCK at a time, divided
+    # by the exit rate: the hold of states[i] is draws[i] / gamma[states[i]].
+    blocks: list[np.ndarray] = []
+
+    def holds_of(chain: list) -> np.ndarray:
+        while len(blocks) * _BLOCK < len(chain):
+            blocks.append(hold_rng.standard_exponential(_BLOCK))
+        draws = np.concatenate(blocks)[: len(chain)]
+        return draws / gamma[np.array(chain, dtype=np.int64)]
+
+    tables: list[list[int]] = [[] for _ in range(m.n)]
     states = [state]
-    holds: list[float] = []
-    t = 0.0
-    returns = 0
-    while True:
-        if hold_ptr >= hold_block.size:
-            hold_block = hold_rng.standard_exponential(block)
-            hold_ptr = 0
-        tau = hold_block[hold_ptr] / gamma[state]
-        hold_ptr += 1
-        holds.append(tau)
-        t += tau
-        if max_time is not None and t >= max_time:
-            break
-        if next_ptr[state] >= next_blocks[state].size:
-            u = jump_rng.random(block)
-            next_blocks[state] = np.searchsorted(cum[state], u, side="right")
-            next_ptr[state] = 0
-        new_state = int(next_blocks[state][next_ptr[state]])
-        next_ptr[state] += 1
-        state = new_state
-        states.append(state)
-        if state == a_state:
-            returns += 1
-            if max_excursions is not None and returns >= max_excursions:
-                # trailing hold in A so the final excursion stays complete
-                if hold_ptr >= hold_block.size:
-                    hold_block = hold_rng.standard_exponential(block)
-                    hold_ptr = 0
-                tau = hold_block[hold_ptr] / gamma[state]
-                holds.append(tau)
-                t += tau
+    returns_left = math.inf if max_excursions is None else max_excursions
+    if max_time is None:
+        _walk(states, tables, refill, a_state, sys.maxsize, returns_left)
+    else:
+        # Walk in chunks; after each, run the clock over the new holds with
+        # one sequential cumsum from where it stood, and cut the chain at
+        # the first hold that reaches max_time.  Jumps walked past the cut
+        # only draw table entries that no kept state uses.
+        t = 0.0
+        known = 0
+        steps = _BLOCK
+        while True:
+            returns_left = _walk(states, tables, refill, a_state, steps, returns_left)
+            clock = np.cumsum(np.concatenate(([t], holds_of(states)[known:])))[1:]
+            crossed = np.flatnonzero(clock >= max_time)
+            if crossed.size:
+                del states[known + int(crossed[0]) + 1:]
                 break
+            if returns_left <= 0:
+                break
+            known, t = len(states), float(clock[-1])
+            # about as far again as the clock still has to run, at most double
+            steps = int(min(known * (max_time / t - 1.0) * 1.05 + 64, 2 * known))
+    holds = holds_of(states)
     return Trajectory(
-        states=np.asarray(states, dtype=np.int64),
-        holds=np.asarray(holds, dtype=float),
+        states=np.array(states, dtype=np.int64),
+        holds=holds,
         total_time=float(np.sum(holds)),
     )
+
+
+def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``x[starts[k]:ends[k]].sum()`` for every k, added left to right from
+    0.0 as a plain loop adds.
+
+    ``np.add.reduceat`` sums pairwise and differences of one cumsum carry
+    its rounding, so both move the last bits.  Here the segments, longest
+    first, take one vectorised add per position; the few longest finish
+    alone with a sequential cumsum, so long segments cost no extra passes.
+    """
+    lengths = ends - starts
+    order = np.argsort(lengths, kind="stable")[::-1]
+    first, lengths = starts[order], lengths[order]
+    # live[p]: how many segments are longer than p (nonincreasing)
+    live = lengths.size - np.cumsum(np.bincount(lengths))
+    passes = int(np.count_nonzero(live > _FEW_SEGMENTS))
+    acc = np.zeros(lengths.size)
+    for pos, n_live in enumerate(live[:passes].tolist()):
+        acc[:n_live] += x[first[:n_live] + pos]
+    for k in range(np.count_nonzero(lengths > passes)):
+        rest = x[first[k] + passes : first[k] + lengths[k]]
+        acc[k] = np.cumsum(np.concatenate(([acc[k]], rest)))[-1]
+    sums = np.empty_like(acc)
+    sums[order] = acc
+    return sums
 
 
 def excursion_filter(
@@ -153,42 +218,40 @@ def excursion_filter(
     """Segment a trajectory into completed excursions and A residences.
 
     An excursion runs from a jump out of ``a_state`` to the first return;
-    a partial excursion at the end of the trajectory is discarded.  Returns
-    the records and the array of residence times in A, one per completed
-    excursion (the pairing is exact).  ``n_states`` sets the tally matrix
-    size; by default it is inferred from the visited states.
+    states before the first visit of ``a_state``, and a partial excursion
+    at the end of the trajectory, are discarded.  Returns the records and
+    the array of residence times in A, one per completed excursion (the
+    pairing is exact).  ``n_states`` sets the tally matrix size; by default
+    it is inferred from the visited states.
+
+    Vectorised over the visits of A: the durations are summed in
+    trajectory order, and one ``bincount`` fills a ``(K, n, n)`` block
+    whose slices are the records' tallies.  ``states`` is a jump chain, so
+    no state follows itself.
     """
-    n = int(t.states.max()) + 1 if n_states is None else n_states
-    records: list[ExcursionRecord] = []
-    residences: list[float] = []
-    i = 0
-    nstates = len(t.states)
-    while i < nstates:
-        if t.states[i] != a_state:
-            i += 1
-            continue
-        if i + 1 >= nstates:
-            break
-        residences.append(float(t.holds[i]))
-        counts = np.zeros((n, n), dtype=np.int64)
-        counts[t.states[i + 1], a_state] += 1
-        duration = 0.0
-        j = i + 1
-        closed = False
-        while j + 1 < nstates:
-            duration += float(t.holds[j])
-            counts[t.states[j + 1], t.states[j]] += 1
-            if t.states[j + 1] == a_state:
-                closed = True
-                break
-            j += 1
-        if closed:
-            records.append(ExcursionRecord(duration=duration, counts=counts))
-        else:
-            residences.pop()  # unmatched residence before a partial excursion
-            break
-        i = j + 1
-    return records, np.asarray(residences, dtype=float)
+    states = np.asarray(t.states, dtype=np.int64)
+    holds = np.asarray(t.holds, dtype=float)
+    top = int(states.max())
+    n = top + 1 if n_states is None else n_states
+    if top >= n:
+        raise DimensionMismatch(f"trajectory visits state {top} but n_states={n}")
+    visits = np.flatnonzero(states == a_state)
+    k = visits.size - 1
+    if k < 1:
+        return [], np.asarray([], dtype=float)
+    first, last = visits[0], visits[-1]
+    # one code per jump: excursion index, destination and source
+    code = states[first + 1 : last + 1] * n
+    code += states[first:last]
+    code += np.repeat(np.arange(0, k * n * n, n * n), np.diff(visits))
+    counts = np.bincount(code, minlength=k * n * n).reshape(k, n, n)
+    del code
+    durations = _sequential_segment_sums(holds, visits[:-1] + 1, visits[1:])
+    records = [
+        ExcursionRecord(d, c)
+        for d, c in zip(durations.tolist(), counts)
+    ]
+    return records, holds[visits[:-1]]
 
 
 @dataclass(frozen=True)
@@ -223,9 +286,9 @@ class ExcursionSample:
             name: np.tensordot(counts, s.weights, axes=([1, 2], [0, 1]))
             for name, s in schemes.items()
         }
-        for name in schemes:
-            for k, rec in enumerate(records):
-                rec.q_values[name] = float(q[name][k])
+        for name, values in q.items():
+            for rec, v in zip(records, values.tolist()):
+                rec.q_values[name] = v
         res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
             durations=np.array([r.duration for r in records]),
@@ -440,13 +503,16 @@ def empirical_outcome_histogram(sample: ExcursionSample, scheme_name: str):
 
 
 def dump_trajectory(t: Trajectory, path, labels=None) -> None:
-    """Write one line per jump: tab-separated time, source and destination."""
+    """Write one line per jump: tab-separated time, source and destination.
+
+    The jump times are a sequential cumsum of the holds, so each equals the
+    running sum ``clock += hold`` to the last bit, and prints as its repr.
+    """
+    states = np.asarray(t.states).tolist()
+    clock = np.cumsum(np.asarray(t.holds, dtype=float)[: len(states) - 1]).tolist()
+    names = range(max(states, default=-1) + 1) if labels is None else labels
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        clock = 0.0
-        for i in range(len(t.states) - 1):
-            clock += float(t.holds[i])
-            src, dst = int(t.states[i]), int(t.states[i + 1])
-            if labels is not None:
-                fh.write(f"{clock!r}\t{labels[src]}\t{labels[dst]}\n")
-            else:
-                fh.write(f"{clock!r}\t{src}\t{dst}\n")
+        fh.write("".join(
+            f"{c!r}\t{names[src]}\t{names[dst]}\n"
+            for c, src, dst in zip(clock, states, states[1:])
+        ))

@@ -48,9 +48,6 @@ CANONICAL_COLUMNS = (
     "kur_rhs", "cur_rhs",
 )
 
-# columns that stay empty outside blockade mode
-_BLOCKADE_ONLY = ("p_suc", "p_fail", "p_dis")
-
 # Grid cells per pass of the batched engine.  Bigger blocks save little
 # time but hold more stacked arrays at once, which sets the sweep's peak
 # memory.

@@ -4,11 +4,11 @@ built-in 7 x 7 diamond grid and reported as one pass/fail line per check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dqd import DqdParams, build_dqd, build_dqd_blockade, lead_log_ratio
+from .dqd import build_dqd, build_dqd_blockade, lead_log_ratio
 from .excursions import (
     _scalar,
     excess_time,
@@ -29,7 +29,7 @@ from .observables import (
     success_fail_disaster,
     transport_weights,
 )
-from .sweep import SweepConfig
+from .sweep import SweepConfig, _point_params
 
 __all__ = ["CheckResult", "run_verify", "format_results"]
 
@@ -69,10 +69,7 @@ def _bound_holds(lhs: float, rhs: float) -> bool:
 def _points(cfg: SweepConfig):
     for vsd in _GRID_VSD:
         for vg in _GRID_VG:
-            yield DqdParams(
-                g=cfg.g, gamma=cfg.gamma, temperature=cfg.temperature,
-                u=cfg.u, vg=float(vg), vsd=float(vsd), blockade=cfg.blockade,
-            )
+            yield _point_params(cfg, float(vg), float(vsd), False)
 
 
 def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
@@ -164,11 +161,7 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     worst_cf = 0.0
     worst_out = 0.0
     worst_sum = 0.0
-    for p in _points(cfg):
-        pb = DqdParams(
-            g=p.g, gamma=p.gamma, temperature=p.temperature, u=p.u,
-            vg=p.vg, vsd=p.vsd, blockade=True,
-        )
+    for pb in _points(replace(cfg, blockade=True)):
         model = build_dqd_blockade(pb)
         dec = partition(model, 0)
         cf = blockade_analytics(pb)

@@ -24,9 +24,10 @@ from exclab import (
     transport_weights,
     validate_rate_matrix,
 )
-from exclab.errors import NonIntegerScheme, TooFewRecords
+from exclab.errors import DimensionMismatch, NonIntegerScheme, TooFewRecords
 from exclab.montecarlo import Trajectory, dump_trajectory
 
+import reference_montecarlo as reference
 from conftest import REF, GAMMA
 
 
@@ -102,6 +103,79 @@ class TestSimulate:
             assert d_stat < d_crit, f"state {x}: D={d_stat:.5f} crit={d_crit:.5f}"
 
 
+def _chain(name, request):
+    """The chains the reference loops are compared on."""
+    if name == "two_state":
+        return validate_rate_matrix([[0.0, 0.4], [1.3, 0.0]])
+    return request.getfixturevalue(
+        {"dqd": "ref_model", "blockade": "ref_blockade_model"}[name])
+
+
+def assert_same_trajectory(t, ref):
+    assert t.states.dtype == ref.states.dtype == np.int64
+    assert np.array_equal(t.states, ref.states)
+    assert t.holds.dtype == ref.holds.dtype
+    assert np.array_equal(t.holds, ref.holds)
+    assert t.total_time == ref.total_time
+
+
+def assert_same_filter(t, a_state=0, n_states=None):
+    records, residences = excursion_filter(t, a_state, n_states)
+    ref_records, ref_residences = reference.excursion_filter(t, a_state, n_states)
+    assert residences.dtype == ref_residences.dtype
+    assert residences.shape == ref_residences.shape
+    assert np.array_equal(residences, ref_residences)
+    assert len(records) == len(ref_records)
+    for r, ref in zip(records, ref_records):
+        assert r.duration == ref.duration
+        assert r.counts.dtype == ref.counts.dtype == np.int64
+        assert np.array_equal(r.counts, ref.counts)
+    return records, residences
+
+
+class TestReferenceLoops:
+    """The list-native walk and the vectorised filter reproduce the
+    per-jump loops bit for bit; the sizes cross the 8192-draw refills."""
+
+    @pytest.mark.parametrize("chain", ["two_state", "dqd", "blockade"])
+    @pytest.mark.parametrize("stop, outside", [
+        (dict(max_excursions=700), False),
+        (dict(max_excursions=700), True),
+        (dict(max_time=3500.0), False),
+        (dict(max_time=3500.0), True),
+        (dict(max_time=300.0, max_excursions=700), False),
+    ])
+    def test_simulate_and_filter_match_reference(self, chain, stop, outside, request):
+        m = _chain(chain, request)
+        kwargs = dict(stop, start_state=m.n - 1) if outside else stop
+        for seed in (0, 1, 2):
+            t = simulate(m, seed=seed, **kwargs)
+            assert_same_trajectory(t, reference.simulate(m, seed=seed, **kwargs))
+            if "max_time" in stop and len(t.states) > 1:
+                # the crossing hold is kept whole
+                clock = np.cumsum(t.holds)
+                assert clock[-2] < stop["max_time"] <= clock[-1]
+            if outside:
+                assert t.states[0] == m.n - 1
+            assert_same_filter(t, 0, m.n)
+            assert_same_filter(t)
+
+    def test_filter_matches_reference_on_long_excursions(self):
+        # state 00 is rare at vg = -10, so excursions run to hundreds of
+        # jumps and the longest are summed one at a time
+        m = build_dqd(DqdParams(vg=-10.0, vsd=7.0, **REF))
+        t = simulate(m, seed=4, max_excursions=40)
+        records, _ = assert_same_filter(t, 0, 4)
+        lengths = sorted(int(r.counts.sum()) for r in records)
+        assert lengths[-17] > 100
+
+    def test_other_reference_state(self, ref_model):
+        t = simulate(ref_model, seed=6, max_excursions=300, a_state=2)
+        assert_same_trajectory(
+            t, reference.simulate(ref_model, seed=6, max_excursions=300, a_state=2))
+        assert_same_filter(t, 2, 4)
+
+
 class TestExcursionFilter:
     def test_minimal_handcrafted_trajectory(self):
         t = Trajectory(states=np.array([0, 1, 0, 2, 0]),
@@ -134,6 +208,49 @@ class TestExcursionFilter:
         for r in records:
             assert r.counts[:, 0].sum() == 1  # one entry jump out of A
             assert r.counts[0, :].sum() == 1  # one exit jump back
+
+
+    @staticmethod
+    def _traj(states):
+        holds = 0.5 + 0.25 * np.arange(len(states))
+        return Trajectory(states=np.array(states, dtype=np.int64), holds=holds,
+                          total_time=float(holds.sum()))
+
+    def test_start_outside_a(self):
+        t = self._traj([2, 1, 0, 1, 2, 0, 3, 0])
+        records, residences = assert_same_filter(t, 0, 4)
+        assert len(records) == 2
+        assert list(residences) == [t.holds[2], t.holds[5]]
+        assert records[0].duration == t.holds[3] + t.holds[4]
+        assert records[0].counts[1, 0] == 1 and records[0].counts[0, 2] == 1
+        assert records[0].counts[0, 1] == 0  # the jump into A before it is not counted
+
+    def test_trailing_partial_excursion_dropped_with_its_residence(self):
+        t = self._traj([0, 1, 0, 2, 3])
+        records, residences = assert_same_filter(t, 0, 4)
+        assert len(records) == 1
+        assert list(residences) == [t.holds[0]]
+
+    def test_ends_on_a(self):
+        t = self._traj([0, 1, 2, 0])
+        records, residences = assert_same_filter(t, 0, 3)
+        assert len(records) == 1 and list(residences) == [t.holds[0]]
+        assert records[0].duration == t.holds[1] + t.holds[2]
+
+    @pytest.mark.parametrize("states", [[1, 2, 1], [1, 0, 2], [2, 0], [0], [3]])
+    def test_no_complete_excursion(self, states):
+        records, residences = assert_same_filter(self._traj(states))
+        assert records == []
+        assert residences.dtype == np.float64 and residences.shape == (0,)
+
+    def test_n_states_inferred(self):
+        records, _ = assert_same_filter(self._traj([0, 2, 1, 0, 1, 0]))
+        assert [r.counts.shape for r in records] == [(3, 3), (3, 3)]
+        assert records[0].counts.dtype == np.int64
+
+    def test_n_states_too_small(self):
+        with pytest.raises(DimensionMismatch):
+            excursion_filter(self._traj([0, 3, 0]), 0, n_states=3)
 
 
 class TestSampleExcursions:
@@ -299,3 +416,11 @@ class TestTrajectoryDump:
         assert len(first) == 3
         assert first[1] == ref_model.labels[t.states[0]]
         assert float(first[0]) == pytest.approx(t.holds[0])
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_bytes_match_reference_writer(self, ref_model, tmp_path, labelled):
+        t = simulate(ref_model, seed=15, max_excursions=2000)
+        labels = ref_model.labels if labelled else None
+        dump_trajectory(t, tmp_path / "new.tsv", labels=labels)
+        reference.dump_trajectory(t, tmp_path / "ref.tsv", labels=labels)
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
