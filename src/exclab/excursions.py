@@ -16,7 +16,11 @@ A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
 insertion formulas then run as broadcast matrix products over the batch;
 every check is made cell by cell.  The transform oracles
 (:func:`joint_characteristic`, :func:`finite_difference_moments`,
-:func:`outcome_distribution`) take single chains only.
+:func:`outcome_distribution`) take single chains only.  They stack their
+probes instead: each trial step of the finite differences, their
+Richardson ladder and each quadrature grid is one batched solve over a
+(k, nb, nb) stack of tilted B blocks, and a doubled quadrature grid solves
+only the nodes it adds.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .errors import (
     SingularResolvent,
     raise_first,
 )
-from .markov import RateMatrix, WeightScheme, steady_state
+from .markov import RateMatrix, WeightScheme, _richardson, steady_state
 
 __all__ = [
     "BlockDecomposition",
@@ -296,6 +300,19 @@ def excursion_report(d: BlockDecomposition, scheme: WeightScheme) -> ExcursionRe
     )
 
 
+def _tilted_blocks(d: BlockDecomposition, tilt: np.ndarray):
+    """A/B blocks of tilted rate matrices of the single chain behind ``d``.
+
+    ``tilt`` has shape (..., n, n), typically a (k, n, n) stack of probes.
+    Returns C-contiguous ``t_ab`` (..., 1, nb), ``t_ba`` (..., nb, 1) and
+    ``t_b`` (..., nb, nb); ``t_b`` carries the untilted diagonal -gamma_B.
+    """
+    bi = list(d.b_states)
+    a = [d.a_state]
+    t_b = _block(tilt, bi, bi) - np.diag(d.parent.gamma[bi])
+    return _block(tilt, a, bi), _block(tilt, bi, a), t_b
+
+
 def joint_characteristic(
     d: BlockDecomposition, scheme: WeightScheme, xi: float, s: float
 ) -> complex:
@@ -305,18 +322,17 @@ def joint_characteristic(
     """
     if scheme.n != d.parent.n:
         raise DimensionMismatch("scheme dimension does not match chain")
-    bi = list(d.b_states)
-    tilt = d.parent.w * np.exp(-1j * scheme.weights * xi)
-    t_ab = tilt[np.ix_([d.a_state], bi)]
-    t_ba = tilt[np.ix_(bi, [d.a_state])]
-    t_b = tilt[np.ix_(bi, bi)] - np.diag(d.parent.gamma[bi])
     if s < 0.0:
-        # the transform only converges for s above the B-block abscissa
-        abscissa = float(np.max(np.linalg.eigvals(t_b).real))
+        # the transform converges only above the abscissa of the untilted B
+        # block: |exp(-i Q xi - s T)| = exp(-s T) for every xi, and a
+        # complex tilt can only lower the abscissa
+        abscissa = float(np.max(np.linalg.eigvals(d.gen_b).real))
         if s <= abscissa:
             raise SingularResolvent(
                 f"s = {s} at or below the abscissa {abscissa:.6g}"
             )
+    t_ab, t_ba, t_b = _tilted_blocks(
+        d, d.parent.w * np.exp(-1j * scheme.weights * xi))
     a = s * np.eye(d.nb) - t_b
     try:
         x = np.linalg.solve(a, t_ba)
@@ -325,25 +341,15 @@ def joint_characteristic(
     return complex((t_ab @ x)[0, 0]) / d.gamma_a
 
 
-def _mgf(d: BlockDecomposition, scheme: WeightScheme, chi: float, s: float) -> float:
-    """Real-tilt transform E[exp(Q chi - s T)], used for finite differences."""
-    bi = list(d.b_states)
-    tilt = d.parent.w * np.exp(scheme.weights * chi)
-    t_ab = tilt[np.ix_([d.a_state], bi)]
-    t_ba = tilt[np.ix_(bi, [d.a_state])]
-    t_b = tilt[np.ix_(bi, bi)] - np.diag(d.parent.gamma[bi])
-    x = np.linalg.solve(s * np.eye(d.nb) - t_b, t_ba)
-    return _scalar(t_ab @ x) / d.gamma_a
-
-
-def _richardson_table(samples):
-    rows = [[samples[0]]]
-    for k in range(1, len(samples)):
-        row = [samples[k]]
-        for j in range(1, k + 1):
-            row.append((4**j * row[j - 1] - rows[k - 1][j - 1]) / (4**j - 1))
-        rows.append(row)
-    return rows[-1][-1]
+def _mgf(d: BlockDecomposition, scheme: WeightScheme, chi, s) -> list[float]:
+    """Real-tilt transforms E[exp(Q chi - s T)] at the probes (chi[k], s[k]),
+    used for finite differences; one batched solve for all k probes."""
+    chi = np.asarray(chi, dtype=float)
+    s = np.asarray(s, dtype=float)
+    tilt = d.parent.w * np.exp(scheme.weights * chi[:, None, None])
+    t_ab, t_ba, t_b = _tilted_blocks(d, tilt)
+    x = np.linalg.solve(s[:, None, None] * np.eye(d.nb) - t_b, t_ba)
+    return ((t_ab @ x)[:, 0, 0] / d.gamma_a).tolist()
 
 
 def finite_difference_moments(
@@ -362,49 +368,45 @@ def finite_difference_moments(
     the relative rounding noise bounded by the solver's condition number
     even for heavy-tailed excursion statistics, where the chi convergence
     radius shrinks with the mean jump count and the s abscissa with the
-    slowest absorption rate.
+    slowest absorption rate.  Each trial step evaluates its probes in one
+    stacked solve, and so do all 8 * ``levels`` Richardson probes.
     """
-    f = lambda chi, s: _mgf(d, scheme, chi, s)
-    f00 = f(0.0, 0.0)
+    (f00,) = _mgf(d, scheme, [0.0], [0.0])
 
-    def shrink(h, sides, extra=()):
+    def shrink(h, probes):
+        # probes(h) gives (chi, s) lists; the first two are the +-h sides
         for _ in range(200):
             try:
-                p, m = sides(h)
-                ok = all(np.isfinite(v) and v > 0.0 for v in (p, m) + extra_vals(h, extra))
+                vals = _mgf(d, scheme, *probes(h))
             except (SingularResolvent, np.linalg.LinAlgError):
                 h /= 2.0
                 continue
-            if ok and abs(p - 2.0 * f00 + m) <= target:
+            ok = all(np.isfinite(v) and v > 0.0 for v in vals)
+            if ok and abs(vals[0] - 2.0 * f00 + vals[1]) <= target:
                 return h
             h /= 2.0
         return h
 
-    def extra_vals(h, extra):
-        return tuple(g(h) for g in extra)
-
     hc = shrink(0.25 / max(1.0, scheme.max_abs_weight()),
-                lambda h: (f(h, 0.0), f(-h, 0.0)))
+                lambda h: ([h, -h], [0.0, 0.0]))
     norm_g = float(np.abs(d.fundamental).sum(axis=0).max())
-    hs = shrink(
-        0.25 / max(1.0, norm_g),
-        lambda h: (f(0.0, h), f(0.0, -h)),
-        extra=(lambda h: f(hc, -h), lambda h: f(-hc, -h)),
-    )
+    hs = shrink(0.25 / max(1.0, norm_g),
+                lambda h: ([0.0, 0.0, hc, -hc], [h, -h, -h, -h]))
+
+    steps = [(hc / 2**k, hs / 2**k) for k in range(levels)]
+    vals = _mgf(d, scheme,
+                [c for a, _ in steps for c in (a, -a, 0.0, 0.0, a, a, -a, -a)],
+                [t for _, b in steps for t in (0.0, 0.0, b, -b, b, -b, b, -b)])
 
     d1q, d2q, d1t, d2t, dqt = [], [], [], [], []
-    for k in range(levels):
-        a, b = hc / 2**k, hs / 2**k
-        fp, fm = f(a, 0.0), f(-a, 0.0)
-        gp, gm = f(0.0, b), f(0.0, -b)
+    for k, (a, b) in enumerate(steps):
+        fp, fm, gp, gm, fpp, fpm, fmp, fmm = vals[8 * k:8 * k + 8]
         d1q.append((fp - fm) / (2 * a))
         d2q.append((fp - 2 * f00 + fm) / a**2)
         d1t.append(-(gp - gm) / (2 * b))
         d2t.append((gp - 2 * f00 + gm) / b**2)
-        dqt.append(
-            -(f(a, b) - f(a, -b) - f(-a, b) + f(-a, -b)) / (4 * a * b)
-        )
-    return tuple(_richardson_table(s) for s in (d1q, d2q, d1t, d2t, dqt))
+        dqt.append(-(fpp - fpm - fmp + fmm) / (4 * a * b))
+    return tuple(_richardson(s)[0] for s in (d1q, d2q, d1t, d2t, dqt))
 
 
 def outcome_distribution(
@@ -419,7 +421,9 @@ def outcome_distribution(
     the trapezoid rule on a uniform grid over [-pi, pi); the integrand is
     2*pi periodic on the integer lattice, so the rule is spectrally
     accurate.  The node count doubles until two successive refinements
-    agree below 1e-10.
+    agree below 1e-10.  Each doubled grid keeps the nodes it shares with
+    the coarser one (the even nodes) and solves only its new odd nodes; the
+    first two grids are solved together.
 
     Returns ``(qs, probs)`` as integer and float arrays.
 
@@ -436,29 +440,37 @@ def outcome_distribution(
     if lo > hi:
         raise ValueError("empty q range")
     qs = np.arange(lo, hi + 1)
-    bi = list(d.b_states)
-    w = d.parent.w
-    nu = scheme.weights
-    gam_b = d.parent.gamma[bi]
 
-    prev = None
-    n = nodes
-    while True:
-        xi = -np.pi + 2.0 * np.pi * np.arange(n) / n
-        phase = np.exp(-1j * np.multiply.outer(xi, nu))
-        tilt = phase * w
-        t_b = tilt[:, bi, :][:, :, bi] - np.diag(gam_b)
-        t_ba = tilt[:, bi, :][:, :, [d.a_state]]
-        t_ab = tilt[:, [d.a_state], :][:, :, bi]
+    def transform(xi):
+        phase = np.exp(-1j * np.multiply.outer(xi, scheme.weights))
+        t_ab, t_ba, t_b = _tilted_blocks(d, phase * d.parent.w)
         x = np.linalg.solve(-t_b, t_ba)
-        mvals = (t_ab @ x)[:, 0, 0] / d.gamma_a
-        probs = np.real(np.exp(1j * np.outer(qs, xi)) @ mvals) / n
-        if prev is not None and np.max(np.abs(probs - prev)) < 1e-10:
+        return (t_ab @ x)[:, 0, 0] / d.gamma_a
+
+    def grid(n):
+        return -np.pi + 2.0 * np.pi * np.arange(n) / n
+
+    def inversion(xi, mvals):
+        return np.real(np.exp(1j * np.outer(qs, xi)) @ mvals) / len(xi)
+
+    # 2 pi k / n == 2 pi (2k) / (2n) in floating point, so the coarse nodes
+    # are bit-equal to the even nodes of the doubled grid
+    n = 2 * nodes
+    xi = grid(n)
+    mvals = transform(xi)
+    prev = inversion(grid(nodes), mvals[::2])
+    while True:
+        probs = inversion(xi, mvals)
+        if np.max(np.abs(probs - prev)) < 1e-10:
             break
         if n >= 16 * nodes:
             break
         prev = probs
         n *= 2
+        xi = grid(n)
+        coarse, mvals = mvals, np.empty(n, dtype=complex)
+        mvals[0::2] = coarse
+        mvals[1::2] = transform(xi[1::2])
 
     if np.min(probs) < -1e-12:
         raise MassDeficit(

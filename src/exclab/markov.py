@@ -207,24 +207,30 @@ def steady_state(m: RateMatrix) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def tilt_generator(m: RateMatrix, scheme: WeightScheme, chi: float) -> np.ndarray:
+def tilt_generator(m: RateMatrix, scheme: WeightScheme, chi) -> np.ndarray:
     """Generator with off-diagonal entries ``w[x, y] * exp(weights[x, y] * chi)``.
 
     The diagonal stays ``-gamma``; chi = 0 returns the generator exactly.
+    An array ``chi`` of shape (k,) gives the stack of k tilted generators,
+    shape (k, n, n).
     """
     if scheme.n != m.n:
         raise DimensionMismatch("scheme dimension does not match chain")
-    t = m.w * np.exp(scheme.weights * chi)
-    np.fill_diagonal(t, -m.gamma)
+    t = m.w * np.exp(scheme.weights * np.asarray(chi)[..., None, None])
+    diag = np.arange(m.n)
+    t[..., diag, diag] = -m.gamma
     return t
 
 
-def _dominant_eigenvalue(mat: np.ndarray) -> float:
+def _dominant_eigenvalues(mats: np.ndarray) -> list[float]:
+    """Real part of the eigenvalue with the largest real part, for each
+    matrix of a (k, n, n) stack, from one eigensolver call."""
     try:
-        ev = np.linalg.eigvals(mat)
+        ev = np.linalg.eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    return float(ev[np.argmax(ev.real)].real)
+    top = np.argmax(ev.real, axis=-1)
+    return ev[np.arange(len(ev)), top].real.tolist()
 
 
 def _richardson(samples: list[float]) -> tuple[float, float]:
@@ -257,7 +263,8 @@ def fcs_current_noise(
     Derivatives use central differences on the step ladder h0/2^k with
     Richardson extrapolation.  The base step is scaled down for schemes
     with large weights so the tilt stays in the analytic regime; pushing
-    h0 much below ~1e-3 runs into the eigensolver noise floor.
+    h0 much below ~1e-3 runs into the eigensolver noise floor.  lambda(0)
+    and the whole +-h ladder come from one stacked eigensolver call.
 
     Raises
     ------
@@ -271,12 +278,12 @@ def fcs_current_noise(
         raise DimensionMismatch("scheme dimension does not match chain")
     if h0 is None:
         h0 = 0.05 / max(1.0, scheme.max_abs_weight())
-    lam0 = _dominant_eigenvalue(tilt_generator(m, scheme, 0.0))
+    hs = [h0 / 2**k for k in range(levels)]
+    lam = _dominant_eigenvalues(
+        tilt_generator(m, scheme, np.array([0.0] + hs + [-h for h in hs])))
+    lam0, lp, lm = lam[0], lam[1:levels + 1], lam[levels + 1:]
     if abs(lam0) > 1e-10 * max(np.max(m.gamma), 1.0):
         raise EigenFailure(f"lambda(0) = {lam0:.3e}, expected 0")
-    hs = [h0 / 2**k for k in range(levels)]
-    lp = [_dominant_eigenvalue(tilt_generator(m, scheme, h)) for h in hs]
-    lm = [_dominant_eigenvalue(tilt_generator(m, scheme, -h)) for h in hs]
     j, err_j = _richardson([(lp[k] - lm[k]) / (2 * hs[k]) for k in range(levels)])
     d, err_d = _richardson(
         [(lp[k] - 2 * lam0 + lm[k]) / hs[k] ** 2 for k in range(levels)]

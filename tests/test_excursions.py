@@ -234,6 +234,14 @@ class TestJointCharacteristic:
             joint_characteristic(ref_dec, transport_weights("R", 4), 0.0,
                                  -1e6)
 
+    def test_abscissa_ignores_the_complex_tilt(self, ref_dec):
+        # E[exp(s T)] diverges below the untilted abscissa -0.3023; at
+        # xi = pi the tilted B block's abscissa is lower, -0.3186
+        tr = transport_weights("R", 4)
+        with pytest.raises(SingularResolvent):
+            joint_characteristic(ref_dec, tr, math.pi, -0.3104)
+        assert np.isfinite(joint_characteristic(ref_dec, tr, math.pi, -0.30))
+
 
 class TestOutcomeDistribution:
     def test_blockade_support_and_closed_forms(self, ref_blockade_params):

@@ -29,8 +29,10 @@ SMALL = dict(vg_lo=-8.0, vg_hi=8.0, vg_n=9, vsd_lo=-16.0, vsd_hi=16.0, vsd_n=9)
 
 
 def run_cli(*args, env=None):
-    # the child process must fail on numpy deprecations, as pytest does
-    e = dict(os.environ, PYTHONWARNINGS="error::DeprecationWarning")
+    # the child process must fail on numpy deprecations and on floating-point
+    # warnings, as pytest does
+    e = dict(os.environ,
+             PYTHONWARNINGS="error::DeprecationWarning,error::RuntimeWarning")
     if env:
         e.update(env)
     return subprocess.run(
