@@ -16,12 +16,11 @@ from .dqd import (
 from .excursions import (
     BlockDecomposition,
     ExcursionReport,
-    current,
     excess_time,
     excursion_report,
     finite_difference_moments,
     joint_characteristic,
-    noise_decomposition,
+    noise_terms,
     observable_moments,
     outcome_distribution,
     partition,
@@ -60,6 +59,7 @@ from .observables import (
     mutual_information,
     mutual_information_exclusive,
     populations,
+    precision_bounds,
     state_weights,
     success_fail_disaster,
     transport_weights,

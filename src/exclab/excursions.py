@@ -45,8 +45,7 @@ __all__ = [
     "partition",
     "time_moments",
     "observable_moments",
-    "current",
-    "noise_decomposition",
+    "noise_terms",
     "excursion_report",
     "joint_characteristic",
     "finite_difference_moments",
@@ -223,26 +222,17 @@ def observable_moments(d: BlockDecomposition, scheme: WeightScheme):
     return e_q, e_q2, var_q, e_qt, cov_qt
 
 
-def current(d: BlockDecomposition, scheme: WeightScheme) -> float:
-    """Steady-state current J = E(Q) / mu."""
-    e_q = observable_moments(d, scheme)[0]
-    mu = time_moments(d)[3]
-    return e_q / mu
-
-
-def noise_decomposition(d: BlockDecomposition, scheme: WeightScheme):
-    """Noise D and its three components.
+def noise_terms(var_q, e_q, cov_qt, mu, delta2):
+    """The three parts of the noise D = D1 + D2 + D3 from renewal moments.
 
     D1 = var(Q)/mu carries observable fluctuations, D2 = Delta^2 E(Q)^2/mu^3
     cycle-time fluctuations, D3 = -2 E(Q) cov(Q,T)/mu^2 their interplay.
-    Returns ``(d1, d2, d3, d)``.
+    Works on floats and arrays alike.  Returns ``(d1, d2, d3)``.
     """
-    e_q, _, var_q, _, cov_qt = observable_moments(d, scheme)
-    _, _, _, mu, delta2 = time_moments(d)
     d1 = var_q / mu
     d2 = delta2 / mu**3 * e_q * e_q
     d3 = -2.0 * e_q / mu**2 * cov_qt
-    return d1, d2, d3, d1 + d2 + d3
+    return d1, d2, d3
 
 
 @dataclass(frozen=True)
@@ -290,9 +280,7 @@ def excursion_report(d: BlockDecomposition, scheme: WeightScheme) -> ExcursionRe
     raise_first(np.abs(cov_qt) > bound + 1e-9 * np.maximum(q_scale, t_scale),
                 ValueError, "covariance violates Cauchy-Schwarz")
     var_q = np.maximum(var_q, 0.0)
-    d1 = var_q / mu
-    d2 = delta2 / mu**3 * e_q * e_q
-    d3 = -2.0 * e_q / mu**2 * cov_qt
+    d1, d2, d3 = noise_terms(var_q, e_q, cov_qt, mu, delta2)
     return ExcursionReport(
         e_q=e_q, var_q=var_q, e_t=e_t, var_t=var_t, cov_qt=cov_qt,
         e_tau=1.0 / d.gamma_a, mu=mu, delta2=delta2,

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonIntegerScheme, TooFewRecords
+from .excursions import noise_terms
 from .markov import RateMatrix, WeightScheme
 
 __all__ = [
@@ -82,7 +83,6 @@ class ExcursionRecord:
 
     duration: float
     counts: np.ndarray
-    q_values: dict[str, float] = field(default_factory=dict)
 
 
 def _cumulative_jump_probs(m: RateMatrix) -> np.ndarray:
@@ -286,9 +286,6 @@ class ExcursionSample:
             name: np.tensordot(counts, s.weights, axes=([1, 2], [0, 1]))
             for name, s in schemes.items()
         }
-        for name, values in q.items():
-            for rec, v in zip(records, values.tolist()):
-                rec.q_values[name] = v
         res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
             durations=np.array([r.duration for r in records]),
@@ -458,8 +455,8 @@ def empirical_moments(
         mu = m_t + m_tau
         delta2 = var_t + (m_tau2 - m_tau**2)
         j = m_q / mu
-        d = var_q / mu + delta2 / mu**3 * m_q**2 - 2.0 * m_q / mu**2 * cov_qt
-        return m_q, var_q, m_t, var_t, cov_qt, mu, delta2, j, d
+        d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
+        return m_q, var_q, m_t, var_t, cov_qt, mu, delta2, j, d1 + d2 + d3
 
     keys = ["e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d"]
     theta, ses = _jackknife(stats, cols)

@@ -2,14 +2,15 @@
 outcome probabilities, blockade closed forms, populations, mutual
 information, Fano factor and the uncertainty-relation bounds.
 
-Entropy weights, outcome probabilities, populations and mutual information
-follow a batch of parameter points (array voltages, stacked chains) cell
-by cell; the closed forms and the bounds report take single points.
+Entropy weights, outcome probabilities, populations, mutual information
+and the precision bounds follow a batch of parameter points (array
+voltages, stacked chains) cell by cell; the blockade closed forms take
+single points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,12 +23,7 @@ from .dqd import (
     require_finite_fermi,
 )
 from .errors import DivergentFano, raise_first
-from .excursions import (
-    BlockDecomposition,
-    excess_time,
-    observable_moments,
-    time_moments,
-)
+from .excursions import BlockDecomposition, excess_time, excursion_report
 from .markov import RateMatrix, WeightScheme, steady_state
 
 __all__ = [
@@ -46,6 +42,7 @@ __all__ = [
     "mutual_information_exclusive",
     "fano",
     "BoundsReport",
+    "precision_bounds",
     "uncertainty_bounds",
 ]
 
@@ -283,7 +280,8 @@ def fano(j: float, d: float, signed: bool = False) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Precision bounds for one counting observable.
+    """Precision bounds for one counting observable; each field is an array
+    over the cells of a batch, or a float or bool for one point.
 
     ``lhs`` is D/J^2; the right-hand sides are the entropy (tur), activity
     (kur) and excess-time (cur) bounds.  ``tur_rhs`` and ``tur_ok`` are None
@@ -302,10 +300,38 @@ class BoundsReport:
 _SLACK = 1e-9  # relative slack for inequality flags near saturation
 
 
-def _holds(lhs: float, rhs: float) -> bool:
-    if math.isinf(lhs):
-        return True
-    return lhs >= rhs - _SLACK * max(abs(lhs), abs(rhs))
+def _holds(lhs, rhs):
+    """lhs >= rhs up to a relative slack on the larger magnitude; an
+    infinite lhs always holds.  Element-wise on arrays."""
+    lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+    with np.errstate(invalid="ignore"):
+        ok = np.isinf(lhs) | (
+            lhs >= rhs - _SLACK * np.maximum(np.abs(lhs), np.abs(rhs)))
+    return ok if ok.ndim else bool(ok)
+
+
+def precision_bounds(j, d, j_act, j_sigma, cur_rhs) -> BoundsReport:
+    """The entropy, activity and excess-time bounds on D/J^2 from the
+    current ``j`` and noise ``d`` of one observable, the activity and
+    entropy currents and the excess time, on floats or arrays.
+
+    A numerically zero current gives lhs = inf, and a vanishing entropy
+    current an infinite entropy bound.
+    """
+    j, j_sigma = np.asarray(j), np.asarray(j_sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = np.where(np.abs(j) > 1e-13, d / j**2, math.inf)
+        tur_rhs = np.where(j_sigma != 0.0, 2.0 / j_sigma, math.inf)
+    kur_rhs = 1.0 / j_act
+    fields = dict(
+        lhs=lhs, tur_rhs=tur_rhs, kur_rhs=kur_rhs, cur_rhs=cur_rhs,
+        tur_ok=_holds(lhs, tur_rhs), kur_ok=_holds(lhs, kur_rhs),
+        cur_ok=_holds(lhs, cur_rhs),
+    )
+    if lhs.ndim == 0:
+        fields = {k: v if isinstance(v, bool) else float(v)
+                  for k, v in fields.items()}
+    return BoundsReport(**fields)
 
 
 def uncertainty_bounds(
@@ -316,24 +342,11 @@ def uncertainty_bounds(
     The entropy bound applies only to anti-symmetric (thermodynamic)
     schemes and is reported as not-applicable otherwise.
     """
-    e_q, _, var_q, _, cov_qt = observable_moments(d, scheme)
-    _, _, _, mu, delta2 = time_moments(d)
-    noise = var_q / mu + delta2 / mu**3 * e_q**2 - 2.0 * e_q / mu**2 * cov_qt
-    j = e_q / mu
-    lhs = noise / j**2 if abs(j) > 1e-13 else math.inf
-
-    j_act = observable_moments(d, activity_weights(d.parent.n))[0] / mu
-    kur_rhs = 1.0 / j_act
-    cur_rhs = excess_time(d)
-
-    if scheme.antisymmetric:
-        j_sigma = observable_moments(d, entropy_weights(p))[0] / mu
-        tur_rhs = 2.0 / j_sigma if j_sigma != 0.0 else math.inf
-        tur_ok = _holds(lhs, tur_rhs)
-    else:
-        tur_rhs = None
-        tur_ok = None
-    return BoundsReport(
-        lhs=lhs, tur_rhs=tur_rhs, kur_rhs=kur_rhs, cur_rhs=cur_rhs,
-        tur_ok=tur_ok, kur_ok=_holds(lhs, kur_rhs), cur_ok=_holds(lhs, cur_rhs),
+    rep = excursion_report(d, scheme)
+    thermo = scheme.antisymmetric
+    j_sigma = excursion_report(d, entropy_weights(p)).j if thermo else math.nan
+    b = precision_bounds(
+        rep.j, rep.d, excursion_report(d, activity_weights(d.parent.n)).j,
+        j_sigma, excess_time(d),
     )
+    return b if thermo else replace(b, tur_rhs=None, tur_ok=None)

@@ -25,6 +25,7 @@ from .observables import (
     entropy_weights,
     mutual_information,
     populations,
+    precision_bounds,
     success_fail_disaster,
     transport_weights,
 )
@@ -189,20 +190,19 @@ def _columns(cfg: SweepConfig, params: DqdParams) -> dict:
     j_act = excursion_report(dec, activity_weights(model.n)).j
     j_sigma = excursion_report(dec, entropy_weights(params)).j
     pop = populations(model)
+    bounds = precision_bounds(rep.j, rep.d, j_act, j_sigma, excess_time(dec))
     # numpy values even for one point, so that a zero divisor gives inf
-    j, d, j_sigma = np.asarray(rep.j), rep.d, np.asarray(j_sigma)
+    j, d = np.asarray(rep.j), rep.d
     with np.errstate(divide="ignore", invalid="ignore"):
         fano_val = np.where(np.abs(j) < ZERO_CURRENT, math.inf, d / np.abs(j))
-        lhs = np.where(np.abs(j) > 1e-13, d / j**2, math.inf)
-        tur_rhs = np.where(j_sigma != 0.0, 2.0 / j_sigma, math.inf)
     cols = {
         "j_qr": j, "d_qr": d, "d1": rep.d1, "d2": rep.d2, "d3": rep.d3,
         "fano": fano_val, "j_act": j_act, "j_sigma": j_sigma, "mu": rep.mu,
         "e_t": rep.e_t, "var_t": rep.var_t, "e_tau": rep.e_tau,
         "cov_qt": rep.cov_qt, "p00": pop.p00, "p10": pop.p10,
         "p01": pop.p01, "p11": pop.p11, "mi": mutual_information(pop),
-        "tur_lhs": lhs, "tur_rhs": tur_rhs, "kur_rhs": 1.0 / j_act,
-        "cur_rhs": excess_time(dec),
+        "tur_lhs": bounds.lhs, "tur_rhs": bounds.tur_rhs,
+        "kur_rhs": bounds.kur_rhs, "cur_rhs": bounds.cur_rhs,
     }
     if cfg.blockade:
         triple = success_fail_disaster(params)

@@ -3,7 +3,6 @@ built-in 7 x 7 diamond grid and reported as one pass/fail line per check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,11 +20,13 @@ from .excursions import (
 )
 from .markov import fcs_current_noise
 from .observables import (
+    _holds,
     activity_weights,
     blockade_analytics,
     entropy_weights,
     excess_time_weights,
     populations,
+    precision_bounds,
     success_fail_disaster,
     transport_weights,
 )
@@ -55,15 +56,6 @@ def _fcs_close(a: float, b: float) -> float:
     if abs(a - b) <= 1e-9:
         return 0.0
     return _rel(a, b)
-
-
-def _bound_holds(lhs: float, rhs: float) -> bool:
-    """lhs >= rhs with a tiny relative slack; infinities compare sanely."""
-    if math.isinf(lhs):
-        return True
-    if math.isinf(rhs):
-        return rhs < 0
-    return lhs >= rhs - 1e-9 * max(abs(rhs), 1.0)
 
 
 def _points(cfg: SweepConfig):
@@ -118,15 +110,13 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
             worst_prop_var = max(worst_prop_var, _rel(rs.var_q, zeta**2 * rq.var_q))
 
         # precision bounds
-        lhs = rq.d / rq.j**2 if abs(rq.j) > 1e-13 else math.inf
-        tur_rhs = 2.0 / rs.j if rs.j != 0.0 else math.inf
-        kur_rhs = 1.0 / excursion_report(dec, act).j
         cur_rhs = excess_time(dec)
-        if not _bound_holds(lhs, tur_rhs):
+        b = precision_bounds(rq.j, rq.d, excursion_report(dec, act).j, rs.j, cur_rhs)
+        if not b.tur_ok:
             bounds_ok, bounds_detail = False, f"TUR fails at vg={p.vg}, vsd={p.vsd}"
-        if not _bound_holds(lhs, cur_rhs):
+        if not b.cur_ok:
             bounds_ok, bounds_detail = False, f"CUR fails at vg={p.vg}, vsd={p.vsd}"
-        if not _bound_holds(cur_rhs, kur_rhs):
+        if not _holds(cur_rhs, b.kur_rhs):
             bounds_ok, bounds_detail = False, f"excess time below 1/J_A at vg={p.vg}, vsd={p.vsd}"
 
         # long-time FCS from the tilted generator

@@ -9,14 +9,13 @@ from exclab import (
     activity_weights,
     build_dqd,
     build_dqd_blockade,
-    current,
     entropy_weights,
     excess_time,
     excess_time_weights,
     excursion_report,
     finite_difference_moments,
     joint_characteristic,
-    noise_decomposition,
+    noise_terms,
     observable_moments,
     outcome_distribution,
     partition,
@@ -160,28 +159,31 @@ class TestObservableMoments:
 class TestCurrentAndNoise:
     def test_equilibrium_current_vanishes(self):
         m = build_dqd(DqdParams(vg=1.0, vsd=0.0, **REF))
-        assert abs(current(partition(m, 0), transport_weights("R", 4))) < 1e-12
+        r = excursion_report(partition(m, 0), transport_weights("R", 4))
+        assert abs(r.j) < 1e-12
 
     def test_excess_scheme_unit_current(self, ref_dec):
-        j = current(ref_dec, excess_time_weights(ref_dec.parent))
+        j = excursion_report(ref_dec, excess_time_weights(ref_dec.parent)).j
         assert abs(j - 1.0) < 1e-10
 
     def test_null_noise(self, ref_dec):
-        assert noise_decomposition(ref_dec, WeightScheme(np.zeros((4, 4)))) == (
-            0.0, 0.0, 0.0, 0.0)
+        r = excursion_report(ref_dec, WeightScheme(np.zeros((4, 4))))
+        assert (r.d1, r.d2, r.d3, r.d) == (0.0, 0.0, 0.0, 0.0)
 
     def test_equilibrium_noise_structure(self):
         m = build_dqd(DqdParams(vg=1.0, vsd=0.0, **REF))
-        d1, d2, d3, d = noise_decomposition(partition(m, 0), transport_weights("R", 4))
-        assert d1 > 0
-        assert abs(d2) < 1e-20 and abs(d3) < 1e-12
-        assert d == pytest.approx(d1)
+        r = excursion_report(partition(m, 0), transport_weights("R", 4))
+        assert r.d1 > 0
+        assert abs(r.d2) < 1e-20 and abs(r.d3) < 1e-12
+        assert r.d == pytest.approx(r.d1)
 
     def test_report_consistency(self, ref_dec, ref_params):
         for s in (transport_weights("R", 4), activity_weights(4),
                   entropy_weights(ref_params)):
             r = excursion_report(ref_dec, s)
             assert r.d == r.d1 + r.d2 + r.d3
+            assert noise_terms(r.var_q, r.e_q, r.cov_qt, r.mu, r.delta2) == (
+                r.d1, r.d2, r.d3)
             assert r.mu == r.e_t + r.e_tau
             assert r.var_q >= 0 and r.var_t >= 0
             assert abs(r.cov_qt) <= math.sqrt(r.var_q * r.var_t) * (1 + 1e-9)
@@ -297,5 +299,5 @@ class TestExcessTime:
     def test_dominates_inverse_activity_on_grid(self):
         for vg, vsd in grid(5, 5):
             d = partition(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
-            j_act = current(d, activity_weights(4))
+            j_act = excursion_report(d, activity_weights(4)).j
             assert excess_time(d) >= (1.0 / j_act) * (1 - 1e-9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from exclab import (
     blockade_analytics,
     build_dqd,
     build_dqd_blockade,
+    build_model,
     entropy_weights,
     excursion_report,
     fano,
@@ -17,6 +19,7 @@ from exclab import (
     mutual_information_exclusive,
     partition,
     populations,
+    precision_bounds,
     state_weights,
     success_fail_disaster,
     time_moments,
@@ -26,6 +29,8 @@ from exclab import (
 )
 from exclab.dqd import lead_log_ratio
 from exclab.errors import DegenerateFermi, DivergentFano
+from exclab.observables import _holds
+from exclab.sweep import SweepConfig, _point_params, compute_row
 
 from conftest import REF, GAMMA, grid
 
@@ -268,3 +273,60 @@ class TestUncertaintyBounds:
         assert tightest(15.0) == "cur"
         assert tightest(-7.5) == "tur"
         assert tightest(7.5) == "tur"
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_equal_to_the_sweep_columns(self, blockade):
+        # analyze prints these bounds and the sweep writes them as columns;
+        # on the gate-shifted diamond both must carry the same bits, also
+        # in stiff cells where D1 + D2 + D3 cancels by five digits
+        cfg = SweepConfig(blockade=blockade)
+        for vsd in np.linspace(-20.0, 20.0, 21).tolist():
+            for vg in np.linspace(-10.0, 10.0, 21).tolist():
+                p = _point_params(cfg, vg, vsd, True)
+                model = build_model(p)
+                b = uncertainty_bounds(
+                    partition(model, 0), p, transport_weights("R", model.n))
+                row = compute_row(cfg, vg, vsd, True)
+                assert (b.lhs, b.tur_rhs, b.kur_rhs, b.cur_rhs) == (
+                    row["tur_lhs"], row["tur_rhs"], row["kur_rhs"],
+                    row["cur_rhs"]), (vg, vsd)
+
+
+class TestPrecisionBounds:
+    FINITE = (0.0, 1.0, -1.0, 1e300)
+    TABLE = (
+        [((0.0, 5e-10), False), ((-1e-12, 0.0), False),
+         ((0.5, 0.5 * (1 + 2e-9)), False), ((0.5 * (1 - 5e-10), 0.5), True)]
+        + [((math.inf, x), True) for x in FINITE + (math.inf, -math.inf)]
+        + [((x, math.inf), False) for x in FINITE]
+        + [((x, -math.inf), True) for x in FINITE]
+    )
+
+    def test_slack_rule_table(self):
+        lhs, rhs = (np.array(side) for side in zip(*(c for c, _ in self.TABLE)))
+        want = [ok for _, ok in self.TABLE]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [_holds(a, b) for (a, b), _ in self.TABLE]
+            batch = _holds(lhs, rhs)
+        assert scalar == want
+        assert all(type(v) is bool for v in scalar)
+        assert batch.tolist() == want
+
+    def test_batch_matches_points(self):
+        # zero currents give infinite lhs and entropy bound, without warnings
+        j = np.array([0.3, 0.0, -2.0, 1e-14])
+        d = np.array([0.5, 0.7, 4.0, 1e-3])
+        j_act = np.array([2.0, 3.0, 5.0, 1.0])
+        j_sigma = np.array([1.5, 0.0, 0.4, 1e-9])
+        cur = np.array([0.9, 0.5, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = precision_bounds(j, d, j_act, j_sigma, cur)
+            points = [precision_bounds(*map(float, x))
+                      for x in zip(j, d, j_act, j_sigma, cur)]
+        assert batch.lhs[1] == batch.tur_rhs[1] == batch.lhs[3] == math.inf
+        for k, point in enumerate(points):
+            for name, value in vars(point).items():
+                assert type(value) is (bool if name.endswith("_ok") else float)
+                assert getattr(batch, name)[k] == value, (name, k)
