@@ -16,6 +16,7 @@ from .dqd import (
 from .excursions import (
     BlockDecomposition,
     ExcursionReport,
+    cross_moments,
     excess_time,
     excursion_report,
     finite_difference_moments,

@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ExclabError, ValueError, OSError) as exc:
+    except (ExclabError, ValueError, ArithmeticError, OSError) as exc:
         print(f"exclab {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

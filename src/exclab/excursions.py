@@ -1,16 +1,16 @@
 """Excursion statistics from the block decomposition of a chain generator.
 
 An excursion starts with a jump out of the single-state region A and ends at
-the first return.  All moments of the excursion duration T and of a counting
-observable Q come from the tilted resolvent
+the first return.  All moments of the excursion duration T and of counting
+observables Q_i come from the tilted resolvent
 
-    M(chi, s) = <x_A| W_AB(chi) (s - gen_B(chi))^(-1) W_BA(chi) |x_A> / gamma_A,
+    M(chi, s) = <x_A| W_AB(chi) (s - gen_B(chi))^(-1) W_BA(chi) |x_A> / gamma_A
 
-the joint moment generating function of (Q, T) with the real tilt
-exp(weights * chi) on every off-diagonal rate.  First and second derivatives
-at (0, 0) are evaluated with exact insertion formulas; each chi derivative
-inserts one weighted block V = weights * w, each s derivative inserts one
-extra factor of the fundamental matrix G = (-gen_B)^(-1).
+with the real tilt exp(weights_i * chi_i) on every off-diagonal rate.  Every
+first and second derivative at the origin is one bilinear insertion,
+:func:`cross_moments`; :func:`time_moments` and :func:`observable_moments`
+are its views for T and for (Q, T), and :func:`noise_terms` assembles the
+noise D = D1 + D2 + D3 from them.
 
 A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
 insertion formulas then run as broadcast matrix products over the batch;
@@ -25,6 +25,8 @@ only the nodes it adds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "BlockDecomposition",
     "ExcursionReport",
     "partition",
+    "cross_moments",
     "time_moments",
     "observable_moments",
     "noise_terms",
@@ -79,11 +82,20 @@ class BlockDecomposition:
     def nb(self) -> int:
         return len(self.b_states)
 
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row L = (1, W_AB G), column R = (1, G W_BA) in state order, and
+        the jump weights L[x] w[x, y] R[y] (see :func:`cross_moments`)."""
+        g = self.fundamental
+        lft = np.insert(self.w_ab @ g, self.a_state, 1.0, axis=-1)
+        rgt = np.insert(g @ self.w_ba, self.a_state, 1.0, axis=-2)
+        jump = np.swapaxes(lft, -1, -2) * self.parent.w * np.swapaxes(rgt, -1, -2)
+        return lft, rgt, jump
 
-def _scalar(x):
-    """The entry of a (..., 1, 1) product: a float, or one per cell."""
-    v = np.asarray(x)[..., 0, 0]
-    return float(v) if v.ndim == 0 else v
+
+def _float(v):
+    """A float for one point, the array itself for a batch."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def _block(x: np.ndarray, rows, cols) -> np.ndarray:
@@ -119,8 +131,7 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
         fund = np.linalg.solve(-gen_b, np.eye(len(bi)))
     except np.linalg.LinAlgError as exc:
         raise SingularB(str(exc)) from None
-    gamma_a = m.gamma[..., a_state]
-    gamma_a = float(gamma_a) if gamma_a.ndim == 0 else gamma_a
+    gamma_a = _float(m.gamma[..., a_state])
     _check_decomposition(m, bi, gen_b, fund, w_ab, w_ba, gamma_a)
     return BlockDecomposition(
         parent=m, a_state=a_state, b_states=b_states, gamma_a=gamma_a,
@@ -147,33 +158,58 @@ def _check_decomposition(m, bi, gen_b, fund, w_ab, w_ba, gamma_a):
     resid = np.max(np.abs(gen_b @ fund + np.eye(len(bi))), axis=(-2, -1))
     raise_first(resid > 1e-10 * cond, SingularB,
                 "fundamental-matrix residual {:.3e}", resid)
-    norm = _scalar(w_ab @ fund @ w_ba)
+    norm = _float((w_ab @ fund @ w_ba)[..., 0, 0])
     raise_first(
         np.abs(norm - gamma_a) > 1e-10 * gamma_a * np.maximum(1.0, 1e-4 * cond),
         SingularB, "normalization identity violated: {!r} != {!r}",
         norm, gamma_a)
 
 
-def _scheme_blocks(d: BlockDecomposition, scheme: WeightScheme, power: int = 1):
-    """Restrict weights^power * w to the AB, BA and B blocks."""
-    if scheme.n != d.parent.n:
+def cross_moments(d: BlockDecomposition, schemes: list[WeightScheme | None]):
+    """E[X_i] and E[X_i X_j] per excursion for the observables ``schemes``
+    (None for the duration T), as ``m1[i]`` and ``m2[i][j]``: nested lists
+    of floats for one point, arrays with the batch axes behind for a batch.
+
+    Each observable inserts one block V, weights * w for a scheme and the
+    identity on B for T, between the ends L, R of ``d.ends``.  With l, r
+    the B parts of L V and V R and G the fundamental matrix,
+
+        gamma_A E[X] = L V R,
+        gamma_A E[XY] = l_X G r_Y + l_Y G r_X + L (nu_X nu_Y w) R,
+
+    whose last term sums nu_X nu_Y over single jumps (zero for T).
+    """
+    n, k = d.parent.n, len(schemes)
+    if any(s is not None and s.n != n for s in schemes):
         raise DimensionMismatch("scheme dimension does not match chain")
-    v = scheme.weights**power * d.parent.w
-    bi = list(d.b_states)
-    a = [d.a_state]
-    return _block(v, a, bi), _block(v, bi, a), _block(v, bi, bi)
+    w, g, bi = d.parent.w, d.fundamental, list(d.b_states)
+    lft, rgt, jump = d.ends
+    batch = w.shape[:-2]
+    on_b = np.diag(np.arange(n) != d.a_state)
+    v = np.empty(batch + (n, k, n))  # v[..., x, i, y] = V_i[x, y]
+    for i, s in enumerate(schemes):
+        v[..., i, :] = on_b if s is None else s.weights * w
+    lv = (lft @ v.reshape(batch + (n, k * n))).reshape(batch + (k, n))
+    vr = (v.reshape(batch + (n * k, n)) @ rgt).reshape(batch + (n, k))
+    c = (lv[..., bi] @ g) @ vr[..., bi, :]
+    m1, m2 = (lv * np.swapaxes(rgt, -1, -2)).sum(axis=-1), c + np.swapaxes(c, -1, -2)
+    qs = [i for i, s in enumerate(schemes) if s is not None]
+    for i, j in combinations_with_replacement(qs, 2):
+        nu_nu = schemes[i].weights * schemes[j].weights
+        m2[..., i, j] = m2[..., j, i] = m2[..., i, j] + (nu_nu * jump).sum(axis=(-2, -1))
+    if not batch:
+        return (m1 / d.gamma_a).tolist(), (m2 / d.gamma_a).tolist()
+    return np.moveaxis(m1, -1, 0) / d.gamma_a, np.moveaxis(m2, (-2, -1), (0, 1)) / d.gamma_a
 
 
 def time_moments(d: BlockDecomposition):
-    """Excursion-duration and cycle-time moments.
+    """Excursion-duration and cycle-time moments from :func:`cross_moments`.
 
     Returns ``(e_t, e_t2, var_t, mu, delta2)`` where mu and delta2 are the
     mean and variance of the renewal cycle (excursion plus the following
     exponential residence in A).
     """
-    g = d.fundamental
-    e_t = _scalar(d.w_ab @ g @ g @ d.w_ba) / d.gamma_a
-    e_t2 = 2.0 * _scalar(d.w_ab @ g @ g @ g @ d.w_ba) / d.gamma_a
+    (e_t,), ((e_t2,),) = cross_moments(d, [None])
     var_t = e_t2 - e_t * e_t
     mu = e_t + 1.0 / d.gamma_a
     delta2 = var_t + 1.0 / d.gamma_a**2
@@ -181,58 +217,22 @@ def time_moments(d: BlockDecomposition):
 
 
 def observable_moments(d: BlockDecomposition, scheme: WeightScheme):
-    """First and second moments of the counting observable per excursion.
-
-    Returns ``(e_q, e_q2, var_q, e_qt, cov_qt)``.  Derivative bookkeeping
-    for M(chi, s) at (0, 0), writing G for the fundamental matrix and V
-    for a weighted block:
-
-        e_q   : V_AB G W_BA + W_AB G V_B G W_BA + W_AB G V_BA
-        e_q2  : second chi derivative; V2 blocks carry squared weights and
-                the V_B insertion appears once and twice
-        e_qt  : one V insertion combined with one extra G factor
-    """
-    g = d.fundamental
-    v_ab, v_ba, v_b = _scheme_blocks(d, scheme, 1)
-    v2_ab, v2_ba, v2_b = _scheme_blocks(d, scheme, 2)
-    w_ab, w_ba = d.w_ab, d.w_ba
-    ga = d.gamma_a
-
-    gw = g @ w_ba                      # G W_BA, reused throughout
-    wg = w_ab @ g                      # W_AB G
-    e_q = (_scalar(v_ab @ gw) + _scalar(wg @ v_b @ gw) + _scalar(wg @ v_ba)) / ga
-    e_q2 = (
-        _scalar(v2_ab @ gw)
-        + _scalar(wg @ (2.0 * v_b @ g @ v_b + v2_b) @ gw)
-        + _scalar(wg @ v2_ba)
-        + 2.0 * (
-            _scalar(v_ab @ g @ v_b @ gw)
-            + _scalar(v_ab @ g @ v_ba)
-            + _scalar(wg @ v_b @ g @ v_ba)
-        )
-    ) / ga
-    e_qt = (
-        _scalar(v_ab @ g @ gw)
-        + _scalar(wg @ (g @ v_b + v_b @ g) @ gw)
-        + _scalar(wg @ g @ v_ba)
-    ) / ga
-    e_t = _scalar(wg @ gw) / ga
-    var_q = e_q2 - e_q * e_q
-    cov_qt = e_qt - e_q * e_t
-    return e_q, e_q2, var_q, e_qt, cov_qt
+    """Moments ``(e_q, e_q2, var_q, e_qt, cov_qt)`` of one counting
+    observable per excursion, from :func:`cross_moments` with T."""
+    (e_q, e_t), ((e_q2, e_qt), _) = cross_moments(d, [scheme, None])
+    return e_q, e_q2, e_q2 - e_q * e_q, e_qt, e_qt - e_q * e_t
 
 
 def noise_terms(var_q, e_q, cov_qt, mu, delta2):
     """The three parts of the noise D = D1 + D2 + D3 from renewal moments.
 
-    D1 = var(Q)/mu carries observable fluctuations, D2 = Delta^2 E(Q)^2/mu^3
-    cycle-time fluctuations, D3 = -2 E(Q) cov(Q,T)/mu^2 their interplay.
+    D1 = var(Q)/mu carries observable fluctuations, D2 = Delta^2 J^2/mu
+    cycle-time fluctuations, D3 = -2 J cov(Q,T)/mu their interplay, with
+    J = E(Q)/mu; no power of mu, which overflows beyond mu ~ 1e100.
     Works on floats and arrays alike.  Returns ``(d1, d2, d3)``.
     """
-    d1 = var_q / mu
-    d2 = delta2 / mu**3 * e_q * e_q
-    d3 = -2.0 * e_q / mu**2 * cov_qt
-    return d1, d2, d3
+    j = e_q / mu
+    return var_q / mu, delta2 / mu * j * j, -2.0 * j * cov_qt / mu
 
 
 @dataclass(frozen=True)

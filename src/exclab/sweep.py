@@ -227,11 +227,11 @@ def compute_row(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> dict:
     params = _point_params(cfg, vg, vsd, gate_shift)
     try:
         cols = {"vg": vg, "vsd": vsd, **_columns(cfg, params)}
-    except (ExclabError, ValueError):
+    except (ExclabError, ValueError, ArithmeticError):
         for at_vg, at_vsd in zip(np.ravel(vg).tolist(), np.ravel(vsd).tolist()):
             try:
                 _columns(cfg, _point_params(cfg, at_vg, at_vsd, gate_shift))
-            except (ExclabError, ValueError) as exc:
+            except (ExclabError, ValueError, ArithmeticError) as exc:
                 raise type(exc)(
                     f"{type(exc).__name__} at vg={at_vg:g}, vsd={at_vsd:g}: {exc}"
                 ) from None

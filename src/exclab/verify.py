@@ -9,14 +9,13 @@ import numpy as np
 
 from .dqd import build_dqd, build_dqd_blockade, lead_log_ratio
 from .excursions import (
-    _scalar,
+    _float,
+    cross_moments,
     excess_time,
     excursion_report,
     finite_difference_moments,
-    observable_moments,
     outcome_distribution,
     partition,
-    time_moments,
 )
 from .markov import fcs_current_noise
 from .observables import (
@@ -89,13 +88,12 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         act = activity_weights(model.n)
         ent = entropy_weights(p)
 
-        norm = _scalar(dec.w_ab @ dec.fundamental @ dec.w_ba)
+        norm = _float((dec.w_ab @ dec.fundamental @ dec.w_ba)[..., 0, 0])
         worst_norm = max(worst_norm, abs(norm - dec.gamma_a) / dec.gamma_a)
 
         # insertion formulas against central differences of the transform
         for scheme in (tr, act, ent):
-            e_q, e_q2, _, e_qt, _ = observable_moments(dec, scheme)
-            e_t, e_t2, _, _, _ = time_moments(dec)
+            (e_q, e_t), ((e_q2, e_qt), (_, e_t2)) = cross_moments(dec, [scheme, None])
             f_q, f_q2, f_t, f_t2, f_qt = finite_difference_moments(dec, scheme)
             scale = max(1.0, abs(f_q2), abs(f_t2), abs(f_qt))
             for a, b in ((e_q, f_q), (e_q2, f_q2), (e_t, f_t), (e_t2, f_t2), (e_qt, f_qt)):
@@ -163,13 +161,12 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         model = build_dqd_blockade(pb)
         dec = partition(model, 0)
         cf = blockade_analytics(pb)
-        e_t, _, _, mu, _ = time_moments(dec)
         rq = excursion_report(dec, transport_weights("R", 3))
         ra = excursion_report(dec, activity_weights(3))
         rs = excursion_report(dec, entropy_weights(pb))
         pop = populations(model)
         pairs = [
-            (cf.e_t, e_t), (cf.e_tau, 1.0 / dec.gamma_a), (cf.mu, mu),
+            (cf.e_t, rq.e_t), (cf.e_tau, rq.e_tau), (cf.mu, rq.mu),
             (cf.e_qr, rq.e_q), (cf.e_a, ra.e_q), (cf.e_sigma, rs.e_q),
             (cf.p_l, pop.p_left), (cf.p_r, pop.p_right),
         ]

@@ -19,7 +19,7 @@ from exclab.errors import (
     SingularResolvent,
     StepCollapse,
 )
-from exclab.excursions import BlockDecomposition, _scalar
+from exclab.excursions import BlockDecomposition, _float
 from exclab.markov import RateMatrix, WeightScheme
 
 
@@ -31,7 +31,7 @@ def _mgf(d: BlockDecomposition, scheme: WeightScheme, chi: float, s: float) -> f
     t_ba = tilt[np.ix_(bi, [d.a_state])]
     t_b = tilt[np.ix_(bi, bi)] - np.diag(d.parent.gamma[bi])
     x = np.linalg.solve(s * np.eye(d.nb) - t_b, t_ba)
-    return _scalar(t_ab @ x) / d.gamma_a
+    return _float((t_ab @ x)[0, 0]) / d.gamma_a
 
 
 def _richardson_table(samples):

@@ -1,0 +1,192 @@
+"""The bilinear insertion engine: cross_moments and its views against a
+50-digit reference, its symmetry and polarization identities, and the
+Monte Carlo cross-covariance."""
+import math
+
+import numpy as np
+import pytest
+
+from exclab import (
+    WeightScheme,
+    activity_weights,
+    build_model,
+    cross_moments,
+    entropy_weights,
+    observable_moments,
+    partition,
+    sample_excursions,
+    state_weights,
+    time_moments,
+    transport_weights,
+    validate_rate_matrix,
+)
+from exclab.sweep import SweepConfig, _point_params
+
+from conftest import random_chain
+
+pytest.importorskip("mpmath")
+from reference_mpmath import Reference  # noqa: E402
+
+
+def _diamond(blockade, n=7):
+    """The gate-shifted CLI diamond at T = 1 on an n x n grid, batched."""
+    cfg = SweepConfig(vg_n=n, vsd_n=n, blockade=blockade)
+    vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
+    p = _point_params(cfg, vg, vsd, True)
+    return p, partition(build_model(p), 0)
+
+
+def _schemes(p, n):
+    return [transport_weights("R", n), activity_weights(n), entropy_weights(p),
+            None]
+
+
+def _cell_weights(schemes, i):
+    return [None if s is None else
+            (s.weights if s.weights.ndim == 2 else s.weights[i]) for s in schemes]
+
+
+def _reference_moments(ref, nus):
+    """E[X_i], E[X_i X_j] and the size of each X_i, sqrt(E[|X_i|^2]) with
+    |X_i| the observable of the weights |nu_i|.  The size bounds every term
+    the insertion sums add up, so it is the scale a rounding error is
+    measured on even when the moment itself cancels to zero (entropy
+    production at equilibrium is zero on every excursion)."""
+    k = len(nus)
+    m1 = [float(ref.mean(a)) for a in nus]
+    m2 = [[float(ref.product(nus[i], nus[j])) for j in range(k)]
+          for i in range(k)]
+    size = [math.sqrt(ref.product(*(2 * [None if a is None else abs(a)])))
+            for a in nus]
+    return np.array(m1), np.array(m2), np.array(size)
+
+
+def _assert_against_reference(got1, got2, want1, want2, size, tol):
+    assert np.all(np.abs(got1 - want1) <= tol * size), (got1, want1)
+    assert np.all(np.abs(got2 - want2) <= tol * np.outer(size, size)), (got2, want2)
+
+
+def _assert_views(d, cell, ref, nu, scheme, q_size, tol):
+    r = ref.renewal(nu)
+    e_t, e_t2, var_t, mu, delta2 = (np.asarray(x)[cell] for x in time_moments(d))
+    t_size = math.sqrt(r["e_t2"])
+    assert abs(e_t - r["e_t"]) <= tol * t_size
+    assert abs(e_t2 - r["e_t2"]) <= tol * r["e_t2"]
+    assert abs(var_t - r["var_t"]) <= tol * r["e_t2"]
+    assert abs(mu - r["mu"]) <= tol * r["mu"]
+    assert abs(delta2 - r["delta2"]) <= tol * (r["delta2"] + r["e_t"] ** 2)
+    e_q, e_q2, var_q, e_qt, cov_qt = (
+        np.asarray(x)[cell] for x in observable_moments(d, scheme))
+    assert abs(e_q - r["e_q"]) <= tol * q_size
+    for got, key in ((e_q2, "e_q2"), (var_q, "var_q")):
+        assert abs(got - r[key]) <= tol * q_size**2
+    for got, key in ((e_qt, "e_qt"), (cov_qt, "cov_qt")):
+        assert abs(got - r[key]) <= tol * q_size * t_size
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_diamond(self, blockade):
+        p, d = _diamond(blockade)
+        schemes = _schemes(p, d.parent.n)
+        m1, m2 = cross_moments(d, schemes)
+        assert m1.shape == (4, 49) and m2.shape == (4, 4, 49)
+        for cell in range(49):
+            ref = Reference(d.parent.w[cell], d.parent.gamma[cell])
+            nus = _cell_weights(schemes, cell)
+            want1, want2, size = _reference_moments(ref, nus)
+            _assert_against_reference(m1[:, cell], m2[:, :, cell], want1, want2,
+                                      size, 1e-8)
+            _assert_views(d, cell, ref, nus[0], schemes[0], size[0], 1e-8)
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4, 5):
+            for a_state in (0, n - 1):
+                m = validate_rate_matrix(random_chain(rng, n))
+                d = partition(m, a_state)
+                nus = [rng.normal(size=(n, n)), None, rng.normal(size=(n, n))]
+                schemes = [None if nu is None else WeightScheme(nu) for nu in nus]
+                ref = Reference(m.w, m.gamma, a_state)
+                # the diagonal is ignored by the schemes, so by the reference
+                nus = [None if s is None else s.weights for s in schemes]
+                want1, want2, size = _reference_moments(ref, nus)
+                got1, got2 = cross_moments(d, schemes)
+                assert all(type(x) is float for x in got1 + sum(got2, []))
+                _assert_against_reference(np.array(got1), np.array(got2), want1,
+                                          want2, size, 1e-12)
+                _assert_views(d, (), ref, nus[0], schemes[0], size[0], 1e-12)
+
+
+class TestIdentities:
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_symmetric(self, blockade):
+        p, d = _diamond(blockade, 9)
+        n = d.parent.n
+        schemes = _schemes(p, n) + [transport_weights("L", n)]
+        m1, m2 = cross_moments(d, schemes)
+        assert m1.shape == (5, 81) and m2.shape == (5, 5, 81)
+        assert np.array_equal(m2, np.swapaxes(m2, 0, 1))
+        one = _point_params(SweepConfig(blockade=blockade), 1.0, 3.0, True)
+        _, m2 = cross_moments(partition(build_model(one), 0),
+                              _schemes(one, n) + [state_weights(np.arange(n))])
+        assert m2 == [list(row) for row in zip(*m2)]
+
+    def test_duration_is_the_same_in_every_view(self):
+        # the e_t column and the e_t inside cov_qt come from one insertion
+        for blockade in (False, True):
+            p, d = _diamond(blockade, 21)
+            e_t = time_moments(d)[0]
+            for s in _schemes(p, d.parent.n)[:3]:
+                assert np.array_equal(cross_moments(d, [s, None])[0][1], e_t)
+
+    def test_polarization(self):
+        # E[XY] = (E[(X+Y)^2] - E[X^2] - E[Y^2]) / 2, with the sum as a scheme
+        p, d = _diamond(False, 9)
+        n = d.parent.n
+        pairs = [(transport_weights("L", n), transport_weights("R", n)),
+                 (state_weights((0, 1, 0, 1)), state_weights((0, 0, 1, 1))),
+                 (entropy_weights(p), activity_weights(n))]
+        for x, y in pairs:
+            m1, m2 = cross_moments(d, [x, y])
+            e_sum2 = observable_moments(d, WeightScheme(x.weights + y.weights))[1]
+            polar = (e_sum2 - m2[0, 0] - m2[1, 1]) / 2.0
+            # rounding scale: the same sums on |weights|, which bound every term
+            size2 = observable_moments(
+                d, WeightScheme(np.abs(x.weights) + np.abs(y.weights)))[1]
+            assert np.all(np.abs(m2[0, 1] - polar) <= 1e-12 * size2)
+
+
+CROSS_SCHEMES = {
+    "transport_L": transport_weights("L", 4),
+    "transport_R": transport_weights("R", 4),
+    "dot_left": state_weights((0, 1, 0, 1)),
+    "dot_right": state_weights((0, 0, 1, 1)),
+}
+
+
+@pytest.fixture(scope="module")
+def cross_sample(ref_model):
+    return sample_excursions(ref_model, CROSS_SCHEMES, 200_000, seed=2718)
+
+
+class TestMonteCarloCrossCovariance:
+    @pytest.mark.parametrize("names", [
+        ("transport_L", "transport_R"),
+        ("dot_left", "dot_right"),
+        ("dot_left", "transport_R"),
+    ])
+    def test_cross_covariance_from_one_draw(self, cross_sample, ref_dec, names):
+        # every scheme reads the same excursions, so one draw estimates the
+        # covariance of any pair; se from the per-excursion centred products
+        schemes, sample = CROSS_SCHEMES, cross_sample
+        a, b = names
+        m1, m2 = cross_moments(ref_dec, [schemes[a], schemes[b], None])
+        cov = m2 - np.outer(m1, m1)
+        draws = {a: sample.q[a], b: sample.q[b], "T": sample.durations}
+        for (i, x), (j, y) in (((0, a), (1, b)), ((0, a), (2, "T")),
+                               ((1, b), (2, "T"))):
+            prod = (draws[x] - draws[x].mean()) * (draws[y] - draws[y].mean())
+            se = prod.std(ddof=1) / math.sqrt(prod.size)
+            z = (prod.mean() - cov[i, j]) / se
+            assert abs(z) <= 4.0, (x, y, prod.mean(), cov[i, j], se)

@@ -9,6 +9,7 @@ from exclab import (
     activity_weights,
     build_dqd,
     build_dqd_blockade,
+    cross_moments,
     entropy_weights,
     excess_time,
     excess_time_weights,
@@ -205,6 +206,11 @@ class TestCurrentAndNoise:
             cov_lr = (r_sum.var_q - rl.var_q - rr.var_q) / 2.0
             assert abs(r_sum.e_q) < 1e-12
             assert cov_lr == pytest.approx(-rr.var_q, rel=1e-9, abs=1e-10)
+            # the same covariance from one bilinear insertion
+            m1, m2 = cross_moments(d, [transport_weights("L", 4),
+                                       transport_weights("R", 4)])
+            assert m2[0][1] - m1[0] * m1[1] == pytest.approx(
+                -rr.var_q, rel=1e-9, abs=1e-10)
 
 
 class TestJointCharacteristic:

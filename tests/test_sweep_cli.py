@@ -188,6 +188,11 @@ class TestSweep:
         with pytest.raises(DegenerateFermi, match=r"vg=-10, vsd=-60"):
             compute_row(cfg, -10.0, -60.0, False)
 
+    def test_arithmetic_failure_is_named(self):
+        # gamma_A**2 underflows to 0 at vg = 400 and 1/gamma_A**2 divides by 0
+        with pytest.raises(ZeroDivisionError, match=r"vg=400, vsd=0"):
+            compute_row(SweepConfig(), 400.0, 0.0, False)
+
     def test_serialization_round_trips(self, tmp_path):
         cfg = SweepConfig(vg_n=3, vsd_n=3, temperature=2.0)
         rows = sweep_rows(cfg)
@@ -374,6 +379,46 @@ class TestCli:
         r = run_cli("analyze", "--temperature", "-3")
         assert r.returncode == 2
         assert r.stderr.strip().count("\n") == 0 and r.stderr.strip()
+
+    def test_analyze_at_large_gate_voltage(self):
+        # mu ~ 1e104 at (240, 4): mu**3 overflowed and analyze crashed
+        r = run_cli("analyze", "--vg", "240", "--vsd", "4")
+        assert r.returncode == 0, r.stderr
+        row = dict(zip(CANONICAL_COLUMNS, r.stdout.splitlines()[-1].split(",")))
+        assert float(row["d2"]) == pytest.approx(5.3498e-105, rel=1e-4)
+        assert float(row["d2"]) > 0.4 * float(row["d_qr"])
+
+    def test_sweep_at_large_gate_voltage(self, tmp_path):
+        # this sweep wrote d2 = 0 at vg = 240 and 250, where d2 is ~10% of d
+        pytest.importorskip("mpmath")
+        from reference_mpmath import Reference
+        from exclab import build_model, transport_weights
+        from exclab.sweep import _point_params
+
+        out = tmp_path / "far.csv"
+        r = run_cli("sweep", "--no-gate-shift", "--grid",
+                    "vg:230:250:3,vsd:-1:1:3", "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        tr = transport_weights("R", 4).weights
+        for row in rows:
+            vg, vsd = float(row["vg"]), float(row["vsd"])
+            m = build_model(_point_params(SweepConfig(), vg, vsd, False))
+            want = Reference(m.w, m.gamma).renewal(tr)
+            if vsd != 0.0:
+                assert float(row["d2"]) > 0.05 * float(row["d_qr"])
+            for key, col in (("d", "d_qr"), ("d1", "d1"), ("d2", "d2")):
+                assert abs(float(row[col]) - want[key]) <= 1e-12 * want["d"], (
+                    vg, vsd, col, row[col], want[key])
+
+    def test_analyze_arithmetic_failure_exits_2(self):
+        # gamma_A**2 underflows to 0 at vg = 400: a named error, no traceback
+        r = run_cli("analyze", "--vg", "400", "--vsd", "0")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("exclab analyze: error:")
 
     def test_heatmap_unknown_column_exit(self, tmp_path):
         cfg_csv = tmp_path / "h.csv"
