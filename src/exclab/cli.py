@@ -37,9 +37,9 @@ from .observables import (
 )
 from .sweep import (
     SweepConfig,
+    _csv_chunks,
     _point_params,
     compute_row,
-    format_cell,
     load_config,
     parse_grid_spec,
     sweep_to_csv,
@@ -125,10 +125,6 @@ def _resolve_config(args) -> SweepConfig:
     return replace(cfg, **updates)
 
 
-def _gate_shift(cfg: SweepConfig, default: bool) -> bool:
-    return default if cfg.gate_shift is None else cfg.gate_shift
-
-
 def _schemes(params: DqdParams, n: int) -> dict[str, WeightScheme]:
     return {
         "transport": transport_weights("R", n),
@@ -139,7 +135,7 @@ def _schemes(params: DqdParams, n: int) -> dict[str, WeightScheme]:
 
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
-    shift = _gate_shift(cfg, default=False)
+    shift = bool(cfg.gate_shift)  # one-point commands default to no shift
     params = _point_params(cfg, args.vg, args.vsd, shift)
     model = build_model(params)
     dec = partition(model, 0)
@@ -190,23 +186,21 @@ def cmd_analyze(args) -> int:
     out.append("")
     out.append("# machine-readable")
     row = compute_row(cfg, args.vg, args.vsd, shift)
-    out.append(",".join(cfg.columns))
-    out.append(",".join(format_cell(row[c]) for c in cfg.columns))
+    out.append("".join(_csv_chunks(row, cfg.columns)).rstrip("\n"))
     print("\n".join(out))
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    shift = _gate_shift(cfg, default=True)
-    n = sweep_to_csv(cfg, args.out, gate_shift=shift)
+    n = sweep_to_csv(cfg, args.out)
     print(f"wrote {n} rows to {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    shift = _gate_shift(cfg, default=False)
+    shift = bool(cfg.gate_shift)  # one-point commands default to no shift
     params = _point_params(cfg, args.vg, args.vsd, shift)
     model = build_model(params)
     dec = partition(model, 0)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,6 +359,7 @@ def sample_excursions(
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     args = [(m, a_state, schemes, sz, ss, keep_counts) for sz, ss in zip(sizes, children)]
     if workers > 1 and len(sizes) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sample_batch_star, args))
     else:

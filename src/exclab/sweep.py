@@ -3,10 +3,11 @@ CSV row schema, and the CSV writer.
 
 Gate shift: diamond plots recenter the gate axis by substituting
 vg -> vg - u/2 before building the model; the CSV always reports the grid
-coordinate.  Rows are emitted vsd-major (all vg values for the first vsd,
-then the next vsd).  The grid is evaluated in one process, a block of
-cells per pass of the batched engine, so the output does not depend on
-the worker count (which only the Monte Carlo sampler uses).
+coordinate.  The sweep is columnar: :func:`sweep_rows` returns one array
+per column, cells vsd-major (all vg values for the first vsd, then the
+next vsd), and :func:`write_csv` formats rows straight from those arrays.
+The grid is evaluated in one process, a block of cells per pass of the
+batched engine, so the output does not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ __all__ = [
     "load_config",
     "parse_grid_spec",
     "compute_row",
-    "format_cell",
     "sweep_rows",
     "write_csv",
     "sweep_to_csv",
@@ -49,9 +49,9 @@ CANONICAL_COLUMNS = (
     "kur_rhs", "cur_rhs",
 )
 
-# Grid cells per pass of the batched engine.  Bigger blocks save little
-# time but hold more stacked arrays at once, which sets the sweep's peak
-# memory.
+# Grid cells per pass of the batched engine, and CSV rows per write.
+# Bigger blocks save little time but hold more stacked arrays (and row
+# text) at once, which sets the sweep's peak memory.
 _BLOCK_CELLS = 1024
 
 
@@ -241,42 +241,47 @@ def compute_row(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> dict:
     return cols
 
 
-def format_cell(v) -> str:
-    """Serialize one cell: 17 significant digits, empty for None."""
-    if v is None:
-        return ""
-    return format(float(v), ".17g")
-
-
-def sweep_rows(cfg: SweepConfig, gate_shift: bool | None = None) -> list[dict]:
-    """Evaluate the whole grid, vsd-major, one block of cells per
-    :func:`compute_row` call.  A failing cell aborts the sweep with an
-    error that names its grid coordinates.
-    """
+def sweep_rows(cfg: SweepConfig, gate_shift: bool | None = None) -> dict:
+    """Evaluate the whole grid, one block of cells per :func:`compute_row`
+    call, into one table ``{column: 1-D float array over the cells,
+    vsd-major}``; the outcome columns are None outside blockade mode.  A
+    failing cell aborts the sweep with an error naming its grid coordinates."""
     shift = cfg.gate_shift if gate_shift is None else gate_shift
     if shift is None:
         shift = True
     cfg.resolve_workers()  # rejects a bad EXCLAB_WORKERS, though unused here
     vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
-    rows = []
-    for lo in range(0, vg.size, _BLOCK_CELLS):
-        block = slice(lo, lo + _BLOCK_CELLS)
-        cols = compute_row(cfg, vg[block], vsd[block], shift)
-        n = vg[block].size
-        values = [[None] * n if v is None else v.tolist() for v in cols.values()]
-        rows.extend(dict(zip(cols, cells)) for cells in zip(*values))
-    return rows
+    blocks = [compute_row(cfg, vg[i:i + _BLOCK_CELLS], vsd[i:i + _BLOCK_CELLS], shift)
+              for i in range(0, vg.size, _BLOCK_CELLS)]
+    return {c: None if v is None else np.concatenate([b[c] for b in blocks])
+            for c, v in blocks[0].items()}
 
 
-def write_csv(rows: list[dict], path: str, columns=CANONICAL_COLUMNS) -> None:
-    """Write rows atomically: temp file in the target directory, then
-    rename.  UTF-8, LF newlines, header exactly the column list."""
+def _csv_chunks(table: dict, columns):
+    """Yield ``columns`` of ``table`` as CSV text: the header, then the rows
+    _BLOCK_CELLS at a time, one ``%`` call each, 17 significant digits a cell
+    and an empty cell in a None column.  The table is checked first."""
+    cols = [table[c] for c in columns]
+    live = [np.ravel(a) for a in cols if a is not None]
+    if len({a.size for a in live}) > 1:
+        raise ValueError(f"table columns differ in length: {[a.size for a in live]}")
+    fmt = ",".join("" if a is None else "%.17g" for a in cols) + "\n"
+    yield ",".join(columns) + "\n"
+    for i in range(0, live[0].size if live else 0, _BLOCK_CELLS):
+        cells = np.column_stack([a[i:i + _BLOCK_CELLS] for a in live])
+        yield (fmt * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def write_csv(table: dict, path: str, columns=CANONICAL_COLUMNS) -> None:
+    """Write a :func:`sweep_rows` table atomically: temp file in the target
+    directory, then rename.  UTF-8, LF newlines, header exactly ``columns``."""
+    chunks = _csv_chunks(table, columns)
+    header = next(chunks)  # checks the table before any file exists
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(format_cell(row[c]) for c in columns) + "\n")
+            fh.write(header)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -286,6 +291,6 @@ def write_csv(rows: list[dict], path: str, columns=CANONICAL_COLUMNS) -> None:
 
 def sweep_to_csv(cfg: SweepConfig, path: str, gate_shift: bool | None = None) -> int:
     """Run the sweep and write the CSV; returns the row count."""
-    rows = sweep_rows(cfg, gate_shift=gate_shift)
-    write_csv(rows, path, columns=cfg.columns)
-    return len(rows)
+    table = sweep_rows(cfg, gate_shift=gate_shift)
+    write_csv(table, path, columns=cfg.columns)
+    return len(table["vg"])

@@ -215,14 +215,11 @@ def test_criterion_6_thermodynamic_proportionality():
 def test_criterion_7_diamond_figures():
     cfg = SweepConfig(workers=8, **FIG_DIAMOND)
     t0 = time.monotonic()
-    rows = sweep_rows(cfg, gate_shift=True)
+    table = sweep_rows(cfg, gate_shift=True)
     dt = time.monotonic() - t0
     assert dt < 30.0
-    vg = np.array([r["vg"] for r in rows])
-    vsd = np.array([r["vsd"] for r in rows])
-    jqr = np.array([r["j_qr"] for r in rows])
-    jact = np.array([r["j_act"] for r in rows])
-    jsig = np.array([r["j_sigma"] for r in rows])
+    vg, vsd = table["vg"], table["vsd"]
+    jqr, jact, jsig = table["j_qr"], table["j_act"], table["j_sigma"]
     u = cfg.u
     on_axis = vsd == 0.0
     assert np.abs(jqr[on_axis]).max() <= 1e-10                      # (a)

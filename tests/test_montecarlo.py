@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +278,14 @@ class TestSampleExcursions:
         assert np.array_equal(s1.durations, s2.durations)
         assert np.array_equal(s1.residences, s2.residences)
         assert np.array_equal(s1.q["transport"], s2.q["transport"])
+
+    def test_import_does_not_load_the_process_pool(self):
+        # the pool is imported only when workers > 1; loading it at import
+        # time slowed the start of every CLI command
+        code = "import sys, exclab; print('concurrent.futures.process' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True)
+        assert r.stdout.strip() == "False"
 
     def test_left_equals_minus_right_on_every_excursion(self, ref_params, ref_model):
         schemes = _schemes(ref_params, 4)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import reference_sweep as reference
 from exclab.heatmap import render_heatmap
 from exclab.errors import DegenerateFermi, MalformedCsv, UnknownColumn
 from exclab.sweep import (
@@ -103,8 +104,8 @@ class TestSweep:
 
     def test_rows_are_vsd_major(self, tmp_path):
         cfg = SweepConfig(vg_n=3, vsd_n=2, vg_lo=0, vg_hi=2, vsd_lo=-1, vsd_hi=1)
-        rows = sweep_rows(cfg)
-        coords = [(r["vg"], r["vsd"]) for r in rows]
+        table = sweep_rows(cfg)
+        coords = [(table["vg"][i], table["vsd"][i]) for i in range(table["vg"].size)]
         assert coords == [(0.0, -1.0), (1.0, -1.0), (2.0, -1.0),
                           (0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
 
@@ -119,38 +120,41 @@ class TestSweep:
 
     def test_outcome_columns_empty_without_blockade(self, tmp_path):
         cfg = SweepConfig(vg_n=2, vsd_n=2)
-        rows = sweep_rows(cfg)
-        assert all(r["p_suc"] is None for r in rows)
+        table = sweep_rows(cfg)
+        assert table["p_suc"] is None
         cfgb = SweepConfig(vg_n=2, vsd_n=2, blockade=True)
-        rowsb = sweep_rows(cfgb)
-        assert all(0.0 <= r["p_suc"] <= 1.0 for r in rowsb)
-        assert all(r["p11"] == 0.0 for r in rowsb)
+        tb = sweep_rows(cfgb)
+        cells = range(tb["vg"].size)
+        assert all(0.0 <= tb["p_suc"][i] <= 1.0 for i in cells)
+        assert all(tb["p11"][i] == 0.0 for i in cells)
 
     def test_in_row_identities(self):
         cfg = SweepConfig(temperature=2.0, blockade=True, **SMALL)
-        for r in sweep_rows(cfg):
-            assert abs(r["d_qr"] - (r["d1"] + r["d2"] + r["d3"])) \
-                <= 1e-12 * max(1.0, abs(r["d_qr"]))
-            assert abs(r["mu"] - (r["e_t"] + r["e_tau"])) \
-                <= 1e-12 * max(1.0, abs(r["mu"]))
-            psum = r["p00"] + r["p10"] + r["p01"] + r["p11"]
+        t = sweep_rows(cfg)
+        for i in range(t["vg"].size):
+            assert abs(t["d_qr"][i] - (t["d1"][i] + t["d2"][i] + t["d3"][i])) \
+                <= 1e-12 * max(1.0, abs(t["d_qr"][i]))
+            assert abs(t["mu"][i] - (t["e_t"][i] + t["e_tau"][i])) \
+                <= 1e-12 * max(1.0, abs(t["mu"][i]))
+            psum = t["p00"][i] + t["p10"][i] + t["p01"][i] + t["p11"][i]
             assert abs(psum - 1.0) <= 1e-10
-            assert r["p_suc"] + r["p_fail"] + r["p_dis"] == pytest.approx(1.0, abs=1e-12)
-            lhs, cur, kur = r["tur_lhs"], r["cur_rhs"], r["kur_rhs"]
+            assert t["p_suc"][i] + t["p_fail"][i] + t["p_dis"][i] \
+                == pytest.approx(1.0, abs=1e-12)
+            lhs, cur, kur = t["tur_lhs"][i], t["cur_rhs"][i], t["kur_rhs"][i]
             slack = lambda v: v - 1e-9 * max(abs(v), 1.0)
-            assert math.isinf(lhs) or lhs >= slack(r["tur_rhs"])
+            assert math.isinf(lhs) or lhs >= slack(t["tur_rhs"][i])
             assert math.isinf(lhs) or lhs >= slack(cur)
             assert cur >= slack(kur)
 
     def test_gate_shift_moves_the_axis(self):
         cfg = SweepConfig(vg_lo=0.0, vg_hi=0.0, vg_n=1, vsd_lo=7.0, vsd_hi=7.0,
                           vsd_n=1, temperature=2.0)
-        shifted = sweep_rows(cfg, gate_shift=True)[0]
-        plain = sweep_rows(cfg, gate_shift=False)[0]
-        assert shifted["vg"] == plain["vg"] == 0.0
-        assert shifted["j_qr"] != plain["j_qr"]
+        shifted = sweep_rows(cfg, gate_shift=True)
+        plain = sweep_rows(cfg, gate_shift=False)
+        assert shifted["vg"][0] == plain["vg"][0] == 0.0
+        assert shifted["j_qr"][0] != plain["j_qr"][0]
         manual = compute_row(cfg, -cfg.u / 2.0, 7.0, False)
-        assert shifted["j_qr"] == manual["j_qr"]
+        assert shifted["j_qr"][0] == manual["j_qr"]
 
     @pytest.mark.parametrize("blockade", [False, True])
     def test_batch_matches_single_points(self, blockade):
@@ -195,24 +199,86 @@ class TestSweep:
 
     def test_serialization_round_trips(self, tmp_path):
         cfg = SweepConfig(vg_n=3, vsd_n=3, temperature=2.0)
-        rows = sweep_rows(cfg)
+        table = sweep_rows(cfg)
         out = tmp_path / "rt.csv"
-        write_csv(rows, str(out), cfg.columns)
+        write_csv(table, str(out), cfg.columns)
         with open(out, encoding="utf-8", newline="") as fh:
             parsed = list(csv.DictReader(fh))
-        for raw, row in zip(parsed, rows):
+        assert len(parsed) == table["vg"].size
+        for i, raw in enumerate(parsed):
             for col in ("j_qr", "d_qr", "mu", "cur_rhs"):
-                assert float(raw[col]) == row[col]
+                assert float(raw[col]) == table[col][i]
 
     def test_no_partial_file_on_failure(self, tmp_path):
         cfg = SweepConfig(vg_n=2, vsd_n=2)
-        rows = sweep_rows(cfg)
-        rows[-1] = {k: v for k, v in rows[-1].items() if k != "mu"}  # poison
+        table = sweep_rows(cfg)
+        del table["mu"]  # poison
         target = tmp_path / "broken.csv"
         with pytest.raises(KeyError):
-            write_csv(rows, str(target), cfg.columns)
+            write_csv(table, str(target), cfg.columns)
         assert not target.exists()
         assert not (tmp_path / "broken.csv.tmp").exists()
+
+    def test_unequal_columns_rejected_before_any_file(self, tmp_path):
+        # zip over the columns would silently drop the last row
+        cfg = SweepConfig(vg_n=2, vsd_n=2)
+        table = sweep_rows(cfg)
+        table["mu"] = table["mu"][:-1]
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(table, str(tmp_path / "short.csv"), cfg.columns)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_partial_file_when_rename_fails(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        table = sweep_rows(SweepConfig(vg_n=2, vsd_n=2))
+        target = tmp_path / "late.csv"
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_csv(table, str(target))
+        assert not target.exists()
+        assert not (tmp_path / "late.csv.tmp").exists()
+
+
+class TestReferenceWriter:
+    """The columnar writer against the row-dict writer it replaced."""
+
+    @staticmethod
+    def _both(tmp_path, table, rows, columns):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_csv(table, str(new), columns)
+        reference.write_csv(rows, str(old), columns)
+        return new.read_bytes(), old.read_bytes()
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_small_sweep(self, tmp_path, blockade):
+        cfg = SweepConfig(temperature=2.0, blockade=blockade, **SMALL)
+        new, old = self._both(tmp_path, sweep_rows(cfg),
+                              reference.sweep_rows(cfg), cfg.columns)
+        assert new == old
+        direct = tmp_path / "direct.csv"
+        assert sweep_to_csv(cfg, str(direct)) == 81
+        assert direct.read_bytes() == old
+
+    def test_column_subset(self, tmp_path):
+        cfg = SweepConfig(temperature=2.0, columns=("j_qr", "mu"), **SMALL)
+        new, old = self._both(tmp_path, sweep_rows(cfg),
+                              reference.sweep_rows(cfg), cfg.columns)
+        assert new == old
+        assert new.startswith(b"vg,vsd,j_qr,mu\n")
+
+    def test_edge_values(self, tmp_path):
+        edge = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                1.7976931348623157e308]
+        table = {c: None if c.startswith("p_") else np.array(edge)
+                 for c in CANONICAL_COLUMNS}
+        table["vg"] = np.arange(len(edge), dtype=float)
+        rows = [{c: None if v is None else v[i] for c, v in table.items()}
+                for i in range(len(edge))]
+        new, old = self._both(tmp_path, table, rows, CANONICAL_COLUMNS)
+        assert new == old
+        assert new.splitlines()[1].startswith(b"0,inf,inf,")
 
 
 class TestHeatmap:
@@ -436,6 +502,21 @@ class TestCli:
         direct = tmp_path / "d.csv"
         sweep_to_csv(SweepConfig(vg_n=3, vsd_n=3, temperature=2.0), str(direct))
         assert out.read_bytes() == direct.read_bytes()
+
+    def test_column_subset_config(self, tmp_path):
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text("temperature = 2\nvg_n = 3\nvsd_n = 3\ncolumns = j_qr, mu\n",
+                       encoding="utf-8")
+        sub, full = tmp_path / "sub.csv", tmp_path / "full.csv"
+        r = run_cli("sweep", "--config", str(cfg), "--out", str(sub))
+        assert r.returncode == 0, r.stderr
+        sweep_to_csv(SweepConfig(vg_n=3, vsd_n=3, temperature=2.0), str(full))
+        lines = sub.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "vg,vsd,j_qr,mu"
+        with open(full, encoding="utf-8", newline="") as fh:
+            want = [",".join(row[c] for c in ("vg", "vsd", "j_qr", "mu"))
+                    for row in csv.DictReader(fh)]
+        assert lines[1:] == want
 
     def test_workers_env_used_by_cli(self, tmp_path):
         out = tmp_path / "env.csv"
