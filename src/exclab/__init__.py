@@ -64,7 +64,6 @@ from .observables import (
     state_weights,
     success_fail_disaster,
     transport_weights,
-    uncertainty_bounds,
 )
 from .sweep import SweepConfig, compute_row, load_config, sweep_rows, sweep_to_csv
 from .verify import run_verify

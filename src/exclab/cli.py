@@ -13,10 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .dqd import DqdParams, build_model
 from .errors import DivergentFano, ExclabError
-from .excursions import excursion_report, partition
-from .markov import WeightScheme
 from .montecarlo import (
     ExcursionSample,
     dump_trajectory,
@@ -25,21 +22,13 @@ from .montecarlo import (
     sample_excursions,
     simulate,
 )
-from .observables import (
-    activity_weights,
-    entropy_weights,
-    fano,
-    mutual_information,
-    populations,
-    success_fail_disaster,
-    transport_weights,
-    uncertainty_bounds,
-)
+from .observables import fano
 from .sweep import (
     SweepConfig,
+    _columns,
     _csv_chunks,
     _point_params,
-    compute_row,
+    evaluate,
     load_config,
     parse_grid_spec,
     sweep_to_csv,
@@ -125,21 +114,11 @@ def _resolve_config(args) -> SweepConfig:
     return replace(cfg, **updates)
 
 
-def _schemes(params: DqdParams, n: int) -> dict[str, WeightScheme]:
-    return {
-        "transport": transport_weights("R", n),
-        "activity": activity_weights(n),
-        "entropy": entropy_weights(params),
-    }
-
-
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     shift = bool(cfg.gate_shift)  # one-point commands default to no shift
-    params = _point_params(cfg, args.vg, args.vsd, shift)
-    model = build_model(params)
-    dec = partition(model, 0)
-    schemes = _schemes(params, model.n)
+    ev = evaluate(_point_params(cfg, args.vg, args.vsd, shift))
+    row = _columns(ev, args.vg, args.vsd)
 
     out = []
     out.append(f"point: vg={args.vg:g} vsd={args.vsd:g} "
@@ -151,41 +130,36 @@ def cmd_analyze(args) -> int:
     hdr = f"{'scheme':<10} {'e_q':>12} {'var_q':>12} {'cov_qt':>12} " \
           f"{'j':>12} {'d1':>12} {'d2':>12} {'d3':>12} {'d':>12}"
     out.append(hdr)
-    rep_tr = None
-    for name, scheme in schemes.items():
-        r = excursion_report(dec, scheme)
-        if name == "transport":
-            rep_tr = r
+    for name, r in ev.reports.items():
         out.append(
             f"{name:<10} {r.e_q:>12.6g} {r.var_q:>12.6g} {r.cov_qt:>12.6g} "
             f"{r.j:>12.6g} {r.d1:>12.6g} {r.d2:>12.6g} {r.d3:>12.6g} {r.d:>12.6g}"
         )
+    rep_tr = ev.reports["transport"]
     out.append("")
     out.append(f"times: e_t={rep_tr.e_t:.6g} var_t={rep_tr.var_t:.6g} "
                f"e_tau={rep_tr.e_tau:.6g} mu={rep_tr.mu:.6g} "
                f"delta2={rep_tr.delta2:.6g}")
-    pop = populations(model)
+    pop = ev.pop
     pop_line = f"populations: p00={pop.p00:.6g} p10={pop.p10:.6g} p01={pop.p01:.6g}"
     if not cfg.blockade:
         pop_line += f" p11={pop.p11:.6g}"
     out.append(pop_line)
-    out.append(f"mutual information: {mutual_information(pop):.6g} nats")
+    out.append(f"mutual information: {row['mi']:.6g} nats")
     try:
         out.append(f"fano (transport): {fano(rep_tr.j, rep_tr.d):.6g}")
     except DivergentFano:
         out.append("fano (transport): divergent (j = 0)")
-    b = uncertainty_bounds(dec, params, schemes["transport"])
-    tur_txt = "n/a" if b.tur_rhs is None else f"{b.tur_rhs:.6g} ok={b.tur_ok}"
-    out.append(f"bounds: lhs={b.lhs:.6g} tur_rhs={tur_txt} "
+    b = ev.bounds
+    out.append(f"bounds: lhs={b.lhs:.6g} tur_rhs={b.tur_rhs:.6g} ok={b.tur_ok} "
                f"kur_rhs={b.kur_rhs:.6g} ok={b.kur_ok} "
                f"cur_rhs={b.cur_rhs:.6g} ok={b.cur_ok}")
-    if cfg.blockade:
-        t = success_fail_disaster(params)
+    if ev.outcomes is not None:
+        t = ev.outcomes
         out.append(f"outcomes: p_suc={t.p_suc:.6g} p_fail={t.p_fail:.6g} "
                    f"p_dis={t.p_dis:.6g}")
     out.append("")
     out.append("# machine-readable")
-    row = compute_row(cfg, args.vg, args.vsd, shift)
     out.append("".join(_csv_chunks(row, cfg.columns)).rstrip("\n"))
     print("\n".join(out))
     return 0
@@ -201,10 +175,8 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     shift = bool(cfg.gate_shift)  # one-point commands default to no shift
-    params = _point_params(cfg, args.vg, args.vsd, shift)
-    model = build_model(params)
-    dec = partition(model, 0)
-    schemes = _schemes(params, model.n)
+    ev = evaluate(_point_params(cfg, args.vg, args.vsd, shift))
+    model, schemes = ev.model, ev.schemes
 
     out = []
     if args.dump_trajectory:
@@ -226,8 +198,7 @@ def cmd_simulate(args) -> int:
                f"{'empirical':>14} {'se':>11} {'z':>7}")
     worst = 0.0
     keys = ["e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d"]
-    for name, scheme in schemes.items():
-        r = excursion_report(dec, scheme)
+    for name, r in ev.reports.items():
         analytic = {
             "e_q": r.e_q, "var_q": r.var_q, "e_t": r.e_t, "var_t": r.var_t,
             "cov_qt": r.cov_qt, "mu": r.mu, "delta2": r.delta2,

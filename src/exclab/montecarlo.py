@@ -132,6 +132,8 @@ def simulate(
     """
     if max_time is None and max_excursions is None:
         raise ValueError("need max_time or max_excursions")
+    if max_excursions is not None and max_excursions < 1:
+        raise ValueError(f"max_excursions must be >= 1, got {max_excursions}")
     state = a_state if start_state is None else start_state
     cum = _cumulative_jump_probs(m)
     gamma = m.gamma
@@ -350,6 +352,8 @@ def sample_excursions(
     streams; batches are concatenated in index order, so the result is
     identical for any ``workers`` value.
     """
+    if n_excursions < 1:
+        raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
     for s in schemes.values():
         if s.n != m.n:
             raise DimensionMismatch("scheme dimension does not match chain")

@@ -10,7 +10,7 @@ single points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .dqd import (
     require_finite_fermi,
 )
 from .errors import DivergentFano, raise_first
-from .excursions import BlockDecomposition, excess_time, excursion_report
 from .markov import RateMatrix, WeightScheme, steady_state
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "fano",
     "BoundsReport",
     "precision_bounds",
-    "uncertainty_bounds",
 ]
 
 # index aliases for the fixed ordering (00, 10, 01, 11)
@@ -284,15 +282,14 @@ class BoundsReport:
     over the cells of a batch, or a float or bool for one point.
 
     ``lhs`` is D/J^2; the right-hand sides are the entropy (tur), activity
-    (kur) and excess-time (cur) bounds.  ``tur_rhs`` and ``tur_ok`` are None
-    for schemes that are not thermodynamic currents.
+    (kur) and excess-time (cur) bounds.
     """
 
     lhs: float
-    tur_rhs: float | None
+    tur_rhs: float
     kur_rhs: float
     cur_rhs: float
-    tur_ok: bool | None
+    tur_ok: bool
     kur_ok: bool
     cur_ok: bool
 
@@ -333,20 +330,3 @@ def precision_bounds(j, d, j_act, j_sigma, cur_rhs) -> BoundsReport:
                   for k, v in fields.items()}
     return BoundsReport(**fields)
 
-
-def uncertainty_bounds(
-    d: BlockDecomposition, p: DqdParams, scheme: WeightScheme
-) -> BoundsReport:
-    """Evaluate the three precision bounds for ``scheme`` on one model.
-
-    The entropy bound applies only to anti-symmetric (thermodynamic)
-    schemes and is reported as not-applicable otherwise.
-    """
-    rep = excursion_report(d, scheme)
-    thermo = scheme.antisymmetric
-    j_sigma = excursion_report(d, entropy_weights(p)).j if thermo else math.nan
-    b = precision_bounds(
-        rep.j, rep.d, excursion_report(d, activity_weights(d.parent.n)).j,
-        j_sigma, excess_time(d),
-    )
-    return b if thermo else replace(b, tur_rhs=None, tur_ok=None)

@@ -1,5 +1,9 @@
-"""Parameter sweeps over the Coulomb diamond: grid evaluation, the fixed
-CSV row schema, and the CSV writer.
+"""Parameter sweeps over the Coulomb diamond: the one engine evaluation
+of a point or a batch, the fixed CSV row schema, and the CSV writer.
+
+:func:`evaluate` returns everything the sweep writes as one record, and
+:func:`compute_row` maps it to the columns; ``analyze``, ``simulate`` and
+``verify`` read the same record, so ``analyze`` prints the sweep's cell.
 
 Gate shift: diamond plots recenter the gate axis by substituting
 vg -> vg - u/2 before building the model; the CSV always reports the grid
@@ -19,9 +23,19 @@ import numpy as np
 
 from .dqd import DqdParams, build_model
 from .errors import ExclabError
-from .excursions import excess_time, excursion_report, partition
+from .excursions import (
+    BlockDecomposition,
+    ExcursionReport,
+    excess_time,
+    excursion_report,
+    partition,
+)
+from .markov import RateMatrix, WeightScheme
 from .observables import (
     ZERO_CURRENT,
+    BoundsReport,
+    OutcomeTriple,
+    Populations,
     activity_weights,
     entropy_weights,
     mutual_information,
@@ -36,6 +50,8 @@ __all__ = [
     "SweepConfig",
     "load_config",
     "parse_grid_spec",
+    "Evaluation",
+    "evaluate",
     "compute_row",
     "sweep_rows",
     "write_csv",
@@ -150,10 +166,12 @@ def load_config(path: str, base: SweepConfig | None = None) -> SweepConfig:
                     updates[key] = False
                 else:
                     raise ValueError(f"{path}:{lineno}: bad boolean {val!r}")
-            elif key in _INT_KEYS:
-                updates[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                updates[key] = float(val)
+            elif key in _INT_KEYS or key in _FLOAT_KEYS:
+                try:
+                    updates[key] = (int if key in _INT_KEYS else float)(val)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad value for {key}: {val!r}") from None
             elif key == "columns":
                 updates[key] = tuple(s.strip() for s in val.split(",") if s.strip())
             else:
@@ -183,32 +201,67 @@ def _point_params(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> DqdParams:
     )
 
 
-def _columns(cfg: SweepConfig, params: DqdParams) -> dict:
+@dataclass(frozen=True)
+class Evaluation:
+    """One pass of the engine over a point or a batch: the chain, its
+    decomposition at A = {0}, the transport/activity/entropy schemes and
+    their excursion reports (keyed by those names), the populations, the
+    transport precision bounds, and the outcome probabilities (blockade
+    models only, else None).  Report, population and bound fields are
+    floats for one point and arrays over the cells of a batch."""
+
+    model: RateMatrix
+    dec: BlockDecomposition
+    schemes: dict[str, WeightScheme]
+    reports: dict[str, ExcursionReport]
+    pop: Populations
+    bounds: BoundsReport
+    outcomes: OutcomeTriple | None
+
+
+def evaluate(params: DqdParams) -> Evaluation:
+    """Evaluate every sweep quantity at ``params`` in one engine pass."""
     model = build_model(params)
     dec = partition(model, 0)
-    rep = excursion_report(dec, transport_weights("R", model.n))
-    j_act = excursion_report(dec, activity_weights(model.n)).j
-    j_sigma = excursion_report(dec, entropy_weights(params)).j
-    pop = populations(model)
-    bounds = precision_bounds(rep.j, rep.d, j_act, j_sigma, excess_time(dec))
+    schemes = {
+        "transport": transport_weights("R", model.n),
+        "activity": activity_weights(model.n),
+        "entropy": entropy_weights(params),
+    }
+    reports = {name: excursion_report(dec, s) for name, s in schemes.items()}
+    rep = reports["transport"]
+    bounds = precision_bounds(rep.j, rep.d, reports["activity"].j,
+                              reports["entropy"].j, excess_time(dec))
+    return Evaluation(
+        model=model, dec=dec, schemes=schemes, reports=reports,
+        pop=populations(model), bounds=bounds,
+        outcomes=success_fail_disaster(params) if params.blockade else None,
+    )
+
+
+def _columns(ev: Evaluation, vg, vsd) -> dict:
+    """The canonical columns of ``ev`` at grid coordinates ``vg``, ``vsd``:
+    floats for one point, arrays for a batch."""
+    rep, pop, bounds = ev.reports["transport"], ev.pop, ev.bounds
     # numpy values even for one point, so that a zero divisor gives inf
     j, d = np.asarray(rep.j), rep.d
     with np.errstate(divide="ignore", invalid="ignore"):
         fano_val = np.where(np.abs(j) < ZERO_CURRENT, math.inf, d / np.abs(j))
     cols = {
+        "vg": vg, "vsd": vsd,
         "j_qr": j, "d_qr": d, "d1": rep.d1, "d2": rep.d2, "d3": rep.d3,
-        "fano": fano_val, "j_act": j_act, "j_sigma": j_sigma, "mu": rep.mu,
+        "fano": fano_val, "j_act": ev.reports["activity"].j,
+        "j_sigma": ev.reports["entropy"].j, "mu": rep.mu,
         "e_t": rep.e_t, "var_t": rep.var_t, "e_tau": rep.e_tau,
         "cov_qt": rep.cov_qt, "p00": pop.p00, "p10": pop.p10,
         "p01": pop.p01, "p11": pop.p11, "mi": mutual_information(pop),
+        # outcome columns are None outside blockade mode
+        **{k: getattr(ev.outcomes, k, None) for k in ("p_suc", "p_fail", "p_dis")},
         "tur_lhs": bounds.lhs, "tur_rhs": bounds.tur_rhs,
         "kur_rhs": bounds.kur_rhs, "cur_rhs": bounds.cur_rhs,
     }
-    if cfg.blockade:
-        triple = success_fail_disaster(params)
-        cols.update(p_suc=triple.p_suc, p_fail=triple.p_fail, p_dis=triple.p_dis)
-    else:
-        cols.update(p_suc=None, p_fail=None, p_dis=None)
+    if np.ndim(vg) == 0:
+        return {k: None if v is None else float(v) for k, v in cols.items()}
     return cols
 
 
@@ -224,31 +277,28 @@ def compute_row(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> dict:
     """
     if np.shape(vg) != np.shape(vsd):
         raise ValueError("vg and vsd must have the same shape")
-    params = _point_params(cfg, vg, vsd, gate_shift)
+    def row(vg, vsd):
+        return _columns(evaluate(_point_params(cfg, vg, vsd, gate_shift)), vg, vsd)
+
     try:
-        cols = {"vg": vg, "vsd": vsd, **_columns(cfg, params)}
+        return row(vg, vsd)
     except (ExclabError, ValueError, ArithmeticError):
         for at_vg, at_vsd in zip(np.ravel(vg).tolist(), np.ravel(vsd).tolist()):
             try:
-                _columns(cfg, _point_params(cfg, at_vg, at_vsd, gate_shift))
+                row(at_vg, at_vsd)
             except (ExclabError, ValueError, ArithmeticError) as exc:
                 raise type(exc)(
                     f"{type(exc).__name__} at vg={at_vg:g}, vsd={at_vsd:g}: {exc}"
                 ) from None
         raise
-    if np.ndim(vg) == 0:
-        return {k: None if v is None else float(v) for k, v in cols.items()}
-    return cols
 
 
-def sweep_rows(cfg: SweepConfig, gate_shift: bool | None = None) -> dict:
+def sweep_rows(cfg: SweepConfig) -> dict:
     """Evaluate the whole grid, one block of cells per :func:`compute_row`
     call, into one table ``{column: 1-D float array over the cells,
     vsd-major}``; the outcome columns are None outside blockade mode.  A
     failing cell aborts the sweep with an error naming its grid coordinates."""
-    shift = cfg.gate_shift if gate_shift is None else gate_shift
-    if shift is None:
-        shift = True
+    shift = cfg.gate_shift is not False  # None: sweeps default to the shift
     cfg.resolve_workers()  # rejects a bad EXCLAB_WORKERS, though unused here
     vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
     blocks = [compute_row(cfg, vg[i:i + _BLOCK_CELLS], vsd[i:i + _BLOCK_CELLS], shift)
@@ -289,8 +339,8 @@ def write_csv(table: dict, path: str, columns=CANONICAL_COLUMNS) -> None:
         raise
 
 
-def sweep_to_csv(cfg: SweepConfig, path: str, gate_shift: bool | None = None) -> int:
+def sweep_to_csv(cfg: SweepConfig, path: str) -> int:
     """Run the sweep and write the CSV; returns the row count."""
-    table = sweep_rows(cfg, gate_shift=gate_shift)
+    table = sweep_rows(cfg)
     write_csv(table, path, columns=cfg.columns)
     return len(table["vg"])

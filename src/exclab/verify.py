@@ -1,5 +1,9 @@
 """Invariant battery: every identity the library promises, checked over a
 built-in 7 x 7 diamond grid and reported as one pass/fail line per check.
+
+Each point's analytic side is the sweep's :func:`~exclab.sweep.evaluate`;
+the oracles it is held to (finite differences, tilted-generator FCS,
+outcome quadrature, the excess-time scheme) run on their own, per point.
 """
 from __future__ import annotations
 
@@ -7,29 +11,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dqd import build_dqd, build_dqd_blockade, lead_log_ratio
+from .dqd import lead_log_ratio
 from .excursions import (
     _float,
     cross_moments,
-    excess_time,
     excursion_report,
     finite_difference_moments,
     outcome_distribution,
-    partition,
 )
 from .markov import fcs_current_noise
-from .observables import (
-    _holds,
-    activity_weights,
-    blockade_analytics,
-    entropy_weights,
-    excess_time_weights,
-    populations,
-    precision_bounds,
-    success_fail_disaster,
-    transport_weights,
-)
-from .sweep import SweepConfig, _point_params
+from .observables import _holds, blockade_analytics, excess_time_weights
+from .sweep import SweepConfig, _point_params, evaluate
 
 __all__ = ["CheckResult", "run_verify", "format_results"]
 
@@ -67,7 +59,6 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     """Run every check; ``inject_d2`` perturbs the D2 noise term inside
     this battery's FCS comparison only (fault-injection hook)."""
     results = []
-    build = build_dqd_blockade if cfg.blockade else build_dqd
 
     worst_norm = 0.0
     worst_fd = 0.0
@@ -81,18 +72,15 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     worst_excess_d = 0.0
     bounds_ok = True
     bounds_detail = "all inequalities hold"
-    for p in _points(cfg):
-        model = build(p)
-        dec = partition(model, 0)
-        tr = transport_weights("R", model.n)
-        act = activity_weights(model.n)
-        ent = entropy_weights(p)
+    evaluated = [(p, evaluate(p)) for p in _points(cfg)]
+    for p, ev in evaluated:
+        dec = ev.dec
 
         norm = _float((dec.w_ab @ dec.fundamental @ dec.w_ba)[..., 0, 0])
         worst_norm = max(worst_norm, abs(norm - dec.gamma_a) / dec.gamma_a)
 
         # insertion formulas against central differences of the transform
-        for scheme in (tr, act, ent):
+        for scheme in ev.schemes.values():
             (e_q, e_t), ((e_q2, e_qt), (_, e_t2)) = cross_moments(dec, [scheme, None])
             f_q, f_q2, f_t, f_t2, f_qt = finite_difference_moments(dec, scheme)
             scale = max(1.0, abs(f_q2), abs(f_t2), abs(f_qt))
@@ -100,26 +88,24 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
                 worst_fd = max(worst_fd, abs(a - b) / scale)
 
         # thermodynamic currents are proportional to transport
-        rq = excursion_report(dec, tr)
-        rs = excursion_report(dec, ent)
+        rq, rs = ev.reports["transport"], ev.reports["entropy"]
         zeta = lead_log_ratio(p, "R") - lead_log_ratio(p, "L")
         if abs(rq.e_q) > 1e-8:
             worst_prop_mean = max(worst_prop_mean, _rel(rs.e_q, zeta * rq.e_q))
             worst_prop_var = max(worst_prop_var, _rel(rs.var_q, zeta**2 * rq.var_q))
 
         # precision bounds
-        cur_rhs = excess_time(dec)
-        b = precision_bounds(rq.j, rq.d, excursion_report(dec, act).j, rs.j, cur_rhs)
-        if not b.tur_ok:
+        bounds = ev.bounds
+        if not bounds.tur_ok:
             bounds_ok, bounds_detail = False, f"TUR fails at vg={p.vg}, vsd={p.vsd}"
-        if not b.cur_ok:
+        if not bounds.cur_ok:
             bounds_ok, bounds_detail = False, f"CUR fails at vg={p.vg}, vsd={p.vsd}"
-        if not _holds(cur_rhs, b.kur_rhs):
+        if not _holds(bounds.cur_rhs, bounds.kur_rhs):
             bounds_ok, bounds_detail = False, f"excess time below 1/J_A at vg={p.vg}, vsd={p.vsd}"
 
         # long-time FCS from the tilted generator
         d_val = rq.d1 + rq.d2 * (1.0 + inject_d2) + rq.d3
-        j_fcs, d_fcs = fcs_current_noise(model, tr)
+        j_fcs, d_fcs = fcs_current_noise(ev.model, ev.schemes["transport"])
         worst_fcs_j = max(worst_fcs_j, _fcs_close(rq.j, j_fcs))
         worst_fcs_d = max(worst_fcs_d, _fcs_close(d_val, d_fcs))
         for key, a, b in (("J", rq.j, j_fcs), ("D", d_val, d_fcs)):
@@ -127,9 +113,9 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
                 raw_fcs[key] = (_rel(a, b), p)
 
         # the excess-time scheme saturates its own bound
-        rx = excursion_report(dec, excess_time_weights(model))
+        rx = excursion_report(dec, excess_time_weights(ev.model))
         worst_excess_j = max(worst_excess_j, abs(rx.j - 1.0))
-        worst_excess_d = max(worst_excess_d, _rel(rx.d, cur_rhs))
+        worst_excess_d = max(worst_excess_d, _rel(rx.d, bounds.cur_rhs))
 
     results.append(CheckResult(
         "normalization identity", worst_norm <= 1e-10,
@@ -153,31 +139,29 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         worst_excess_j <= 1e-10 and worst_excess_d <= 1e-8,
         f"worst |J-1| {worst_excess_j:.2e}, rel |D-T| {worst_excess_d:.2e}"))
 
-    # closed-form cross-checks always run on the three-state chain
+    # closed-form cross-checks always run on the three-state chain; a
+    # blockade run already evaluated those points above
     worst_cf = 0.0
     worst_out = 0.0
     worst_sum = 0.0
-    for pb in _points(replace(cfg, blockade=True)):
-        model = build_dqd_blockade(pb)
-        dec = partition(model, 0)
+    if not cfg.blockade:
+        evaluated = [(pb, evaluate(pb)) for pb in _points(replace(cfg, blockade=True))]
+    for pb, ev in evaluated:
         cf = blockade_analytics(pb)
-        rq = excursion_report(dec, transport_weights("R", 3))
-        ra = excursion_report(dec, activity_weights(3))
-        rs = excursion_report(dec, entropy_weights(pb))
-        pop = populations(model)
+        rq, ra, rs = (ev.reports[k] for k in ("transport", "activity", "entropy"))
         pairs = [
             (cf.e_t, rq.e_t), (cf.e_tau, rq.e_tau), (cf.mu, rq.mu),
             (cf.e_qr, rq.e_q), (cf.e_a, ra.e_q), (cf.e_sigma, rs.e_q),
-            (cf.p_l, pop.p_left), (cf.p_r, pop.p_right),
+            (cf.p_l, ev.pop.p_left), (cf.p_r, ev.pop.p_right),
         ]
         for a, b in pairs:
             if max(abs(a), abs(b)) > 1e-14:
                 worst_cf = max(worst_cf, _rel(a, b))
         if cfg.blockade:
-            triple = success_fail_disaster(pb)
+            triple = ev.outcomes
             worst_sum = max(
                 worst_sum, abs(triple.p_suc + triple.p_fail + triple.p_dis - 1.0))
-            qs, probs = outcome_distribution(dec, transport_weights("R", 3), (-2, 2))
+            qs, probs = outcome_distribution(ev.dec, ev.schemes["transport"], (-2, 2))
             ref = {1: triple.p_suc, 0: triple.p_fail, -1: triple.p_dis, 2: 0.0, -2: 0.0}
             for q, pr in zip(qs, probs):
                 worst_out = max(worst_out, abs(pr - ref[int(q)]))

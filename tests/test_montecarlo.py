@@ -51,6 +51,11 @@ class TestSimulate:
         t3 = simulate(ref_model, seed=43, max_excursions=500)
         assert not np.array_equal(t1.states, t3.states)
 
+    @pytest.mark.parametrize("n", [0, -5, -70_000])
+    def test_nonpositive_excursion_count_rejected(self, ref_model, n):
+        with pytest.raises(ValueError, match=f"max_excursions must be >= 1, got {n}"):
+            simulate(ref_model, seed=1, max_excursions=n)
+
     def test_trajectory_invariants(self, ref_model):
         t = simulate(ref_model, seed=1, max_time=2000.0)
         assert np.all(t.states[1:] != t.states[:-1])
@@ -294,6 +299,12 @@ class TestSampleExcursions:
         qr, ql = sample.q["transport"], sample.q["transport_L"]
         cov = np.cov(ql, qr)
         assert cov[0, 1] == pytest.approx(-qr.var(ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -5, -70_000])
+    def test_nonpositive_count_rejected(self, ref_model, n):
+        schemes = {"transport": transport_weights("R", 4)}
+        with pytest.raises(ValueError, match=f"n_excursions must be >= 1, got {n}"):
+            sample_excursions(ref_model, schemes, n, seed=4)
 
     def test_counts_kept_when_requested(self, ref_params, ref_model):
         schemes = {"transport": transport_weights("R", 4)}

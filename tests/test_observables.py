@@ -11,7 +11,6 @@ from exclab import (
     blockade_analytics,
     build_dqd,
     build_dqd_blockade,
-    build_model,
     entropy_weights,
     excursion_report,
     fano,
@@ -24,13 +23,12 @@ from exclab import (
     success_fail_disaster,
     time_moments,
     transport_weights,
-    uncertainty_bounds,
     validate_rate_matrix,
 )
 from exclab.dqd import lead_log_ratio
 from exclab.errors import DegenerateFermi, DivergentFano
 from exclab.observables import _holds
-from exclab.sweep import SweepConfig, _point_params, compute_row
+from exclab.sweep import SweepConfig, _point_params, compute_row, evaluate
 
 from conftest import REF, GAMMA, grid
 
@@ -233,39 +231,29 @@ class TestFano:
 
 
 class TestUncertaintyBounds:
+    # the transport bounds of the engine's one evaluation of a point
     def test_all_bounds_hold_on_grid(self):
         for vg, vsd in grid(5, 5):
-            p = DqdParams(vg=vg, vsd=vsd, **REF)
-            d = partition(build_dqd(p), 0)
-            b = uncertainty_bounds(d, p, transport_weights("R", 4))
+            b = evaluate(DqdParams(vg=vg, vsd=vsd, **REF)).bounds
             assert b.tur_ok and b.kur_ok and b.cur_ok
             assert b.cur_rhs >= b.kur_rhs * (1 - 1e-9)
 
-    def test_tur_not_applicable_for_activity(self, ref_params, ref_dec):
-        b = uncertainty_bounds(ref_dec, ref_params, activity_weights(4))
-        assert b.tur_rhs is None and b.tur_ok is None
-        assert b.kur_ok and b.cur_ok
-
-    def test_entropy_scheme_shares_the_lhs(self, ref_params, ref_dec):
-        bt = uncertainty_bounds(ref_dec, ref_params, transport_weights("R", 4))
-        bs = uncertainty_bounds(ref_dec, ref_params, entropy_weights(ref_params))
-        assert bt.lhs == pytest.approx(bs.lhs, rel=1e-10)
+    def test_entropy_scheme_shares_the_lhs(self, ref_params):
+        ev = evaluate(ref_params)
+        rs = ev.reports["entropy"]
+        assert ev.bounds.lhs == pytest.approx(rs.d / rs.j**2, rel=1e-10)
 
     def test_tur_tightest_at_small_bias(self):
         # bias-7 cut: the entropy bound dominates for every gate voltage
         for vg in np.linspace(-10, 10, 9):
-            p = DqdParams(vg=float(vg), vsd=7.0, **REF)
-            d = partition(build_dqd(p), 0)
-            b = uncertainty_bounds(d, p, transport_weights("R", 4))
+            b = evaluate(DqdParams(vg=float(vg), vsd=7.0, **REF)).bounds
             assert b.tur_rhs > b.kur_rhs and b.tur_rhs > b.cur_rhs
 
     def test_cur_tightest_at_large_bias_extremes(self):
         # bias -20 cut (shifted gate axis): the excess-time bound wins at
         # the center and at large gate voltages, the entropy bound between
         def tightest(vg_shift):
-            p = DqdParams(vg=vg_shift - 5.0, vsd=-20.0, **REF)
-            d = partition(build_dqd(p), 0)
-            b = uncertainty_bounds(d, p, transport_weights("R", 4))
+            b = evaluate(DqdParams(vg=vg_shift - 5.0, vsd=-20.0, **REF)).bounds
             return max(("tur", b.tur_rhs), ("kur", b.kur_rhs),
                        ("cur", b.cur_rhs), key=lambda kv: kv[1])[0]
         assert tightest(-15.0) == "cur"
@@ -282,10 +270,7 @@ class TestUncertaintyBounds:
         cfg = SweepConfig(blockade=blockade)
         for vsd in np.linspace(-20.0, 20.0, 21).tolist():
             for vg in np.linspace(-10.0, 10.0, 21).tolist():
-                p = _point_params(cfg, vg, vsd, True)
-                model = build_model(p)
-                b = uncertainty_bounds(
-                    partition(model, 0), p, transport_weights("R", model.n))
+                b = evaluate(_point_params(cfg, vg, vsd, True)).bounds
                 row = compute_row(cfg, vg, vsd, True)
                 assert (b.lhs, b.tur_rhs, b.kur_rhs, b.cur_rhs) == (
                     row["tur_lhs"], row["tur_rhs"], row["kur_rhs"],

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestConfig:
         path.write_text("volts = 3\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key, val", [("temperature", "warm"), ("vg_n", "2.5")])
+    def test_bad_number_names_its_line(self, tmp_path, key, val):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"u = 10\n{key} = {val}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}:2: bad value for {key}: {val!r}"
 
     def test_grid_spec(self):
         upd = parse_grid_spec("vg:-1:1:11,vsd:0:5:3")
@@ -149,8 +158,8 @@ class TestSweep:
     def test_gate_shift_moves_the_axis(self):
         cfg = SweepConfig(vg_lo=0.0, vg_hi=0.0, vg_n=1, vsd_lo=7.0, vsd_hi=7.0,
                           vsd_n=1, temperature=2.0)
-        shifted = sweep_rows(cfg, gate_shift=True)
-        plain = sweep_rows(cfg, gate_shift=False)
+        shifted = sweep_rows(replace(cfg, gate_shift=True))
+        plain = sweep_rows(replace(cfg, gate_shift=False))
         assert shifted["vg"][0] == plain["vg"][0] == 0.0
         assert shifted["j_qr"][0] != plain["j_qr"][0]
         manual = compute_row(cfg, -cfg.u / 2.0, 7.0, False)
@@ -353,6 +362,25 @@ class TestCli:
         assert run_cli("sweep", "--grid", "bogus").returncode == 2
         assert run_cli("nonsense").returncode == 2
 
+    def test_analyze_evaluates_its_point_once(self, monkeypatch, capsys):
+        import exclab.cli
+        import exclab.excursions
+        calls = dict.fromkeys(("partition", "excursion_report"), 0)
+        modules = [m for k, m in sys.modules.items() if k.startswith("exclab.")]
+        for name in calls:
+            original = getattr(exclab.excursions, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        argv = ["analyze", "--temperature", "2", "--vg", "0", "--vsd", "7"]
+        assert exclab.cli.main(argv) == 0
+        assert calls == {"partition": 1, "excursion_report": 3}
+        assert "# machine-readable" in capsys.readouterr().out
+
     def test_analyze_machine_block(self):
         r = run_cli("analyze", "--temperature", "2", "--vg", "1.5",
                     "--vsd", "7")
@@ -416,6 +444,13 @@ class TestCli:
         r = run_cli("simulate", "--n", "10", "--temperature", "2")
         assert r.returncode == 2
         assert "excursions" in r.stderr
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_simulate_nonpositive_count_exits_2(self, n):
+        for extra in ((), ("--dump-trajectory", os.devnull)):
+            r = run_cli("simulate", "--n", n, *extra)
+            assert r.returncode == 2 and r.stdout == ""
+            assert r.stderr.count("\n") == 1 and n in r.stderr
 
     def test_verify_passes_and_injection_fails(self):
         r = run_cli("verify")
