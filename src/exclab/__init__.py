@@ -38,6 +38,7 @@ from .markov import (
 from .montecarlo import (
     EmpiricalReport,
     ExcursionRecord,
+    ExcursionRecords,
     ExcursionSample,
     Trajectory,
     dump_trajectory,

@@ -20,13 +20,24 @@ holds afterwards as one array from the separate hold stream.
 :func:`excursion_filter` finds the visits of the reference state with
 ``flatnonzero``, sums each excursion's holds in trajectory order with one
 vectorised add per position, and tallies every transition with one
-``bincount``.  Both reproduce the per-jump loops they replaced bit for bit;
+``bincount``.  Its records are columnar: an :class:`ExcursionRecords`
+sequence over the durations and the ``(K, n, n)`` tally block, which
+:meth:`ExcursionSample.from_records` reads as they are.
+
+The ensemble and the statistics run as array passes too.  The ensemble
+loop works on compacted arrays of the excursions still out of A, with the
+same draws, in the same order, as a loop over full-size arrays.  The
+jackknife evaluates its leave-one-out statistics in slices into one
+preallocated array and sums each row with numpy's pairwise sum.
+
+Every one of these reproduces the loop it replaced bit for bit;
 ``tests/reference_montecarlo.py`` keeps those loops as oracles.
 """
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +49,7 @@ from .markov import RateMatrix, WeightScheme
 __all__ = [
     "Trajectory",
     "ExcursionRecord",
+    "ExcursionRecords",
     "ExcursionSample",
     "simulate",
     "excursion_filter",
@@ -52,6 +64,7 @@ _BATCH = 65536        # ensemble batch size, fixed for reproducibility
 _BLOCK = 8192         # trajectory draws per refill, fixed for reproducibility
 _FEW_SEGMENTS = 16    # segments that excursion_filter sums one at a time
 _DIRECT_BATCHES = 32  # batch-means batches for the direct noise estimate
+_JACKKNIFE_SLICE = 16384  # leave-one-out statistics evaluated per slice
 
 # Powers of (largest |weight|, mean cycle time) that give each estimate its
 # own scale, and the relative rounding slack on that scale (the slack the
@@ -213,9 +226,35 @@ def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray
     return sums
 
 
+class ExcursionRecords(Sequence):
+    """Read-only columnar excursion records: ``durations (K,)`` and the
+    tally block ``counts (K, n, n)`` (int64).  Item k is
+    ``ExcursionRecord(float(durations[k]), counts[k])``, a view of the
+    block."""
+
+    __slots__ = ("durations", "counts")
+
+    def __init__(self, durations: np.ndarray, counts: np.ndarray):
+        durations.flags.writeable = False
+        counts.flags.writeable = False
+        self.durations = durations
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return self.durations.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ExcursionRecords(self.durations[k], self.counts[k])
+        return ExcursionRecord(float(self.durations[k]), self.counts[k])
+
+    def __iter__(self):
+        return map(ExcursionRecord, self.durations.tolist(), self.counts)
+
+
 def excursion_filter(
     t: Trajectory, a_state: int = 0, n_states: int | None = None
-) -> tuple[list[ExcursionRecord], np.ndarray]:
+) -> tuple[ExcursionRecords, np.ndarray]:
     """Segment a trajectory into completed excursions and A residences.
 
     An excursion runs from a jump out of ``a_state`` to the first return;
@@ -226,9 +265,9 @@ def excursion_filter(
     it is inferred from the visited states.
 
     Vectorised over the visits of A: the durations are summed in
-    trajectory order, and one ``bincount`` fills a ``(K, n, n)`` block
-    whose slices are the records' tallies.  ``states`` is a jump chain, so
-    no state follows itself.
+    trajectory order, and one ``bincount`` fills the ``(K, n, n)`` block
+    that the records hold as it is.  ``states`` is a jump chain, so no
+    state follows itself.
     """
     states = np.asarray(t.states, dtype=np.int64)
     holds = np.asarray(t.holds, dtype=float)
@@ -239,7 +278,8 @@ def excursion_filter(
     visits = np.flatnonzero(states == a_state)
     k = visits.size - 1
     if k < 1:
-        return [], np.asarray([], dtype=float)
+        empty = ExcursionRecords(np.zeros(0), np.zeros((0, n, n), dtype=np.int64))
+        return empty, np.asarray([], dtype=float)
     first, last = visits[0], visits[-1]
     # one code per jump: excursion index, destination and source
     code = states[first + 1 : last + 1] * n
@@ -248,11 +288,7 @@ def excursion_filter(
     counts = np.bincount(code, minlength=k * n * n).reshape(k, n, n)
     del code
     durations = _sequential_segment_sums(holds, visits[:-1] + 1, visits[1:])
-    records = [
-        ExcursionRecord(d, c)
-        for d, c in zip(durations.tolist(), counts)
-    ]
-    return records, holds[visits[:-1]]
+    return ExcursionRecords(durations, counts), holds[visits[:-1]]
 
 
 @dataclass(frozen=True)
@@ -277,19 +313,25 @@ class ExcursionSample:
     @classmethod
     def from_records(
         cls,
-        records: list[ExcursionRecord],
+        records: ExcursionRecords | list[ExcursionRecord],
         residences,
         schemes: dict[str, WeightScheme],
         gamma_a: float,
     ) -> "ExcursionSample":
-        counts = np.stack([r.counts for r in records])
+        """Sample from filter records: the columns of an
+        :class:`ExcursionRecords` as they are, or a list of records."""
+        if isinstance(records, ExcursionRecords):
+            durations, counts = records.durations, records.counts
+        else:
+            durations = np.array([r.duration for r in records])
+            counts = np.stack([r.counts for r in records])
         q = {
             name: np.tensordot(counts, s.weights, axes=([1, 2], [0, 1]))
             for name, s in schemes.items()
         }
         res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
-            durations=np.array([r.duration for r in records]),
+            durations=durations,
             residences=res,
             q=q,
             schemes=dict(schemes),
@@ -306,35 +348,61 @@ def _sample_batch(
     seed_seq: np.random.SeedSequence,
     keep_counts: bool,
 ):
-    """Vectorized ensemble of ``n`` independent excursions."""
+    """Vectorized ensemble of ``n`` independent excursions.
+
+    The loop works on compacted arrays of the excursions still out of A:
+    their indices ``idx``, states ``s``, durations and one accumulator per
+    scheme.  Excursions that return are written back, and the rest are
+    kept with one index.  Each step draws ``standard_exponential(m)`` then
+    ``random(m)`` for the m excursions still out, in index order, and adds
+    in the same order as a full-size loop, so the sums are the same.
+    """
     rng = np.random.Generator(np.random.Philox(seed_seq))
     cum = _cumulative_jump_probs(m)
     gamma = m.gamma
+    k = m.n
     names = list(schemes)
-    nus = [schemes[k].weights for k in names]
+    flat = [schemes[name].weights.reshape(-1) for name in names]
+    # cum[:, j] for every column but the last, which is 1.0 > u exactly
+    columns = [np.ascontiguousarray(cum[:, j]) for j in range(k - 1)]
 
     residences = rng.standard_exponential(n) / gamma[a_state]
     u = rng.random(n)
     state = np.searchsorted(cum[a_state], u, side="right")
     durations = np.zeros(n)
-    q = [nu[state, a_state].copy() for nu in nus]
-    counts = np.zeros((n, m.n, m.n), dtype=np.int32) if keep_counts else None
-    if counts is not None:
-        np.add.at(counts, (np.arange(n), state, a_state), 1)
+    code = state * k + a_state
+    q = [w[code] for w in flat]
+    counts = np.zeros((n, k, k), dtype=np.int32) if keep_counts else None
+    tally = None if counts is None else counts.reshape(n, k * k)
+    if tally is not None:
+        tally[np.arange(n), code] = 1
 
-    active = np.nonzero(state != a_state)[0]
-    while active.size:
-        s = state[active]
-        durations[active] += rng.standard_exponential(active.size) / gamma[s]
-        u = rng.random(active.size)
-        nxt = (cum[s] <= u[:, None]).sum(axis=1)
-        for k, nu in enumerate(nus):
-            q[k][active] += nu[nxt, s]
-        if counts is not None:
-            np.add.at(counts, (active, nxt, s), 1)
-        state[active] = nxt
-        active = active[nxt != a_state]
-    return durations, residences, {k: q[i] for i, k in enumerate(names)}, counts
+    idx = np.flatnonzero(state != a_state)
+    s = state[idx]
+    dur = np.zeros(idx.size)
+    acc = [qk[idx] for qk in q]
+    while idx.size:
+        dur += rng.standard_exponential(idx.size) / gamma[s]
+        u = rng.random(idx.size)
+        nxt = np.zeros(idx.size, dtype=np.intp)
+        for col in columns:
+            nxt += col[s] <= u
+        code = nxt * k + s
+        for a, w in zip(acc, flat):
+            a += w[code]
+        if tally is not None:
+            tally[idx, code] += 1  # one entry per excursion, so no repeats
+        back = np.flatnonzero(nxt == a_state)
+        if back.size:
+            done = idx[back]
+            durations[done] = dur[back]
+            for qk, a in zip(q, acc):
+                qk[done] = a[back]
+            keep = np.flatnonzero(nxt != a_state)
+            idx, dur, acc = idx[keep], dur[keep], [a[keep] for a in acc]
+            nxt = nxt[keep]
+        s = nxt
+    return durations, residences, dict(zip(names, q)), counts
 
 
 def sample_excursions(
@@ -415,16 +483,27 @@ class EmpiricalReport:
 
 def _jackknife(stats_fn, cols: list[np.ndarray]):
     """Delete-1 jackknife of statistics that are smooth functions of the
-    sample means of ``cols``; evaluated in O(n) by leave-one-out means."""
+    sample means of ``cols``; evaluated in O(n) by leave-one-out means.
+
+    The leave-one-out statistics are evaluated ``_JACKKNIFE_SLICE``
+    excursions at a time into one ``(k, n)`` array, whose contiguous rows
+    are then centred, squared and summed in place (numpy's pairwise sum,
+    as on a full-size temporary).
+    """
     n = cols[0].size
     means = [c.mean() for c in cols]
     theta = stats_fn(*means)
-    loo = [(n * mu - c) / (n - 1) for mu, c in zip(means, cols)]
-    theta_i = stats_fn(*loo)
+    theta_i = np.empty((len(theta), n))
+    for lo in range(0, n, _JACKKNIFE_SLICE):
+        hi = min(lo + _JACKKNIFE_SLICE, n)
+        loo = [(n * mu - c[lo:hi]) / (n - 1) for mu, c in zip(means, cols)]
+        for row, v in zip(theta_i, stats_fn(*loo)):
+            row[lo:hi] = v
     ses = []
-    for t, ti in zip(theta, theta_i):
-        ti = np.asarray(ti)
-        ses.append(float(np.sqrt((n - 1) / n * np.sum((ti - ti.mean()) ** 2))))
+    for ti in theta_i:
+        ti -= ti.mean()
+        ti *= ti
+        ses.append(float(np.sqrt((n - 1) / n * np.sum(ti))))
     return theta, ses
 
 

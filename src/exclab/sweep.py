@@ -146,10 +146,12 @@ def load_config(path: str, base: SweepConfig | None = None) -> SweepConfig:
     """Read a flat ``key = value`` config file over ``base`` defaults.
 
     Unknown keys are rejected; '#' starts a comment; booleans accept
-    true/false/1/0/yes/no.
+    true/false/1/0/yes/no.  An error names the file, and the line and key
+    it comes from.
     """
     cfg = base if base is not None else SweepConfig()
-    updates: dict = {}
+    updates: dict = {}  # ordered by the line that last set each key
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -161,22 +163,43 @@ def load_config(path: str, base: SweepConfig | None = None) -> SweepConfig:
             if key in _BOOL_KEYS:
                 low = val.lower()
                 if low in ("true", "1", "yes", "on"):
-                    updates[key] = True
+                    value = True
                 elif low in ("false", "0", "no", "off"):
-                    updates[key] = False
+                    value = False
                 else:
                     raise ValueError(f"{path}:{lineno}: bad boolean {val!r}")
             elif key in _INT_KEYS or key in _FLOAT_KEYS:
                 try:
-                    updates[key] = (int if key in _INT_KEYS else float)(val)
+                    value = (int if key in _INT_KEYS else float)(val)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: bad value for {key}: {val!r}") from None
             elif key == "columns":
-                updates[key] = tuple(s.strip() for s in val.split(",") if s.strip())
+                value = tuple(s.strip() for s in val.split(",") if s.strip())
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    return replace(cfg, **updates)
+            updates.pop(key, None)
+            updates[key] = value
+            lines[key] = lineno
+    try:
+        return replace(cfg, **updates)
+    except ValueError as exc:
+        key = _culprit(cfg, updates, exc)
+        where = path if key is None else f"{path}:{lines[key]}: {key}"
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _culprit(cfg: SweepConfig, updates: dict, exc: ValueError) -> str | None:
+    """The last-set key of ``updates`` without which the validation error
+    ``exc`` goes away or becomes another one."""
+    for key in reversed(updates):
+        try:
+            replace(cfg, **{k: v for k, v in updates.items() if k != key})
+        except ValueError as other:
+            if str(other) == str(exc):
+                continue
+        return key
+    return None
 
 
 def parse_grid_spec(spec: str) -> dict:

@@ -1,18 +1,38 @@
-"""Reference implementations of the trajectory loops: the per-jump
-``simulate``, ``excursion_filter`` and ``dump_trajectory`` that exclab
-shipped before the loops were vectorised, kept verbatim as oracles.
+"""Reference implementations of the Monte Carlo loops, kept verbatim as
+oracles:
+
+- the per-jump ``simulate``, ``excursion_filter`` and ``dump_trajectory``
+  that exclab shipped before the trajectory loops were vectorised;
+- the list-building vectorised filter (``excursion_filter_list``) and
+  ``from_records`` that stacked the records' tallies again;
+- the full-size ensemble loop (``sample_excursions``, serial, over
+  ``_sample_batch``) that gathered from and scattered to full-size arrays
+  each step, and the jackknife over full-size leave-one-out temporaries
+  (``empirical_moments``).
 
 The library versions must reproduce them bit for bit: same states, holds,
-total time, durations, tallies, residences and dump bytes.  Comparing with
-these loops, rather than with pinned digests, keeps the tests valid across
-numpy releases that change a random stream.
+total time, durations, tallies, residences, observables, estimates and dump
+bytes.  Comparing with these loops, rather than with pinned digests, keeps
+the tests valid across numpy releases that change a random stream.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from exclab.markov import RateMatrix
-from exclab.montecarlo import ExcursionRecord, Trajectory, _cumulative_jump_probs
+from exclab.errors import DimensionMismatch, TooFewRecords
+from exclab.excursions import noise_terms
+from exclab.markov import RateMatrix, WeightScheme
+from exclab.montecarlo import (
+    _BATCH,
+    _DIMENSIONS,
+    _DIRECT_BATCHES,
+    EmpiricalReport,
+    ExcursionRecord,
+    ExcursionSample,
+    Trajectory,
+    _cumulative_jump_probs,
+    _sequential_segment_sums,
+)
 
 
 def simulate(
@@ -139,3 +159,195 @@ def dump_trajectory(t: Trajectory, path, labels=None) -> None:
                 fh.write(f"{clock!r}\t{labels[src]}\t{labels[dst]}\n")
             else:
                 fh.write(f"{clock!r}\t{src}\t{dst}\n")
+
+
+def excursion_filter_list(
+    t: Trajectory, a_state: int = 0, n_states: int | None = None
+) -> tuple[list[ExcursionRecord], np.ndarray]:
+    """The vectorised filter that returned one ``ExcursionRecord`` per
+    excursion in a list."""
+    states = np.asarray(t.states, dtype=np.int64)
+    holds = np.asarray(t.holds, dtype=float)
+    top = int(states.max())
+    n = top + 1 if n_states is None else n_states
+    if top >= n:
+        raise DimensionMismatch(f"trajectory visits state {top} but n_states={n}")
+    visits = np.flatnonzero(states == a_state)
+    k = visits.size - 1
+    if k < 1:
+        return [], np.asarray([], dtype=float)
+    first, last = visits[0], visits[-1]
+    # one code per jump: excursion index, destination and source
+    code = states[first + 1 : last + 1] * n
+    code += states[first:last]
+    code += np.repeat(np.arange(0, k * n * n, n * n), np.diff(visits))
+    counts = np.bincount(code, minlength=k * n * n).reshape(k, n, n)
+    del code
+    durations = _sequential_segment_sums(holds, visits[:-1] + 1, visits[1:])
+    records = [
+        ExcursionRecord(d, c)
+        for d, c in zip(durations.tolist(), counts)
+    ]
+    return records, holds[visits[:-1]]
+
+
+def from_records(
+    records: list[ExcursionRecord],
+    residences,
+    schemes: dict[str, WeightScheme],
+    gamma_a: float,
+) -> ExcursionSample:
+    """``ExcursionSample.from_records`` as it stacked a list of records."""
+    counts = np.stack([r.counts for r in records])
+    q = {
+        name: np.tensordot(counts, s.weights, axes=([1, 2], [0, 1]))
+        for name, s in schemes.items()
+    }
+    res = np.asarray(residences, dtype=float)[: len(records)]
+    return ExcursionSample(
+        durations=np.array([r.duration for r in records]),
+        residences=res,
+        q=q,
+        schemes=dict(schemes),
+        gamma_a=gamma_a,
+        counts=counts,
+    )
+
+
+def _sample_batch(
+    m: RateMatrix,
+    a_state: int,
+    schemes: dict[str, WeightScheme],
+    n: int,
+    seed_seq: np.random.SeedSequence,
+    keep_counts: bool,
+):
+    """Vectorized ensemble of ``n`` independent excursions."""
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    cum = _cumulative_jump_probs(m)
+    gamma = m.gamma
+    names = list(schemes)
+    nus = [schemes[k].weights for k in names]
+
+    residences = rng.standard_exponential(n) / gamma[a_state]
+    u = rng.random(n)
+    state = np.searchsorted(cum[a_state], u, side="right")
+    durations = np.zeros(n)
+    q = [nu[state, a_state].copy() for nu in nus]
+    counts = np.zeros((n, m.n, m.n), dtype=np.int32) if keep_counts else None
+    if counts is not None:
+        np.add.at(counts, (np.arange(n), state, a_state), 1)
+
+    active = np.nonzero(state != a_state)[0]
+    while active.size:
+        s = state[active]
+        durations[active] += rng.standard_exponential(active.size) / gamma[s]
+        u = rng.random(active.size)
+        nxt = (cum[s] <= u[:, None]).sum(axis=1)
+        for k, nu in enumerate(nus):
+            q[k][active] += nu[nxt, s]
+        if counts is not None:
+            np.add.at(counts, (active, nxt, s), 1)
+        state[active] = nxt
+        active = active[nxt != a_state]
+    return durations, residences, {k: q[i] for i, k in enumerate(names)}, counts
+
+
+def sample_excursions(
+    m: RateMatrix,
+    schemes: dict[str, WeightScheme],
+    n_excursions: int,
+    seed: int,
+    a_state: int = 0,
+    keep_counts: bool = False,
+) -> ExcursionSample:
+    """The serial path of ``sample_excursions`` over the full-size loop:
+    fixed-size batches with spawned streams, concatenated in index order."""
+    sizes = [_BATCH] * (n_excursions // _BATCH)
+    if n_excursions % _BATCH:
+        sizes.append(n_excursions % _BATCH)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    args = [(m, a_state, schemes, sz, ss, keep_counts) for sz, ss in zip(sizes, children)]
+    parts = [_sample_batch(*a) for a in args]
+    durations = np.concatenate([p[0] for p in parts])
+    residences = np.concatenate([p[1] for p in parts])
+    q = {
+        k: np.concatenate([p[2][k] for p in parts]) for k in schemes
+    }
+    counts = np.concatenate([p[3] for p in parts]) if keep_counts else None
+    return ExcursionSample(
+        durations=durations, residences=residences, q=q,
+        schemes=dict(schemes), gamma_a=float(m.gamma[a_state]), counts=counts,
+    )
+
+
+def _jackknife(stats_fn, cols: list[np.ndarray]):
+    """Delete-1 jackknife of statistics that are smooth functions of the
+    sample means of ``cols``; evaluated in O(n) by leave-one-out means."""
+    n = cols[0].size
+    means = [c.mean() for c in cols]
+    theta = stats_fn(*means)
+    loo = [(n * mu - c) / (n - 1) for mu, c in zip(means, cols)]
+    theta_i = stats_fn(*loo)
+    ses = []
+    for t, ti in zip(theta, theta_i):
+        ti = np.asarray(ti)
+        ses.append(float(np.sqrt((n - 1) / n * np.sum((ti - ti.mean()) ** 2))))
+    return theta, ses
+
+
+def empirical_moments(
+    sample: ExcursionSample, scheme_name: str
+) -> EmpiricalReport:
+    """Sample moments, current and noise for one scheme with jackknife
+    standard errors; the direct long-run estimates come from 32 contiguous
+    batch means.
+
+    Raises TooFewRecords below 64 excursions (two per direct batch).
+    """
+    if scheme_name not in sample.q:
+        raise KeyError(f"scheme {scheme_name!r} not in sample")
+    n = sample.n
+    if n < 2:
+        raise TooFewRecords("need at least 2 excursions")
+    if n < 2 * _DIRECT_BATCHES:
+        raise TooFewRecords(
+            f"need at least {2 * _DIRECT_BATCHES} excursions for the "
+            f"{_DIRECT_BATCHES}-batch direct noise estimate, got {n}"
+        )
+    qv = sample.q[scheme_name]
+    t = sample.durations
+    tau = sample.residences
+    cols = [qv, qv * qv, t, t * t, qv * t, tau, tau * tau]
+
+    def stats(m_q, m_q2, m_t, m_t2, m_qt, m_tau, m_tau2):
+        var_q = m_q2 - m_q**2
+        var_t = m_t2 - m_t**2
+        cov_qt = m_qt - m_q * m_t
+        mu = m_t + m_tau
+        delta2 = var_t + (m_tau2 - m_tau**2)
+        j = m_q / mu
+        d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
+        return m_q, var_q, m_t, var_t, cov_qt, mu, delta2, j, d1 + d2 + d3
+
+    keys = ["e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d"]
+    theta, ses = _jackknife(stats, cols)
+    estimates = {k: (float(v), s) for k, v, s in zip(keys, theta, ses)}
+
+    # direct long-run estimators over contiguous batches
+    cyc = t + tau
+    edges = np.linspace(0, n, _DIRECT_BATCHES + 1).astype(int)
+    qb = np.add.reduceat(qv, edges[:-1])
+    tb = np.add.reduceat(cyc, edges[:-1])
+    j_direct = float(qv.sum() / cyc.sum())
+    jb = qb / tb
+    k = _DIRECT_BATCHES
+    d_direct = float(np.sum(tb * (jb - j_direct) ** 2) / (k - 1))
+    se_j = float(np.sqrt(max(d_direct, 0.0) / cyc.sum()))
+    se_d = d_direct * np.sqrt(2.0 / (k - 1))
+    estimates["j_direct"] = (j_direct, se_j)
+    estimates["d_direct"] = (d_direct, se_d)
+    w_max = sample.schemes[scheme_name].max_abs_weight()
+    mu = estimates["mu"][0]
+    scales = {k: w_max**a * mu**b for k, (a, b) in _DIMENSIONS.items()}
+    return EmpiricalReport(estimates=estimates, n=n, scales=scales)

@@ -27,7 +27,7 @@ from exclab import (
     validate_rate_matrix,
 )
 from exclab.errors import DimensionMismatch, NonIntegerScheme, TooFewRecords
-from exclab.montecarlo import Trajectory, dump_trajectory
+from exclab.montecarlo import _BATCH, ExcursionRecords, Trajectory, dump_trajectory
 
 import reference_montecarlo as reference
 from conftest import REF, GAMMA
@@ -183,6 +183,69 @@ class TestReferenceLoops:
         assert_same_filter(t, 2, 4)
 
 
+def assert_same_sample(sample, ref):
+    for name in ("durations", "residences", "counts"):
+        got, want = getattr(sample, name), getattr(ref, name)
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert sample.q.keys() == ref.q.keys()
+    for name in ref.q:
+        assert sample.q[name].dtype == ref.q[name].dtype
+        assert np.array_equal(sample.q[name], ref.q[name]), name
+    assert sample.gamma_a == ref.gamma_a
+
+
+class TestColumnarRecords:
+    """The filter's columnar records and ``from_records`` reproduce the
+    list-building filter and the stacking ``from_records`` bit for bit."""
+
+    @pytest.mark.parametrize("chain", ["dqd", "blockade"])
+    @pytest.mark.parametrize("a_state", [0, -1])
+    def test_match_list_reference(self, chain, a_state, request):
+        m = _chain(chain, request)
+        a = a_state % m.n
+        schemes = {"transport": transport_weights("R", m.n),
+                   "activity": activity_weights(m.n)}
+        t = simulate(m, seed=17, max_excursions=3000, a_state=a)
+        records, residences = excursion_filter(t, a, m.n)
+        ref_records, ref_residences = reference.excursion_filter_list(t, a, m.n)
+        assert isinstance(records, ExcursionRecords)
+        assert np.array_equal(residences, ref_residences)
+        assert records.counts.dtype == np.int64
+        assert np.array_equal(records.durations, [r.duration for r in ref_records])
+        assert np.array_equal(records.counts, np.stack([r.counts for r in ref_records]))
+        gamma_a = float(m.gamma[a])
+        want = reference.from_records(ref_records, ref_residences, schemes, gamma_a)
+        assert_same_sample(
+            ExcursionSample.from_records(records, residences, schemes, gamma_a), want)
+        # a plain list of records is still accepted
+        assert_same_sample(
+            ExcursionSample.from_records(ref_records, ref_residences, schemes, gamma_a),
+            want)
+
+    def test_sequence_behaviour(self, ref_model):
+        t = simulate(ref_model, seed=3, max_excursions=50)
+        records, _ = excursion_filter(t, 0, 4)
+        ref_records, _ = reference.excursion_filter_list(t, 0, 4)
+        assert len(records) == len(ref_records) == 50
+        for got in (records[-1], list(records)[-1], [r for r in records][-1]):
+            assert type(got.duration) is float
+            assert got.duration == ref_records[-1].duration
+            assert np.array_equal(got.counts, ref_records[-1].counts)
+        part = records[10:20]
+        assert isinstance(part, ExcursionRecords) and len(part) == 10
+        assert part[0].duration == ref_records[10].duration
+        with pytest.raises(IndexError):
+            records[50]
+        with pytest.raises(ValueError):
+            records.counts[0, 0, 0] = 7
+        with pytest.raises(ValueError):
+            records[0].counts[0, 0] = 7
+
+
 class TestExcursionFilter:
     def test_minimal_handcrafted_trajectory(self):
         t = Trajectory(states=np.array([0, 1, 0, 2, 0]),
@@ -247,7 +310,7 @@ class TestExcursionFilter:
     @pytest.mark.parametrize("states", [[1, 2, 1], [1, 0, 2], [2, 0], [0], [3]])
     def test_no_complete_excursion(self, states):
         records, residences = assert_same_filter(self._traj(states))
-        assert records == []
+        assert len(records) == 0
         assert residences.dtype == np.float64 and residences.shape == (0,)
 
     def test_n_states_inferred(self):
@@ -312,7 +375,69 @@ class TestSampleExcursions:
                                    keep_counts=True)
         q = np.tensordot(sample.counts, schemes["transport"].weights,
                          axes=([1, 2], [0, 1]))
-        assert np.allclose(q, sample.q["transport"])
+        assert np.array_equal(q, sample.q["transport"])
+
+
+class TestReferenceEnsemble:
+    """The compacted ensemble loop and the sliced jackknife reproduce the
+    full-size loops in ``reference_montecarlo`` bit for bit."""
+
+    @pytest.mark.parametrize("chain", ["dqd", "blockade"])
+    @pytest.mark.parametrize("a_state", [0, -1])
+    @pytest.mark.parametrize("keep_counts", [False, True])
+    def test_sample_matches_reference(self, chain, a_state, keep_counts, request):
+        m = _chain(chain, request)
+        a = a_state % m.n
+        params = request.getfixturevalue(
+            {"dqd": "ref_params", "blockade": "ref_blockade_params"}[chain])
+        schemes = _schemes(params, m.n)
+        kwargs = dict(seed=5, a_state=a, keep_counts=keep_counts)
+        sample = sample_excursions(m, schemes, 3001, **kwargs)
+        assert_same_sample(sample, reference.sample_excursions(m, schemes, 3001, **kwargs))
+
+    @pytest.mark.parametrize("a_state", [0, 3])
+    def test_long_excursions_match_reference(self, a_state):
+        # state 00 is rare at vg = -10, so excursions from it run to
+        # hundreds of jumps and the loop runs long on few excursions
+        p = DqdParams(vg=-10.0, vsd=7.0, **REF)
+        m = build_dqd(p)
+        schemes = _schemes(p, 4)
+        kwargs = dict(seed=11, a_state=a_state, keep_counts=True)
+        sample = sample_excursions(m, schemes, 300, **kwargs)
+        assert_same_sample(sample, reference.sample_excursions(m, schemes, 300, **kwargs))
+        if a_state == 0:
+            assert sample.counts.sum(axis=(1, 2)).max() > 100
+
+    def test_two_workers_and_ragged_batches_match_reference(self, ref_params, ref_model):
+        n = _BATCH + 777
+        schemes = _schemes(ref_params, 4)
+        sample = sample_excursions(ref_model, schemes, n, seed=9, workers=2)
+        assert_same_sample(sample, reference.sample_excursions(ref_model, schemes, n, seed=9))
+
+    @pytest.mark.parametrize("name", ["transport", "activity", "entropy"])
+    def test_empirical_moments_match_reference_at_64(self, ref_params, ref_model, name):
+        sample = sample_excursions(ref_model, _schemes(ref_params, 4), 64, seed=12)
+        emp = empirical_moments(sample, name)
+        ref = reference.empirical_moments(sample, name)
+        assert emp.estimates == ref.estimates
+        assert emp.scales == ref.scales and emp.n == ref.n == 64
+
+    def test_empirical_moments_match_reference_at_a_million(self, ref_params):
+        # a sample across many jackknife slices, the last one partial
+        rng = np.random.default_rng(21)
+        n = 1_000_000
+        schemes = {"transport": transport_weights("R", 4),
+                   "entropy": entropy_weights(ref_params)}
+        sample = ExcursionSample(
+            durations=rng.exponential(2.0, n), residences=rng.exponential(1.0, n),
+            q={"transport": rng.integers(-2, 3, n).astype(float),
+               "entropy": rng.normal(0.3, 1.7, n)},
+            schemes=schemes, gamma_a=1.0)
+        for name in schemes:
+            emp = empirical_moments(sample, name)
+            ref = reference.empirical_moments(sample, name)
+            assert emp.estimates == ref.estimates, name
+            assert emp.scales == ref.scales
 
 
 class TestEmpiricalMoments:

@@ -72,6 +72,32 @@ class TestConfig:
             load_config(str(path))
         assert str(err.value) == f"{path}:2: bad value for {key}: {val!r}"
 
+    @pytest.mark.parametrize("text, line, key, message", [
+        ("u = 10\ncolumns = j_qr, foo\n", 2, "columns", "unknown columns ['foo']"),
+        ("vg_n = 0\nu = 10\n", 1, "vg_n", "grid needs at least one point per axis"),
+        # the file's own settings pass through an invalid state on the way
+        ("vg_lo = 20\nvg_hi = 30\nvsd_n = 0\n", 3, "vsd_n",
+         "grid needs at least one point per axis"),
+        ("vsd_lo = 5\nvsd_hi = 9\nvsd_lo = 12\n", 3, "vsd_lo",
+         "grid bounds must satisfy lo <= hi"),
+        ("workers = 0\nvg_n = 0\n", 2, "vg_n", "grid needs at least one point per axis"),
+    ])
+    def test_invalid_value_names_its_line_and_key(self, tmp_path, text, line, key, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}:{line}: {key}: {message}"
+
+    def test_invalid_value_named_by_the_cli(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("vg_n = 3\nvsd_n = 0\n", encoding="utf-8")
+        r = run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "s.csv"))
+        assert r.returncode == 2
+        assert r.stderr == (f"exclab sweep: error: {path}:2: vsd_n: "
+                            "grid needs at least one point per axis\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_grid_spec(self):
         upd = parse_grid_spec("vg:-1:1:11,vsd:0:5:3")
         assert upd == dict(vg_lo=-1.0, vg_hi=1.0, vg_n=11,
