@@ -235,10 +235,11 @@ class ExcursionRecords(Sequence):
     __slots__ = ("durations", "counts")
 
     def __init__(self, durations: np.ndarray, counts: np.ndarray):
-        durations.flags.writeable = False
-        counts.flags.writeable = False
-        self.durations = durations
-        self.counts = counts
+        # read-only views: the caller's own arrays stay writable
+        self.durations = durations.view()
+        self.counts = counts.view()
+        self.durations.flags.writeable = False
+        self.counts.flags.writeable = False
 
     def __len__(self) -> int:
         return self.durations.size
@@ -247,9 +248,6 @@ class ExcursionRecords(Sequence):
         if isinstance(k, slice):
             return ExcursionRecords(self.durations[k], self.counts[k])
         return ExcursionRecord(float(self.durations[k]), self.counts[k])
-
-    def __iter__(self):
-        return map(ExcursionRecord, self.durations.tolist(), self.counts)
 
 
 def excursion_filter(

@@ -245,6 +245,13 @@ class TestColumnarRecords:
         with pytest.raises(ValueError):
             records[0].counts[0, 0] = 7
 
+    def test_caller_arrays_stay_writable(self):
+        durations, counts = np.ones(3), np.zeros((3, 2, 2), dtype=np.int64)
+        records = ExcursionRecords(durations, counts)
+        assert durations.flags.writeable and counts.flags.writeable
+        assert not records.durations.flags.writeable
+        assert not records.counts.flags.writeable
+
 
 class TestExcursionFilter:
     def test_minimal_handcrafted_trajectory(self):

@@ -4,9 +4,9 @@
     python3 tools/bench_pairs.py --parent ../exclab-parent --change . \
         --pairs 10 --out BENCH_10.json
 
-For every workload in ``BENCHMARK.json`` (or those given with
-``--workload``) this runs ``bench/run.py --trace 0`` in the two checkouts,
-``--pairs`` times each, alternating which side runs first.  It writes, per
+For every workload in ``BENCHMARK.json`` this runs
+``bench/run.py --trace 0`` (seed 1, the spec's ``run_seconds``) in the two
+checkouts, ``--pairs`` times each, alternating which side runs first.  It writes, per
 workload and end-to-end metric, each side's runs, median and quartiles,
 and how many pairs the change won (ties count for neither), with the
 machine (nproc, Python, numpy) and both checkouts' git SHAs.  Standard
@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def _git_sha(checkout: Path) -> str:
@@ -66,11 +67,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
     ap.add_argument("--change", type=Path, required=True, help="changed checkout")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    ap.add_argument("--workload", action="append",
-                    choices=[w["name"] for w in spec["workloads"]],
-                    help="workload to run (repeatable; default: all)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -78,11 +74,12 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     result = {
         "command": "bench/run.py --trace 0",
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "pairs": args.pairs,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": _numpy_version(), "platform": platform.platform()},
@@ -95,7 +92,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_run(sides[side], workload, args.seed, args.seconds))
+                runs[side].append(_run(sides[side], workload, SEED, seconds))
             print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{s} run_s={runs[s][-1]['metrics']['run_s']:.4f}" for s in order),
                 file=sys.stderr, flush=True)
