@@ -24,6 +24,7 @@ from .excursions import (
     noise_terms,
     observable_moments,
     outcome_distribution,
+    outcome_quadrature,
     partition,
     time_moments,
 )

@@ -16,11 +16,15 @@ A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
 insertion formulas then run as broadcast matrix products over the batch;
 every check is made cell by cell.  The transform oracles
 (:func:`joint_characteristic`, :func:`finite_difference_moments`,
-:func:`outcome_distribution`) take single chains only.  They stack their
+:func:`outcome_quadrature`) take single chains only.  They stack their
 probes instead: each trial step of the finite differences, their
 Richardson ladder and each quadrature grid is one batched solve over a
 (k, nb, nb) stack of tilted B blocks, and a doubled quadrature grid solves
 only the nodes it adds.
+
+The outcome distribution P(q) of an integer count, :func:`outcome_distribution`,
+needs no transform: it solves the charge-resolved chain, B states times
+net counts, level by level (single chains only as well).
 """
 from __future__ import annotations
 
@@ -52,6 +56,7 @@ __all__ = [
     "excursion_report",
     "joint_characteristic",
     "finite_difference_moments",
+    "outcome_quadrature",
     "outcome_distribution",
     "excess_time",
 ]
@@ -98,10 +103,12 @@ def _float(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def _block(x: np.ndarray, rows, cols) -> np.ndarray:
-    """Sub-block ``x[..., rows, cols]`` over the last two axes, C-contiguous
-    so that every cell's products take the same BLAS path as one point."""
-    return np.ascontiguousarray(x[..., rows, :][..., cols])
+def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sub-block ``x[..., rows, cols]`` over the last two axes for integer
+    index arrays, C-contiguous so that every cell's products take the same
+    BLAS path as one point.  One gather; for a stack numpy lays the gathered
+    axes out ahead of the batch axes, so only a stack is copied again."""
+    return np.ascontiguousarray(x[..., rows[:, None], cols])
 
 
 def partition(m: RateMatrix, a) -> BlockDecomposition:
@@ -122,9 +129,9 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
     if not 0 <= a_state < m.n:
         raise BadPartition(f"state index {a_state} out of range")
     b_states = tuple(i for i in range(m.n) if i != a_state)
-    bi = list(b_states)
-    w_ab = _block(m.w, [a_state], bi)
-    w_ba = _block(m.w, bi, [a_state])
+    a, bi = np.array([a_state]), np.array(b_states)
+    w_ab = _block(m.w, a, bi)
+    w_ba = _block(m.w, bi, a)
     w_b = _block(m.w, bi, bi)
     gen_b = _block(m.generator, bi, bi)
     try:
@@ -295,8 +302,7 @@ def _tilted_blocks(d: BlockDecomposition, tilt: np.ndarray):
     Returns C-contiguous ``t_ab`` (..., 1, nb), ``t_ba`` (..., nb, 1) and
     ``t_b`` (..., nb, nb); ``t_b`` carries the untilted diagonal -gamma_B.
     """
-    bi = list(d.b_states)
-    a = [d.a_state]
+    a, bi = np.array([d.a_state]), np.array(d.b_states)
     t_b = _block(tilt, bi, bi) - np.diag(d.parent.gamma[bi])
     return _block(tilt, a, bi), _block(tilt, bi, a), t_b
 
@@ -397,23 +403,26 @@ def finite_difference_moments(
     return tuple(_richardson(s)[0] for s in (d1q, d2q, d1t, d2t, dqt))
 
 
-def outcome_distribution(
+def outcome_quadrature(
     d: BlockDecomposition,
     scheme: WeightScheme,
     q_range: tuple[int, int] = (-50, 50),
-    nodes: int = 4096,
+    nodes: int | None = None,
 ):
-    """Per-excursion outcome probabilities P(q) for an integer scheme.
+    """Independent check of :func:`outcome_distribution`: P(q) by Fourier
+    inversion of the marginal characteristic function M(xi, 0).
 
-    Fourier inversion of the marginal characteristic function M(xi, 0) by
-    the trapezoid rule on a uniform grid over [-pi, pi); the integrand is
-    2*pi periodic on the integer lattice, so the rule is spectrally
-    accurate.  The node count doubles until two successive refinements
-    agree below 1e-10.  Each doubled grid keeps the nodes it shares with
-    the coarser one (the even nodes) and solves only its new odd nodes; the
-    first two grids are solved together.
+    The trapezoid rule runs on a uniform grid over [-pi, pi); the integrand
+    is 2*pi periodic on the integer lattice, so the rule is spectrally
+    accurate.  The node count doubles from ``2 * nodes`` until two
+    successive refinements agree below 1e-10, up to ``16 * nodes``;
+    ``nodes=None`` takes the smallest power of two >= 4 (hi - lo + 1).
+    Each doubled grid keeps the nodes it shares with the coarser one (the
+    even nodes) and solves only its new odd nodes; the first two grids are
+    solved together.
 
-    Returns ``(qs, probs)`` as integer and float arrays.
+    Returns ``(qs, probs)`` as integer and float arrays; a sum within
+    1e-8 of one is renormalised to one by the in-range mass.
 
     Raises
     ------
@@ -428,6 +437,8 @@ def outcome_distribution(
     if lo > hi:
         raise ValueError("empty q range")
     qs = np.arange(lo, hi + 1)
+    if nodes is None:
+        nodes = 1 << (4 * (hi - lo + 1) - 1).bit_length()
 
     def transform(xi):
         phase = np.exp(-1j * np.multiply.outer(xi, scheme.weights))
@@ -473,6 +484,135 @@ def outcome_distribution(
     if abs(1.0 - mass) <= 1e-8:
         probs = probs / mass
     return qs, probs
+
+
+def outcome_distribution(
+    d: BlockDecomposition,
+    scheme: WeightScheme,
+    q_range: tuple[int, int] = (-50, 50),
+):
+    """Per-excursion outcome probabilities P(q) for an integer scheme, from
+    the charge-resolved chain (the n-resolved master equation of counting).
+
+    The unknowns x(q, b) are the expected times spent in B state b with net
+    count q before the return to A.  Level q carries the block
+    diag(gamma_B) - W_B^(0) and takes in level q - k through W_B^(k), the
+    B -> B rates whose jumps add k.  Groups of m = max |k| consecutive levels
+    keep the system block-tridiagonal, and :func:`_block_thomas` solves it.
+    Then P(q) = sum_b w[A, b] x(q - nu(A, b), b) / gamma_A.
+
+    The solve runs on the levels [lo - K, hi + K], widened to hold every
+    entry and return level.  Paths that leave them are absorbed, and the
+    flux absorbed at each edge is known exactly.  An edge that no B -> B
+    jump crosses back is exact at K = 0; otherwise K doubles from
+    hi - lo + 1 until the mass absorbed there is at most 1e-14, up to
+    16 (hi - lo + 1).  P is normalised by the total mass of the solve,
+    every level's return flux plus the absorbed flux, so
+    ``1 - probs.sum()`` is the mass outside the range.
+
+    Returns ``(qs, probs)`` as integer and float arrays.
+
+    Raises
+    ------
+    NonIntegerScheme
+        The scheme has non-integer weights.
+    MassDeficit
+        The requested range misses more than 1e-6 of the mass, or more
+        than 1e-14 can still come back from beyond the largest window.
+    """
+    if not scheme.integer_valued:
+        raise NonIntegerScheme("outcome distribution needs integer weights")
+    if scheme.n != d.parent.n:
+        raise DimensionMismatch("scheme dimension does not match chain")
+    lo, hi = int(q_range[0]), int(q_range[1])
+    if lo > hi:
+        raise ValueError("empty q range")
+    qs = np.arange(lo, hi + 1)
+    a, bi, nb = d.a_state, list(d.b_states), d.nb
+    w, nu = d.parent.w, np.rint(scheme.weights).astype(np.int64)
+    rate_in, nu_in = w[bi, a], nu[bi, a]     # A -> b
+    rate_out, nu_out = w[a, bi], nu[a, bi]   # b -> A
+    nu_b = nu[np.ix_(bi, bi)]
+    steps = nu_b[d.w_b > 0]
+    m = int(np.abs(steps).max(initial=0))
+    # an edge can be crossed back only by B -> B jumps towards the window
+    back_lo, back_hi = bool(np.any(steps > 0)), bool(np.any(steps < 0))
+    core_lo = min(lo - nu_out[rate_out > 0].max(), nu_in[rate_in > 0].min())
+    core_hi = max(hi - nu_out[rate_out > 0].min(), nu_in[rate_in > 0].max())
+
+    g = max(m, 1)
+    r = np.arange(g)
+
+    def coupling(shift):
+        # rows (level j g + r, b), columns (level (j + shift) g + r', b')
+        k = (r[:, None] - r[None, :] - shift * g)[:, None, :, None]
+        blk = np.where(nu_b[:, None, :] == k, d.w_b[:, None, :], 0.0)
+        return -blk.reshape(g * nb, g * nb)
+
+    blocks = (coupling(0) + np.diag(np.tile(d.parent.gamma[bi], g)),
+              coupling(-1), coupling(1))
+    # out_rate[k][b'] = rate of the jumps out of b' that add k
+    out_rate = {k: np.where(nu_b == k, d.w_b, 0.0).sum(axis=0)
+                for k in range(-m, m + 1) if k}
+
+    width = hi - lo + 1
+    pad = width if back_lo or back_hi else 0
+    while True:
+        start = core_lo - pad
+        n_blk = -(-(core_hi + pad - start + 1) // g)
+        rhs = np.zeros((n_blk * g, nb))
+        live = rate_in > 0
+        rhs[nu_in[live] - start, np.flatnonzero(live)] = rate_in[live]
+        x = _block_thomas(*blocks, rhs.reshape(n_blk, g * nb)).reshape(-1, nb)
+        ret = x * rate_out
+        lost_lo = sum(o @ x[:-k].sum(axis=0) for k, o in out_rate.items() if k < 0)
+        lost_hi = sum(o @ x[-k:].sum(axis=0) for k, o in out_rate.items() if k > 0)
+        total = ret.sum() + lost_lo + lost_hi
+        leak = (back_lo * lost_lo + back_hi * lost_hi) / total
+        if leak <= 1e-14:
+            break
+        if pad >= 16 * width:
+            raise MassDeficit(
+                f"{leak:.3e} of the mass is absorbed beyond the window "
+                f"[{start}, {start + n_blk * g - 1}] and may return to "
+                f"[{lo}, {hi}]")
+        pad = min(2 * pad, 16 * width)
+
+    # P(q) gathers the return flux of levels q - nu_out[b]; a state with no
+    # return rate adds zero, so its clipped level does not matter
+    rows = np.clip(qs[:, None] - nu_out - start, 0, len(ret) - 1)
+    probs = ret[rows, np.arange(nb)].sum(axis=1) / total
+    mass = probs.sum()
+    if mass < 1.0 - 1e-6:
+        raise MassDeficit(
+            f"range [{lo}, {hi}] captures only {mass:.9f} of the mass"
+        )
+    return qs, probs
+
+
+def _block_thomas(diag, lower, upper, rhs):
+    """Solve the block-tridiagonal system with the constant blocks ``diag``,
+    ``lower`` (coupling to the previous block) and ``upper`` (to the next)
+    for the right-hand sides ``rhs`` of shape (n_blk, s).
+
+    Block LU without pivoting, which is stable for the column diagonally
+    dominant charge-resolved matrix: one solve per block on the way down,
+    matrix products on the way back.  No dense matrix of the whole system
+    is formed.
+    """
+    n_blk, s = rhs.shape
+    elim = np.empty((n_blk, s, s))
+    y = np.empty((n_blk, s))
+    pivot, carry = diag, rhs[0]
+    for j in range(n_blk):
+        if j:
+            pivot = diag - lower @ elim[j - 1]
+            carry = rhs[j] - lower @ y[j - 1]
+        sol = np.linalg.solve(pivot, np.column_stack((upper, carry)))
+        elim[j], y[j] = sol[:, :s], sol[:, s]
+    for j in range(n_blk - 2, -1, -1):
+        y[j] -= elim[j] @ y[j + 1]
+    return y
 
 
 def excess_time(d: BlockDecomposition) -> float:

@@ -3,7 +3,8 @@ built-in 7 x 7 diamond grid and reported as one pass/fail line per check.
 
 Each point's analytic side is the sweep's :func:`~exclab.sweep.evaluate`;
 the oracles it is held to (finite differences, tilted-generator FCS,
-outcome quadrature, the excess-time scheme) run on their own, per point.
+the outcome quadrature, the excess-time scheme) run on their own, per
+point.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .excursions import (
     excursion_report,
     finite_difference_moments,
     outcome_distribution,
+    outcome_quadrature,
 )
 from .markov import fcs_current_noise
 from .observables import _holds, blockade_analytics, excess_time_weights
@@ -142,8 +144,11 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     # closed-form cross-checks always run on the three-state chain; a
     # blockade run already evaluated those points above
     worst_cf = 0.0
-    worst_out = 0.0
     worst_sum = 0.0
+    # worst |P(q) error| and where, against the closed forms and the
+    # quadrature, and the largest mass the engine puts outside (-2, 2)
+    worst_out = {"closed forms": (-1.0, None), "quadrature": (-1.0, None)}
+    outside = 0.0
     if not cfg.blockade:
         evaluated = [(pb, evaluate(pb)) for pb in _points(replace(cfg, blockade=True))]
     for pb, ev in evaluated:
@@ -162,9 +167,14 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
             worst_sum = max(
                 worst_sum, abs(triple.p_suc + triple.p_fail + triple.p_dis - 1.0))
             qs, probs = outcome_distribution(ev.dec, ev.schemes["transport"], (-2, 2))
+            _, quad = outcome_quadrature(ev.dec, ev.schemes["transport"], (-2, 2))
             ref = {1: triple.p_suc, 0: triple.p_fail, -1: triple.p_dis, 2: 0.0, -2: 0.0}
-            for q, pr in zip(qs, probs):
-                worst_out = max(worst_out, abs(pr - ref[int(q)]))
+            closed = np.array([ref[int(q)] for q in qs])
+            for key, want in (("closed forms", closed), ("quadrature", quad)):
+                err = float(np.max(np.abs(probs - want)))
+                if err > worst_out[key][0]:
+                    worst_out[key] = (err, pb)
+            outside = max(outside, 1.0 - float(probs.sum()))
     results.append(CheckResult(
         "blockade closed forms vs engine", worst_cf <= 1e-10,
         f"worst rel err {worst_cf:.2e} (tol 1e-10)"))
@@ -172,9 +182,13 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         results.append(CheckResult(
             "outcome probabilities sum to one", worst_sum <= 1e-12,
             f"worst deviation {worst_sum:.2e} (tol 1e-12)"))
-        results.append(CheckResult(
-            "outcome quadrature vs closed forms", worst_out <= 1e-8,
-            f"worst abs err {worst_out:.2e} (tol 1e-8)"))
+        for key, tol in (("closed forms", 1e-8), ("quadrature", 1e-12)):
+            err, at = worst_out[key]
+            results.append(CheckResult(
+                f"outcome distribution vs {key}", err <= tol,
+                f"worst abs err {err:.2e} at vg={at.vg:.4g}, vsd={at.vsd:.4g}, "
+                f"err/tol {err / tol:.2e} (tol {tol:.0e}); "
+                f"worst mass outside range {outside:.2e}"))
     return results
 
 

@@ -5,7 +5,9 @@ shipped before their probes were stacked, kept verbatim as oracles.
 
 The library versions must reproduce them bit for bit: the same moment
 tuples, the same outcome probabilities, the same current and noise, and the
-same exception types.
+same exception types.  The quadrature here is now the library's
+``outcome_quadrature`` at an explicit ``nodes``; the library's
+``outcome_distribution`` is a charge-resolved solve checked against it.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
 """The transform oracles against the per-probe versions in
-``reference_oracles``, bit for bit, and the stacking of their probes."""
+``reference_oracles``, bit for bit, and the stacking of their probes; the
+charge-resolved outcome distribution against its quadrature oracle."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exclab import excursions
 from exclab import (
@@ -18,9 +20,14 @@ from exclab import (
     finite_difference_moments,
     outcome_distribution,
     partition,
+    success_fail_disaster,
     transport_weights,
     validate_rate_matrix,
 )
+from exclab.errors import MassDeficit
+from exclab.excursions import outcome_quadrature
+from exclab.sweep import SweepConfig, build_model
+from exclab.verify import _points
 
 import reference_oracles as reference
 from conftest import REF, random_chain
@@ -156,6 +163,8 @@ class TestFcsCurrentNoise:
 
 
 class TestOutcomeDistribution:
+    """The quadrature oracle of the outcome distribution."""
+
     def _cases(self):
         pb = DqdParams(vg=0.0, vsd=7.0, blockade=True, **REF)
         blockade = partition(build_dqd_blockade(pb), 0)
@@ -173,7 +182,7 @@ class TestOutcomeDistribution:
     def test_bitwise_equal_to_fresh_grid_reference(self, nodes):
         # small node counts double the grid up to the 16 x nodes cap
         for d, s, q_range in self._cases():
-            got = _outcome(outcome_distribution, d, s, q_range, nodes)
+            got = _outcome(outcome_quadrature, d, s, q_range, nodes)
             want = _outcome(reference.outcome_distribution, d, s, q_range, nodes)
             assert got[0] == want[0]
             if got[0] == "raised":
@@ -185,8 +194,130 @@ class TestOutcomeDistribution:
     def test_each_node_solved_once(self, ref_blockade_model, monkeypatch):
         d = partition(ref_blockade_model, 0)
         sizes = _count_calls(monkeypatch, "solve")
-        outcome_distribution(d, activity_weights(3), (0, 300), nodes=8)
+        outcome_quadrature(d, activity_weights(3), (0, 300), nodes=8)
         # the first two grids in one call, then only the new odd nodes
         assert len(sizes) >= 3
         assert sizes == [16] + [8 * 2**k for k in range(1, len(sizes))]
 
+
+
+def _compare_to_quadrature(d, scheme, ranges):
+    """The engine against the quadrature on the first of ``ranges`` whose
+    outside mass is below 1e-13, where the quadrature's renormalisation by
+    its in-range mass cannot bias it; the largest difference, or None."""
+    for q_range in ranges:
+        try:
+            qs, probs = outcome_distribution(d, scheme, q_range)
+        except MassDeficit:
+            continue
+        if 1.0 - probs.sum() < 1e-13:
+            qs_q, probs_q = outcome_quadrature(d, scheme, q_range)
+            assert np.array_equal(qs, qs_q)
+            return float(np.max(np.abs(probs - probs_q)))
+    return None
+
+
+class TestOutcomeEngine:
+    """The charge-resolved solve behind outcome_distribution."""
+
+    def test_closed_forms_on_verify_blockade_grid(self):
+        worst = 0.0
+        for p in _points(SweepConfig(blockade=True)):
+            d = partition(build_model(p), 0)
+            qs, probs = outcome_distribution(d, transport_weights("R", 3), (-2, 2))
+            t = success_fail_disaster(p)
+            ref = {1: t.p_suc, 0: t.p_fail, -1: t.p_dis}
+            want = np.array([ref.get(int(q), 0.0) for q in qs])
+            worst = max(worst, float(np.max(np.abs(probs - want))))
+        assert worst <= 1e-13
+
+    def test_matches_quadrature_on_random_chains(self):
+        for label, m, (s,) in _random_cases(integer=True):
+            err = _compare_to_quadrature(partition(m, 0), s,
+                                         [(-30, 30), (-60, 60), (-120, 120)])
+            assert err is not None and err <= 1e-12, label
+
+    def test_matches_quadrature_on_verify_grid(self):
+        compared = 0
+        for p in _points(SweepConfig()):
+            d = partition(build_model(p), 0)
+            err = _compare_to_quadrature(d, transport_weights("R", 4), [(-50, 50)])
+            if err is not None:
+                assert err <= 1e-12, (p.vg, p.vsd)
+                compared += 1
+        # the heavy-tailed cells near vg = -10 keep more than 1e-13 outside
+        assert compared >= 30
+
+    def test_absorbed_mass_bounds_a_narrow_window(self, ref_dec):
+        # transport B -> B jumps go both ways, so both edges absorb mass that
+        # could come back; the narrow window keeps that below 1e-14
+        tr = transport_weights("R", 4)
+        qs, narrow = outcome_distribution(ref_dec, tr, (-5, 5))
+        qs_w, wide = outcome_distribution(ref_dec, tr, (-60, 60))
+        assert 1.0 - wide.sum() < 1e-13 < 1.0 - narrow.sum()
+        assert np.max(np.abs(narrow - wide[np.isin(qs_w, qs)])) <= 1e-14
+        assert narrow.sum() + wide[~np.isin(qs_w, qs)].sum() == pytest.approx(1.0, abs=1e-13)
+
+    def test_one_sign_edges_need_no_padding(self, ref_blockade_model):
+        # activity only counts up: a path that leaves a window never returns
+        d = partition(ref_blockade_model, 0)
+        qs, narrow = outcome_distribution(d, activity_weights(3), (0, 200))
+        _, wide = outcome_distribution(d, activity_weights(3), (0, 300))
+        assert np.max(np.abs(narrow - wide[:201])) <= 1e-15
+
+    def test_mass_beyond_the_largest_window_raises(self):
+        # a one-level range caps the window at 16 levels a side, far inside
+        # the multi-electron tails of vg = -6
+        d = partition(build_model(DqdParams(vg=-6.0, vsd=7.0, **REF)), 0)
+        with pytest.raises(MassDeficit, match="absorbed beyond the window"):
+            outcome_distribution(d, transport_weights("R", 4), (0, 0))
+
+    def test_no_dense_matrix(self, ref_blockade_model, ref_dec, monkeypatch):
+        d = partition(ref_blockade_model, 0)
+        shapes = []
+        kernel = np.linalg.solve
+
+        def counted(a, b):
+            shapes.append(np.shape(a))
+            return kernel(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        outcome_distribution(d, transport_weights("R", 3), (-2, 2))
+        # one 2 x 2 solve per charge level of the window [-3, 2]
+        assert shapes == [(2, 2)] * 6
+        shapes.clear()
+        outcome_distribution(ref_dec, transport_weights("R", 4), (-10, 10))
+        # B -> B jumps add +-1: one 3 x 3 solve per level, in every pass
+        assert shapes and set(shapes) == {(3, 3)}
+
+
+@st.composite
+def _grouped_chains(draw):
+    """Random chains whose B -> B weights reach +-2, with return rates that
+    dominate, so that the tails beyond |q| = 80 are negligible."""
+    n = draw(st.integers(3, 4))
+    rates = st.floats(0.01, 0.5)
+    w = np.array([[draw(rates) for _ in range(n)] for _ in range(n)])
+    w[0, 1:] = [draw(st.floats(2.0, 5.0)) for _ in range(n - 1)]
+    np.fill_diagonal(w, 0.0)
+    nu = np.array([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)])
+    nu[1, 2] = draw(st.sampled_from([-2, 2]))
+    return validate_rate_matrix(w), WeightScheme(nu.astype(float))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_grouped_chains())
+def test_grouped_levels_match_quadrature(chain):
+    m, s = chain
+    d = partition(m, 0)
+    qs, probs = outcome_distribution(d, s, (-80, 80))
+    assert 1.0 - probs.sum() < 1e-13
+    _, quad = outcome_quadrature(d, s, (-80, 80))
+    assert np.max(np.abs(probs - quad)) <= 1e-12
+    # the narrowest symmetric range that keeps all but 1e-7: P plus the mass
+    # outside it, from the wide solve, is one
+    h = min(h for h in range(81) if probs[np.abs(qs) > h].sum() < 1e-7)
+    qs_n, narrow = outcome_distribution(d, s, (-h, h))
+    inside = np.isin(qs, qs_n)
+    assert np.max(np.abs(narrow - probs[inside])) <= 1e-12
+    assert narrow.sum() + probs[~inside].sum() + (1.0 - probs.sum()) == pytest.approx(1.0, abs=1e-12)
