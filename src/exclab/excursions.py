@@ -508,7 +508,8 @@ def outcome_distribution(
     hi - lo + 1 until the mass absorbed there is at most 1e-14, up to
     16 (hi - lo + 1).  P is normalised by the total mass of the solve,
     every level's return flux plus the absorbed flux, so
-    ``1 - probs.sum()`` is the mass outside the range.
+    ``1 - probs.sum()`` is the mass outside the range.  A range that misses
+    more than 1e-6 even if all the absorbed mass came back fails at once.
 
     Returns ``(qs, probs)`` as integer and float arrays.
 
@@ -557,37 +558,34 @@ def outcome_distribution(
 
     width = hi - lo + 1
     pad = width if back_lo or back_hi else 0
+    live = rate_in > 0
     while True:
         start = core_lo - pad
         n_blk = -(-(core_hi + pad - start + 1) // g)
         rhs = np.zeros((n_blk * g, nb))
-        live = rate_in > 0
         rhs[nu_in[live] - start, np.flatnonzero(live)] = rate_in[live]
         x = _block_thomas(*blocks, rhs.reshape(n_blk, g * nb)).reshape(-1, nb)
         ret = x * rate_out
         lost_lo = sum(o @ x[:-k].sum(axis=0) for k, o in out_rate.items() if k < 0)
         lost_hi = sum(o @ x[-k:].sum(axis=0) for k, o in out_rate.items() if k > 0)
         total = ret.sum() + lost_lo + lost_hi
+        # P(q) gathers the return flux of levels q - nu_out[b]; a state with
+        # no return rate adds zero, so its clipped level does not matter
+        rows = np.clip(qs[:, None] - nu_out - start, 0, len(ret) - 1)
+        probs = ret[rows, np.arange(nb)].sum(axis=1) / total
+        # absorbed paths could still add at most `leak` to the range
         leak = (back_lo * lost_lo + back_hi * lost_hi) / total
+        if probs.sum() + leak < 1.0 - 1e-6:
+            raise MassDeficit(f"range [{lo}, {hi}] captures only "
+                              f"{probs.sum() + leak:.9f} of the mass")
         if leak <= 1e-14:
-            break
+            return qs, probs
         if pad >= 16 * width:
             raise MassDeficit(
                 f"{leak:.3e} of the mass is absorbed beyond the window "
                 f"[{start}, {start + n_blk * g - 1}] and may return to "
                 f"[{lo}, {hi}]")
         pad = min(2 * pad, 16 * width)
-
-    # P(q) gathers the return flux of levels q - nu_out[b]; a state with no
-    # return rate adds zero, so its clipped level does not matter
-    rows = np.clip(qs[:, None] - nu_out - start, 0, len(ret) - 1)
-    probs = ret[rows, np.arange(nb)].sum(axis=1) / total
-    mass = probs.sum()
-    if mass < 1.0 - 1e-6:
-        raise MassDeficit(
-            f"range [{lo}, {hi}] captures only {mass:.9f} of the mass"
-        )
-    return qs, probs
 
 
 def _block_thomas(diag, lower, upper, rhs):

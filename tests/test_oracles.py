@@ -266,11 +266,28 @@ class TestOutcomeEngine:
         assert np.max(np.abs(narrow - wide[:201])) <= 1e-15
 
     def test_mass_beyond_the_largest_window_raises(self):
-        # a one-level range caps the window at 16 levels a side, far inside
-        # the multi-electron tails of vg = -6
-        d = partition(build_model(DqdParams(vg=-6.0, vsd=7.0, **REF)), 0)
-        with pytest.raises(MassDeficit, match="absorbed beyond the window"):
-            outcome_distribution(d, transport_weights("R", 4), (0, 0))
+        # every excursion ends at q = 0, but half of them first jump by +40
+        # from state 1 to state 2, which has no return to A, and back by -40:
+        # beyond a one-level range's 16-level cap, but inside (-50, 50)'s
+        w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        nu = np.zeros((3, 3))
+        nu[2, 1], nu[1, 2] = 40.0, -40.0
+        d, s = partition(validate_rate_matrix(w), 0), WeightScheme(nu)
+        with pytest.raises(MassDeficit, match="5.000e-01 of the mass is absorbed"):
+            outcome_distribution(d, s, (0, 0))
+        qs, probs = outcome_distribution(d, s, (-50, 50))
+        assert probs[qs == 0][0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_hopeless_range_fails_before_widening(self, monkeypatch):
+        # (-10, 0) of verify's grid spreads its net count over hundreds: the
+        # first window already shows (-50, 50) cannot hold 1 - 1e-6
+        p = DqdParams(vg=-10.0, vsd=0.0, **dict(REF, temperature=1.0))
+        d = partition(build_model(p), 0)
+        sizes = _count_calls(monkeypatch, "solve")
+        with pytest.raises(MassDeficit, match="captures only"):
+            outcome_distribution(d, transport_weights("R", 4), (-50, 50))
+        # one pass: the core levels [-51, 50] and 101 more on each side
+        assert len(sizes) == 102 + 2 * 101
 
     def test_no_dense_matrix(self, ref_blockade_model, ref_dec, monkeypatch):
         d = partition(ref_blockade_model, 0)
