@@ -20,7 +20,6 @@ from .excursions import (
     excess_time,
     excursion_report,
     finite_difference_moments,
-    joint_characteristic,
     noise_terms,
     observable_moments,
     outcome_distribution,
@@ -38,7 +37,6 @@ from .markov import (
 )
 from .montecarlo import (
     EmpiricalReport,
-    ExcursionRecord,
     ExcursionRecords,
     ExcursionSample,
     Trajectory,
@@ -58,9 +56,7 @@ from .observables import (
     blockade_analytics,
     entropy_weights,
     excess_time_weights,
-    fano,
     mutual_information,
-    mutual_information_exclusive,
     populations,
     precision_bounds,
     state_weights,

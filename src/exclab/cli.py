@@ -10,10 +10,11 @@ Exit codes: 0 success, 1 verification or z-score failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
-from .errors import DivergentFano, ExclabError
+from .errors import ExclabError
 from .montecarlo import (
     ExcursionSample,
     dump_trajectory,
@@ -22,8 +23,8 @@ from .montecarlo import (
     sample_excursions,
     simulate,
 )
-from .observables import fano
 from .sweep import (
+    ZERO_CURRENT,
     SweepConfig,
     _columns,
     _csv_chunks,
@@ -64,9 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", metavar="PATH", default="sweep.csv")
     ps.add_argument("--grid", metavar="SPEC",
                     help="vg:lo:hi:n,vsd:lo:hi:n (either axis optional)")
-    ps.add_argument("--workers", type=int,
-                    help="accepted for symmetry with simulate; the sweep "
-                         "runs vectorised in one process")
 
     pm = sub.add_parser(
         "simulate", help="Monte Carlo comparison at one grid point")
@@ -146,10 +144,10 @@ def cmd_analyze(args) -> int:
         pop_line += f" p11={pop.p11:.6g}"
     out.append(pop_line)
     out.append(f"mutual information: {row['mi']:.6g} nats")
-    try:
-        out.append(f"fano (transport): {fano(rep_tr.j, rep_tr.d):.6g}")
-    except DivergentFano:
+    if abs(rep_tr.j) < ZERO_CURRENT:
         out.append("fano (transport): divergent (j = 0)")
+    else:
+        out.append(f"fano (transport): {row['fano']:.6g}")
     b = ev.bounds
     out.append(f"bounds: lhs={b.lhs:.6g} tur_rhs={b.tur_rhs:.6g} ok={b.tur_ok} "
                f"kur_rhs={b.kur_rhs:.6g} ok={b.kur_ok} "
@@ -224,7 +222,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    out = args.out or (args.csv.rsplit(".", 1)[0] + f".{args.column}.ppm")
+    out = args.out or f"{os.path.splitext(args.csv)[0]}.{args.column}.ppm"
     info = render_heatmap(args.csv, args.column, out)
     print(f"wrote {out} ({info['n_vg']} x {info['n_vsd']}), "
           f"range [{info['min']:.6g}, {info['max']:.6g}]")

@@ -44,10 +44,6 @@ class DimensionMismatch(ExclabError):
     """Weight scheme and rate matrix have different dimensions."""
 
 
-class SingularResolvent(ExclabError):
-    """Resolvent evaluated past the abscissa of convergence."""
-
-
 class NonIntegerScheme(ExclabError):
     """Operation requires an integer-valued weight scheme."""
 
@@ -58,10 +54,6 @@ class MassDeficit(ExclabError):
 
 class DegenerateFermi(ExclabError):
     """A Fermi occupation is exactly 0 or 1, so entropy weights diverge."""
-
-
-class DivergentFano(ExclabError):
-    """Fano factor requested at (numerically) zero current."""
 
 
 class TooFewRecords(ExclabError):

@@ -15,12 +15,11 @@ noise D = D1 + D2 + D3 from them.
 A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
 insertion formulas then run as broadcast matrix products over the batch;
 every check is made cell by cell.  The transform oracles
-(:func:`joint_characteristic`, :func:`finite_difference_moments`,
-:func:`outcome_quadrature`) take single chains only.  They stack their
-probes instead: each trial step of the finite differences, their
-Richardson ladder and each quadrature grid is one batched solve over a
-(k, nb, nb) stack of tilted B blocks, and a doubled quadrature grid solves
-only the nodes it adds.
+(:func:`finite_difference_moments`, :func:`outcome_quadrature`) take single
+chains only.  They stack their probes instead: each trial step of the finite
+differences, their Richardson ladder and each quadrature grid is one batched
+solve over a (k, nb, nb) stack of tilted B blocks, and a doubled quadrature
+grid solves only the nodes it adds.
 
 The outcome distribution P(q) of an integer count, :func:`outcome_distribution`,
 needs no transform: it solves the charge-resolved chain, B states times
@@ -40,7 +39,6 @@ from .errors import (
     MassDeficit,
     NonIntegerScheme,
     SingularB,
-    SingularResolvent,
     raise_first,
 )
 from .markov import RateMatrix, WeightScheme, _richardson, steady_state
@@ -54,7 +52,6 @@ __all__ = [
     "observable_moments",
     "noise_terms",
     "excursion_report",
-    "joint_characteristic",
     "finite_difference_moments",
     "outcome_quadrature",
     "outcome_distribution",
@@ -307,34 +304,6 @@ def _tilted_blocks(d: BlockDecomposition, tilt: np.ndarray):
     return _block(tilt, a, bi), _block(tilt, bi, a), t_b
 
 
-def joint_characteristic(
-    d: BlockDecomposition, scheme: WeightScheme, xi: float, s: float
-) -> complex:
-    """Joint transform M(xi, s) with the complex tilt exp(-i weights xi).
-
-    For s >= 0 this is E[exp(-i Q xi - s T)] over one excursion; M(0, 0) = 1.
-    """
-    if scheme.n != d.parent.n:
-        raise DimensionMismatch("scheme dimension does not match chain")
-    if s < 0.0:
-        # the transform converges only above the abscissa of the untilted B
-        # block: |exp(-i Q xi - s T)| = exp(-s T) for every xi, and a
-        # complex tilt can only lower the abscissa
-        abscissa = float(np.max(np.linalg.eigvals(d.gen_b).real))
-        if s <= abscissa:
-            raise SingularResolvent(
-                f"s = {s} at or below the abscissa {abscissa:.6g}"
-            )
-    t_ab, t_ba, t_b = _tilted_blocks(
-        d, d.parent.w * np.exp(-1j * scheme.weights * xi))
-    a = s * np.eye(d.nb) - t_b
-    try:
-        x = np.linalg.solve(a, t_ba)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(str(exc)) from None
-    return complex((t_ab @ x)[0, 0]) / d.gamma_a
-
-
 def _mgf(d: BlockDecomposition, scheme: WeightScheme, chi, s) -> list[float]:
     """Real-tilt transforms E[exp(Q chi - s T)] at the probes (chi[k], s[k]),
     used for finite differences; one batched solve for all k probes."""
@@ -372,7 +341,7 @@ def finite_difference_moments(
         for _ in range(200):
             try:
                 vals = _mgf(d, scheme, *probes(h))
-            except (SingularResolvent, np.linalg.LinAlgError):
+            except np.linalg.LinAlgError:
                 h /= 2.0
                 continue
             ok = all(np.isfinite(v) and v > 0.0 for v in vals)

@@ -20,9 +20,9 @@ holds afterwards as one array from the separate hold stream.
 :func:`excursion_filter` finds the visits of the reference state with
 ``flatnonzero``, sums each excursion's holds in trajectory order with one
 vectorised add per position, and tallies every transition with one
-``bincount``.  Its records are columnar: an :class:`ExcursionRecords`
-sequence over the durations and the ``(K, n, n)`` tally block, which
-:meth:`ExcursionSample.from_records` reads as they are.
+``bincount``.  Its records are columnar, :class:`ExcursionRecords` holds
+the durations and the ``(K, n, n)`` tally block, and
+:meth:`ExcursionSample.from_records` reads them as they are.
 
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,6 @@ from .markov import RateMatrix, WeightScheme
 
 __all__ = [
     "Trajectory",
-    "ExcursionRecord",
     "ExcursionRecords",
     "ExcursionSample",
     "simulate",
@@ -86,15 +84,6 @@ class Trajectory:
     states: np.ndarray
     holds: np.ndarray
     total_time: float
-
-
-@dataclass
-class ExcursionRecord:
-    """One excursion: duration in B and the per-transition tally
-    ``counts[x, y]`` (entry and exit jumps included)."""
-
-    duration: float
-    counts: np.ndarray
 
 
 def _cumulative_jump_probs(m: RateMatrix) -> np.ndarray:
@@ -226,11 +215,9 @@ def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray
     return sums
 
 
-class ExcursionRecords(Sequence):
+class ExcursionRecords:
     """Read-only columnar excursion records: ``durations (K,)`` and the
-    tally block ``counts (K, n, n)`` (int64).  Item k is
-    ``ExcursionRecord(float(durations[k]), counts[k])``, a view of the
-    block."""
+    tally block ``counts (K, n, n)`` (int64)."""
 
     __slots__ = ("durations", "counts")
 
@@ -243,11 +230,6 @@ class ExcursionRecords(Sequence):
 
     def __len__(self) -> int:
         return self.durations.size
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return ExcursionRecords(self.durations[k], self.counts[k])
-        return ExcursionRecord(float(self.durations[k]), self.counts[k])
 
 
 def excursion_filter(
@@ -311,18 +293,13 @@ class ExcursionSample:
     @classmethod
     def from_records(
         cls,
-        records: ExcursionRecords | list[ExcursionRecord],
+        records: ExcursionRecords,
         residences,
         schemes: dict[str, WeightScheme],
         gamma_a: float,
     ) -> "ExcursionSample":
-        """Sample from filter records: the columns of an
-        :class:`ExcursionRecords` as they are, or a list of records."""
-        if isinstance(records, ExcursionRecords):
-            durations, counts = records.durations, records.counts
-        else:
-            durations = np.array([r.duration for r in records])
-            counts = np.stack([r.counts for r in records])
+        """Sample from the columns of filter records, as they are."""
+        durations, counts = records.durations, records.counts
         q = {
             name: np.tensordot(counts, s.weights, axes=([1, 2], [0, 1]))
             for name, s in schemes.items()

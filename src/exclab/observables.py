@@ -1,6 +1,6 @@
 """Weight schemes for the double-dot model and the derived physics:
 outcome probabilities, blockade closed forms, populations, mutual
-information, Fano factor and the uncertainty-relation bounds.
+information and the uncertainty-relation bounds.
 
 Entropy weights, outcome probabilities, populations, mutual information
 and the precision bounds follow a batch of parameter points (array
@@ -22,7 +22,7 @@ from .dqd import (
     lead_log_ratio,
     require_finite_fermi,
 )
-from .errors import DivergentFano, raise_first
+from .errors import raise_first
 from .markov import RateMatrix, WeightScheme, steady_state
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "Populations",
     "populations",
     "mutual_information",
-    "mutual_information_exclusive",
-    "fano",
     "BoundsReport",
     "precision_bounds",
 ]
@@ -235,10 +233,11 @@ def populations(m: RateMatrix) -> Populations:
     return pop if p.ndim > 1 else Populations(*map(float, vars(pop).values()))
 
 
-def _mi_terms(joint: np.ndarray):
-    """Mutual information of the 2 x 2 joint distributions given as
-    ``joint[..., :] = (p00, p01, p10, p11)``; the logarithm is the C
-    library's, as in :func:`exclab.dqd.fermi`."""
+def mutual_information(pop: Populations):
+    """Mutual information (nats) between the two dot occupancies, treating
+    (n_left, n_right) in {0,1}^2 as a joint binary distribution; the
+    logarithm is the C library's, as in :func:`exclab.dqd.fermi`."""
+    joint = np.stack([pop.p00, pop.p01, pop.p10, pop.p11], axis=-1)
     joint = joint.reshape(joint.shape[:-1] + (2, 2))
     marginals = joint.sum(axis=-1)[..., :, None] * joint.sum(axis=-2)[..., None, :]
     live = joint > 0.0
@@ -247,33 +246,6 @@ def _mi_terms(joint: np.ndarray):
     terms = np.where(live, joint * logs.reshape(joint.shape), 0.0)
     mi = terms[..., 0, 0] + terms[..., 0, 1] + terms[..., 1, 0] + terms[..., 1, 1]
     return mi if mi.ndim else float(mi)
-
-
-def mutual_information(pop: Populations):
-    """Mutual information (nats) between the two dot occupancies, treating
-    (n_left, n_right) in {0,1}^2 as a joint binary distribution."""
-    return _mi_terms(np.stack([pop.p00, pop.p01, pop.p10, pop.p11], axis=-1))
-
-
-def mutual_information_exclusive(pop: Populations):
-    """Variant over the exclusive indicators 1{state=10}, 1{state=01}
-    (the pairwise reading of the dot-correlation figure)."""
-    return _mi_terms(np.stack(
-        [1.0 - pop.p10 - pop.p01, pop.p01, pop.p10, np.zeros_like(pop.p10)],
-        axis=-1))
-
-
-ZERO_CURRENT = 1e-14  # |J| below this makes the Fano factor divergent
-
-
-def fano(j: float, d: float, signed: bool = False) -> float:
-    """Fano factor D / |J| (signed variant keeps the current's sign).
-
-    Raises DivergentFano when |J| < ZERO_CURRENT (1e-14).
-    """
-    if abs(j) < ZERO_CURRENT:
-        raise DivergentFano(f"current {j!r} is numerically zero")
-    return d / j if signed else d / abs(j)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .excursions import (
 )
 from .markov import RateMatrix, WeightScheme
 from .observables import (
-    ZERO_CURRENT,
     BoundsReport,
     OutcomeTriple,
     Populations,
@@ -64,6 +63,8 @@ CANONICAL_COLUMNS = (
     "p01", "p11", "mi", "p_suc", "p_fail", "p_dis", "tur_lhs", "tur_rhs",
     "kur_rhs", "cur_rhs",
 )
+
+ZERO_CURRENT = 1e-14  # |J| below this makes the Fano factor divergent
 
 # Grid cells per pass of the batched engine, and CSV rows per write.
 # Bigger blocks save little time but hold more stacked arrays (and row
@@ -322,7 +323,6 @@ def sweep_rows(cfg: SweepConfig) -> dict:
     vsd-major}``; the outcome columns are None outside blockade mode.  A
     failing cell aborts the sweep with an error naming its grid coordinates."""
     shift = cfg.gate_shift is not False  # None: sweeps default to the shift
-    cfg.resolve_workers()  # rejects a bad EXCLAB_WORKERS, though unused here
     vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
     blocks = [compute_row(cfg, vg[i:i + _BLOCK_CELLS], vsd[i:i + _BLOCK_CELLS], shift)
               for i in range(0, vg.size, _BLOCK_CELLS)]

@@ -17,6 +17,8 @@ the tests valid across numpy releases that change a random stream.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from exclab.errors import DimensionMismatch, TooFewRecords
@@ -27,12 +29,20 @@ from exclab.montecarlo import (
     _DIMENSIONS,
     _DIRECT_BATCHES,
     EmpiricalReport,
-    ExcursionRecord,
     ExcursionSample,
     Trajectory,
     _cumulative_jump_probs,
     _sequential_segment_sums,
 )
+
+
+@dataclass
+class ExcursionRecord:
+    """One excursion: duration in B and the per-transition tally
+    ``counts[x, y]`` (entry and exit jumps included)."""
+
+    duration: float
+    counts: np.ndarray
 
 
 def simulate(

@@ -18,7 +18,6 @@ from exclab.errors import (
     EigenFailure,
     MassDeficit,
     NonIntegerScheme,
-    SingularResolvent,
     StepCollapse,
 )
 from exclab.excursions import BlockDecomposition, _float
@@ -72,7 +71,7 @@ def finite_difference_moments(
             try:
                 p, m = sides(h)
                 ok = all(np.isfinite(v) and v > 0.0 for v in (p, m) + extra_vals(h, extra))
-            except (SingularResolvent, np.linalg.LinAlgError):
+            except np.linalg.LinAlgError:
                 h /= 2.0
                 continue
             if ok and abs(p - 2.0 * f00 + m) <= target:

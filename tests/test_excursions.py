@@ -15,7 +15,6 @@ from exclab import (
     excess_time_weights,
     excursion_report,
     finite_difference_moments,
-    joint_characteristic,
     noise_terms,
     observable_moments,
     outcome_distribution,
@@ -29,7 +28,6 @@ from exclab.errors import (
     BadPartition,
     MassDeficit,
     NonIntegerScheme,
-    SingularResolvent,
 )
 
 from conftest import REF, GAMMA, grid, random_chain
@@ -211,44 +209,6 @@ class TestCurrentAndNoise:
                                        transport_weights("R", 4)])
             assert m2[0][1] - m1[0] * m1[1] == pytest.approx(
                 -rr.var_q, rel=1e-9, abs=1e-10)
-
-
-class TestJointCharacteristic:
-    def test_normalized_at_origin(self, ref_dec):
-        for s in (transport_weights("R", 4), activity_weights(4)):
-            m = joint_characteristic(ref_dec, s, 0.0, 0.0)
-            assert m == pytest.approx(1.0, abs=1e-12)
-
-    def test_normalization_on_grid(self):
-        tr = transport_weights("R", 4)
-        for vg, vsd in grid(5, 5):
-            d = partition(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
-            assert joint_characteristic(d, tr, 0.0, 0.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_first_derivatives_recover_means(self, ref_dec):
-        s = transport_weights("R", 4)
-        e_q = observable_moments(ref_dec, s)[0]
-        e_t = time_moments(ref_dec)[0]
-        h = 1e-6
-        dq = (joint_characteristic(ref_dec, s, h, 0.0)
-              - joint_characteristic(ref_dec, s, -h, 0.0)) / (2 * h * -1j)
-        assert dq.real == pytest.approx(e_q, rel=1e-6)
-        dt = -(joint_characteristic(ref_dec, s, 0.0, h)
-               - joint_characteristic(ref_dec, s, 0.0, -h)) / (2 * h)
-        assert dt.real == pytest.approx(e_t, rel=1e-6)
-
-    def test_resolvent_abscissa_guard(self, ref_dec):
-        with pytest.raises(SingularResolvent):
-            joint_characteristic(ref_dec, transport_weights("R", 4), 0.0,
-                                 -1e6)
-
-    def test_abscissa_ignores_the_complex_tilt(self, ref_dec):
-        # E[exp(s T)] diverges below the untilted abscissa -0.3023; at
-        # xi = pi the tilted B block's abscissa is lower, -0.3186
-        tr = transport_weights("R", 4)
-        with pytest.raises(SingularResolvent):
-            joint_characteristic(ref_dec, tr, math.pi, -0.3104)
-        assert np.isfinite(joint_characteristic(ref_dec, tr, math.pi, -0.30))
 
 
 class TestOutcomeDistribution:

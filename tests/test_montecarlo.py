@@ -133,10 +133,11 @@ def assert_same_filter(t, a_state=0, n_states=None):
     assert residences.shape == ref_residences.shape
     assert np.array_equal(residences, ref_residences)
     assert len(records) == len(ref_records)
-    for r, ref in zip(records, ref_records):
-        assert r.duration == ref.duration
-        assert r.counts.dtype == ref.counts.dtype == np.int64
-        assert np.array_equal(r.counts, ref.counts)
+    assert records.durations.tolist() == [r.duration for r in ref_records]
+    assert records.counts.dtype == np.int64
+    for counts, ref in zip(records.counts, ref_records):
+        assert ref.counts.dtype == np.int64
+        assert np.array_equal(counts, ref.counts)
     return records, residences
 
 
@@ -173,7 +174,7 @@ class TestReferenceLoops:
         m = build_dqd(DqdParams(vg=-10.0, vsd=7.0, **REF))
         t = simulate(m, seed=4, max_excursions=40)
         records, _ = assert_same_filter(t, 0, 4)
-        lengths = sorted(int(r.counts.sum()) for r in records)
+        lengths = np.sort(records.counts.sum(axis=(1, 2)))
         assert lengths[-17] > 100
 
     def test_other_reference_state(self, ref_model):
@@ -221,29 +222,6 @@ class TestColumnarRecords:
         want = reference.from_records(ref_records, ref_residences, schemes, gamma_a)
         assert_same_sample(
             ExcursionSample.from_records(records, residences, schemes, gamma_a), want)
-        # a plain list of records is still accepted
-        assert_same_sample(
-            ExcursionSample.from_records(ref_records, ref_residences, schemes, gamma_a),
-            want)
-
-    def test_sequence_behaviour(self, ref_model):
-        t = simulate(ref_model, seed=3, max_excursions=50)
-        records, _ = excursion_filter(t, 0, 4)
-        ref_records, _ = reference.excursion_filter_list(t, 0, 4)
-        assert len(records) == len(ref_records) == 50
-        for got in (records[-1], list(records)[-1], [r for r in records][-1]):
-            assert type(got.duration) is float
-            assert got.duration == ref_records[-1].duration
-            assert np.array_equal(got.counts, ref_records[-1].counts)
-        part = records[10:20]
-        assert isinstance(part, ExcursionRecords) and len(part) == 10
-        assert part[0].duration == ref_records[10].duration
-        with pytest.raises(IndexError):
-            records[50]
-        with pytest.raises(ValueError):
-            records.counts[0, 0, 0] = 7
-        with pytest.raises(ValueError):
-            records[0].counts[0, 0] = 7
 
     def test_caller_arrays_stay_writable(self):
         durations, counts = np.ones(3), np.zeros((3, 2, 2), dtype=np.int64)
@@ -251,6 +229,9 @@ class TestColumnarRecords:
         assert durations.flags.writeable and counts.flags.writeable
         assert not records.durations.flags.writeable
         assert not records.counts.flags.writeable
+        assert len(records) == 3
+        with pytest.raises(ValueError):
+            records.counts[0, 0, 0] = 7
 
 
 class TestExcursionFilter:
@@ -260,14 +241,14 @@ class TestExcursionFilter:
                        total_time=3.875)
         records, residences = excursion_filter(t, 0, n_states=3)
         assert len(records) == 2
-        assert [r.counts.sum() for r in records] == [2, 2]
-        assert records[0].duration == 1.0 and records[1].duration == 2.0
+        assert records.counts.sum(axis=(1, 2)).tolist() == [2, 2]
+        assert records.durations.tolist() == [1.0, 2.0]
         assert list(residences) == [0.5, 0.25]
 
     def test_segmentation_completeness(self, ref_model):
         t = simulate(ref_model, seed=9, max_time=5000.0)
         records, residences = excursion_filter(t, 0, n_states=4)
-        durations = sum(r.duration for r in records)
+        durations = sum(records.durations.tolist())
         tail = t.total_time - durations - residences.sum()
         assert tail >= -1e-9 * t.total_time
         assert abs(t.total_time - durations - residences.sum() - tail) \
@@ -277,14 +258,14 @@ class TestExcursionFilter:
         t = simulate(ref_model, seed=21, max_excursions=2000)
         records, _ = excursion_filter(t, 0, n_states=4)
         assert len(records) == 2000
-        assert min(r.counts.sum() for r in records) >= 2
+        assert records.counts.sum(axis=(1, 2)).min() >= 2
 
     def test_counts_cross_the_cut(self, ref_model):
         t = simulate(ref_model, seed=2, max_excursions=500)
         records, _ = excursion_filter(t, 0, n_states=4)
-        for r in records:
-            assert r.counts[:, 0].sum() == 1  # one entry jump out of A
-            assert r.counts[0, :].sum() == 1  # one exit jump back
+        # one entry jump out of A and one exit jump back per excursion
+        assert (records.counts[:, :, 0].sum(axis=1) == 1).all()
+        assert (records.counts[:, 0, :].sum(axis=1) == 1).all()
 
 
     @staticmethod
@@ -298,9 +279,10 @@ class TestExcursionFilter:
         records, residences = assert_same_filter(t, 0, 4)
         assert len(records) == 2
         assert list(residences) == [t.holds[2], t.holds[5]]
-        assert records[0].duration == t.holds[3] + t.holds[4]
-        assert records[0].counts[1, 0] == 1 and records[0].counts[0, 2] == 1
-        assert records[0].counts[0, 1] == 0  # the jump into A before it is not counted
+        first = records.counts[0]
+        assert records.durations[0] == t.holds[3] + t.holds[4]
+        assert first[1, 0] == 1 and first[0, 2] == 1
+        assert first[0, 1] == 0  # the jump into A before it is not counted
 
     def test_trailing_partial_excursion_dropped_with_its_residence(self):
         t = self._traj([0, 1, 0, 2, 3])
@@ -312,7 +294,7 @@ class TestExcursionFilter:
         t = self._traj([0, 1, 2, 0])
         records, residences = assert_same_filter(t, 0, 3)
         assert len(records) == 1 and list(residences) == [t.holds[0]]
-        assert records[0].duration == t.holds[1] + t.holds[2]
+        assert records.durations[0] == t.holds[1] + t.holds[2]
 
     @pytest.mark.parametrize("states", [[1, 2, 1], [1, 0, 2], [2, 0], [0], [3]])
     def test_no_complete_excursion(self, states):
@@ -322,8 +304,8 @@ class TestExcursionFilter:
 
     def test_n_states_inferred(self):
         records, _ = assert_same_filter(self._traj([0, 2, 1, 0, 1, 0]))
-        assert [r.counts.shape for r in records] == [(3, 3), (3, 3)]
-        assert records[0].counts.dtype == np.int64
+        assert records.counts.shape == (2, 3, 3)
+        assert records.counts.dtype == np.int64
 
     def test_n_states_too_small(self):
         with pytest.raises(DimensionMismatch):

@@ -13,9 +13,7 @@ from exclab import (
     build_dqd_blockade,
     entropy_weights,
     excursion_report,
-    fano,
     mutual_information,
-    mutual_information_exclusive,
     partition,
     populations,
     precision_bounds,
@@ -26,7 +24,7 @@ from exclab import (
     validate_rate_matrix,
 )
 from exclab.dqd import lead_log_ratio
-from exclab.errors import DegenerateFermi, DivergentFano
+from exclab.errors import DegenerateFermi
 from exclab.observables import _holds
 from exclab.sweep import SweepConfig, _point_params, compute_row, evaluate
 
@@ -190,7 +188,6 @@ class TestMutualInformation:
         for vg, vsd in grid(5, 5):
             pop = populations(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)))
             assert mutual_information(pop) >= 0.0
-            assert mutual_information_exclusive(pop) >= 0.0
 
     def test_peaks_inside_central_diamond(self):
         # scan the shifted gate axis at zero bias: the hopping-dominated
@@ -214,20 +211,18 @@ class TestFano:
         nu = np.zeros((2, 2))
         nu[0, 1] = 1.0
         r = excursion_report(d, WeightScheme(nu))
-        assert fano(r.j, r.d) == pytest.approx(1.0, abs=1e-5)
-
-    def test_zero_noise(self):
-        assert fano(2.0, 0.0) == 0.0
+        assert r.d / abs(r.j) == pytest.approx(1.0, abs=1e-5)
 
     def test_magnitude_convention(self):
-        assert fano(-0.5, 0.25) == 0.5
-        assert fano(-0.5, 0.25, signed=True) == -0.5
+        # the sweep's fano column is the one Fano rule
+        row = compute_row(SweepConfig(**REF), 0.0, 7.0, False)
+        assert row["j_qr"] < 0.0
+        assert row["fano"] == row["d_qr"] / abs(row["j_qr"])
 
     def test_divergent_at_equilibrium(self):
-        m = build_dqd(DqdParams(vg=1.0, vsd=0.0, **REF))
-        r = excursion_report(partition(m, 0), transport_weights("R", 4))
-        with pytest.raises(DivergentFano):
-            fano(r.j, r.d)
+        row = compute_row(SweepConfig(**REF), 1.0, 0.0, False)
+        assert abs(row["j_qr"]) < 1e-14
+        assert row["fano"] == math.inf
 
 
 class TestUncertaintyBounds:

@@ -427,6 +427,14 @@ class TestCli:
         assert abs(float(row["j_sigma"])) < 1e-12
         assert "divergent" in r.stdout
 
+    def test_analyze_fano_is_the_row_column(self):
+        r = run_cli("analyze", "--temperature", "2", "--vg", "0", "--vsd", "7")
+        assert r.returncode == 0
+        row = dict(zip(CANONICAL_COLUMNS,
+                       r.stdout.splitlines()[-1].split(",")))
+        assert f"fano (transport): {float(row['fano']):.6g}\n" in r.stdout
+        assert "divergent" not in r.stdout
+
     def test_analyze_blockade_mode(self):
         r = run_cli("analyze", "--temperature", "2", "--vg", "0", "--vsd", "7",
                     "--blockade")
@@ -437,10 +445,15 @@ class TestCli:
     def test_sweep_deterministic_bytes_cli(self, tmp_path):
         args = ("sweep", "--temperature", "2", "--grid",
                 "vg:-5:5:5,vsd:-10:10:5")
-        r1 = run_cli(*args, "--out", str(tmp_path / "a.csv"), "--workers", "1")
-        r2 = run_cli(*args, "--out", str(tmp_path / "b.csv"), "--workers", "2")
+        r1 = run_cli(*args, "--out", str(tmp_path / "a.csv"))
+        r2 = run_cli(*args, "--out", str(tmp_path / "b.csv"))
         assert r1.returncode == r2.returncode == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # the sweep runs in one process and takes no worker count
+        r = run_cli(*args, "--out", str(tmp_path / "c.csv"), "--workers", "2")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --workers 2" in r.stderr
+        assert not (tmp_path / "c.csv").exists()
 
     def test_simulate_reproducible_bytes(self):
         args = ("simulate", "--temperature", "2", "--vg", "0", "--vsd", "7",
@@ -547,6 +560,17 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("exclab analyze: error:")
 
+    def test_heatmap_default_out_keeps_dotted_directory(self, tmp_path):
+        # the default output replaces only the CSV's own extension
+        folder = tmp_path / "results.d"
+        folder.mkdir()
+        sweep_to_csv(SweepConfig(vg_n=3, vsd_n=3, temperature=2.0),
+                     str(folder / "sweep"))
+        r = run_cli("heatmap", str(folder / "sweep"), "j_qr")
+        assert r.returncode == 0, r.stderr
+        assert (folder / "sweep.j_qr.ppm").exists()
+        assert not (tmp_path / "results.j_qr.ppm").exists()
+
     def test_heatmap_unknown_column_exit(self, tmp_path):
         cfg_csv = tmp_path / "h.csv"
         sweep_to_csv(SweepConfig(vg_n=3, vsd_n=3, temperature=2.0), str(cfg_csv))
@@ -580,7 +604,12 @@ class TestCli:
         assert lines[1:] == want
 
     def test_workers_env_used_by_cli(self, tmp_path):
+        # simulate reads EXCLAB_WORKERS; the sweep does not read it at all
+        r = run_cli("simulate", "--n", "2000", env={"EXCLAB_WORKERS": "2"})
+        assert r.returncode == 0, r.stdout + r.stderr
+        r = run_cli("simulate", "--n", "2000", env={"EXCLAB_WORKERS": "nope"})
+        assert r.returncode == 2 and "EXCLAB_WORKERS" in r.stderr
         out = tmp_path / "env.csv"
         r = run_cli("sweep", "--grid", "vg:-2:2:3,vsd:-2:2:3",
-                    "--out", str(out), env={"EXCLAB_WORKERS": "2"})
+                    "--out", str(out), env={"EXCLAB_WORKERS": "nope"})
         assert r.returncode == 0 and out.exists()
