@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--vsd", type=float, default=7.0)
     pm.add_argument("--n", type=int, default=100_000,
                     help="number of excursions")
-    pm.add_argument("--seed", type=int, default=1234)
+    pm.add_argument("--seed", type=int,
+                    help="sampler seed (default: the config's, else 1234)")
     pm.add_argument("--workers", type=int,
                     help="sampler processes (EXCLAB_WORKERS as fallback)")
     pm.add_argument("--dump-trajectory", metavar="PATH",

@@ -14,12 +14,14 @@ noise D = D1 + D2 + D3 from them.
 
 A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
 insertion formulas then run as broadcast matrix products over the batch;
-every check is made cell by cell.  The transform oracles
-(:func:`finite_difference_moments`, :func:`outcome_quadrature`) take single
-chains only.  They stack their probes instead: each trial step of the finite
-differences, their Richardson ladder and each quadrature grid is one batched
-solve over a (k, nb, nb) stack of tilted B blocks, and a doubled quadrature
-grid solves only the nodes it adds.
+every check is made cell by cell.  The duration moments of
+:func:`time_moments` are formed once per decomposition and cached on it.
+The transform oracles (:func:`finite_difference_moments`,
+:func:`outcome_quadrature`) take single chains only.  They stack their
+probes instead: each ladder of trial steps of the finite differences, their
+Richardson ladder and each quadrature grid is one batched solve over a
+(k, nb, nb) stack of tilted B blocks, and a doubled quadrature grid solves
+only the nodes it adds.
 
 The outcome distribution P(q) of an integer count, :func:`outcome_distribution`,
 needs no transform: it solves the charge-resolved chain, B states times
@@ -58,6 +60,11 @@ __all__ = [
     "excess_time",
 ]
 
+# Trial steps h, h/2, ... per stacked solve of the finite-difference step
+# search: a ladder's probes cost one solve call, and most searches end in
+# the first ladder.
+_LADDER = 8
+
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -93,6 +100,19 @@ class BlockDecomposition:
         rgt = np.insert(g @ self.w_ba, self.a_state, 1.0, axis=-2)
         jump = np.swapaxes(lft, -1, -2) * self.parent.w * np.swapaxes(rgt, -1, -2)
         return lft, rgt, jump
+
+    @cached_property
+    def duration_moments(self):
+        """``(e_t, e_t2, var_t, mu, delta2)`` of :func:`time_moments`, from
+        one :func:`cross_moments` insertion; batch arrays are read-only."""
+        (e_t,), ((e_t2,),) = cross_moments(self, [None])
+        var_t = e_t2 - e_t * e_t
+        moments = (e_t, e_t2, var_t, e_t + 1.0 / self.gamma_a,
+                   var_t + 1.0 / self.gamma_a**2)
+        for x in moments:
+            if isinstance(x, np.ndarray):
+                x.flags.writeable = False
+        return moments
 
 
 def _float(v):
@@ -211,13 +231,10 @@ def time_moments(d: BlockDecomposition):
 
     Returns ``(e_t, e_t2, var_t, mu, delta2)`` where mu and delta2 are the
     mean and variance of the renewal cycle (excursion plus the following
-    exponential residence in A).
+    exponential residence in A).  They are computed once per decomposition
+    (``d.duration_moments``), and the arrays of a batch are read-only.
     """
-    (e_t,), ((e_t2,),) = cross_moments(d, [None])
-    var_t = e_t2 - e_t * e_t
-    mu = e_t + 1.0 / d.gamma_a
-    delta2 = var_t + 1.0 / d.gamma_a**2
-    return e_t, e_t2, var_t, mu, delta2
+    return d.duration_moments
 
 
 def observable_moments(d: BlockDecomposition, scheme: WeightScheme):
@@ -331,23 +348,49 @@ def finite_difference_moments(
     the relative rounding noise bounded by the solver's condition number
     even for heavy-tailed excursion statistics, where the chi convergence
     radius shrinks with the mean jump count and the s abscissa with the
-    slowest absorption rate.  Each trial step evaluates its probes in one
-    stacked solve, and so do all 8 * ``levels`` Richardson probes.
+    slowest absorption rate.  The trial steps h, h/2, ... are tried
+    ``_LADDER`` at a time, all their probes in one stacked solve (f(0, 0)
+    rides in the first), and the first step that passes wins: a probe's
+    value does not depend on its stack, so that is the step a solve per
+    step accepts.  A stack that raises ``LinAlgError`` is solved again step
+    by step, skipping the steps that raise.  All 8 * ``levels``
+    Richardson probes are one stacked solve as well.
     """
-    (f00,) = _mgf(d, scheme, [0.0], [0.0])
+    f00 = None
+
+    def solved(probes):
+        try:
+            return _mgf(d, scheme, *probes)
+        except np.linalg.LinAlgError:
+            return None
 
     def shrink(h, probes):
         # probes(h) gives (chi, s) lists; the first two are the +-h sides
-        for _ in range(200):
-            try:
-                vals = _mgf(d, scheme, *probes(h))
-            except np.linalg.LinAlgError:
+        nonlocal f00
+        for start in range(0, 200, _LADDER):
+            steps = []
+            for _ in range(min(_LADDER, 200 - start)):
+                steps.append(h)
                 h /= 2.0
-                continue
-            ok = all(np.isfinite(v) and v > 0.0 for v in vals)
-            if ok and abs(vals[0] - 2.0 * f00 + vals[1]) <= target:
-                return h
-            h /= 2.0
+            head = [([0.0], [0.0])] if f00 is None else []
+            stack = head + [probes(t) for t in steps]
+            try:
+                vals = _mgf(d, scheme, [c for p in stack for c in p[0]],
+                            [t for p in stack for t in p[1]])
+            except np.linalg.LinAlgError:
+                # one singular probe fails the stack
+                if head:
+                    (f00,) = _mgf(d, scheme, *head[0])
+                rows = map(solved, stack[len(head):])
+            else:
+                if head:
+                    f00 = vals.pop(0)
+                k = len(vals) // len(steps)
+                rows = (vals[i:i + k] for i in range(0, len(vals), k))
+            for t, v in zip(steps, rows):
+                if (v is not None and all(np.isfinite(x) and x > 0.0 for x in v)
+                        and abs(v[0] - 2.0 * f00 + v[1]) <= target):
+                    return t
         return h
 
     hc = shrink(0.25 / max(1.0, scheme.max_abs_weight()),

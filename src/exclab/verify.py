@@ -63,7 +63,8 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     results = []
 
     worst_norm = 0.0
-    worst_fd = 0.0
+    # unfloored worst finite-difference error, its point and its scheme
+    worst_fd = (-1.0, None, None)
     worst_prop_mean = 0.0
     worst_prop_var = 0.0
     worst_fcs_j = 0.0
@@ -82,12 +83,13 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         worst_norm = max(worst_norm, abs(norm - dec.gamma_a) / dec.gamma_a)
 
         # insertion formulas against central differences of the transform
-        for scheme in ev.schemes.values():
+        for name, scheme in ev.schemes.items():
             (e_q, e_t), ((e_q2, e_qt), (_, e_t2)) = cross_moments(dec, [scheme, None])
             f_q, f_q2, f_t, f_t2, f_qt = finite_difference_moments(dec, scheme)
             scale = max(1.0, abs(f_q2), abs(f_t2), abs(f_qt))
             for a, b in ((e_q, f_q), (e_q2, f_q2), (e_t, f_t), (e_t2, f_t2), (e_qt, f_qt)):
-                worst_fd = max(worst_fd, abs(a - b) / scale)
+                if abs(a - b) / scale > worst_fd[0]:
+                    worst_fd = (abs(a - b) / scale, p, name)
 
         # thermodynamic currents are proportional to transport
         rq, rs = ev.reports["transport"], ev.reports["entropy"]
@@ -122,9 +124,11 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     results.append(CheckResult(
         "normalization identity", worst_norm <= 1e-10,
         f"worst rel err {worst_norm:.2e} (tol 1e-10)"))
+    err, at, name = worst_fd
     results.append(CheckResult(
-        "moment formulas vs finite differences", worst_fd <= 1e-6,
-        f"worst rel err {worst_fd:.2e} (tol 1e-6)"))
+        "moment formulas vs finite differences", err <= 1e-6,
+        f"worst rel err {err:.2e} at vg={at.vg:.4g}, vsd={at.vsd:.4g}, "
+        f"scheme {name}, err/tol {err / 1e-6:.2e} (tol 1e-6)"))
     results.append(CheckResult(
         "entropy/transport proportionality",
         worst_prop_mean <= 1e-10 and worst_prop_var <= 1e-10,

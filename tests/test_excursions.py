@@ -121,6 +121,47 @@ class TestTimeMoments:
         e_t, e_tau = times(10.0)
         assert e_t < 0.1 * e_tau
 
+    def test_one_duration_insertion_per_decomposition(self, ref_model, monkeypatch):
+        from exclab import excursions
+        calls, insert = [], excursions.cross_moments
+
+        def counted(d, schemes):
+            calls.append(list(schemes))
+            return insert(d, schemes)
+
+        monkeypatch.setattr(excursions, "cross_moments", counted)
+        d = partition(ref_model, 0)
+        first = time_moments(d)
+        assert time_moments(d) is first
+        for s in (transport_weights("R", 4), activity_weights(4),
+                  excess_time_weights(ref_model)):
+            excursion_report(d, s)
+        excess_time(d)
+        assert calls.count([None]) == 1
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_cached_equals_a_fresh_insertion(self, batch):
+        vg = np.linspace(-10.0, 10.0, 5) if batch else 1.5
+        vsd = np.full(5, 7.0) if batch else 7.0
+        d = partition(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
+        e_t, e_t2, var_t, mu, delta2 = time_moments(d)
+        (f_t,), ((f_t2,),) = cross_moments(d, [None])
+        want = (f_t, f_t2, f_t2 - f_t * f_t, f_t + 1.0 / d.gamma_a,
+                f_t2 - f_t * f_t + 1.0 / d.gamma_a**2)
+        for got, exp in zip((e_t, e_t2, var_t, mu, delta2), want):
+            assert type(got) is type(exp)
+            assert np.array_equal(got, exp)
+
+    def test_cached_batch_arrays_are_read_only(self):
+        p = DqdParams(vg=np.linspace(-5.0, 5.0, 3), vsd=np.full(3, 7.0), **REF)
+        d = partition(build_dqd(p), 0)
+        for x in time_moments(d):
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+        report = excursion_report(d, transport_weights("R", 4))
+        with pytest.raises(ValueError):
+            report.mu[...] = 0.0
+
 
 class TestObservableMoments:
     def test_null_scheme_zeroes(self, ref_dec):

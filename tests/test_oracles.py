@@ -94,12 +94,34 @@ class TestFiniteDifferenceMoments:
                 assert all(type(v) is float for v in got)
 
     def test_halving_step_matches_reference(self, ref_dec, monkeypatch):
-        # activity at the reference point halves the chi step several times
+        # activity at the reference point halves the chi step several times,
+        # all within the first ladder
         s = activity_weights(4)
+        stacked, chis = excursions._mgf, []
+
+        def recorded(d, scheme, chi, s):
+            chis.append(list(chi))
+            return stacked(d, scheme, chi, s)
+
+        monkeypatch.setattr(excursions, "_mgf", recorded)
         sizes = _count_calls(monkeypatch, "solve")
         got = finite_difference_moments(ref_dec, s)
-        assert len(sizes) > 4
+        ladder = excursions._LADDER
+        assert sizes == [1 + 2 * ladder, 4 * ladder, 32]
+        # the Richardson ladder starts at the accepted chi step
+        assert chis[-1][0] < 0.25 / 4
         assert got == reference.finite_difference_moments(ref_dec, s)
+
+    def test_stiff_search_runs_past_the_first_ladder(self, monkeypatch):
+        # activity at (vg, vsd) = (-10, 0), T = 1: the s step search needs
+        # more than one ladder
+        m = build_dqd(DqdParams(vsd=0.0, **STIFF))
+        d, s = partition(m, 0), activity_weights(m.n)
+        sizes = _count_calls(monkeypatch, "solve")
+        got = finite_difference_moments(d, s)
+        assert sizes[0] == 1 + 2 * excursions._LADDER
+        assert 3 < len(sizes) <= 5
+        assert got == reference.finite_difference_moments(d, s)
 
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     def test_failing_probe_halves_like_reference(self, ref_dec, monkeypatch, fault):
@@ -135,10 +157,10 @@ class TestFiniteDifferenceMoments:
     def test_probes_are_stacked(self, ref_dec, monkeypatch):
         sizes = _count_calls(monkeypatch, "solve")
         finite_difference_moments(ref_dec, transport_weights("R", 4), levels=4)
-        # f(0, 0), one call per trial step, one for the Richardson ladder
-        assert len(sizes) <= 8
-        assert sizes[0] == 1 and sizes[-1] == 32
-        assert set(sizes[1:-1]) <= {2, 4}
+        # f(0, 0) with the chi ladder's +-h probes, the s ladder's four
+        # probes per step, and the 8 * levels Richardson probes
+        ladder = excursions._LADDER
+        assert sizes == [1 + 2 * ladder, 4 * ladder, 32]
 
 
 class TestFcsCurrentNoise:

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -499,6 +500,21 @@ class TestCli:
         assert "[FAIL] FCS equivalence" in r.stdout
         assert "[PASS] entropy/transport proportionality" in r.stdout
 
+    def test_verify_names_the_worst_finite_difference_cell(self):
+        r = run_cli("verify")
+        assert r.returncode == 0, r.stdout + r.stderr
+        (line,) = [s for s in r.stdout.splitlines()
+                   if "moment formulas vs finite differences" in s]
+        m = re.fullmatch(
+            r"\[PASS\] moment formulas vs finite differences: worst rel err "
+            r"(\S+) at vg=(\S+), vsd=(\S+), scheme (transport|activity|entropy), "
+            r"err/tol (\S+) \(tol 1e-6\)", line)
+        assert m, line
+        err, vg, vsd, _, ratio = m.groups()
+        assert vg in {f"{v:.4g}" for v in np.linspace(-10.0, 10.0, 7)}
+        assert vsd in {f"{v:.4g}" for v in np.linspace(-20.0, 20.0, 7)}
+        assert ratio == f"{float(err) / 1e-6:.2e}"
+
     def test_verify_blockade_includes_outcome_checks(self):
         r = run_cli("verify", "--blockade")
         assert r.returncode == 0, r.stdout + r.stderr
@@ -587,6 +603,34 @@ class TestCli:
         direct = tmp_path / "d.csv"
         sweep_to_csv(SweepConfig(vg_n=3, vsd_n=3, temperature=2.0), str(direct))
         assert out.read_bytes() == direct.read_bytes()
+
+    def test_sweep_ignores_simulate_only_config_keys(self, tmp_path):
+        # workers and seed apply only to simulate; the sweep still validates
+        # them at load
+        base = "temperature = 2\nvg_n = 3\nvsd_n = 3\n"
+        outs = []
+        for extra in ("", "workers = 4\nseed = 7\n"):
+            cfg = tmp_path / f"c{len(outs)}.cfg"
+            cfg.write_text(base + extra, encoding="utf-8")
+            out = tmp_path / f"o{len(outs)}.csv"
+            r = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+            assert r.returncode == 0, r.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        cfg.write_text(base + "workers = 0\n", encoding="utf-8")
+        r = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert r.returncode == 2
+        assert f"{cfg}:4: workers: workers must be >= 1" in r.stderr
+
+    def test_simulate_reads_the_config_seed(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed = 7\n", encoding="utf-8")
+        args = ("simulate", "--n", "2000")
+        from_file = run_cli(*args, "--config", str(cfg))
+        assert from_file.returncode == 0, from_file.stderr
+        assert from_file.stdout == run_cli(*args, "--seed", "7").stdout
+        assert from_file.stdout != run_cli(*args).stdout
+        assert "seed=7" in from_file.stdout
 
     def test_column_subset_config(self, tmp_path):
         cfg = tmp_path / "sub.cfg"
