@@ -113,7 +113,7 @@ class TestFiniteDifferenceMoments:
         assert got == reference.finite_difference_moments(ref_dec, s)
 
     def test_stiff_search_runs_past_the_first_ladder(self, monkeypatch):
-        # activity at (vg, vsd) = (-10, 0), T = 1: the s step search needs
+        # activity at (vg, vsd) = (-10, 0), T = 1: the chi step search needs
         # more than one ladder
         m = build_dqd(DqdParams(vsd=0.0, **STIFF))
         d, s = partition(m, 0), activity_weights(m.n)
