@@ -28,7 +28,14 @@ The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
 same draws, in the same order, as a loop over full-size arrays.  The
 jackknife evaluates its leave-one-out statistics in slices into one
-preallocated array and sums each row with numpy's pairwise sum.
+preallocated array and sums each row with numpy's pairwise sum.  Its
+duration half (``e_t``, ``var_t``, ``mu``, ``delta2``) is the same for
+every scheme, so it runs once per sample and is cached as
+:attr:`ExcursionSample.duration_moments`; a sample's ``durations`` and
+``residences`` are read-only views, so the cache cannot go stale.  Each
+:func:`empirical_moments` call jackknifes only its five scheme rows, and
+forms the product columns (q*q, q*t, ...) from slices of q, t and tau, so
+a full-size product lives only for its own mean.
 
 Every one of these reproduces the loop it replaced bit for bit;
 ``tests/reference_montecarlo.py`` keeps those loops as oracles.
@@ -38,6 +45,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,6 +286,8 @@ class ExcursionSample:
 
     ``q`` maps scheme name to the per-excursion observable values;
     ``residences`` pairs one A residence with each excursion.
+    ``durations`` and ``residences`` are read-only views (the caller's own
+    arrays stay writable), so :attr:`duration_moments` cannot go stale.
     """
 
     durations: np.ndarray
@@ -286,9 +297,49 @@ class ExcursionSample:
     gamma_a: float
     counts: np.ndarray | None = None
 
+    def __post_init__(self):
+        for name in ("durations", "residences"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     @property
     def n(self) -> int:
         return self.durations.size
+
+    @cached_property
+    def duration_moments(self) -> "_DurationMoments":
+        """The scheme-independent half of :func:`empirical_moments`: the
+        jackknife of ``e_t``, ``var_t``, ``mu`` and ``delta2`` and the
+        direct batches' cycle times, computed once per sample.
+
+        Raises TooFewRecords below 64 excursions (two per direct batch).
+        """
+        n = self.n
+        if n < 2 * _DIRECT_BATCHES:
+            raise TooFewRecords(
+                f"need at least {2 * _DIRECT_BATCHES} excursions for the "
+                f"{_DIRECT_BATCHES}-batch direct noise estimate, got {n}"
+            )
+        t, tau = self.durations, self.residences
+        means = tuple(c.mean() for c in (t, t * t, tau, tau * tau))
+
+        def columns(lo, hi):
+            ts, taus = t[lo:hi], tau[lo:hi]
+            return ts, ts * ts, taus, taus * taus
+
+        theta, ses = _jackknife(_duration_stats, means, columns, n)
+        cyc = t + tau
+        starts = np.linspace(0, n, _DIRECT_BATCHES + 1).astype(int)[:-1]
+        batch_times = np.add.reduceat(cyc, starts)
+        starts.flags.writeable = batch_times.flags.writeable = False
+        return _DurationMoments(
+            means=means,
+            estimates={k: (float(v), s) for k, v, s in zip(_DURATION_KEYS, theta, ses)},
+            starts=starts,
+            batch_times=batch_times,
+            total_time=cyc.sum(),
+        )
 
     @classmethod
     def from_records(
@@ -456,22 +507,54 @@ class EmpiricalReport:
         return 0.0 if v == analytic or abs(v - analytic) <= floor else np.inf
 
 
-def _jackknife(stats_fn, cols: list[np.ndarray]):
-    """Delete-1 jackknife of statistics that are smooth functions of the
-    sample means of ``cols``; evaluated in O(n) by leave-one-out means.
+class _DurationMoments(NamedTuple):
+    """Scheme-independent part of :func:`empirical_moments` for one sample."""
 
-    The leave-one-out statistics are evaluated ``_JACKKNIFE_SLICE``
-    excursions at a time into one ``(k, n)`` array, whose contiguous rows
-    are then centred, squared and summed in place (numpy's pairwise sum,
-    as on a full-size temporary).
+    means: tuple          # sample means of t, t^2, tau, tau^2
+    estimates: dict       # e_t, var_t, mu, delta2 -> (estimate, jackknife se)
+    starts: np.ndarray    # first excursion of each direct batch
+    batch_times: np.ndarray  # cycle time t + tau summed over each batch
+    total_time: float     # cycle time summed over the sample
+
+
+_DURATION_KEYS = ("e_t", "var_t", "mu", "delta2")
+_SCHEME_KEYS = ("e_q", "var_q", "cov_qt", "j", "d")
+_REPORT_KEYS = ("e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d")
+
+
+def _duration_stats(m_t, m_t2, m_tau, m_tau2):
+    var_t = m_t2 - m_t**2
+    mu = m_t + m_tau
+    delta2 = var_t + (m_tau2 - m_tau**2)
+    return m_t, var_t, mu, delta2
+
+
+def _scheme_stats(m_q, m_q2, m_qt, m_t, m_t2, m_tau, m_tau2):
+    _, _, mu, delta2 = _duration_stats(m_t, m_t2, m_tau, m_tau2)
+    var_q = m_q2 - m_q**2
+    cov_qt = m_qt - m_q * m_t
+    j = m_q / mu
+    d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
+    return m_q, var_q, cov_qt, j, d1 + d2 + d3
+
+
+def _jackknife(stats_fn, means, columns, n: int):
+    """Delete-1 jackknife of statistics that are smooth functions of the
+    sample ``means`` of n-long columns; evaluated in O(n) by leave-one-out
+    means.
+
+    ``columns(lo, hi)`` gives the slice ``[lo:hi]`` of every column, in the
+    order of ``means``; a product column is the product of slices, which
+    equals the slice of the full product.  The leave-one-out statistics are
+    evaluated ``_JACKKNIFE_SLICE`` excursions at a time into one ``(k, n)``
+    array, whose contiguous rows are then centred, squared and summed in
+    place (numpy's pairwise sum, as on a full-size temporary).
     """
-    n = cols[0].size
-    means = [c.mean() for c in cols]
     theta = stats_fn(*means)
     theta_i = np.empty((len(theta), n))
     for lo in range(0, n, _JACKKNIFE_SLICE):
         hi = min(lo + _JACKKNIFE_SLICE, n)
-        loo = [(n * mu - c[lo:hi]) / (n - 1) for mu, c in zip(means, cols)]
+        loo = [(n * mu - c) / (n - 1) for mu, c in zip(means, columns(lo, hi))]
         for row, v in zip(theta_i, stats_fn(*loo)):
             row[lo:hi] = v
     ses = []
@@ -489,47 +572,38 @@ def empirical_moments(
     standard errors; the direct long-run estimates come from 32 contiguous
     batch means.
 
+    The duration half (``e_t``, ``var_t``, ``mu``, ``delta2``) comes from
+    the sample's cached :attr:`~ExcursionSample.duration_moments`; this
+    call jackknifes only the five rows that depend on the scheme.
+
     Raises TooFewRecords below 64 excursions (two per direct batch).
     """
     if scheme_name not in sample.q:
         raise KeyError(f"scheme {scheme_name!r} not in sample")
+    dur = sample.duration_moments
     n = sample.n
-    if n < 2:
-        raise TooFewRecords("need at least 2 excursions")
-    if n < 2 * _DIRECT_BATCHES:
-        raise TooFewRecords(
-            f"need at least {2 * _DIRECT_BATCHES} excursions for the "
-            f"{_DIRECT_BATCHES}-batch direct noise estimate, got {n}"
-        )
     qv = sample.q[scheme_name]
-    t = sample.durations
-    tau = sample.residences
-    cols = [qv, qv * qv, t, t * t, qv * t, tau, tau * tau]
+    t, tau = sample.durations, sample.residences
+    # each full-size product lives only for its own mean
+    means = (qv.mean(), (qv * qv).mean(), (qv * t).mean()) + dur.means
 
-    def stats(m_q, m_q2, m_t, m_t2, m_qt, m_tau, m_tau2):
-        var_q = m_q2 - m_q**2
-        var_t = m_t2 - m_t**2
-        cov_qt = m_qt - m_q * m_t
-        mu = m_t + m_tau
-        delta2 = var_t + (m_tau2 - m_tau**2)
-        j = m_q / mu
-        d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
-        return m_q, var_q, m_t, var_t, cov_qt, mu, delta2, j, d1 + d2 + d3
+    def columns(lo, hi):
+        qs, ts, taus = qv[lo:hi], t[lo:hi], tau[lo:hi]
+        return qs, qs * qs, qs * ts, ts, ts * ts, taus, taus * taus
 
-    keys = ["e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d"]
-    theta, ses = _jackknife(stats, cols)
-    estimates = {k: (float(v), s) for k, v, s in zip(keys, theta, ses)}
+    theta, ses = _jackknife(_scheme_stats, means, columns, n)
+    rows = dict(dur.estimates)
+    rows.update((k, (float(v), s)) for k, v, s in zip(_SCHEME_KEYS, theta, ses))
+    estimates = {k: rows[k] for k in _REPORT_KEYS}
 
     # direct long-run estimators over contiguous batches
-    cyc = t + tau
-    edges = np.linspace(0, n, _DIRECT_BATCHES + 1).astype(int)
-    qb = np.add.reduceat(qv, edges[:-1])
-    tb = np.add.reduceat(cyc, edges[:-1])
-    j_direct = float(qv.sum() / cyc.sum())
+    qb = np.add.reduceat(qv, dur.starts)
+    tb = dur.batch_times
+    j_direct = float(qv.sum() / dur.total_time)
     jb = qb / tb
     k = _DIRECT_BATCHES
     d_direct = float(np.sum(tb * (jb - j_direct) ** 2) / (k - 1))
-    se_j = float(np.sqrt(max(d_direct, 0.0) / cyc.sum()))
+    se_j = float(np.sqrt(max(d_direct, 0.0) / dur.total_time))
     se_d = d_direct * np.sqrt(2.0 / (k - 1))
     estimates["j_direct"] = (j_direct, se_j)
     estimates["d_direct"] = (d_direct, se_d)

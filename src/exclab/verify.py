@@ -8,6 +8,7 @@ point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,8 +40,9 @@ class CheckResult:
 
 
 def _rel(a: float, b: float) -> float:
-    m = max(abs(a), abs(b))
-    return abs(a - b) / m if m > 0 else 0.0
+    """Relative difference; NaN when either side is NaN."""
+    gap = abs(a - b)
+    return gap / max(abs(a), abs(b)) if gap else 0.0
 
 
 def _fcs_close(a: float, b: float) -> float:
@@ -57,22 +59,52 @@ def _points(cfg: SweepConfig):
             yield _point_params(cfg, float(vg), float(vsd), False)
 
 
+class _Worst:
+    """The largest error seen and the point where it occurred.
+
+    A comparison with NaN is false, so ``max`` and ``>`` would drop a NaN
+    error; here a non-finite error is the worst of all, and the first one
+    seen is kept.  ``ok(tol)`` fails on it.  Errors at or below ``floor``
+    record no point.
+    """
+
+    def __init__(self, floor: float = 0.0):
+        self.err, self.at = floor, None
+
+    def add(self, err: float, at, *where) -> None:
+        if math.isfinite(self.err) and not err <= self.err:
+            self.err, self.at = err, (at, *where)
+
+    def ok(self, tol: float) -> bool:
+        return self.err <= tol
+
+    def __str__(self) -> str:
+        if self.at is None:
+            return f"{self.err:.2e}"
+        p = self.at[0]
+        return f"{self.err:.2e} at vg={p.vg:.4g}, vsd={p.vsd:.4g}"
+
+
 def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     """Run every check; ``inject_d2`` perturbs the D2 noise term inside
-    this battery's FCS comparison only (fault-injection hook)."""
+    this battery's FCS comparison only (fault-injection hook).
+
+    Each check keeps its worst error and the point where it occurred; a
+    NaN or infinite error fails the check and is the point it names.
+    """
     results = []
 
-    worst_norm = 0.0
+    worst_norm = _Worst()
     # unfloored worst finite-difference error, its point and its scheme
-    worst_fd = (-1.0, None, None)
-    worst_prop_mean = 0.0
-    worst_prop_var = 0.0
-    worst_fcs_j = 0.0
-    worst_fcs_d = 0.0
+    worst_fd = _Worst(-1.0)
+    worst_prop_mean = _Worst()
+    worst_prop_var = _Worst()
+    worst_fcs_j = _Worst()
+    worst_fcs_d = _Worst()
     # unfloored worst relative FCS errors and where they occur, for display
-    raw_fcs = {"J": (-1.0, None), "D": (-1.0, None)}
-    worst_excess_j = 0.0
-    worst_excess_d = 0.0
+    raw_fcs = {"J": _Worst(-1.0), "D": _Worst(-1.0)}
+    worst_excess_j = _Worst()
+    worst_excess_d = _Worst()
     bounds_ok = True
     bounds_detail = "all inequalities hold"
     evaluated = [(p, evaluate(p)) for p in _points(cfg)]
@@ -80,7 +112,7 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         dec = ev.dec
 
         norm = _float((dec.w_ab @ dec.fundamental @ dec.w_ba)[..., 0, 0])
-        worst_norm = max(worst_norm, abs(norm - dec.gamma_a) / dec.gamma_a)
+        worst_norm.add(abs(norm - dec.gamma_a) / dec.gamma_a, p)
 
         # insertion formulas against central differences of the transform
         for name, scheme in ev.schemes.items():
@@ -88,15 +120,14 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
             f_q, f_q2, f_t, f_t2, f_qt = finite_difference_moments(dec, scheme)
             scale = max(1.0, abs(f_q2), abs(f_t2), abs(f_qt))
             for a, b in ((e_q, f_q), (e_q2, f_q2), (e_t, f_t), (e_t2, f_t2), (e_qt, f_qt)):
-                if abs(a - b) / scale > worst_fd[0]:
-                    worst_fd = (abs(a - b) / scale, p, name)
+                worst_fd.add(abs(a - b) / scale, p, name)
 
         # thermodynamic currents are proportional to transport
         rq, rs = ev.reports["transport"], ev.reports["entropy"]
         zeta = lead_log_ratio(p, "R") - lead_log_ratio(p, "L")
         if abs(rq.e_q) > 1e-8:
-            worst_prop_mean = max(worst_prop_mean, _rel(rs.e_q, zeta * rq.e_q))
-            worst_prop_var = max(worst_prop_var, _rel(rs.var_q, zeta**2 * rq.var_q))
+            worst_prop_mean.add(_rel(rs.e_q, zeta * rq.e_q), p)
+            worst_prop_var.add(_rel(rs.var_q, zeta**2 * rq.var_q), p)
 
         # precision bounds
         bounds = ev.bounds
@@ -110,49 +141,45 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         # long-time FCS from the tilted generator
         d_val = rq.d1 + rq.d2 * (1.0 + inject_d2) + rq.d3
         j_fcs, d_fcs = fcs_current_noise(ev.model, ev.schemes["transport"])
-        worst_fcs_j = max(worst_fcs_j, _fcs_close(rq.j, j_fcs))
-        worst_fcs_d = max(worst_fcs_d, _fcs_close(d_val, d_fcs))
+        worst_fcs_j.add(_fcs_close(rq.j, j_fcs), p)
+        worst_fcs_d.add(_fcs_close(d_val, d_fcs), p)
         for key, a, b in (("J", rq.j, j_fcs), ("D", d_val, d_fcs)):
-            if _rel(a, b) > raw_fcs[key][0]:
-                raw_fcs[key] = (_rel(a, b), p)
+            raw_fcs[key].add(_rel(a, b), p)
 
         # the excess-time scheme saturates its own bound
         rx = excursion_report(dec, excess_time_weights(ev.model))
-        worst_excess_j = max(worst_excess_j, abs(rx.j - 1.0))
-        worst_excess_d = max(worst_excess_d, _rel(rx.d, bounds.cur_rhs))
+        worst_excess_j.add(abs(rx.j - 1.0), p)
+        worst_excess_d.add(_rel(rx.d, bounds.cur_rhs), p)
 
     results.append(CheckResult(
-        "normalization identity", worst_norm <= 1e-10,
-        f"worst rel err {worst_norm:.2e} (tol 1e-10)"))
-    err, at, name = worst_fd
+        "normalization identity", worst_norm.ok(1e-10),
+        f"worst rel err {worst_norm} (tol 1e-10)"))
     results.append(CheckResult(
-        "moment formulas vs finite differences", err <= 1e-6,
-        f"worst rel err {err:.2e} at vg={at.vg:.4g}, vsd={at.vsd:.4g}, "
-        f"scheme {name}, err/tol {err / 1e-6:.2e} (tol 1e-6)"))
+        "moment formulas vs finite differences", worst_fd.ok(1e-6),
+        f"worst rel err {worst_fd}, scheme {worst_fd.at[1]}, "
+        f"err/tol {worst_fd.err / 1e-6:.2e} (tol 1e-6)"))
     results.append(CheckResult(
         "entropy/transport proportionality",
-        worst_prop_mean <= 1e-10 and worst_prop_var <= 1e-10,
-        f"worst rel err mean {worst_prop_mean:.2e}, var {worst_prop_var:.2e} (tol 1e-10)"))
+        worst_prop_mean.ok(1e-10) and worst_prop_var.ok(1e-10),
+        f"worst rel err mean {worst_prop_mean}, var {worst_prop_var} (tol 1e-10)"))
     results.append(CheckResult("bound inequalities", bounds_ok, bounds_detail))
-    fcs_detail = ", ".join(
-        f"{key} {err:.2e} at vg={at.vg:.4g}, vsd={at.vsd:.4g}"
-        for key, (err, at) in raw_fcs.items())
+    fcs_detail = ", ".join(f"{key} {w}" for key, w in raw_fcs.items())
     results.append(CheckResult(
-        "FCS equivalence", worst_fcs_j <= 1e-6 and worst_fcs_d <= 1e-6,
+        "FCS equivalence", worst_fcs_j.ok(1e-6) and worst_fcs_d.ok(1e-6),
         f"worst rel err {fcs_detail} (tol 1e-6; gaps <= 1e-9 pass)"))
     results.append(CheckResult(
         "excess-time self-consistency",
-        worst_excess_j <= 1e-10 and worst_excess_d <= 1e-8,
-        f"worst |J-1| {worst_excess_j:.2e}, rel |D-T| {worst_excess_d:.2e}"))
+        worst_excess_j.ok(1e-10) and worst_excess_d.ok(1e-8),
+        f"worst |J-1| {worst_excess_j}, rel |D-T| {worst_excess_d}"))
 
     # closed-form cross-checks always run on the three-state chain; a
     # blockade run already evaluated those points above
-    worst_cf = 0.0
-    worst_sum = 0.0
+    worst_cf = _Worst()
+    worst_sum = _Worst()
     # worst |P(q) error| and where, against the closed forms and the
     # quadrature, and the largest mass the engine puts outside (-2, 2)
-    worst_out = {"closed forms": (-1.0, None), "quadrature": (-1.0, None)}
-    outside = 0.0
+    worst_out = {"closed forms": _Worst(), "quadrature": _Worst()}
+    outside = _Worst()
     if not cfg.blockade:
         evaluated = [(pb, evaluate(pb)) for pb in _points(replace(cfg, blockade=True))]
     for pb, ev in evaluated:
@@ -164,35 +191,32 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
             (cf.p_l, ev.pop.p_left), (cf.p_r, ev.pop.p_right),
         ]
         for a, b in pairs:
-            if max(abs(a), abs(b)) > 1e-14:
-                worst_cf = max(worst_cf, _rel(a, b))
+            if not (abs(a) <= 1e-14 and abs(b) <= 1e-14):
+                worst_cf.add(_rel(a, b), pb)
         if cfg.blockade:
             triple = ev.outcomes
-            worst_sum = max(
-                worst_sum, abs(triple.p_suc + triple.p_fail + triple.p_dis - 1.0))
+            worst_sum.add(abs(triple.p_suc + triple.p_fail + triple.p_dis - 1.0), pb)
             qs, probs = outcome_distribution(ev.dec, ev.schemes["transport"], (-2, 2))
             _, quad = outcome_quadrature(ev.dec, ev.schemes["transport"], (-2, 2))
             ref = {1: triple.p_suc, 0: triple.p_fail, -1: triple.p_dis, 2: 0.0, -2: 0.0}
             closed = np.array([ref[int(q)] for q in qs])
             for key, want in (("closed forms", closed), ("quadrature", quad)):
-                err = float(np.max(np.abs(probs - want)))
-                if err > worst_out[key][0]:
-                    worst_out[key] = (err, pb)
-            outside = max(outside, 1.0 - float(probs.sum()))
+                worst_out[key].add(float(np.max(np.abs(probs - want))), pb)
+            outside.add(1.0 - float(probs.sum()), pb)
     results.append(CheckResult(
-        "blockade closed forms vs engine", worst_cf <= 1e-10,
-        f"worst rel err {worst_cf:.2e} (tol 1e-10)"))
+        "blockade closed forms vs engine", worst_cf.ok(1e-10),
+        f"worst rel err {worst_cf} (tol 1e-10)"))
     if cfg.blockade:
         results.append(CheckResult(
-            "outcome probabilities sum to one", worst_sum <= 1e-12,
-            f"worst deviation {worst_sum:.2e} (tol 1e-12)"))
+            "outcome probabilities sum to one", worst_sum.ok(1e-12),
+            f"worst deviation {worst_sum} (tol 1e-12)"))
         for key, tol in (("closed forms", 1e-8), ("quadrature", 1e-12)):
-            err, at = worst_out[key]
+            w = worst_out[key]
             results.append(CheckResult(
-                f"outcome distribution vs {key}", err <= tol,
-                f"worst abs err {err:.2e} at vg={at.vg:.4g}, vsd={at.vsd:.4g}, "
-                f"err/tol {err / tol:.2e} (tol {tol:.0e}); "
-                f"worst mass outside range {outside:.2e}"))
+                f"outcome distribution vs {key}", w.ok(tol),
+                f"worst abs err {w}, "
+                f"err/tol {w.err / tol:.2e} (tol {tol:.0e}); "
+                f"worst mass outside range {outside.err:.2e}"))
     return results
 
 

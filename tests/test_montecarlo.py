@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from exclab import (
     transport_weights,
     validate_rate_matrix,
 )
+from exclab import montecarlo
 from exclab.errors import DimensionMismatch, NonIntegerScheme, TooFewRecords
 from exclab.montecarlo import _BATCH, ExcursionRecords, Trajectory, dump_trajectory
 
@@ -429,6 +431,84 @@ class TestReferenceEnsemble:
             assert emp.scales == ref.scales
 
 
+def _random_sample(n, params, seed=21):
+    rng = np.random.default_rng(seed)
+    schemes = {"transport": transport_weights("R", 4), "activity": activity_weights(4),
+               "entropy": entropy_weights(params)}
+    return ExcursionSample(
+        durations=rng.exponential(2.0, n), residences=rng.exponential(1.0, n),
+        q={"transport": rng.integers(-2, 3, n).astype(float),
+           "activity": rng.integers(2, 9, n).astype(float),
+           "entropy": rng.normal(0.3, 1.7, n)},
+        schemes=schemes, gamma_a=1.0)
+
+
+class TestDurationHalf:
+    """The duration half of the jackknife runs once per sample; each call
+    jackknifes only the scheme rows, from slices of q, t and tau."""
+
+    @pytest.fixture
+    def jackknifes(self, monkeypatch):
+        calls = []
+        real = montecarlo._jackknife
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+        monkeypatch.setattr(montecarlo, "_jackknife", counted)
+        return calls
+
+    def test_one_duration_jackknife_per_sample(self, jackknifes, ref_params, ref_model):
+        schemes = {k: v for k, v in _schemes(ref_params, 4).items() if k != "transport_L"}
+        ensemble = sample_excursions(ref_model, schemes, 3000, seed=7)
+        t = simulate(ref_model, seed=7, max_excursions=3000)
+        records, residences = excursion_filter(t, 0, n_states=4)
+        filtered = ExcursionSample.from_records(
+            records, residences, schemes, gamma_a=float(ref_model.gamma[0]))
+        for sample in (ensemble, filtered):
+            jackknifes.clear()
+            for name in schemes:
+                empirical_moments(sample, name)
+            # one duration half, then one scheme half per scheme
+            assert len(jackknifes) == 4
+            assert jackknifes.count(montecarlo._duration_stats) == 1
+
+    def test_call_order_does_not_change_the_estimates(self, ref_params):
+        sample = _random_sample(70_000, ref_params)
+        for name in ("entropy", "transport", "activity"):
+            emp = empirical_moments(sample, name)
+            ref = reference.empirical_moments(sample, name)
+            assert emp.estimates == ref.estimates, name
+            assert list(emp.estimates) == list(ref.estimates)
+            assert emp.scales == ref.scales
+
+    def test_sample_arrays_are_read_only(self, ref_params, ref_model):
+        durations, residences = np.ones(64), np.full(64, 0.5)
+        sample = ExcursionSample(
+            durations=durations, residences=residences, q={}, schemes={},
+            gamma_a=2.0)
+        assert durations.flags.writeable and residences.flags.writeable
+        ensemble = sample_excursions(
+            ref_model, {"transport": transport_weights("R", 4)}, 100, seed=3)
+        for s in (sample, ensemble):
+            for name in ("durations", "residences"):
+                with pytest.raises(ValueError):
+                    getattr(s, name)[0] = 7.0
+
+    def test_traced_peak_stays_below_seven_rows(self, ref_params):
+        # the full-size jackknife held 4 product columns and 9 rows at once
+        n = 262_144
+        sample = _random_sample(n, ref_params)
+        for name in ("transport", "entropy"):
+            tracemalloc.start()
+            try:
+                empirical_moments(sample, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 7 * 8 * n, (name, peak / (8 * n))
+
+
 class TestEmpiricalMoments:
     def test_agrees_with_engine_at_reference(self, ref_params, ref_model, ref_dec):
         schemes = _schemes(ref_params, 4)
@@ -483,7 +563,7 @@ class TestEmpiricalMoments:
     def test_too_few_records(self, ref_model):
         schemes = {"transport": transport_weights("R", 4)}
         sample = sample_excursions(ref_model, schemes, 10, seed=1)
-        with pytest.raises(TooFewRecords):
+        with pytest.raises(TooFewRecords, match="need at least 64 excursions .* got 10"):
             empirical_moments(sample, "transport")
 
     def test_standard_errors_scale_as_root_n(self, ref_params, ref_model):

@@ -1,13 +1,14 @@
 """The transform oracles against the per-probe versions in
 ``reference_oracles``, bit for bit, and the stacking of their probes; the
 charge-resolved outcome distribution against its quadrature oracle."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exclab import excursions
+from exclab import excursions, verify
 from exclab import (
     DqdParams,
     WeightScheme,
@@ -360,3 +361,45 @@ def test_grouped_levels_match_quadrature(chain):
     inside = np.isin(qs, qs_n)
     assert np.max(np.abs(narrow - probs[inside])) <= 1e-12
     assert narrow.sum() + probs[~inside].sum() + (1.0 - probs.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _nan_on_fifth_call(fn, spoil):
+    """``fn``, except that its fifth call returns ``spoil(result)``."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return spoil(out) if len(calls) == 5 else out
+    return wrapped
+
+
+_NAN = float("nan")
+# (check line, patched name in exclab.verify, spoil, blockade run)
+_SPOILED_ORACLES = [
+    ("normalization identity", "_float", lambda v: _NAN, False),
+    ("moment formulas vs finite differences", "finite_difference_moments",
+     lambda f: (_NAN,) + tuple(f[1:]), False),
+    ("entropy/transport proportionality", "lead_log_ratio", lambda v: _NAN, False),
+    ("FCS equivalence", "fcs_current_noise", lambda jd: (_NAN, jd[1]), False),
+    ("excess-time self-consistency", "excursion_report",
+     lambda r: dataclasses.replace(r, j=_NAN), False),
+    ("blockade closed forms vs engine", "blockade_analytics",
+     lambda cf: dataclasses.replace(cf, e_t=_NAN), False),
+    ("outcome distribution vs quadrature", "outcome_quadrature",
+     lambda qp: (qp[0], np.full_like(qp[1], _NAN)), True),
+]
+
+
+@pytest.mark.parametrize("check, name, spoil, blockade", _SPOILED_ORACLES,
+                         ids=[c[0] for c in _SPOILED_ORACLES])
+def test_verify_fails_on_one_nan(monkeypatch, check, name, spoil, blockade):
+    # max() and > drop a NaN error, so one NaN from an oracle used to pass
+    monkeypatch.setattr(verify, "_GRID_VG", np.linspace(-10.0, 10.0, 3))
+    monkeypatch.setattr(verify, "_GRID_VSD", np.linspace(-20.0, 20.0, 3))
+    monkeypatch.setattr(verify, name, _nan_on_fifth_call(getattr(verify, name), spoil))
+    results = verify.run_verify(SweepConfig(blockade=blockade))
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [check]
+    assert "nan at vg=" in failed[0].detail
+    assert "1 FAILED" in verify.format_results(results)
