@@ -125,7 +125,7 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         # thermodynamic currents are proportional to transport
         rq, rs = ev.reports["transport"], ev.reports["entropy"]
         zeta = lead_log_ratio(p, "R") - lead_log_ratio(p, "L")
-        if abs(rq.e_q) > 1e-8:
+        if not abs(rq.e_q) <= 1e-8:
             worst_prop_mean.add(_rel(rs.e_q, zeta * rq.e_q), p)
             worst_prop_var.add(_rel(rs.var_q, zeta**2 * rq.var_q), p)
 
@@ -178,7 +178,7 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     worst_sum = _Worst()
     # worst |P(q) error| and where, against the closed forms and the
     # quadrature, and the largest mass the engine puts outside (-2, 2)
-    worst_out = {"closed forms": _Worst(), "quadrature": _Worst()}
+    worst_out = {"closed forms": _Worst(-1.0), "quadrature": _Worst(-1.0)}
     outside = _Worst()
     if not cfg.blockade:
         evaluated = [(pb, evaluate(pb)) for pb in _points(replace(cfg, blockade=True))]

@@ -482,7 +482,7 @@ class TestDurationHalf:
             assert list(emp.estimates) == list(ref.estimates)
             assert emp.scales == ref.scales
 
-    def test_sample_arrays_are_read_only(self, ref_params, ref_model):
+    def test_sample_arrays_are_read_only(self, ref_model):
         durations, residences = np.ones(64), np.full(64, 0.5)
         sample = ExcursionSample(
             durations=durations, residences=residences, q={}, schemes={},
