@@ -26,16 +26,20 @@ the durations and the ``(K, n, n)`` tally block, and
 
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
-same draws, in the same order, as a loop over full-size arrays.  The
-jackknife evaluates its leave-one-out statistics in slices into one
-preallocated array and sums each row with numpy's pairwise sum.  Its
-duration half (``e_t``, ``var_t``, ``mu``, ``delta2``) is the same for
-every scheme, so it runs once per sample and is cached as
-:attr:`ExcursionSample.duration_moments`; a sample's ``durations`` and
-``residences`` are read-only views, so the cache cannot go stale.  Each
-:func:`empirical_moments` call jackknifes only its five scheme rows, and
-forms the product columns (q*q, q*t, ...) from slices of q, t and tau, so
-a full-size product lives only for its own mean.
+same draws, in the same order, as a loop over full-size arrays, and
+:func:`sample_excursions` copies each batch into its slice of the
+preallocated outputs as soon as it returns, in index order.  The jackknife
+is a two-pass stream over slices of ``_JACKKNIFE_SLICE`` excursions:
+:func:`_tree_sum` splits a range the way numpy's pairwise sum splits a
+contiguous float64 row, so the sums of the slices, added back up the tree,
+are ``np.sum`` of the whole row to the last bit.  Pass 1 sums the
+leave-one-out statistics for their means; pass 2 recomputes them, centres,
+squares and sums again, so no full-size row or product column (q*q, q*t,
+...) is formed.  One jackknife per sample serves every scheme:
+:attr:`ExcursionSample.moments` evaluates the duration statistics once per
+slice and then the five rows of each scheme in ``q``, and caches them with
+the direct batches' cycle times.  A sample's arrays and its ``q`` mapping
+are read-only, so the cache cannot go stale.
 
 Every one of these reproduces the loop it replaced bit for bit;
 ``tests/reference_montecarlo.py`` keeps those loops as oracles.
@@ -44,8 +48,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -286,13 +292,16 @@ class ExcursionSample:
 
     ``q`` maps scheme name to the per-excursion observable values;
     ``residences`` pairs one A residence with each excursion.
-    ``durations`` and ``residences`` are read-only views (the caller's own
-    arrays stay writable), so :attr:`duration_moments` cannot go stale.
+    ``durations``, ``residences`` and every ``q`` array are read-only views
+    (float64 for ``q``; the caller's own arrays stay writable), and ``q``
+    itself is a read-only mapping, so :attr:`moments` cannot go stale.
+    Raises DimensionMismatch when a ``residences`` or ``q`` length is not
+    ``len(durations)``.
     """
 
     durations: np.ndarray
     residences: np.ndarray
-    q: dict[str, np.ndarray]
+    q: Mapping[str, np.ndarray]
     schemes: dict[str, WeightScheme]
     gamma_a: float
     counts: np.ndarray | None = None
@@ -302,16 +311,25 @@ class ExcursionSample:
             view = getattr(self, name).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        n = self.durations.size
+        q = {k: np.asarray(v, dtype=np.float64).view() for k, v in self.q.items()}
+        labelled = [("residences", self.residences)] + [(f"q[{k!r}]", v) for k, v in q.items()]
+        for label, view in labelled:
+            if view.shape != (n,):
+                raise DimensionMismatch(
+                    f"{label} has shape {view.shape}, expected ({n},) like durations")
+            view.flags.writeable = False
+        object.__setattr__(self, "q", MappingProxyType(q))
 
     @property
     def n(self) -> int:
         return self.durations.size
 
     @cached_property
-    def duration_moments(self) -> "_DurationMoments":
-        """The scheme-independent half of :func:`empirical_moments`: the
-        jackknife of ``e_t``, ``var_t``, ``mu`` and ``delta2`` and the
-        direct batches' cycle times, computed once per sample.
+    def moments(self) -> "_SampleMoments":
+        """The jackknife of every scheme in ``q`` and the direct batches'
+        cycle times, computed once per sample; :func:`empirical_moments`
+        reads its scheme from here.
 
         Raises TooFewRecords below 64 excursions (two per direct batch).
         """
@@ -322,24 +340,33 @@ class ExcursionSample:
                 f"{_DIRECT_BATCHES}-batch direct noise estimate, got {n}"
             )
         t, tau = self.durations, self.residences
-        means = tuple(c.mean() for c in (t, t * t, tau, tau * tau))
+        qs = list(self.q.values())
 
         def columns(lo, hi):
             ts, taus = t[lo:hi], tau[lo:hi]
-            return ts, ts * ts, taus, taus * taus
+            cols = [ts, ts * ts, taus, taus * taus]
+            for qv in qs:
+                q_s = qv[lo:hi]
+                cols += [q_s, q_s * q_s, q_s * ts]
+            return cols
 
-        theta, ses = _jackknife(_duration_stats, means, columns, n)
-        cyc = t + tau
-        starts = np.linspace(0, n, _DIRECT_BATCHES + 1).astype(int)[:-1]
-        batch_times = np.add.reduceat(cyc, starts)
+        theta, ses = _jackknife(_stats, columns, n)
+        rows = [(float(v), s) for v, s in zip(theta, ses)]
+        duration = dict(zip(_DURATION_KEYS, rows[:4]))
+        estimates = {}
+        for i, name in enumerate(self.q):
+            scheme = dict(zip(_SCHEME_KEYS, rows[4 + 5 * i : 9 + 5 * i]), **duration)
+            estimates[name] = {k: scheme[k] for k in _REPORT_KEYS}
+        # the direct batches' and the sample's cycle times t + tau, each
+        # summed as np.add.reduceat and np.sum sum the full-size column
+        starts = np.linspace(0, n, _DIRECT_BATCHES + 1).astype(int)
+        batch_times = np.concatenate([
+            np.add.reduceat(t[a:b] + tau[a:b], [0]) for a, b in zip(starts, starts[1:])
+        ])
+        total_time = _tree_sum(lambda lo, hi: [t[lo:hi] + tau[lo:hi]], 0, n)[0]
+        starts = starts[:-1]
         starts.flags.writeable = batch_times.flags.writeable = False
-        return _DurationMoments(
-            means=means,
-            estimates={k: (float(v), s) for k, v, s in zip(_DURATION_KEYS, theta, ses)},
-            starts=starts,
-            batch_times=batch_times,
-            total_time=cyc.sum(),
-        )
+        return _SampleMoments(estimates, starts, batch_times, total_time)
 
     @classmethod
     def from_records(
@@ -443,8 +470,9 @@ def sample_excursions(
     """Draw ``n_excursions`` iid excursions with per-scheme observables.
 
     Work is split into fixed-size batches with independent spawned RNG
-    streams; batches are concatenated in index order, so the result is
-    identical for any ``workers`` value.
+    streams; each batch is copied into its slice of the outputs as soon as
+    it returns, in index order, so the result is identical for any
+    ``workers`` value.
     """
     if n_excursions < 1:
         raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
@@ -456,22 +484,36 @@ def sample_excursions(
         sizes.append(n_excursions % _BATCH)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     args = [(m, a_state, schemes, sz, ss, keep_counts) for sz, ss in zip(sizes, children)]
-    if workers > 1 and len(sizes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sample_batch_star, args))
-    else:
-        parts = [_sample_batch(*a) for a in args]
-    durations = np.concatenate([p[0] for p in parts])
-    residences = np.concatenate([p[1] for p in parts])
-    q = {
-        k: np.concatenate([p[2][k] for p in parts]) for k in schemes
-    }
-    counts = np.concatenate([p[3] for p in parts]) if keep_counts else None
+    durations = np.empty(n_excursions)
+    residences = np.empty(n_excursions)
+    q = {k: np.empty(n_excursions) for k in schemes}
+    counts = np.empty((n_excursions, m.n, m.n), dtype=np.int32) if keep_counts else None
+    lo = 0
+    for dur, res, qs, cnt in _batches(args, workers):
+        hi = lo + dur.size
+        durations[lo:hi], residences[lo:hi] = dur, res
+        for k, v in q.items():
+            v[lo:hi] = qs[k]
+        if counts is not None:
+            counts[lo:hi] = cnt
+        lo = hi
     return ExcursionSample(
         durations=durations, residences=residences, q=q,
         schemes=dict(schemes), gamma_a=float(m.gamma[a_state]), counts=counts,
     )
+
+
+def _batches(args, workers: int):
+    """The results of ``_sample_batch(*a)`` for each ``a`` in ``args``, in
+    order; on a process pool when ``workers > 1`` and there is more than
+    one batch."""
+    if workers > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_sample_batch_star, args)
+    else:
+        for a in args:
+            yield _sample_batch(*a)
 
 
 def _sample_batch_star(args):
@@ -507,11 +549,10 @@ class EmpiricalReport:
         return 0.0 if v == analytic or abs(v - analytic) <= floor else np.inf
 
 
-class _DurationMoments(NamedTuple):
-    """Scheme-independent part of :func:`empirical_moments` for one sample."""
+class _SampleMoments(NamedTuple):
+    """The cached half of :func:`empirical_moments` for one sample."""
 
-    means: tuple          # sample means of t, t^2, tau, tau^2
-    estimates: dict       # e_t, var_t, mu, delta2 -> (estimate, jackknife se)
+    estimates: dict       # scheme -> report key -> (estimate, jackknife se)
     starts: np.ndarray    # first excursion of each direct batch
     batch_times: np.ndarray  # cycle time t + tau summed over each batch
     total_time: float     # cycle time summed over the sample
@@ -522,47 +563,61 @@ _SCHEME_KEYS = ("e_q", "var_q", "cov_qt", "j", "d")
 _REPORT_KEYS = ("e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d")
 
 
-def _duration_stats(m_t, m_t2, m_tau, m_tau2):
+def _stats(m_t, m_t2, m_tau, m_tau2, *scheme_means):
+    """e_t, var_t, mu and delta2, then e_q, var_q, cov_qt, j and d of each
+    scheme, from the means of t, t^2, tau and tau^2 and, per scheme, of q,
+    q^2 and q*t."""
     var_t = m_t2 - m_t**2
     mu = m_t + m_tau
     delta2 = var_t + (m_tau2 - m_tau**2)
-    return m_t, var_t, mu, delta2
+    out = [m_t, var_t, mu, delta2]
+    for i in range(0, len(scheme_means), 3):
+        m_q, m_q2, m_qt = scheme_means[i : i + 3]
+        var_q = m_q2 - m_q**2
+        cov_qt = m_qt - m_q * m_t
+        d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
+        out += [m_q, var_q, cov_qt, m_q / mu, d1 + d2 + d3]
+    return out
 
 
-def _scheme_stats(m_q, m_q2, m_qt, m_t, m_t2, m_tau, m_tau2):
-    _, _, mu, delta2 = _duration_stats(m_t, m_t2, m_tau, m_tau2)
-    var_q = m_q2 - m_q**2
-    cov_qt = m_qt - m_q * m_t
-    j = m_q / mu
-    d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
-    return m_q, var_q, cov_qt, j, d1 + d2 + d3
+def _tree_sum(rows, lo: int, hi: int) -> np.ndarray:
+    """The sum of each row over ``[lo, hi)``, bit for bit ``np.sum`` of the
+    contiguous float64 row, from ``rows(a, b)``, the rows' ``[a:b]`` slices.
 
-
-def _jackknife(stats_fn, means, columns, n: int):
-    """Delete-1 jackknife of statistics that are smooth functions of the
-    sample ``means`` of n-long columns; evaluated in O(n) by leave-one-out
-    means.
-
-    ``columns(lo, hi)`` gives the slice ``[lo:hi]`` of every column, in the
-    order of ``means``; a product column is the product of slices, which
-    equals the slice of the full product.  The leave-one-out statistics are
-    evaluated ``_JACKKNIFE_SLICE`` excursions at a time into one ``(k, n)``
-    array, whose contiguous rows are then centred, squared and summed in
-    place (numpy's pairwise sum, as on a full-size temporary).
+    numpy sums a contiguous row pairwise, splitting a range of n elements at
+    ``h = n // 2 - (n // 2) % 8`` (Higham, SIAM J. Sci. Comput. 14:783,
+    1993).  This splits the same way down to ranges of at most
+    ``_JACKKNIFE_SLICE``, sums each slice with ``np.add.reduce`` and adds
+    the halves back up the tree, so no row is ever whole.
     """
+    n = hi - lo
+    if n <= _JACKKNIFE_SLICE:
+        return np.array([np.add.reduce(r) for r in rows(lo, hi)])
+    h = n // 2 - (n // 2) % 8
+    return _tree_sum(rows, lo, lo + h) + _tree_sum(rows, lo + h, hi)
+
+
+def _jackknife(stats_fn, columns, n: int):
+    """Delete-1 jackknife of statistics that are smooth functions of the
+    sample means of n-long columns; evaluated in O(n) by leave-one-out
+    means, as a stream over slices.
+
+    ``columns(lo, hi)`` gives the slice ``[lo:hi]`` of every column; a
+    product column is the product of slices, which equals the slice of the
+    full product.  The means and the leave-one-out statistics' row means
+    and squared deviations are :func:`_tree_sum` sums, the same bits as
+    ``np.sum`` over full-size rows; pass 2 recomputes the statistics rather
+    than keep them.
+    """
+    means = _tree_sum(columns, 0, n) / n
     theta = stats_fn(*means)
-    theta_i = np.empty((len(theta), n))
-    for lo in range(0, n, _JACKKNIFE_SLICE):
-        hi = min(lo + _JACKKNIFE_SLICE, n)
-        loo = [(n * mu - c) / (n - 1) for mu, c in zip(means, columns(lo, hi))]
-        for row, v in zip(theta_i, stats_fn(*loo)):
-            row[lo:hi] = v
-    ses = []
-    for ti in theta_i:
-        ti -= ti.mean()
-        ti *= ti
-        ses.append(float(np.sqrt((n - 1) / n * np.sum(ti))))
-    return theta, ses
+
+    def loo(lo, hi):
+        return stats_fn(*[(n * mu - c) / (n - 1) for mu, c in zip(means, columns(lo, hi))])
+
+    centres = _tree_sum(loo, 0, n) / n
+    spread = _tree_sum(lambda lo, hi: [(r - c) ** 2 for r, c in zip(loo(lo, hi), centres)], 0, n)
+    return theta, [float(s) for s in np.sqrt((n - 1) / n * spread)]
 
 
 def empirical_moments(
@@ -572,45 +627,32 @@ def empirical_moments(
     standard errors; the direct long-run estimates come from 32 contiguous
     batch means.
 
-    The duration half (``e_t``, ``var_t``, ``mu``, ``delta2``) comes from
-    the sample's cached :attr:`~ExcursionSample.duration_moments`; this
-    call jackknifes only the five rows that depend on the scheme.
+    The jackknife estimates come from the sample's cached
+    :attr:`~ExcursionSample.moments`, which covers every scheme at once.
 
     Raises TooFewRecords below 64 excursions (two per direct batch).
     """
     if scheme_name not in sample.q:
         raise KeyError(f"scheme {scheme_name!r} not in sample")
-    dur = sample.duration_moments
-    n = sample.n
-    qv = sample.q[scheme_name]
-    t, tau = sample.durations, sample.residences
-    # each full-size product lives only for its own mean
-    means = (qv.mean(), (qv * qv).mean(), (qv * t).mean()) + dur.means
-
-    def columns(lo, hi):
-        qs, ts, taus = qv[lo:hi], t[lo:hi], tau[lo:hi]
-        return qs, qs * qs, qs * ts, ts, ts * ts, taus, taus * taus
-
-    theta, ses = _jackknife(_scheme_stats, means, columns, n)
-    rows = dict(dur.estimates)
-    rows.update((k, (float(v), s)) for k, v, s in zip(_SCHEME_KEYS, theta, ses))
-    estimates = {k: rows[k] for k in _REPORT_KEYS}
+    mom = sample.moments
+    estimates = dict(mom.estimates[scheme_name])
 
     # direct long-run estimators over contiguous batches
-    qb = np.add.reduceat(qv, dur.starts)
-    tb = dur.batch_times
-    j_direct = float(qv.sum() / dur.total_time)
+    qv = sample.q[scheme_name]
+    qb = np.add.reduceat(qv, mom.starts)
+    tb = mom.batch_times
+    j_direct = float(qv.sum() / mom.total_time)
     jb = qb / tb
     k = _DIRECT_BATCHES
     d_direct = float(np.sum(tb * (jb - j_direct) ** 2) / (k - 1))
-    se_j = float(np.sqrt(max(d_direct, 0.0) / dur.total_time))
+    se_j = float(np.sqrt(max(d_direct, 0.0) / mom.total_time))
     se_d = d_direct * np.sqrt(2.0 / (k - 1))
     estimates["j_direct"] = (j_direct, se_j)
     estimates["d_direct"] = (d_direct, se_d)
     w_max = sample.schemes[scheme_name].max_abs_weight()
     mu = estimates["mu"][0]
     scales = {k: w_max**a * mu**b for k, (a, b) in _DIMENSIONS.items()}
-    return EmpiricalReport(estimates=estimates, n=n, scales=scales)
+    return EmpiricalReport(estimates=estimates, n=sample.n, scales=scales)
 
 
 def empirical_outcome_histogram(sample: ExcursionSample, scheme_name: str):

@@ -101,7 +101,8 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     worst_prop_var = _Worst()
     worst_fcs_j = _Worst()
     worst_fcs_d = _Worst()
-    # unfloored worst relative FCS errors and where they occur, for display
+    # unfloored worst relative FCS errors, where they occur and the absolute
+    # gap there, for display: the gap shows where the 1e-9 floor decides
     raw_fcs = {"J": _Worst(-1.0), "D": _Worst(-1.0)}
     worst_excess_j = _Worst()
     worst_excess_d = _Worst()
@@ -144,7 +145,7 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         worst_fcs_j.add(_fcs_close(rq.j, j_fcs), p)
         worst_fcs_d.add(_fcs_close(d_val, d_fcs), p)
         for key, a, b in (("J", rq.j, j_fcs), ("D", d_val, d_fcs)):
-            raw_fcs[key].add(_rel(a, b), p)
+            raw_fcs[key].add(_rel(a, b), p, abs(a - b))
 
         # the excess-time scheme saturates its own bound
         rx = excursion_report(dec, excess_time_weights(ev.model))
@@ -163,7 +164,7 @@ def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
         worst_prop_mean.ok(1e-10) and worst_prop_var.ok(1e-10),
         f"worst rel err mean {worst_prop_mean}, var {worst_prop_var} (tol 1e-10)"))
     results.append(CheckResult("bound inequalities", bounds_ok, bounds_detail))
-    fcs_detail = ", ".join(f"{key} {w}" for key, w in raw_fcs.items())
+    fcs_detail = ", ".join(f"{key} {w} (abs gap {w.at[1]:.2e})" for key, w in raw_fcs.items())
     results.append(CheckResult(
         "FCS equivalence", worst_fcs_j.ok(1e-6) and worst_fcs_d.ok(1e-6),
         f"worst rel err {fcs_detail} (tol 1e-6; gaps <= 1e-9 pass)"))

@@ -444,8 +444,8 @@ def _random_sample(n, params, seed=21):
 
 
 class TestDurationHalf:
-    """The duration half of the jackknife runs once per sample; each call
-    jackknifes only the scheme rows, from slices of q, t and tau."""
+    """One streamed jackknife per sample covers the duration rows and every
+    scheme's rows, from slices of q, t and tau; no full-size row is formed."""
 
     @pytest.fixture
     def jackknifes(self, monkeypatch):
@@ -469,9 +469,8 @@ class TestDurationHalf:
             jackknifes.clear()
             for name in schemes:
                 empirical_moments(sample, name)
-            # one duration half, then one scheme half per scheme
-            assert len(jackknifes) == 4
-            assert jackknifes.count(montecarlo._duration_stats) == 1
+            # the duration rows and every scheme's rows in one jackknife
+            assert len(jackknifes) == 1
 
     def test_call_order_does_not_change_the_estimates(self, ref_params):
         sample = _random_sample(70_000, ref_params)
@@ -495,18 +494,74 @@ class TestDurationHalf:
                 with pytest.raises(ValueError):
                     getattr(s, name)[0] = 7.0
 
-    def test_traced_peak_stays_below_seven_rows(self, ref_params):
-        # the full-size jackknife held 4 product columns and 9 rows at once
-        n = 262_144
+    def test_q_is_a_read_only_float_mapping(self, ref_model):
+        q = {"transport": np.arange(64.0), "activity": np.arange(64)}
+        schemes = {"transport": transport_weights("R", 4), "activity": activity_weights(4)}
+        sample = ExcursionSample(
+            durations=np.ones(64), residences=np.ones(64), q=q, schemes=schemes,
+            gamma_a=1.0)
+        assert q["transport"].flags.writeable and q["activity"].flags.writeable
+        for name, values in sample.q.items():
+            assert values.dtype == np.float64 and values.shape == (64,)
+            assert np.array_equal(values, q[name])
+            with pytest.raises(ValueError):
+                values[0] = 7.0
+        with pytest.raises(TypeError):
+            sample.q["entropy"] = np.zeros(64)
+        # the caller's dict is not the sample's
+        q["entropy"] = np.zeros(64)
+        assert "entropy" not in sample.q
+
+    @pytest.mark.parametrize("shape", [(63,), (65,), (64, 1), ()])
+    def test_q_of_the_wrong_length_names_its_scheme(self, shape):
+        q = {"transport": np.zeros(64), "activity": np.zeros(shape)}
+        with pytest.raises(DimensionMismatch, match=r"q\['activity'\] has shape"):
+            ExcursionSample(durations=np.ones(64), residences=np.ones(64), q=q,
+                            schemes={}, gamma_a=1.0)
+
+    def test_residences_of_the_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch, match="residences has shape"):
+            ExcursionSample(durations=np.ones(64), residences=np.ones(65), q={},
+                            schemes={}, gamma_a=1.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 16383, 16384, 16385,
+                                   16392, 32769, 65536, 999983, 1_000_000])
+    def test_tree_sum_is_numpy_sum(self, n):
+        # values over 10 decades, both signs; a numpy change to its pairwise
+        # summation order fails here by name
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+        block = np.stack([x, x * x, np.exp(-x * x), rng.exponential(1.0, n)])
+        assert montecarlo._tree_sum(lambda lo, hi: [x[lo:hi]], 0, n)[0] == np.sum(x)
+        sums = montecarlo._tree_sum(lambda lo, hi: block[:, lo:hi], 0, n)
+        assert sums.tolist() == [np.sum(row) for row in block]
+
+    def test_traced_peak_first_call_one_row_later_calls_none(self, ref_params):
+        # the row-holding jackknife peaked at 5.33 full-size rows per call
+        n = 1_000_000
         sample = _random_sample(n, ref_params)
-        for name in ("transport", "entropy"):
+        for name in ("transport", "entropy", "activity"):
             tracemalloc.start()
             try:
                 empirical_moments(sample, name)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 7 * 8 * n, (name, peak / (8 * n))
+            # the first call fills the cache; the others only read it
+            rows = 1.1 if name == "transport" else 0.1
+            assert peak <= rows * 8 * n, (name, peak / (8 * n))
+
+    def test_ensemble_traced_peak_below_one_and_a_half_results(self, ref_params, ref_model):
+        # the batches were concatenated at the end, 2.02 x the result bytes
+        schemes = {k: v for k, v in _schemes(ref_params, 4).items() if k != "transport_L"}
+        tracemalloc.start()
+        try:
+            sample = sample_excursions(ref_model, schemes, 1_000_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(a.nbytes for a in (sample.durations, sample.residences, *sample.q.values()))
+        assert peak <= 1.5 * result, peak / result
 
 
 class TestEmpiricalMoments:

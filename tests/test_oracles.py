@@ -27,7 +27,7 @@ from exclab import (
 )
 from exclab.errors import MassDeficit
 from exclab.excursions import outcome_quadrature
-from exclab.sweep import SweepConfig, build_model
+from exclab.sweep import SweepConfig, build_model, evaluate
 from exclab.verify import _points
 
 import reference_oracles as reference
@@ -403,3 +403,25 @@ def test_verify_fails_on_one_nan(monkeypatch, check, name, spoil, blockade):
     assert [r.name for r in failed] == [check]
     assert "nan at vg=" in failed[0].detail
     assert "1 FAILED" in verify.format_results(results)
+
+
+def test_verify_fcs_line_shows_the_absolute_gap():
+    # J vanishes on the vsd = 0 line, so its worst relative error is 1 there
+    # and only the 1e-9 absolute floor passes it; the line prints that gap
+    cfg = SweepConfig()
+    (fcs,) = [r for r in verify.run_verify(cfg) if r.name == "FCS equivalence"]
+    assert fcs.passed
+    worst = {}
+    for p in _points(cfg):
+        ev = evaluate(p)
+        rq = ev.reports["transport"]
+        j_fcs, d_fcs = fcs_current_noise(ev.model, ev.schemes["transport"])
+        for key, a, b in (("J", rq.j, j_fcs), ("D", rq.d1 + rq.d2 + rq.d3, d_fcs)):
+            rel = verify._rel(a, b)
+            if key not in worst or rel > worst[key][0]:
+                worst[key] = (rel, p, abs(a - b))
+    for key, (rel, p, gap) in worst.items():
+        assert (f"{key} {rel:.2e} at vg={p.vg:.4g}, vsd={p.vsd:.4g} "
+                f"(abs gap {gap:.2e})") in fcs.detail
+    rel, p, gap = worst["J"]
+    assert rel > 1e-6 and gap <= 1e-9 and p.vsd == 0.0
