@@ -13,16 +13,20 @@ excursion records, and :func:`sample_excursions` draws independent
 excursions directly as a vectorized ensemble (excursions of a renewal
 cycle are iid, so this is exact and much faster for large counts).
 
-The trajectory path walks only where it must.  :func:`simulate` walks the
-jump chain on Python lists, refilling each state's table of next states
-from the jump stream in the order the walk needs them, and computes the
-holds afterwards as one array from the separate hold stream.
-:func:`excursion_filter` finds the visits of the reference state with
-``flatnonzero``, sums each excursion's holds in trajectory order with one
-vectorised add per position, and tallies every transition with one
-``bincount``.  Its records are columnar, :class:`ExcursionRecords` holds
-the durations and the ``(K, n, n)`` tally block, and
-:meth:`ExcursionSample.from_records` reads them as they are.
+The trajectory path walks only where it must and holds each full-size
+array once.  :func:`simulate` walks the jump chain on a Python list,
+refilling each state's table of next states from the jump stream in the
+order the walk needs them; it converts the list once to int64, drops it,
+and draws the holds from the separate hold stream block by block into one
+preallocated array, dividing each block in place by its states' exit
+rates.  :func:`excursion_filter` finds the visits of the reference state
+with ``flatnonzero``, sums each excursion's holds in trajectory order with
+one vectorised add per position, and tallies the transitions with one
+``bincount`` per slice of ``_SLICE`` excursions into the preallocated
+``(K, n, n)`` block.  Its records are columnar, :class:`ExcursionRecords`
+holds the durations and the tally block, and
+:meth:`ExcursionSample.from_records` reads them as they are, filling each
+``q`` column one slice of rows at a time.
 
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
@@ -41,8 +45,10 @@ slice and then the five rows of each scheme in ``q``, and caches them with
 the direct batches' cycle times.  A sample's arrays and its ``q`` mapping
 are read-only, so the cache cannot go stale.
 
-Every one of these reproduces the loop it replaced bit for bit;
-``tests/reference_montecarlo.py`` keeps those loops as oracles.
+Every one of these reproduces the loop it replaced bit for bit (the ``q``
+of :meth:`ExcursionSample.from_records` as a one-thread BLAS computes the
+unsliced call); ``tests/reference_montecarlo.py`` keeps those loops as
+oracles.
 """
 from __future__ import annotations
 
@@ -78,6 +84,10 @@ _BLOCK = 8192         # trajectory draws per refill, fixed for reproducibility
 _FEW_SEGMENTS = 16    # segments that excursion_filter sums one at a time
 _DIRECT_BATCHES = 32  # batch-means batches for the direct noise estimate
 _JACKKNIFE_SLICE = 16384  # leave-one-out statistics evaluated per slice
+# excursions per tally bincount and per q tensordot, jumps per dump write;
+# a multiple of 8 rows, so BLAS blocks a slice's rows as it blocks them in
+# the unsliced call
+_SLICE = 8192
 
 # Powers of (largest |weight|, mean cycle time) that give each estimate its
 # own scale, and the relative rounding slack on that scale (the slack the
@@ -154,22 +164,12 @@ def simulate(
     state = a_state if start_state is None else start_state
     cum = _cumulative_jump_probs(m)
     gamma = m.gamma
-    root = np.random.SeedSequence(seed)
-    jump_rng, hold_rng = (np.random.Generator(np.random.Philox(s)) for s in root.spawn(2))
+    jump_seq, hold_seq = np.random.SeedSequence(seed).spawn(2)
+    jump_rng = np.random.Generator(np.random.Philox(jump_seq))
 
     def refill(x):
         u = jump_rng.random(_BLOCK)
         return np.searchsorted(cum[x], u, side="right")[::-1].tolist()
-
-    # Holds are draws from their own stream, taken _BLOCK at a time, divided
-    # by the exit rate: the hold of states[i] is draws[i] / gamma[states[i]].
-    blocks: list[np.ndarray] = []
-
-    def holds_of(chain: list) -> np.ndarray:
-        while len(blocks) * _BLOCK < len(chain):
-            blocks.append(hold_rng.standard_exponential(_BLOCK))
-        draws = np.concatenate(blocks)[: len(chain)]
-        return draws / gamma[np.array(chain, dtype=np.int64)]
 
     tables: list[list[int]] = [[] for _ in range(m.n)]
     states = [state]
@@ -177,31 +177,65 @@ def simulate(
     if max_time is None:
         _walk(states, tables, refill, a_state, sys.maxsize, returns_left)
     else:
-        # Walk in chunks; after each, run the clock over the new holds with
-        # one sequential cumsum from where it stood, and cut the chain at
-        # the first hold that reaches max_time.  Jumps walked past the cut
-        # only draw table entries that no kept state uses.
-        t = 0.0
-        known = 0
+        # Walk in chunks; after each, run the clock over the new states only,
+        # one draw block at a time, from a copy of the hold stream, and cut
+        # the chain at the first hold that reaches max_time.  Jumps walked
+        # past the cut only draw table entries that no kept state uses.
+        clock_rng = np.random.Generator(np.random.Philox(hold_seq))
+        t, done, draws = 0.0, 0, None
+
+        def cut():
+            """The chain length that keeps the first hold reaching max_time,
+            or None when the states walked so far stay below it."""
+            nonlocal t, done, draws
+            while done < len(states):
+                start = done - done % _BLOCK
+                if done == start:
+                    draws = clock_rng.standard_exponential(_BLOCK)
+                hi = min(len(states), start + _BLOCK)
+                held = draws[done - start : hi - start] / gamma[states[done:hi]]
+                clock = np.cumsum(np.concatenate(([t], held)))[1:]
+                crossed = np.flatnonzero(clock >= max_time)
+                if crossed.size:
+                    return done + int(crossed[0]) + 1
+                t, done = float(clock[-1]), hi
+            return None
+
         steps = _BLOCK
         while True:
             returns_left = _walk(states, tables, refill, a_state, steps, returns_left)
-            clock = np.cumsum(np.concatenate(([t], holds_of(states)[known:])))[1:]
-            crossed = np.flatnonzero(clock >= max_time)
-            if crossed.size:
-                del states[known + int(crossed[0]) + 1:]
+            length = cut()
+            if length is not None:
+                del states[length:]
                 break
             if returns_left <= 0:
                 break
-            known, t = len(states), float(clock[-1])
             # about as far again as the clock still has to run, at most double
-            steps = int(min(known * (max_time / t - 1.0) * 1.05 + 64, 2 * known))
-    holds = holds_of(states)
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        holds=holds,
-        total_time=float(np.sum(holds)),
-    )
+            steps = int(min(done * (max_time / t - 1.0) * 1.05 + 64, 2 * done))
+    chain = np.array(states, dtype=np.int64)
+    del states
+    holds = _holds(chain, hold_seq, gamma)
+    return Trajectory(states=chain, holds=holds, total_time=float(np.sum(holds)))
+
+
+def _holds(states: np.ndarray, seq: np.random.SeedSequence, gamma: np.ndarray) -> np.ndarray:
+    """The hold of ``states[i]``, ``draws[i] / gamma[states[i]]``, from the
+    hold stream of ``seq`` taken ``_BLOCK`` draws at a time.
+
+    Each block is drawn into its slice of the one output array and divided
+    there, so the holds exist once and no full-size gather of ``gamma`` is
+    formed; the last block is drawn whole, like every block, and cut.
+    """
+    rng = np.random.Generator(np.random.Philox(seq))
+    holds = np.empty(states.size)
+    for lo in range(0, states.size, _BLOCK):
+        block = holds[lo : lo + _BLOCK]
+        if block.size == _BLOCK:
+            rng.standard_exponential(out=block)
+        else:
+            block[:] = rng.standard_exponential(_BLOCK)[: block.size]
+        block /= gamma[states[lo : lo + _BLOCK]]
+    return holds
 
 
 def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -260,9 +294,9 @@ def excursion_filter(
     it is inferred from the visited states.
 
     Vectorised over the visits of A: the durations are summed in
-    trajectory order, and one ``bincount`` fills the ``(K, n, n)`` block
-    that the records hold as it is.  ``states`` is a jump chain, so no
-    state follows itself.
+    trajectory order, and one ``bincount`` per slice of ``_SLICE``
+    excursions fills its rows of the ``(K, n, n)`` block that the records
+    hold as it is.  ``states`` is a jump chain, so no state follows itself.
     """
     states = np.asarray(t.states, dtype=np.int64)
     holds = np.asarray(t.holds, dtype=float)
@@ -275,13 +309,15 @@ def excursion_filter(
     if k < 1:
         empty = ExcursionRecords(np.zeros(0), np.zeros((0, n, n), dtype=np.int64))
         return empty, np.asarray([], dtype=float)
-    first, last = visits[0], visits[-1]
-    # one code per jump: excursion index, destination and source
-    code = states[first + 1 : last + 1] * n
-    code += states[first:last]
-    code += np.repeat(np.arange(0, k * n * n, n * n), np.diff(visits))
-    counts = np.bincount(code, minlength=k * n * n).reshape(k, n, n)
-    del code
+    counts = np.empty((k, n, n), dtype=np.int64)
+    for lo in range(0, k, _SLICE):
+        hi = min(lo + _SLICE, k)
+        first, last = visits[lo], visits[hi]
+        # one code per jump: excursion index in the slice, destination, source
+        code = states[first + 1 : last + 1] * n
+        code += states[first:last]
+        code += np.repeat(np.arange(0, (hi - lo) * n * n, n * n), np.diff(visits[lo : hi + 1]))
+        counts[lo:hi] = np.bincount(code, minlength=(hi - lo) * n * n).reshape(-1, n, n)
     durations = _sequential_segment_sums(holds, visits[:-1] + 1, visits[1:])
     return ExcursionRecords(durations, counts), holds[visits[:-1]]
 
@@ -376,12 +412,23 @@ class ExcursionSample:
         schemes: dict[str, WeightScheme],
         gamma_a: float,
     ) -> "ExcursionSample":
-        """Sample from the columns of filter records, as they are."""
+        """Sample from the columns of filter records, as they are.
+
+        Each ``q`` column is filled ``_SLICE`` rows at a time, so no float
+        copy of the whole tally block is made.  The slices are blocked by
+        BLAS as a one-thread BLAS blocks the unsliced ``tensordot``, so
+        ``q`` is that call's result to the last bit.  A threaded BLAS sums
+        the last rows of each thread's range of a large call with other
+        kernels, so the unsliced call's last bits depend on the thread
+        count; OpenBLAS splits no call of fewer than 460 800 tally entries,
+        which a slice stays below for chains of up to 7 states.
+        """
         durations, counts = records.durations, records.counts
-        q = {
-            name: np.tensordot(counts, s.weights, axes=([1, 2], [0, 1]))
-            for name, s in schemes.items()
-        }
+        q = {name: np.empty(len(records)) for name in schemes}
+        for lo in range(0, len(records), _SLICE):
+            block = counts[lo : lo + _SLICE]
+            for name, s in schemes.items():
+                q[name][lo : lo + _SLICE] = np.tensordot(block, s.weights, axes=([1, 2], [0, 1]))
         res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
             durations=durations,
@@ -678,12 +725,21 @@ def dump_trajectory(t: Trajectory, path, labels=None) -> None:
 
     The jump times are a sequential cumsum of the holds, so each equals the
     running sum ``clock += hold`` to the last bit, and prints as its repr.
+    The lines are formatted and written ``_SLICE`` jumps at a time, the
+    cumsum carried from one slice into the next.
     """
-    states = np.asarray(t.states).tolist()
-    clock = np.cumsum(np.asarray(t.holds, dtype=float)[: len(states) - 1]).tolist()
-    names = range(max(states, default=-1) + 1) if labels is None else labels
+    states = np.asarray(t.states)
+    holds = np.asarray(t.holds, dtype=float)
+    jumps = states.size - 1
+    names = range(int(states.max(initial=-1)) + 1) if labels is None else labels
+    clock = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(
-            f"{c!r}\t{names[src]}\t{names[dst]}\n"
-            for c, src, dst in zip(clock, states, states[1:])
-        ))
+        for lo in range(0, jumps, _SLICE):
+            hi = min(lo + _SLICE, jumps)
+            times = np.cumsum(np.concatenate(([clock], holds[lo:hi])))[1:].tolist()
+            clock = times[-1]
+            chain = states[lo : hi + 1].tolist()
+            fh.write("".join(
+                f"{c!r}\t{names[src]}\t{names[dst]}\n"
+                for c, src, dst in zip(times, chain, chain[1:])
+            ))

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -234,6 +235,133 @@ class TestColumnarRecords:
         assert len(records) == 3
         with pytest.raises(ValueError):
             records.counts[0, 0, 0] = 7
+
+
+def assert_same_records(t, m, a_state, schemes):
+    """The filter and ``from_records`` against the list-building filter and
+    the stacking ``from_records``; returns the number of excursions."""
+    records, residences = excursion_filter(t, a_state, m.n)
+    ref_records, ref_residences = reference.excursion_filter_list(t, a_state, m.n)
+    assert np.array_equal(residences, ref_residences)
+    assert records.counts.dtype == np.int64
+    assert np.array_equal(records.durations, [r.duration for r in ref_records])
+    assert np.array_equal(records.counts, np.stack([r.counts for r in ref_records]))
+    gamma_a = float(m.gamma[a_state])
+    assert_same_sample(
+        ExcursionSample.from_records(records, residences, schemes, gamma_a),
+        reference.from_records(ref_records, ref_residences, schemes, gamma_a))
+    return len(records)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """``fn``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestSliceBoundaries:
+    """The hold draw blocks, the filter's tally slices and ``from_records``'
+    q slices reproduce the references bit for bit across their edges."""
+
+    @pytest.mark.parametrize("chain", ["dqd", "blockade"])
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_excursions_past_one_slice(self, chain, outside, ref_params, request):
+        m = _chain(chain, request)
+        kwargs = dict(max_excursions=montecarlo._SLICE + 1003)
+        if outside:
+            kwargs["start_state"] = m.n - 1
+        t = simulate(m, seed=21, **kwargs)
+        assert_same_trajectory(t, reference.simulate(m, seed=21, **kwargs))
+        schemes = _schemes(ref_params, m.n) if chain == "dqd" else {
+            "transport": transport_weights("R", m.n), "activity": activity_weights(m.n)}
+        k = assert_same_records(t, m, 0, schemes)
+        # one full slice and a ragged one
+        assert montecarlo._SLICE < k < 2 * montecarlo._SLICE
+        assert k % 8
+
+    @pytest.mark.parametrize("start_state", [None, 3])
+    def test_max_time_across_several_draw_blocks(self, ref_params, ref_model, start_state):
+        kwargs = dict(max_time=20_000.0, start_state=start_state)
+        for seed in (0, 1):
+            t = simulate(ref_model, seed=seed, **kwargs)
+            assert len(t.states) > 5 * montecarlo._BLOCK
+            assert_same_trajectory(t, reference.simulate(ref_model, seed=seed, **kwargs))
+            clock = np.cumsum(t.holds)
+            assert clock[-2] < kwargs["max_time"] <= clock[-1]
+            assert_same_records(t, ref_model, 0, _schemes(ref_params, 4))
+
+    def test_from_records_matches_one_thread_reference_at_any_length(self):
+        # The stacked reference hands BLAS one gemv over every row; a
+        # threaded BLAS splits it into per-thread row ranges and sums the
+        # last rows of each range with other kernels, so the reference's own
+        # last bits depend on the thread count (OpenBLAS, 2 threads: from
+        # about 28 800 rows on).  On one thread the slices line up with it at
+        # any length, here far above the threaded size and not a multiple
+        # of 8.
+        code = """if True:
+            import numpy as np
+            import reference_montecarlo as reference
+            from exclab import ExcursionSample, WeightScheme
+            from exclab.montecarlo import ExcursionRecords
+            rng = np.random.default_rng(5)
+            k = 100_003
+            durations = rng.exponential(1.0, k)
+            counts = rng.integers(0, 4, (k, 4, 4))
+            residences = rng.exponential(1.0, k)
+            schemes = {"a": WeightScheme(rng.standard_normal((4, 4))),
+                       "b": WeightScheme(rng.uniform(-3.0, 3.0, (4, 4)))}
+            got = ExcursionSample.from_records(
+                ExcursionRecords(durations, counts), residences, schemes, 1.0)
+            records = [reference.ExcursionRecord(d, c) for d, c in zip(durations, counts)]
+            want = reference.from_records(records, residences, schemes, 1.0)
+            print(all(np.array_equal(got.q[name], want.q[name]) for name in schemes))
+        """
+        paths = [os.path.dirname(os.path.dirname(montecarlo.__file__)),
+                 os.path.dirname(reference.__file__)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, check=True)
+        assert r.stdout.strip() == "True"
+
+
+class TestTrajectoryPeaks:
+    """Each full-size array of the trajectory path exists once: traced peaks
+    on a 100 000-excursion trajectory (about 1.26 M jumps)."""
+
+    @pytest.fixture(scope="class")
+    def trajectory(self, ref_model):
+        return simulate(ref_model, seed=9, max_excursions=100_000)
+
+    @pytest.mark.parametrize("stop", ["max_excursions", "max_time"])
+    def test_simulate_below_one_and_a_quarter_trajectories(self, ref_model, trajectory, stop):
+        # the list of states, the hold blocks, their concatenation, the
+        # gamma gather and a second states copy peaked at 2.54 x (2.83 x
+        # with max_time, whose clock re-gathered every hold per chunk)
+        kwargs = ({"max_excursions": 100_000} if stop == "max_excursions"
+                  else {"max_time": 0.999 * trajectory.total_time})
+        t, peak = _traced_peak(simulate, ref_model, seed=9, **kwargs)
+        size = t.states.nbytes + t.holds.nbytes
+        assert peak <= 1.25 * size, peak / size
+
+    def test_filter_below_one_and_a_half_results(self, ref_model, trajectory):
+        # one code per jump and its np.repeat offsets peaked at 1.65 x
+        (records, residences), peak = _traced_peak(excursion_filter, trajectory, 0, ref_model.n)
+        size = records.durations.nbytes + records.counts.nbytes + residences.nbytes
+        assert peak <= 1.5 * size, peak / size
+
+    def test_from_records_below_half_the_tallies(self, ref_params, ref_model, trajectory):
+        # the float copy of the whole tally block peaked at 1.19 x
+        records, residences = excursion_filter(trajectory, 0, ref_model.n)
+        schemes = {k: v for k, v in _schemes(ref_params, 4).items() if k != "transport_L"}
+        _, peak = _traced_peak(ExcursionSample.from_records, records, residences, schemes,
+                               float(ref_model.gamma[0]))
+        assert peak <= 0.5 * records.counts.nbytes, peak / records.counts.nbytes
 
 
 class TestExcursionFilter:
@@ -693,3 +821,15 @@ class TestTrajectoryDump:
         dump_trajectory(t, tmp_path / "new.tsv", labels=labels)
         reference.dump_trajectory(t, tmp_path / "ref.tsv", labels=labels)
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    def test_traced_peak_does_not_grow_with_length(self, ref_model, tmp_path):
+        # the whole clock list and one joined string raised ru_maxrss by
+        # 184 MB for a 1.26 M-jump trajectory
+        rng = np.random.default_rng(3)
+        peaks = []
+        for n in (2 * montecarlo._SLICE, 16 * montecarlo._SLICE):
+            t = Trajectory(states=rng.integers(0, 4, n), holds=rng.exponential(1.0, n),
+                           total_time=0.0)
+            peaks.append(_traced_peak(
+                dump_trajectory, t, tmp_path / "traj.tsv", labels=ref_model.labels)[1])
+        assert peaks[1] <= 1.2 * peaks[0], peaks
