@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,22 @@ class DqdParams:
     def mu_right(self) -> float:
         return self.vsd / 2.0
 
+    @cached_property
+    def occupations(self) -> FermiSet:
+        """The :func:`fermi_set` of these parameters, evaluated on first use
+        from the voltages as they are then; batch arrays are read-only."""
+        t = self.temperature
+        f = FermiSet(
+            f_left=fermi(self.vg_left, self.mu_left, t),
+            f_right=fermi(self.vg_right, self.mu_right, t),
+            f_left_u=fermi(self.vg_left + self.u, self.mu_left, t),
+            f_right_u=fermi(self.vg_right + self.u, self.mu_right, t),
+        )
+        for v in vars(f).values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+        return f
+
 
 @dataclass(frozen=True)
 class FermiSet:
@@ -117,12 +134,9 @@ def effective_coupling(g: float, gamma: float, vg_left: float, vg_right: float) 
 
 
 def fermi_set(p: DqdParams) -> FermiSet:
-    return FermiSet(
-        f_left=fermi(p.vg_left, p.mu_left, p.temperature),
-        f_right=fermi(p.vg_right, p.mu_right, p.temperature),
-        f_left_u=fermi(p.vg_left + p.u, p.mu_left, p.temperature),
-        f_right_u=fermi(p.vg_right + p.u, p.mu_right, p.temperature),
-    )
+    """Bare and Coulomb-shifted lead occupations of ``p``, computed once per
+    :class:`DqdParams` and cached on it (``p.occupations``)."""
+    return p.occupations
 
 
 def lead_log_ratio(p: DqdParams, side: str, shifted: bool = False) -> float:

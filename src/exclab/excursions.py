@@ -10,7 +10,10 @@ with the real tilt exp(weights_i * chi_i) on every off-diagonal rate.  Every
 first and second derivative at the origin is one bilinear insertion,
 :func:`cross_moments`; :func:`time_moments` and :func:`observable_moments`
 are its views for T and for (Q, T), and :func:`noise_terms` assembles the
-noise D = D1 + D2 + D3 from them.
+noise D = D1 + D2 + D3 from them.  :func:`observable_moments` and
+:func:`excursion_report` take one scheme or a mapping or sequence of
+schemes; several schemes share one insertion, and each result is bit for
+bit that of its scheme alone.
 
 A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
 insertion formulas then run as broadcast matrix products over the batch;
@@ -29,6 +32,8 @@ net counts, level by level (single chains only as well).
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -237,11 +242,34 @@ def time_moments(d: BlockDecomposition):
     return d.duration_moments
 
 
-def observable_moments(d: BlockDecomposition, scheme: WeightScheme):
-    """Moments ``(e_q, e_q2, var_q, e_qt, cov_qt)`` of one counting
-    observable per excursion, from :func:`cross_moments` with T."""
-    (e_q, e_t), ((e_q2, e_qt), _) = cross_moments(d, [scheme, None])
-    return e_q, e_q2, e_q2 - e_q * e_q, e_qt, e_qt - e_q * e_t
+def _scheme_list(schemes):
+    """The schemes of a single, mapping or sequence argument as a list, and
+    the function that puts one result per scheme back into that form: the
+    result itself, a dict with the mapping's keys, or a list."""
+    if isinstance(schemes, WeightScheme):
+        return [schemes], operator.itemgetter(0)
+    if isinstance(schemes, Mapping):
+        return list(schemes.values()), lambda out: dict(zip(schemes, out))
+    return list(schemes), list
+
+
+def observable_moments(d: BlockDecomposition, schemes):
+    """Moments ``(e_q, e_q2, var_q, e_qt, cov_qt)`` of counting observables
+    per excursion, from one :func:`cross_moments` insertion with T.
+
+    ``schemes`` is one :class:`WeightScheme`, which gives its tuple, or a
+    mapping or sequence of them, which gives a dict with the same keys or a
+    list of tuples; all of them share the insertion.
+    """
+    seq, shaped = _scheme_list(schemes)
+    k = len(seq)
+    m1, m2 = cross_moments(d, [*seq, None])
+    e_t = m1[k]
+    out = []
+    for i in range(k):
+        e_q, e_q2, e_qt = m1[i], m2[i][i], m2[i][k]
+        out.append((e_q, e_q2, e_q2 - e_q * e_q, e_qt, e_qt - e_q * e_t))
+    return shaped(out)
 
 
 def noise_terms(var_q, e_q, cov_qt, mu, delta2):
@@ -281,32 +309,39 @@ class ExcursionReport:
     d: float
 
 
-def excursion_report(d: BlockDecomposition, scheme: WeightScheme) -> ExcursionReport:
-    """Assemble all moments, the current and the noise for one scheme.
+def excursion_report(d: BlockDecomposition, schemes):
+    """Assemble all moments, the current and the noise for one scheme, or
+    for each scheme of a mapping or sequence (a dict with the same keys or
+    a list of reports), from one :func:`observable_moments` insertion.
 
-    Sanity rails: the second moments come from sums that can cancel down
-    from magnitude (max_weight * expected_jumps)^2, so the nonnegativity
-    and Cauchy-Schwarz checks allow rounding slack on that scale.
+    Sanity rails, per scheme in order and cell by cell: the second moments
+    come from sums that can cancel down from magnitude
+    (max_weight * expected_jumps)^2, so the nonnegativity and
+    Cauchy-Schwarz checks allow rounding slack on that scale.
     """
+    seq, shaped = _scheme_list(schemes)
     e_t, e_t2, var_t, mu, delta2 = time_moments(d)
-    e_q, _, var_q, _, cov_qt = observable_moments(d, scheme)
+    moments = observable_moments(d, seq)
     jump_bound = 2.0 + np.max(d.parent.gamma, axis=-1) * (
         np.abs(d.fundamental).sum(axis=-2).max(axis=-1)
     )
-    q_scale = np.maximum(1.0, (scheme.max_abs_weight() * jump_bound) ** 2)
     t_scale = np.maximum(1.0, e_t2)
-    raise_first((var_t < -1e-9 * t_scale) | (var_q < -1e-9 * q_scale),
-                ValueError, "negative variance in excursion report")
-    bound = np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_t, 0.0))
-    raise_first(np.abs(cov_qt) > bound + 1e-9 * np.maximum(q_scale, t_scale),
-                ValueError, "covariance violates Cauchy-Schwarz")
-    var_q = np.maximum(var_q, 0.0)
-    d1, d2, d3 = noise_terms(var_q, e_q, cov_qt, mu, delta2)
-    return ExcursionReport(
-        e_q=e_q, var_q=var_q, e_t=e_t, var_t=var_t, cov_qt=cov_qt,
-        e_tau=1.0 / d.gamma_a, mu=mu, delta2=delta2,
-        j=e_q / mu, d1=d1, d2=d2, d3=d3, d=d1 + d2 + d3,
-    )
+    reports = []
+    for scheme, (e_q, _, var_q, _, cov_qt) in zip(seq, moments):
+        q_scale = np.maximum(1.0, (scheme.max_abs_weight() * jump_bound) ** 2)
+        raise_first((var_t < -1e-9 * t_scale) | (var_q < -1e-9 * q_scale),
+                    ValueError, "negative variance in excursion report")
+        bound = np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_t, 0.0))
+        raise_first(np.abs(cov_qt) > bound + 1e-9 * np.maximum(q_scale, t_scale),
+                    ValueError, "covariance violates Cauchy-Schwarz")
+        var_q = np.maximum(var_q, 0.0)
+        d1, d2, d3 = noise_terms(var_q, e_q, cov_qt, mu, delta2)
+        reports.append(ExcursionReport(
+            e_q=e_q, var_q=var_q, e_t=e_t, var_t=var_t, cov_qt=cov_qt,
+            e_tau=1.0 / d.gamma_a, mu=mu, delta2=delta2,
+            j=e_q / mu, d1=d1, d2=d2, d3=d3, d=d1 + d2 + d3,
+        ))
+    return shaped(reports)
 
 
 def _tilted_blocks(d: BlockDecomposition, tilt: np.ndarray):
@@ -625,7 +660,7 @@ def _block_thomas(diag, lower, upper, rhs):
     return y
 
 
-def excess_time(d: BlockDecomposition) -> float:
+def excess_time(d: BlockDecomposition) -> float | np.ndarray:
     """Renewal excess time, the diffusion coefficient of the scheme whose
     weights are the per-state mean residence times.
 

@@ -59,9 +59,13 @@ def render_heatmap(csv_path: str, column: str, out_path: str) -> dict:
             f"{csv_path}: {vals.size} rows do not tile a {n_vg} x {n_vsd} grid"
         )
     grid = vals.reshape(n_vsd, n_vg)
-    # vsd must be constant along each block of n_vg rows
-    if not np.all(vsd.reshape(n_vsd, n_vg) == vsd.reshape(n_vsd, n_vg)[:, :1]):
-        raise MalformedCsv(f"{csv_path}: rows are not vsd-major")
+    # vsd is constant along each block of n_vg rows, and every block repeats
+    # the first one's n_vg distinct vg values in the same order
+    vg_blocks, vsd_blocks = vg.reshape(n_vsd, n_vg), vsd.reshape(n_vsd, n_vg)
+    if (not np.all(vsd_blocks == vsd_blocks[:, :1])
+            or not np.all(vg_blocks == vg_blocks[:1])
+            or len(np.unique(vg_blocks[0])) != n_vg):
+        raise MalformedCsv(f"{csv_path}: rows are not a vsd-major grid")
 
     finite = np.isfinite(grid)
     n_bad = int(grid.size - finite.sum())

@@ -14,6 +14,7 @@ oracle takes single chains only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class RateMatrix:
         ``w - diag(gamma)``; every column sums to zero.
     labels : tuple of str
         Per-state identifiers.
+    stationary : ndarray, shape (..., n)
+        The steady state, solved on first use and cached (read-only).
     """
 
     n: int
@@ -67,6 +70,28 @@ class RateMatrix:
     gamma: np.ndarray
     generator: np.ndarray
     labels: tuple[str, ...]
+
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """What :func:`steady_state` returns; see there."""
+        a = self.generator.copy()
+        a[..., 0, :] = 1.0
+        b = np.zeros(self.gamma.shape + (1,))
+        b[..., 0, 0] = 1.0
+        try:
+            p = np.linalg.solve(a, b)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from None
+        resid = np.max(np.abs(self.generator @ p[..., None]), axis=(-2, -1))
+        scale = np.maximum(np.max(self.gamma, axis=-1), 1.0)
+        raise_first(~np.isfinite(resid) | (resid > 1e-10 * scale), SingularSystem,
+                    "steady-state residual {:.3e} too large", resid)
+        raise_first(np.any(p < -1e-12, axis=-1), SingularSystem,
+                    "steady state has a negative component")
+        p = np.maximum(p, 0.0)
+        p /= p.sum(axis=-1, keepdims=True)
+        p.flags.writeable = False
+        return p
 
 
 @dataclass(frozen=True)
@@ -187,24 +212,10 @@ def steady_state(m: RateMatrix) -> np.ndarray:
 
     Solved through the bordered system (one generator row replaced by the
     normalization row), which is deterministic and well conditioned for the
-    small chains used here.
+    small chains used here.  The solve runs once per chain: the read-only
+    result is cached on ``m`` (``m.stationary``).
     """
-    a = m.generator.copy()
-    a[..., 0, :] = 1.0
-    b = np.zeros(m.gamma.shape + (1,))
-    b[..., 0, 0] = 1.0
-    try:
-        p = np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    resid = np.max(np.abs(m.generator @ p[..., None]), axis=(-2, -1))
-    scale = np.maximum(np.max(m.gamma, axis=-1), 1.0)
-    raise_first(~np.isfinite(resid) | (resid > 1e-10 * scale), SingularSystem,
-                "steady-state residual {:.3e} too large", resid)
-    raise_first(np.any(p < -1e-12, axis=-1), SingularSystem,
-                "steady state has a negative component")
-    p = np.maximum(p, 0.0)
-    return p / p.sum(axis=-1, keepdims=True)
+    return m.stationary
 
 
 def tilt_generator(m: RateMatrix, scheme: WeightScheme, chi) -> np.ndarray:

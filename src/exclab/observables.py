@@ -223,7 +223,8 @@ class Populations:
 
 def populations(m: RateMatrix) -> Populations:
     """Steady-state components plus per-dot marginals; p11 = 0 for the
-    three-state chain.  Fields are arrays for a stacked chain."""
+    three-state chain.  Fields are arrays for a stacked chain, the state
+    components read-only views of the chain's cached steady state."""
     p = steady_state(m)
     p11 = p[..., _BOTH] if m.n == 4 else np.zeros_like(p[..., _EMPTY])
     pop = Populations(

@@ -244,7 +244,15 @@ class Evaluation:
 
 
 def evaluate(params: DqdParams) -> Evaluation:
-    """Evaluate every sweep quantity at ``params`` in one engine pass."""
+    """Evaluate every sweep quantity at ``params`` in one engine pass.
+
+    Each quantity is computed once per pass: the lead occupations (cached
+    on ``params``), the rate matrix, one partition and its fundamental
+    matrix, one duration insertion (cached on the decomposition), one
+    moment insertion for all three schemes through one
+    :func:`excursion_report` call, and one steady-state solve (cached on
+    the chain), which the excess time and the populations share.
+    """
     model = build_model(params)
     dec = partition(model, 0)
     schemes = {
@@ -252,7 +260,7 @@ def evaluate(params: DqdParams) -> Evaluation:
         "activity": activity_weights(model.n),
         "entropy": entropy_weights(params),
     }
-    reports = {name: excursion_report(dec, s) for name, s in schemes.items()}
+    reports = excursion_report(dec, schemes)
     rep = reports["transport"]
     bounds = precision_bounds(rep.j, rep.d, reports["activity"].j,
                               reports["entropy"].j, excess_time(dec))

@@ -1,17 +1,20 @@
 """The bilinear insertion engine: cross_moments and its views against a
-50-digit reference, its symmetry and polarization identities, and the
-Monte Carlo cross-covariance."""
+50-digit reference, its symmetry and polarization identities, several
+schemes in one insertion against one each, and the Monte Carlo
+cross-covariance."""
 import math
 
 import numpy as np
 import pytest
 
 from exclab import (
+    ExcursionReport,
     WeightScheme,
     activity_weights,
     build_model,
     cross_moments,
     entropy_weights,
+    excursion_report,
     observable_moments,
     partition,
     sample_excursions,
@@ -155,6 +158,59 @@ class TestIdentities:
             size2 = observable_moments(
                 d, WeightScheme(np.abs(x.weights) + np.abs(y.weights)))[1]
             assert np.all(np.abs(m2[0, 1] - polar) <= 1e-12 * size2)
+
+
+class TestSeveralSchemes:
+    """excursion_report and observable_moments over several schemes share
+    one insertion and equal the one-scheme calls bit for bit."""
+
+    @staticmethod
+    def _chains(blockade):
+        # one point at the stiff gate edge, one inside, and a stacked 7 x 7
+        # block whose first column is the stiff edge vg = -10
+        cfg = SweepConfig(blockade=blockade)
+        for vg, vsd in ((-10.0, 0.0), (1.0, 7.0)):
+            p = _point_params(cfg, vg, vsd, True)
+            yield p, partition(build_model(p), 0)
+        yield _diamond(blockade)
+
+    @staticmethod
+    def _same(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_reports(self, blockade):
+        for p, d in self._chains(blockade):
+            names = ("transport", "activity", "entropy")
+            schemes = dict(zip(names, _schemes(p, d.parent.n)))
+            reports = excursion_report(d, schemes)
+            listed = excursion_report(d, list(schemes.values()))
+            assert list(reports) == list(names) and len(listed) == 3
+            for (name, scheme), other in zip(schemes.items(), listed):
+                one = excursion_report(d, scheme)
+                assert isinstance(one, ExcursionReport)
+                for field in vars(one):
+                    want = getattr(one, field)
+                    assert self._same(getattr(reports[name], field), want), (name, field)
+                    assert self._same(getattr(other, field), want), (name, field)
+                    assert type(getattr(reports[name], field)) is type(want)
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_moments(self, blockade):
+        for p, d in self._chains(blockade):
+            schemes = _schemes(p, d.parent.n)[:3]
+            several = observable_moments(d, schemes)
+            keyed = observable_moments(d, dict(enumerate(schemes)))
+            assert list(keyed) == [0, 1, 2]
+            for i, scheme in enumerate(schemes):
+                one = observable_moments(d, scheme)
+                assert len(one) == 5
+                assert all(self._same(a, b) for a, b in zip(several[i], one))
+                assert all(self._same(a, b) for a, b in zip(keyed[i], one))
+
+    def test_no_schemes(self, ref_dec):
+        assert excursion_report(ref_dec, []) == []
+        assert observable_moments(ref_dec, {}) == {}
 
 
 CROSS_SCHEMES = {

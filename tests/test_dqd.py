@@ -75,6 +75,30 @@ class TestBuildDqd:
             f = fermi_set(p)
             assert f.f_left_u < f.f_left and f.f_right_u < f.f_right
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_occupations_computed_once_read_only(self, monkeypatch, batch):
+        import exclab.dqd
+        vg = np.linspace(-10.0, 10.0, 5) if batch else 1.5
+        p = DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, **REF)
+        calls, fermi = [], exclab.dqd.fermi
+
+        def counted(*args):
+            calls.append(args)
+            return fermi(*args)
+
+        monkeypatch.setattr(exclab.dqd, "fermi", counted)
+        f = fermi_set(p)
+        assert fermi_set(p) is f and len(calls) == 4
+        build_dqd(p)
+        build_dqd_blockade(p)
+        assert len(calls) == 4
+        for v in vars(f).values():
+            if batch:
+                with pytest.raises(ValueError):
+                    v[0] = 0.0
+            else:
+                assert type(v) is float
+
     @pytest.mark.parametrize("builder", [build_dqd, build_dqd_blockade])
     def test_batch_rates_equal_single_points_bitwise(self, builder):
         # array voltages stack one chain per point; the stiff gate edge

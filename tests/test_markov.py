@@ -78,6 +78,25 @@ class TestSteadyState:
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.max(np.abs(m.generator @ p)) < 1e-10 * m.gamma.max()
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_solved_once_and_cached_read_only(self, monkeypatch, batch):
+        vg = np.linspace(-10.0, 10.0, 5) if batch else 1.5
+        m = build_dqd(DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, **REF))
+        solves, solve = [], np.linalg.solve
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        first = steady_state(m)
+        assert steady_state(m) is first and len(solves) == 1
+        with pytest.raises(ValueError):
+            first[..., 0] = 0.0
+        # the cache holds what a fresh chain of the same rates solves to
+        fresh = steady_state(validate_rate_matrix(m.w))
+        assert fresh.tobytes() == first.tobytes() and len(solves) == 2
+
     def test_invariant_under_rate_rescaling(self):
         rng = np.random.default_rng(11)
         w = random_chain(rng, 4)

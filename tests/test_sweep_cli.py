@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import reference_sweep as reference
+from exclab.dqd import build_model
 from exclab.heatmap import render_heatmap
 from exclab.errors import DegenerateFermi, MalformedCsv, UnknownColumn
 from exclab.sweep import (
     CANONICAL_COLUMNS,
     SweepConfig,
+    _point_params,
     compute_row,
     load_config,
     parse_grid_spec,
@@ -233,6 +235,35 @@ class TestSweep:
         with pytest.raises(ZeroDivisionError, match=r"vg=400, vsd=0"):
             compute_row(SweepConfig(), 400.0, 0.0, False)
 
+    @pytest.mark.parametrize("rail, message", [
+        ("variance", "negative variance in excursion report"),
+        ("covariance", "covariance violates Cauchy-Schwarz"),
+    ])
+    @pytest.mark.parametrize("scheme", [0, 2])
+    def test_failing_rail_is_named(self, monkeypatch, rail, message, scheme):
+        # one cell's shared insertion is corrupted for one of its schemes;
+        # the rails still run per scheme and compute_row names the cell
+        import exclab.excursions
+        cfg = SweepConfig(temperature=1.0)
+        vg, vsd = np.meshgrid(np.linspace(-10, 10, 7), np.linspace(-20, 20, 7))
+        target = build_model(_point_params(cfg, vg[3, 4], vsd[3, 4], True)).w
+        i, j = (scheme, scheme) if rail == "variance" else (scheme, 3)
+        value = -1e6 if rail == "variance" else 1e6
+        original = exclab.excursions.cross_moments
+
+        def corrupted(d, schemes):
+            m1, m2 = original(d, schemes)
+            if len(schemes) == 4:  # the reports' insertion, T last
+                hit = np.all(d.parent.w == target, axis=(-2, -1))
+                m2 = np.array(m2)
+                m2[i, j] = m2[j, i] = np.where(hit, value, m2[i, j])
+                m2 = m2 if hit.ndim else m2.tolist()
+            return m1, m2
+
+        monkeypatch.setattr(exclab.excursions, "cross_moments", corrupted)
+        with pytest.raises(ValueError, match=rf"^ValueError at vg=3.33333, vsd=0: {message}$"):
+            compute_row(cfg, vg, vsd, True)
+
     def test_serialization_round_trips(self, tmp_path):
         cfg = SweepConfig(vg_n=3, vsd_n=3, temperature=2.0)
         table = sweep_rows(cfg)
@@ -317,6 +348,28 @@ class TestReferenceWriter:
         assert new.splitlines()[1].startswith(b"0,inf,inf,")
 
 
+class TestReferenceEngine:
+    """The sweep's shared insertion against one insertion per scheme."""
+
+    @staticmethod
+    def _assert_bitwise(table, want):
+        assert table.keys() == want.keys()
+        for col, v in want.items():
+            if v is None:
+                assert table[col] is None, col
+            else:
+                assert table[col].tobytes() == v.tobytes(), col
+
+    def test_default_table(self):
+        cfg = SweepConfig()
+        self._assert_bitwise(sweep_rows(cfg), reference.evaluated_table(cfg))
+
+    @pytest.mark.parametrize("temperature", [0.7, 2.0])
+    def test_blockade_table(self, temperature):
+        cfg = SweepConfig(temperature=temperature, blockade=True, vg_n=41, vsd_n=41)
+        self._assert_bitwise(sweep_rows(cfg), reference.evaluated_table(cfg))
+
+
 class TestHeatmap:
     def _sweep(self, tmp_path, **kw):
         cfg = SweepConfig(vg_n=7, vsd_n=5, temperature=2.0, **kw)
@@ -346,6 +399,19 @@ class TestHeatmap:
         render_heatmap(str(csv_path), "j_qr", str(out))
         body = out.read_bytes().split(b"255\n", 1)[1]
         assert len(set(body)) == 1
+
+    @pytest.mark.parametrize("cells", [
+        [(1, 0), (0, 0), (0, 1), (1, 1)],  # vg order differs between vsd blocks
+        [(0, 0), (0, 0), (1, 1), (1, 1)],  # no grid at all
+    ])
+    def test_rows_that_do_not_tile_a_grid(self, tmp_path, cells):
+        csv_path = tmp_path / "bad.csv"
+        rows = [f"{vg},{vsd},0.5" for vg, vsd in cells]
+        csv_path.write_text("vg,vsd,j_qr\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "bad.ppm"
+        with pytest.raises(MalformedCsv, match="not a vsd-major grid"):
+            render_heatmap(str(csv_path), "j_qr", str(out))
+        assert not out.exists()
 
     def test_unknown_column(self, tmp_path):
         csv_path = self._sweep(tmp_path)
@@ -405,8 +471,40 @@ class TestCli:
                     monkeypatch.setattr(mod, name, counted)
         argv = ["analyze", "--temperature", "2", "--vg", "0", "--vsd", "7"]
         assert exclab.cli.main(argv) == 0
-        assert calls == {"partition": 1, "excursion_report": 3}
+        assert calls == {"partition": 1, "excursion_report": 1}
         assert "# machine-readable" in capsys.readouterr().out
+
+    def test_block_evaluates_each_quantity_once(self, monkeypatch):
+        # one compute_row pass over a 7 x 7 block: one moment insertion for
+        # the three schemes (the duration insertion cached on the
+        # decomposition comes on top), one steady-state solve and one set
+        # of lead occupations
+        import exclab.dqd
+        import exclab.excursions
+        insertions, solvers, fermis = [], [], []
+        cross_moments, solve, fermi = (exclab.excursions.cross_moments,
+                                       np.linalg.solve, exclab.dqd.fermi)
+
+        def counted_cross_moments(d, schemes):
+            insertions.append(sum(s is not None for s in schemes))
+            return cross_moments(d, schemes)
+
+        def counted_solve(*args, **kwargs):
+            solvers.append(sys._getframe(1).f_globals["__name__"])
+            return solve(*args, **kwargs)
+
+        def counted_fermi(*args):
+            fermis.append(args)
+            return fermi(*args)
+
+        monkeypatch.setattr(exclab.excursions, "cross_moments", counted_cross_moments)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(exclab.dqd, "fermi", counted_fermi)
+        vg, vsd = np.meshgrid(np.linspace(-10, 10, 7), np.linspace(-20, 20, 7))
+        compute_row(SweepConfig(), vg, vsd, True)
+        assert sorted(insertions) == [0, 3]
+        assert sorted(solvers) == ["exclab.excursions", "exclab.markov"]
+        assert len(fermis) == 4  # f_L, f_R and their Coulomb-shifted pair
 
     def test_analyze_machine_block(self):
         r = run_cli("analyze", "--temperature", "2", "--vg", "1.5",
