@@ -87,16 +87,14 @@ class DqdParams:
         """The :func:`fermi_set` of these parameters, evaluated on first use
         from the voltages as they are then; batch arrays are read-only."""
         t = self.temperature
-        f = FermiSet(
-            f_left=fermi(self.vg_left, self.mu_left, t),
-            f_right=fermi(self.vg_right, self.mu_right, t),
-            f_left_u=fermi(self.vg_left + self.u, self.mu_left, t),
-            f_right_u=fermi(self.vg_right + self.u, self.mu_right, t),
-        )
-        for v in vars(f).values():
+        occ = (fermi(self.vg_left, self.mu_left, t),
+               fermi(self.vg_right, self.mu_right, t),
+               fermi(self.vg_left + self.u, self.mu_left, t),
+               fermi(self.vg_right + self.u, self.mu_right, t))
+        for v in occ:
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
-        return f
+        return FermiSet(*occ)
 
 
 @dataclass(frozen=True)

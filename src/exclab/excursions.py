@@ -107,6 +107,14 @@ class BlockDecomposition:
         return lft, rgt, jump
 
     @cached_property
+    def jump_bound(self):
+        """2 + max(gamma) * ||G||_1, a bound on the expected jump count of an
+        excursion; the rails of :func:`excursion_report` scale with it."""
+        return 2.0 + np.max(self.parent.gamma, axis=-1) * (
+            np.abs(self.fundamental).sum(axis=-2).max(axis=-1)
+        )
+
+    @cached_property
     def duration_moments(self):
         """``(e_t, e_t2, var_t, mu, delta2)`` of :func:`time_moments`, from
         one :func:`cross_moments` insertion; batch arrays are read-only."""
@@ -242,12 +250,15 @@ def time_moments(d: BlockDecomposition):
     return d.duration_moments
 
 
+_first = operator.itemgetter(0)
+
+
 def _scheme_list(schemes):
     """The schemes of a single, mapping or sequence argument as a list, and
     the function that puts one result per scheme back into that form: the
     result itself, a dict with the mapping's keys, or a list."""
     if isinstance(schemes, WeightScheme):
-        return [schemes], operator.itemgetter(0)
+        return [schemes], _first
     if isinstance(schemes, Mapping):
         return list(schemes.values()), lambda out: dict(zip(schemes, out))
     return list(schemes), list
@@ -322,13 +333,10 @@ def excursion_report(d: BlockDecomposition, schemes):
     seq, shaped = _scheme_list(schemes)
     e_t, e_t2, var_t, mu, delta2 = time_moments(d)
     moments = observable_moments(d, seq)
-    jump_bound = 2.0 + np.max(d.parent.gamma, axis=-1) * (
-        np.abs(d.fundamental).sum(axis=-2).max(axis=-1)
-    )
     t_scale = np.maximum(1.0, e_t2)
     reports = []
     for scheme, (e_q, _, var_q, _, cov_qt) in zip(seq, moments):
-        q_scale = np.maximum(1.0, (scheme.max_abs_weight() * jump_bound) ** 2)
+        q_scale = np.maximum(1.0, (scheme.max_abs_weight() * d.jump_bound) ** 2)
         raise_first((var_t < -1e-9 * t_scale) | (var_q < -1e-9 * q_scale),
                     ValueError, "negative variance in excursion report")
         bound = np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_t, 0.0))
