@@ -6,8 +6,6 @@ from . import errors
 from .dqd import (
     DqdParams,
     FermiSet,
-    build_dqd,
-    build_dqd_blockade,
     build_model,
     effective_coupling,
     fermi,

@@ -5,8 +5,12 @@ right occupied, both occupied.  The Coulomb-blockade variant drops state 11.
 All energies and rates are in MHz with k_B = hbar = e = 1, and the bias
 enters through mu_L = -vsd/2, mu_R = +vsd/2.
 
+The model is one table, :data:`LEAD_JUMPS`, of the jumps in which an
+electron enters a dot from a lead: the rates (:func:`build_model`) and the
+transport and entropy weights (:mod:`exclab.observables`) are read off it.
+
 Gate and bias voltages may be equal-shape arrays: the parameters then
-describe a batch of points, and the builders return stacked rate matrices
+describe a batch of points, and :func:`build_model` returns stacked rate matrices
 of shape (..., n, n).
 """
 from __future__ import annotations
@@ -26,14 +30,21 @@ __all__ = [
     "fermi",
     "effective_coupling",
     "fermi_set",
-    "build_dqd",
-    "build_dqd_blockade",
+    "build_model",
+    "LEAD_JUMPS",
     "LABELS_4",
-    "LABELS_3",
 ]
 
 LABELS_4 = ("00", "10", "01", "11")
-LABELS_3 = ("00", "10", "01")
+
+# (to, from, lead, shifted): an electron enters the dot of ``lead``, and the
+# reverse jump returns it; ``to`` is the fuller state, ``shifted`` uses f_u.
+LEAD_JUMPS = (
+    (1, 0, "L", False),  # 10 <- 00
+    (2, 0, "R", False),  # 01 <- 00
+    (3, 1, "R", True),   # 11 <- 10
+    (3, 2, "L", True),   # 11 <- 01
+)
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,11 @@ class DqdParams:
     blockade: bool = False
 
     def __post_init__(self):
+        for name in ("g", "gamma", "temperature", "u", "vsd", "vg", "vg_left", "vg_right"):
+            v = getattr(self, name)
+            if not (np.isfinite(v).all() if isinstance(v, np.ndarray)
+                    else v is None or math.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
         if self.g <= 0 or self.gamma <= 0 or self.temperature <= 0:
             raise ValueError("g, gamma and temperature must be positive")
         if self.u < 0:
@@ -67,6 +83,11 @@ class DqdParams:
             object.__setattr__(self, "vg_left", self.vg)
         if self.vg_right is None:
             object.__setattr__(self, "vg_right", self.vg)
+
+    @property
+    def n_states(self) -> int:
+        """4, or 3 for the blockade model, which drops state 11."""
+        return 3 if self.blockade else 4
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -105,6 +126,10 @@ class FermiSet:
     f_right: float
     f_left_u: float
     f_right_u: float
+
+    def of(self, lead: str, shifted: bool = False):
+        """The occupation of lead ``"L"`` or ``"R"``, bare or shifted."""
+        return getattr(self, ("f_left" if lead == "L" else "f_right") + "_u" * shifted)
 
 
 def fermi(energy, mu, temperature):
@@ -161,39 +186,22 @@ def require_finite_fermi(f: FermiSet, with_u: bool = True) -> None:
                     "Fermi occupation {} is degenerate", v)
 
 
-def build_dqd(p: DqdParams) -> RateMatrix:
-    """Four-state rate matrix over (00, 10, 01, 11).
-
-    Leads inject with gamma*f and extract with gamma*(1-f); the shifted
-    occupations f_u govern transitions touching the doubly occupied state;
-    the effective coupling connects 10 and 01.
-    """
-    f = fermi_set(p)
-    gam = p.gamma
-    geff = effective_coupling(p.g, gam, p.vg_left, p.vg_right)
-    w = np.zeros(p.batch_shape + (4, 4))
-    w[..., 0, 1], w[..., 0, 2] = gam * (1 - f.f_left), gam * (1 - f.f_right)
-    w[..., 1, 0], w[..., 1, 2] = gam * f.f_left, geff
-    w[..., 1, 3] = gam * (1 - f.f_right_u)
-    w[..., 2, 0], w[..., 2, 1] = gam * f.f_right, geff
-    w[..., 2, 3] = gam * (1 - f.f_left_u)
-    w[..., 3, 1], w[..., 3, 2] = gam * f.f_right_u, gam * f.f_left_u
-    return validate_rate_matrix(w, labels=LABELS_4)
-
-
-def build_dqd_blockade(p: DqdParams) -> RateMatrix:
-    """Three-state rate matrix over (00, 10, 01): the u -> infinity limit,
-    i.e. the four-state matrix with state 11 deleted and f_u -> 0."""
-    f = fermi_set(p)
-    gam = p.gamma
-    geff = effective_coupling(p.g, gam, p.vg_left, p.vg_right)
-    w = np.zeros(p.batch_shape + (3, 3))
-    w[..., 0, 1], w[..., 0, 2] = gam * (1 - f.f_left), gam * (1 - f.f_right)
-    w[..., 1, 0], w[..., 1, 2] = gam * f.f_left, geff
-    w[..., 2, 0], w[..., 2, 1] = gam * f.f_right, geff
-    return validate_rate_matrix(w, labels=LABELS_3)
+def lead_jumps(n: int) -> list[tuple[int, int, str, bool]]:
+    """The entries of :data:`LEAD_JUMPS` among the first ``n`` states."""
+    return [jump for jump in LEAD_JUMPS if jump[0] < n]
 
 
 def build_model(p: DqdParams) -> RateMatrix:
-    """Dispatch on the blockade flag."""
-    return build_dqd_blockade(p) if p.blockade else build_dqd(p)
+    """Rate matrix over (00, 10, 01, 11), or (00, 10, 01) when ``p.blockade``
+    drops state 11: gamma*f on each jump of :data:`LEAD_JUMPS`, gamma*(1-f)
+    on its reverse, and the effective coupling between 10 and 01."""
+    n = p.n_states
+    f = fermi_set(p)
+    gam = p.gamma
+    w = np.zeros(p.batch_shape + (n, n))
+    for to, frm, lead, shifted in lead_jumps(n):
+        occ = f.of(lead, shifted)
+        w[..., to, frm] = gam * occ
+        w[..., frm, to] = gam * (1 - occ)
+    w[..., 1, 2] = w[..., 2, 1] = effective_coupling(p.g, gam, p.vg_left, p.vg_right)
+    return validate_rate_matrix(w, labels=LABELS_4[:n])

@@ -120,8 +120,10 @@ class BlockDecomposition:
         one :func:`cross_moments` insertion; batch arrays are read-only."""
         (e_t,), ((e_t2,),) = cross_moments(self, [None])
         var_t = e_t2 - e_t * e_t
-        moments = (e_t, e_t2, var_t, e_t + 1.0 / self.gamma_a,
-                   var_t + 1.0 / self.gamma_a**2)
+        # 1/gamma_a**2 overflows on slow chains; excursion_report's rail fails them
+        with np.errstate(divide="ignore", over="ignore"):
+            moments = (e_t, e_t2, var_t, e_t + 1.0 / self.gamma_a,
+                       var_t + 1.0 / self.gamma_a**2)
         for x in moments:
             if isinstance(x, np.ndarray):
                 x.flags.writeable = False
@@ -328,7 +330,8 @@ def excursion_report(d: BlockDecomposition, schemes):
     Sanity rails, per scheme in order and cell by cell: the second moments
     come from sums that can cancel down from magnitude
     (max_weight * expected_jumps)^2, so the nonnegativity and
-    Cauchy-Schwarz checks allow rounding slack on that scale.
+    Cauchy-Schwarz checks allow rounding slack on that scale; non-finite
+    noise raises ArithmeticError.
     """
     seq, shaped = _scheme_list(schemes)
     e_t, e_t2, var_t, mu, delta2 = time_moments(d)
@@ -343,11 +346,15 @@ def excursion_report(d: BlockDecomposition, schemes):
         raise_first(np.abs(cov_qt) > bound + 1e-9 * np.maximum(q_scale, t_scale),
                     ValueError, "covariance violates Cauchy-Schwarz")
         var_q = np.maximum(var_q, 0.0)
-        d1, d2, d3 = noise_terms(var_q, e_q, cov_qt, mu, delta2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d1, d2, d3 = noise_terms(var_q, e_q, cov_qt, mu, delta2)
+            noise = d1 + d2 + d3
+        raise_first(~np.isfinite(noise), ArithmeticError,
+                    "non-finite noise d1={}, d2={}, d3={}", d1, d2, d3)
         reports.append(ExcursionReport(
             e_q=e_q, var_q=var_q, e_t=e_t, var_t=var_t, cov_qt=cov_qt,
             e_tau=1.0 / d.gamma_a, mu=mu, delta2=delta2,
-            j=e_q / mu, d1=d1, d2=d2, d3=d3, d=d1 + d2 + d3,
+            j=e_q / mu, d1=d1, d2=d2, d3=d3, d=noise,
         ))
     return shaped(reports)
 

@@ -2,6 +2,10 @@
 outcome probabilities, blockade closed forms, populations, mutual
 information and the uncertainty-relation bounds.
 
+The transport and entropy weights are read off the lead-jump table
+``exclab.dqd.LEAD_JUMPS`` that the rates are built from; the outcome and
+blockade closed forms are written out by hand, as oracles of that table.
+
 Entropy weights, outcome probabilities, populations, mutual information
 and the precision bounds follow a batch of parameter points (array
 voltages, stacked chains) cell by cell; the blockade closed forms take
@@ -19,6 +23,7 @@ from .dqd import (
     effective_coupling,
     fermi,
     fermi_set,
+    lead_jumps,
     lead_log_ratio,
     require_finite_fermi,
 )
@@ -47,26 +52,17 @@ _EMPTY, _LEFT, _RIGHT, _BOTH = 0, 1, 2, 3
 
 
 def transport_weights(side: str = "R", n: int = 4) -> WeightScheme:
-    """Particle current into the chosen lead: +1 per electron dumped into
-    the reservoir, -1 per electron absorbed from it; hopping counts zero.
-    Anti-symmetric and integer valued."""
+    """Particle current into the chosen lead over the first ``n`` states:
+    +1 per electron dumped into the reservoir, -1 per electron absorbed from
+    it, hopping zero.  Anti-symmetric and integer valued."""
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
     if n not in (3, 4):
         raise ValueError("n must be 3 or 4")
     nu = np.zeros((n, n))
-    if side == "R":
-        nu[_EMPTY, _RIGHT] = 1.0   # 01 -> 00 empties the right dot
-        nu[_RIGHT, _EMPTY] = -1.0
-        if n == 4:
-            nu[_LEFT, _BOTH] = 1.0  # 11 -> 10 also exits to the right lead
-            nu[_BOTH, _LEFT] = -1.0
-    else:
-        nu[_EMPTY, _LEFT] = 1.0
-        nu[_LEFT, _EMPTY] = -1.0
-        if n == 4:
-            nu[_RIGHT, _BOTH] = 1.0
-            nu[_BOTH, _RIGHT] = -1.0
+    for to, frm, lead, _ in lead_jumps(n):
+        if lead == side:
+            nu[frm, to], nu[to, frm] = 1.0, -1.0
     return WeightScheme(nu, name=f"transport_{side}")
 
 
@@ -83,22 +79,12 @@ def entropy_weights(p: DqdParams) -> WeightScheme:
 
     Raises DegenerateFermi when an occupation is exactly 0 or 1.
     """
-    n = 3 if p.blockade else 4
+    n = p.n_states
     require_finite_fermi(fermi_set(p), with_u=not p.blockade)
-    z_l = lead_log_ratio(p, "L")
-    z_r = lead_log_ratio(p, "R")
     nu = np.zeros(p.batch_shape + (n, n))
-    nu[..., _EMPTY, _LEFT] = z_l
-    nu[..., _LEFT, _EMPTY] = -z_l
-    nu[..., _EMPTY, _RIGHT] = z_r
-    nu[..., _RIGHT, _EMPTY] = -z_r
-    if n == 4:
-        z_lu = lead_log_ratio(p, "L", shifted=True)
-        z_ru = lead_log_ratio(p, "R", shifted=True)
-        nu[..., _LEFT, _BOTH] = z_ru    # 11 -> 10 releases into the right lead
-        nu[..., _BOTH, _LEFT] = -z_ru
-        nu[..., _RIGHT, _BOTH] = z_lu
-        nu[..., _BOTH, _RIGHT] = -z_lu
+    for to, frm, lead, shifted in lead_jumps(n):
+        z = lead_log_ratio(p, lead, shifted)
+        nu[..., frm, to], nu[..., to, frm] = z, -z
     return WeightScheme(nu, name="entropy")
 
 

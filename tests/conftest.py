@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exclab import DqdParams, build_dqd, build_dqd_blockade, partition
+from exclab import DqdParams, build_model, partition
 
 GAMMA = 2 * math.pi * 0.1
 
@@ -18,7 +18,7 @@ def ref_params():
 
 @pytest.fixture(scope="session")
 def ref_model(ref_params):
-    return build_dqd(ref_params)
+    return build_model(ref_params)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def ref_blockade_params():
 
 @pytest.fixture(scope="session")
 def ref_blockade_model(ref_blockade_params):
-    return build_dqd_blockade(ref_blockade_params)
+    return build_model(ref_blockade_params)
 
 
 def grid(n_vg=7, n_vsd=7, vg_lim=10.0, vsd_lim=20.0):

@@ -15,8 +15,7 @@ from exclab import (
     DqdParams,
     activity_weights,
     blockade_analytics,
-    build_dqd,
-    build_dqd_blockade,
+    build_model,
     empirical_moments,
     entropy_weights,
     excess_time,
@@ -55,7 +54,7 @@ def test_criterion_1_fcs_equivalence():
     t0 = time.monotonic()
     worst_j = worst_d = 0.0
     for vg, vsd in grid77():
-        m = build_dqd(DqdParams(vg=vg, vsd=vsd, **REF))
+        m = build_model(DqdParams(vg=vg, vsd=vsd, **REF))
         rep = excursion_report(partition(m, 0), tr)
         j, d = fcs_current_noise(m, tr)
         # relative comparison away from equilibrium; on the vsd = 0 line
@@ -77,7 +76,7 @@ def test_criterion_1_fcs_equivalence():
 def test_criterion_2_monte_carlo_agreement():
     t0 = time.monotonic()
     p = DqdParams(vg=0.0, vsd=7.0, **REF)
-    m = build_dqd(p)
+    m = build_model(p)
     dec = partition(m, 0)
     schemes = {
         "transport": transport_weights("R", 4),
@@ -105,7 +104,7 @@ def test_criterion_3_blockade_closed_forms():
     worst = 0.0
     for vg, vsd in grid77():
         p = DqdParams(vg=vg, vsd=vsd, blockade=True, **REF)
-        m = build_dqd_blockade(p)
+        m = build_model(p)
         d = partition(m, 0)
         cf = blockade_analytics(p)
         e_t, _, _, mu, _ = time_moments(d)
@@ -133,7 +132,7 @@ def test_criterion_4_outcome_distribution():
     worst_sum = 0.0
     for vg, vsd in grid77():
         p = DqdParams(vg=vg, vsd=vsd, blockade=True, **REF)
-        d = partition(build_dqd_blockade(p), 0)
+        d = partition(build_model(p), 0)
         qs, probs = outcome_distribution(d, transport_weights("R", 3), (-3, 3))
         t = success_fail_disaster(p)
         ref_map = {1: t.p_suc, 0: t.p_fail, -1: t.p_dis}
@@ -152,7 +151,7 @@ def test_criterion_5_uncertainty_relations():
     for vsd in np.linspace(-20.0, 20.0, 21):
         for vg in np.linspace(-10.0, 10.0, 21):
             p = DqdParams(vg=float(vg), vsd=float(vsd), **REF)
-            m = build_dqd(p)
+            m = build_model(p)
             d = partition(m, 0)
             rq = excursion_report(d, transport_weights("R", 4))
             rs = excursion_report(d, entropy_weights(p))
@@ -192,7 +191,7 @@ def test_criterion_6_thermodynamic_proportionality():
     worst_m = worst_v = 0.0
     for vg, vsd in grid77():
         p = DqdParams(vg=vg, vsd=vsd, **REF)
-        d = partition(build_dqd(p), 0)
+        d = partition(build_model(p), 0)
         rq = excursion_report(d, transport_weights("R", 4))
         rs = excursion_report(d, entropy_weights(p))
         zeta = lead_log_ratio(p, "R") - lead_log_ratio(p, "L")
@@ -203,7 +202,7 @@ def test_criterion_6_thermodynamic_proportionality():
             assert em <= 1e-10 and ev <= 1e-10, f"vg={vg}, vsd={vsd}"
 
     p = DqdParams(vg=0.0, vsd=7.0, **REF)
-    m = build_dqd(p)
+    m = build_model(p)
     schemes = {"qr": transport_weights("R", 4), "ql": transport_weights("L", 4)}
     sample = sample_excursions(m, schemes, 100_000, seed=606)
     matches = np.sum(sample.q["ql"] == -sample.q["qr"])

@@ -5,12 +5,13 @@ import pytest
 
 from exclab import (
     DqdParams,
-    build_dqd,
-    build_dqd_blockade,
+    build_model,
     effective_coupling,
+    entropy_weights,
     fermi,
     fermi_set,
     steady_state,
+    transport_weights,
 )
 
 from conftest import REF, GAMMA
@@ -56,7 +57,7 @@ class TestBuildDqd:
         assert ref_model.labels == ("00", "10", "01", "11")
 
     def test_swap_symmetry_at_equilibrium(self):
-        m = build_dqd(DqdParams(vg=4.0, vsd=0.0, **REF))
+        m = build_model(DqdParams(vg=4.0, vsd=0.0, **REF))
         # swapping 10 <-> 01 together with L <-> R leaves the matrix fixed
         perm = [0, 2, 1, 3]
         assert np.allclose(m.w, m.w[np.ix_(perm, perm)], rtol=1e-14)
@@ -79,7 +80,6 @@ class TestBuildDqd:
     def test_occupations_computed_once_read_only(self, monkeypatch, batch):
         import exclab.dqd
         vg = np.linspace(-10.0, 10.0, 5) if batch else 1.5
-        p = DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, **REF)
         calls, fermi = [], exclab.dqd.fermi
 
         def counted(*args):
@@ -87,29 +87,32 @@ class TestBuildDqd:
             return fermi(*args)
 
         monkeypatch.setattr(exclab.dqd, "fermi", counted)
-        f = fermi_set(p)
-        assert fermi_set(p) is f and len(calls) == 4
-        build_dqd(p)
-        build_dqd_blockade(p)
-        assert len(calls) == 4
-        for v in vars(f).values():
-            if batch:
-                with pytest.raises(ValueError):
-                    v[0] = 0.0
-            else:
-                assert type(v) is float
+        for blockade in (False, True):
+            calls.clear()
+            p = DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, blockade=blockade, **REF)
+            f = fermi_set(p)
+            assert fermi_set(p) is f and len(calls) == 4
+            build_model(p)
+            assert len(calls) == 4
+            for v in vars(f).values():
+                if batch:
+                    with pytest.raises(ValueError):
+                        v[0] = 0.0
+                else:
+                    assert type(v) is float
 
-    @pytest.mark.parametrize("builder", [build_dqd, build_dqd_blockade])
-    def test_batch_rates_equal_single_points_bitwise(self, builder):
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_batch_rates_equal_single_points_bitwise(self, blockade):
         # array voltages stack one chain per point; the stiff gate edge
         # and the low temperature exercise the far Fermi tails
         vg, vsd = np.meshgrid(np.linspace(-15, 5, 13), np.linspace(-20, 20, 13))
         for temperature in (1.0, 0.5):
-            kw = dict(g=1.0, gamma=GAMMA, temperature=temperature, u=10.0)
-            batch = builder(DqdParams(vg=vg, vsd=vsd, **kw))
+            kw = dict(g=1.0, gamma=GAMMA, temperature=temperature, u=10.0,
+                      blockade=blockade)
+            batch = build_model(DqdParams(vg=vg, vsd=vsd, **kw))
             assert batch.w.shape == vg.shape + (batch.n, batch.n)
             for idx in np.ndindex(vg.shape):
-                one = builder(DqdParams(vg=float(vg[idx]), vsd=float(vsd[idx]), **kw))
+                one = build_model(DqdParams(vg=float(vg[idx]), vsd=float(vsd[idx]), **kw))
                 assert np.array_equal(batch.w[idx], one.w), idx
                 assert np.array_equal(batch.generator[idx], one.generator), idx
 
@@ -119,8 +122,8 @@ class TestBuildDqd:
             kw = dict(g=1.0, gamma=GAMMA, temperature=float(rng.uniform(0.5, 4)),
                       u=float(rng.uniform(0, 15)), vg=float(rng.uniform(-10, 10)),
                       vsd=float(rng.uniform(-20, 20)))
-            build_dqd(DqdParams(**kw))            # validation raises on failure
-            build_dqd_blockade(DqdParams(**kw))
+            build_model(DqdParams(**kw))            # validation raises on failure
+            build_model(DqdParams(blockade=True, **kw))
 
 
 class TestBlockade:
@@ -135,18 +138,35 @@ class TestBlockade:
                       vg=0.0, vsd=-40.0, blockade=True)
         f = fermi_set(p)
         assert f.f_left > 1 - 1e-8 and f.f_right < 1e-8
-        m = build_dqd_blockade(p)
+        m = build_model(p)
         assert m.w[0, 1] == pytest.approx(GAMMA * (1 - f.f_left))
         assert m.w[0, 1] < 1e-8 < m.w[0, 2]
 
     def test_large_u_limit_matches_blockade(self):
         kw = dict(g=1.0, gamma=GAMMA, temperature=2.0, vg=1.0, vsd=7.0)
-        big = build_dqd(DqdParams(u=200.0, **kw))
-        small = build_dqd_blockade(DqdParams(u=200.0, blockade=True, **kw))
-        assert np.allclose(big.w[:3, :3], small.w, rtol=1e-10)
+        big = build_model(DqdParams(u=200.0, **kw))
+        small = build_model(DqdParams(u=200.0, blockade=True, **kw))
+        assert np.array_equal(big.w[:3, :3], small.w)
+
+    @pytest.mark.parametrize("u", [0.0, 10.0, 200.0])
+    def test_blockade_is_the_leading_block(self, u):
+        # the blockade chain keeps the lead jumps that do not touch 11, so
+        # its rates and weights are the four-state ones without row and
+        # column 11, bit for bit
+        vg, vsd = np.meshgrid(np.linspace(-15, 5, 7), np.linspace(-20, 20, 7))
+        for at_vg, at_vsd in ((1.0, 7.0), (-10.0, -1.2), (vg, vsd)):
+            kw = dict(g=1.0, gamma=GAMMA, temperature=2.0, u=u, vg=at_vg, vsd=at_vsd)
+            four, three = DqdParams(**kw), DqdParams(blockade=True, **kw)
+            assert np.array_equal(build_model(four).w[..., :3, :3],
+                                  build_model(three).w)
+            assert np.array_equal(entropy_weights(four).weights[..., :3, :3],
+                                  entropy_weights(three).weights)
+        for side in "LR":
+            assert np.array_equal(transport_weights(side, 4).weights[:3, :3],
+                                  transport_weights(side, 3).weights)
 
     def test_zero_bias_populations_symmetric(self):
-        m = build_dqd_blockade(DqdParams(vg=2.0, vsd=0.0, blockade=True, **REF))
+        m = build_model(DqdParams(vg=2.0, vsd=0.0, blockade=True, **REF))
         ss = steady_state(m)
         assert abs(ss[1] - ss[2]) < 1e-14
 
@@ -157,6 +177,19 @@ class TestParams:
             DqdParams(g=0.0, gamma=GAMMA, temperature=2.0, u=10.0, vg=0.0, vsd=0.0)
         with pytest.raises(ValueError):
             DqdParams(g=1.0, gamma=GAMMA, temperature=-1.0, u=10.0, vg=0.0, vsd=0.0)
+
+    @pytest.mark.parametrize("name", ["g", "gamma", "temperature", "u", "vsd",
+                                      "vg", "vg_left", "vg_right"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        gates = dict(vg_left=1.0, vg_right=2.0) if name.startswith("vg_") else dict(vg=1.0)
+        kw = dict(g=1.0, gamma=GAMMA, temperature=2.0, u=10.0, vsd=0.0, **gates)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            DqdParams(**{**kw, name: value})
+        batch = np.array([0.0, value])
+        if name.startswith("v"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                DqdParams(**{**kw, name: batch})
 
     def test_chemical_potentials(self, ref_params):
         assert ref_params.mu_left == -3.5 and ref_params.mu_right == 3.5

@@ -7,8 +7,7 @@ from exclab import (
     DqdParams,
     WeightScheme,
     activity_weights,
-    build_dqd,
-    build_dqd_blockade,
+    build_model,
     cross_moments,
     entropy_weights,
     excess_time,
@@ -87,7 +86,7 @@ class TestPartition:
 
     def test_normalization_identity_on_grid(self):
         for vg, vsd in grid(5, 5):
-            m = build_dqd(DqdParams(vg=vg, vsd=vsd, **REF))
+            m = build_model(DqdParams(vg=vg, vsd=vsd, **REF))
             d = partition(m, 0)
             norm = (d.w_ab @ d.fundamental @ d.w_ba).item()
             assert abs(norm - d.gamma_a) <= 1e-10 * d.gamma_a
@@ -112,7 +111,7 @@ class TestTimeMoments:
         # excursion-dominated at negative gate voltage, residence-dominated
         # at positive, for the timescale-figure parameters
         def times(vg):
-            m = build_dqd(DqdParams(vg=vg, vsd=7.0, **REF))
+            m = build_model(DqdParams(vg=vg, vsd=7.0, **REF))
             d = partition(m, 0)
             e_t = time_moments(d)[0]
             return e_t, 1.0 / d.gamma_a
@@ -143,7 +142,7 @@ class TestTimeMoments:
     def test_cached_equals_a_fresh_insertion(self, batch):
         vg = np.linspace(-10.0, 10.0, 5) if batch else 1.5
         vsd = np.full(5, 7.0) if batch else 7.0
-        d = partition(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
+        d = partition(build_model(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
         e_t, e_t2, var_t, mu, delta2 = time_moments(d)
         (f_t,), ((f_t2,),) = cross_moments(d, [None])
         want = (f_t, f_t2, f_t2 - f_t * f_t, f_t + 1.0 / d.gamma_a,
@@ -154,7 +153,7 @@ class TestTimeMoments:
 
     def test_cached_batch_arrays_are_read_only(self):
         p = DqdParams(vg=np.linspace(-5.0, 5.0, 3), vsd=np.full(3, 7.0), **REF)
-        d = partition(build_dqd(p), 0)
+        d = partition(build_model(p), 0)
         for x in time_moments(d):
             with pytest.raises(ValueError):
                 x[0] = 0.0
@@ -198,7 +197,7 @@ class TestObservableMoments:
 
 class TestCurrentAndNoise:
     def test_equilibrium_current_vanishes(self):
-        m = build_dqd(DqdParams(vg=1.0, vsd=0.0, **REF))
+        m = build_model(DqdParams(vg=1.0, vsd=0.0, **REF))
         r = excursion_report(partition(m, 0), transport_weights("R", 4))
         assert abs(r.j) < 1e-12
 
@@ -211,7 +210,7 @@ class TestCurrentAndNoise:
         assert (r.d1, r.d2, r.d3, r.d) == (0.0, 0.0, 0.0, 0.0)
 
     def test_equilibrium_noise_structure(self):
-        m = build_dqd(DqdParams(vg=1.0, vsd=0.0, **REF))
+        m = build_model(DqdParams(vg=1.0, vsd=0.0, **REF))
         r = excursion_report(partition(m, 0), transport_weights("R", 4))
         assert r.d1 > 0
         assert abs(r.d2) < 1e-20 and abs(r.d3) < 1e-12
@@ -232,7 +231,7 @@ class TestCurrentAndNoise:
         # Q_L + Q_R vanishes per excursion, so the means mirror, the
         # variances coincide and the cross covariance is -var(Q_R)
         for vg, vsd in grid(5, 5):
-            d = partition(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
+            d = partition(build_model(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
             rr = excursion_report(d, transport_weights("R", 4))
             rl = excursion_report(d, transport_weights("L", 4))
             assert rl.e_q == pytest.approx(-rr.e_q, abs=1e-12 + 1e-10 * abs(rr.e_q))
@@ -254,7 +253,7 @@ class TestCurrentAndNoise:
 
 class TestOutcomeDistribution:
     def test_blockade_support_and_closed_forms(self, ref_blockade_params):
-        m = build_dqd_blockade(ref_blockade_params)
+        m = build_model(ref_blockade_params)
         d = partition(m, 0)
         qs, probs = outcome_distribution(d, transport_weights("R", 3), (-5, 5))
         triple = success_fail_disaster(ref_blockade_params)
@@ -267,12 +266,12 @@ class TestOutcomeDistribution:
         # f_L ~ 1 and f_R ~ 0 force every excursion to carry one electron
         p = DqdParams(g=1.0, gamma=GAMMA, temperature=0.5, u=10.0,
                       vg=0.0, vsd=-40.0, blockade=True)
-        d = partition(build_dqd_blockade(p), 0)
+        d = partition(build_model(p), 0)
         qs, probs = outcome_distribution(d, transport_weights("R", 3), (-3, 3))
         assert probs[qs == 1][0] > 0.999
 
     def test_multi_electron_support_without_blockade(self):
-        d = partition(build_dqd(DqdParams(vg=-6.0, vsd=7.0, **REF)), 0)
+        d = partition(build_model(DqdParams(vg=-6.0, vsd=7.0, **REF)), 0)
         qs, probs = outcome_distribution(d, transport_weights("R", 4), (-40, 40))
         assert probs[np.abs(qs) >= 2].sum() > 0.1
 
@@ -296,7 +295,7 @@ class TestOutcomeDistribution:
 class TestExcessTime:
     def test_positive_everywhere(self):
         for vg, vsd in grid(5, 5):
-            d = partition(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
+            d = partition(build_model(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
             assert excess_time(d) > 0.0
 
     def test_equals_noise_of_excess_scheme(self, ref_dec):
@@ -305,6 +304,6 @@ class TestExcessTime:
 
     def test_dominates_inverse_activity_on_grid(self):
         for vg, vsd in grid(5, 5):
-            d = partition(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
+            d = partition(build_model(DqdParams(vg=vg, vsd=vsd, **REF)), 0)
             j_act = excursion_report(d, activity_weights(4)).j
             assert excess_time(d) >= (1.0 / j_act) * (1 - 1e-9)

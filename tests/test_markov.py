@@ -6,7 +6,7 @@ import pytest
 from exclab import (
     DqdParams,
     WeightScheme,
-    build_dqd,
+    build_model,
     excursion_report,
     fcs_current_noise,
     partition,
@@ -67,7 +67,7 @@ class TestSteadyState:
 
     def test_left_right_symmetry_at_zero_bias(self):
         p = DqdParams(vg=3.0, vsd=0.0, **REF)
-        ss = steady_state(build_dqd(p))
+        ss = steady_state(build_model(p))
         assert abs(ss[1] - ss[2]) < 1e-14
 
     def test_residual_and_normalization(self):
@@ -81,7 +81,7 @@ class TestSteadyState:
     @pytest.mark.parametrize("batch", [False, True])
     def test_solved_once_and_cached_read_only(self, monkeypatch, batch):
         vg = np.linspace(-10.0, 10.0, 5) if batch else 1.5
-        m = build_dqd(DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, **REF))
+        m = build_model(DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, **REF))
         solves, solve = [], np.linalg.solve
 
         def counted(*args):
@@ -151,7 +151,7 @@ class TestFcsCurrentNoise:
 
     def test_equilibrium_current_vanishes(self):
         p = DqdParams(vg=2.0, vsd=0.0, **REF)
-        j, _ = fcs_current_noise(build_dqd(p), transport_weights("R", 4))
+        j, _ = fcs_current_noise(build_model(p), transport_weights("R", 4))
         assert abs(j) < 1e-10
 
     def test_matches_excursion_engine_on_grid(self):
@@ -159,7 +159,7 @@ class TestFcsCurrentNoise:
         tr = transport_weights("R", 4)
         for vg, vsd in grid(5, 5):
             p = DqdParams(vg=vg, vsd=vsd, **REF)
-            m = build_dqd(p)
+            m = build_model(p)
             rep = excursion_report(partition(m, 0), tr)
             j, d = fcs_current_noise(m, tr)
             assert abs(j - rep.j) <= max(1e-6 * max(abs(j), abs(rep.j)), 1e-9)

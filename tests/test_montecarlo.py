@@ -12,8 +12,7 @@ from exclab import (
     ExcursionSample,
     WeightScheme,
     activity_weights,
-    build_dqd,
-    build_dqd_blockade,
+    build_model,
     empirical_moments,
     empirical_outcome_histogram,
     entropy_weights,
@@ -81,7 +80,7 @@ class TestSimulate:
 
     def test_dqd_occupation_matches_steady_state(self):
         p = DqdParams(vg=5.0, vsd=7.0, **REF)
-        m = build_dqd(p)
+        m = build_model(p)
         n_jumps = 10_000_000
         t = simulate(m, seed=12, max_excursions=n_jumps // 5)
         if len(t.states) < n_jumps:  # top up to the advertised jump count
@@ -97,7 +96,7 @@ class TestSimulate:
     def test_holding_times_exponential(self):
         # Kolmogorov-Smirnov at alpha = 0.001 per state, 1e5 samples; the
         # gate voltage is chosen so every state is visited often
-        m = build_dqd(DqdParams(vg=-5.0, vsd=7.0, **REF))
+        m = build_model(DqdParams(vg=-5.0, vsd=7.0, **REF))
         t = simulate(m, seed=3, max_excursions=115_000)
         for x in range(4):
             holds = t.holds[:-1][t.states[:-1] == x]
@@ -174,7 +173,7 @@ class TestReferenceLoops:
     def test_filter_matches_reference_on_long_excursions(self):
         # state 00 is rare at vg = -10, so excursions run to hundreds of
         # jumps and the longest are summed one at a time
-        m = build_dqd(DqdParams(vg=-10.0, vsd=7.0, **REF))
+        m = build_model(DqdParams(vg=-10.0, vsd=7.0, **REF))
         t = simulate(m, seed=4, max_excursions=40)
         records, _ = assert_same_filter(t, 0, 4)
         lengths = np.sort(records.counts.sum(axis=(1, 2)))
@@ -519,7 +518,7 @@ class TestReferenceEnsemble:
         # state 00 is rare at vg = -10, so excursions from it run to
         # hundreds of jumps and the loop runs long on few excursions
         p = DqdParams(vg=-10.0, vsd=7.0, **REF)
-        m = build_dqd(p)
+        m = build_model(p)
         schemes = _schemes(p, 4)
         kwargs = dict(seed=11, a_state=a_state, keep_counts=True)
         sample = sample_excursions(m, schemes, 300, **kwargs)
@@ -775,7 +774,7 @@ class TestOutcomeHistogram:
     def test_concentrates_at_success_in_strong_bias(self):
         p = DqdParams(g=1.0, gamma=GAMMA, temperature=0.5, u=10.0,
                       vg=0.0, vsd=-40.0, blockade=True)
-        m = build_dqd_blockade(p)
+        m = build_model(p)
         sample = sample_excursions(m, {"t": transport_weights("R", 3)}, 20_000,
                                    seed=23)
         qs, freqs, _ = empirical_outcome_histogram(sample, "t")
@@ -783,7 +782,7 @@ class TestOutcomeHistogram:
 
     def test_multi_electron_support_matches_quadrature(self):
         p = DqdParams(vg=-6.0, vsd=7.0, **REF)
-        m = build_dqd(p)
+        m = build_model(p)
         d = partition(m, 0)
         qs_a, probs_a = outcome_distribution(d, transport_weights("R", 4), (-40, 40))
         sample = sample_excursions(m, {"t": transport_weights("R", 4)}, 100_000,

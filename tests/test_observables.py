@@ -9,8 +9,7 @@ from exclab import (
     Populations,
     activity_weights,
     blockade_analytics,
-    build_dqd,
-    build_dqd_blockade,
+    build_model,
     entropy_weights,
     excursion_report,
     mutual_information,
@@ -81,7 +80,7 @@ class TestEntropyWeights:
 
     def test_equilibrium_entropy_current_vanishes(self):
         p = DqdParams(vg=2.0, vsd=0.0, **REF)
-        d = partition(build_dqd(p), 0)
+        d = partition(build_model(p), 0)
         r = excursion_report(d, entropy_weights(p))
         assert abs(r.j) < 1e-12
 
@@ -136,7 +135,7 @@ class TestBlockadeAnalytics:
         # the cross-check that pins the closed-form symbol conventions
         for vg, vsd in grid(7, 7):
             p = DqdParams(vg=vg, vsd=vsd, blockade=True, **REF)
-            m = build_dqd_blockade(p)
+            m = build_model(p)
             d = partition(m, 0)
             cf = blockade_analytics(p)
             e_t, _, _, mu, _ = time_moments(d)
@@ -160,7 +159,7 @@ class TestPopulations:
         assert pop.p00 + pop.p10 + pop.p01 + pop.p11 == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_bias_symmetry(self):
-        pop = populations(build_dqd(DqdParams(vg=2.0, vsd=0.0, **REF)))
+        pop = populations(build_model(DqdParams(vg=2.0, vsd=0.0, **REF)))
         assert pop.p10 == pytest.approx(pop.p01, abs=1e-14)
 
     def test_blockade_marginals(self, ref_blockade_params, ref_blockade_model):
@@ -186,7 +185,7 @@ class TestMutualInformation:
 
     def test_nonnegative_on_grid(self):
         for vg, vsd in grid(5, 5):
-            pop = populations(build_dqd(DqdParams(vg=vg, vsd=vsd, **REF)))
+            pop = populations(build_model(DqdParams(vg=vg, vsd=vsd, **REF)))
             assert mutual_information(pop) >= 0.0
 
     def test_peaks_inside_central_diamond(self):
@@ -194,7 +193,7 @@ class TestMutualInformation:
         # center carries the strongest dot-dot correlation
         vals = {}
         for vg_shift in np.linspace(-10, 10, 21):
-            pop = populations(build_dqd(
+            pop = populations(build_model(
                 DqdParams(vg=float(vg_shift) - 5.0, vsd=0.0, **REF)))
             vals[float(vg_shift)] = mutual_information(pop)
         best = max(vals, key=vals.get)

@@ -13,8 +13,7 @@ from exclab import (
     DqdParams,
     WeightScheme,
     activity_weights,
-    build_dqd,
-    build_dqd_blockade,
+    build_model,
     entropy_weights,
     excess_time_weights,
     fcs_current_noise,
@@ -27,7 +26,7 @@ from exclab import (
 )
 from exclab.errors import MassDeficit
 from exclab.excursions import outcome_quadrature
-from exclab.sweep import SweepConfig, build_model, evaluate
+from exclab.sweep import SweepConfig, evaluate
 from exclab.verify import _points
 
 import reference_oracles as reference
@@ -46,7 +45,7 @@ def _dqd_cases():
     params += [DqdParams(vsd=float(v), blockade=b, **STIFF)
                for b in (False, True) for v in STIFF_VSD]
     for p in params:
-        m = (build_dqd_blockade if p.blockade else build_dqd)(p)
+        m = build_model(p)
         schemes = [transport_weights("R", m.n), activity_weights(m.n),
                    entropy_weights(p), excess_time_weights(m)]
         yield f"vg={p.vg}, vsd={p.vsd}, blockade={p.blockade}", m, schemes
@@ -116,7 +115,7 @@ class TestFiniteDifferenceMoments:
     def test_stiff_search_runs_past_the_first_ladder(self, monkeypatch):
         # activity at (vg, vsd) = (-10, 0), T = 1: the chi step search needs
         # more than one ladder
-        m = build_dqd(DqdParams(vsd=0.0, **STIFF))
+        m = build_model(DqdParams(vsd=0.0, **STIFF))
         d, s = partition(m, 0), activity_weights(m.n)
         sizes = _count_calls(monkeypatch, "solve")
         got = finite_difference_moments(d, s)
@@ -190,14 +189,14 @@ class TestOutcomeDistribution:
 
     def _cases(self):
         pb = DqdParams(vg=0.0, vsd=7.0, blockade=True, **REF)
-        blockade = partition(build_dqd_blockade(pb), 0)
-        multi = partition(build_dqd(DqdParams(vg=-6.0, vsd=7.0, **REF)), 0)
+        blockade = partition(build_model(pb), 0)
+        multi = partition(build_model(DqdParams(vg=-6.0, vsd=7.0, **REF)), 0)
         yield blockade, transport_weights("R", 3), (-5, 5)
         yield blockade, activity_weights(3), (0, 300)
         yield multi, transport_weights("R", 4), (-40, 40)
         for v in STIFF_VSD:
             p = DqdParams(vsd=float(v), blockade=True, **STIFF)
-            yield partition(build_dqd_blockade(p), 0), transport_weights("R", 3), (-2, 2)
+            yield partition(build_model(p), 0), transport_weights("R", 3), (-2, 2)
         for _, m, (s,) in _random_cases(integer=True):
             yield partition(m, 0), s, (-30, 30)
 

@@ -18,6 +18,7 @@ from exclab.sweep import (
     SweepConfig,
     _point_params,
     compute_row,
+    evaluate,
     load_config,
     parse_grid_spec,
     sweep_rows,
@@ -193,6 +194,21 @@ class TestSweep:
         assert shifted["j_qr"][0] != plain["j_qr"][0]
         manual = compute_row(cfg, -cfg.u / 2.0, 7.0, False)
         assert shifted["j_qr"][0] == manual["j_qr"]
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_blockade_flag_selects_the_model(self, blockade):
+        # the flag alone sets the state count of the chain and of every
+        # scheme evaluate builds, for one point and for a batch
+        n = 3 if blockade else 4
+        cfg = SweepConfig(blockade=blockade)
+        for vg, vsd in ((1.0, 7.0), (np.linspace(-10, 10, 5), np.linspace(-20, 20, 5))):
+            p = _point_params(cfg, vg, vsd, False)
+            ev = evaluate(p)
+            assert p.n_states == ev.model.n == n
+            assert ev.model.labels == ("00", "10", "01", "11")[:n]
+            assert {k: s.n for k, s in ev.schemes.items()} == dict.fromkeys(
+                ("transport", "activity", "entropy"), n)
+            assert (ev.outcomes is not None) == blockade
 
     @pytest.mark.parametrize("blockade", [False, True])
     def test_batch_matches_single_points(self, blockade):
@@ -634,6 +650,16 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.strip().count("\n") == 0 and r.stderr.strip()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--temperature", "nan"), ("--g", "nan"), ("--gamma", "inf"),
+        ("--temperature", "inf"),
+    ])
+    def test_analyze_non_finite_parameter_exits_2(self, flag, value):
+        # these gave a misleading chain error, a leaked warning or a report
+        r = run_cli("analyze", flag, value)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == f"exclab analyze: error: {flag[2:]} must be finite\n"
+
     def test_analyze_at_large_gate_voltage(self):
         # mu ~ 1e104 at (240, 4): mu**3 overflowed and analyze crashed
         r = run_cli("analyze", "--vg", "240", "--vsd", "4")
@@ -673,6 +699,19 @@ class TestCli:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("exclab analyze: error:")
+
+    def test_sweep_far_gate_overflow_names_the_cell(self, tmp_path):
+        # 1/gamma_A**2 overflows from vg = 360 on: this sweep wrote d2 = inf
+        # in 15 of 21 cells with warnings and exit 0
+        out = tmp_path / "far.csv"
+        r = run_cli("sweep", "--no-gate-shift", "--grid",
+                    "vg:340:400:7,vsd:-1:1:3", "--out", str(out))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith(
+            "exclab sweep: error: ArithmeticError at vg=360, vsd=-1: "
+            "non-finite noise"), r.stderr
+        assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+        assert not out.exists() and not (tmp_path / "far.csv.tmp").exists()
 
     def test_heatmap_default_out_keeps_dotted_directory(self, tmp_path):
         # the default output replaces only the CSV's own extension
