@@ -275,7 +275,7 @@ def precision_bounds(j, d, j_act, j_sigma, cur_rhs) -> BoundsReport:
     current an infinite entropy bound.
     """
     j, j_sigma = np.asarray(j), np.asarray(j_sigma)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lhs = np.where(np.abs(j) > 1e-13, d / j**2, math.inf)
         tur_rhs = np.where(j_sigma != 0.0, 2.0 / j_sigma, math.inf)
     kur_rhs = 1.0 / j_act

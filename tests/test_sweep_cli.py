@@ -700,6 +700,14 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("exclab analyze: error:")
 
+    def test_analyze_vanishing_entropy_current_is_quiet(self):
+        # j_sigma = 5e-309 at (353, 0): 2 / j_sigma overflows to the
+        # designed tur_rhs = inf, and the overflow warning leaked
+        r = run_cli("analyze", "--no-gate-shift", "--vg", "353", "--vsd", "0")
+        assert r.returncode == 0 and r.stderr == ""
+        row = dict(zip(CANONICAL_COLUMNS, r.stdout.splitlines()[-1].split(",")))
+        assert float(row["tur_rhs"]) == math.inf
+
     def test_sweep_far_gate_overflow_names_the_cell(self, tmp_path):
         # 1/gamma_A**2 overflows from vg = 360 on: this sweep wrote d2 = inf
         # in 15 of 21 cells with warnings and exit 0
