@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
                    f"p_dis={t.p_dis:.6g}")
     out.append("")
     out.append("# machine-readable")
-    out.append("".join(_csv_chunks(row, cfg.columns)).rstrip("\n"))
+    out.append(b"".join(_csv_chunks(row, cfg.columns)).decode().rstrip("\n"))
     print("\n".join(out))
     return 0
 

@@ -232,6 +232,9 @@ def mutual_information(pop: Populations):
     logs = np.fromiter(map(math.log, ratio.ravel().tolist()), float, ratio.size)
     terms = np.where(live, joint * logs.reshape(joint.shape), 0.0)
     mi = terms[..., 0, 0] + terms[..., 0, 1] + terms[..., 1, 0] + terms[..., 1, 1]
+    # the information is nonnegative; rounding of near-independent or
+    # subnormal joints can carry the sum of the terms just below zero
+    mi = np.maximum(mi, 0.0)
     return mi if mi.ndim else float(mi)
 
 

@@ -12,9 +12,18 @@ per column, cells vsd-major (all vg values for the first vsd, then the
 next vsd), and :func:`write_csv` formats rows straight from those arrays.
 The grid is evaluated in one process, a block of cells per pass of the
 batched engine, so the output does not depend on the worker count.
+
+Each CSV cell is the bytes of ``format(x, ".17g")``.  The formatter works
+on passes of about 4096 cells in numpy: it forms the 17 digits from a
+double-double product with 10**(16 - E), writes them as four-digit ASCII
+words into a fixed row per cell, and copies out the bytes the cell's
+layout keeps.  A cell it cannot certify (0, inf, nan, |x| outside
+[1e-280, 1e280], a near-tie in the 17th digit, or an exponent off by one)
+is written by ``format`` itself, so the fallback is exact.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -66,10 +75,11 @@ CANONICAL_COLUMNS = (
 
 ZERO_CURRENT = 1e-14  # |J| below this makes the Fano factor divergent
 
-# Grid cells per pass of the batched engine, and CSV rows per write.
-# Bigger blocks save little time but hold more stacked arrays (and row
-# text) at once, which sets the sweep's peak memory.
+# Grid cells per pass of the batched engine, and CSV cells per pass of the
+# formatter.  Bigger passes save little time but hold more stacked arrays
+# (and row bytes) at once, which sets the sweep's peak memory.
 _BLOCK_CELLS = 1024
+_CSV_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,9 @@ class SweepConfig:
     columns: tuple[str, ...] = CANONICAL_COLUMNS
 
     def __post_init__(self):
+        for key in _FLOAT_KEYS:  # settings of the whole grid, not of a cell
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if self.vg_n < 1 or self.vsd_n < 1:
             raise ValueError("grid needs at least one point per axis")
         if self.vg_lo > self.vg_hi or self.vsd_lo > self.vsd_hi:
@@ -338,19 +351,172 @@ def sweep_rows(cfg: SweepConfig) -> dict:
             for c, v in blocks[0].items()}
 
 
+# The CSV formatter writes each number into a fixed body of _BODY bytes,
+#     " -0." A "   ." B "e+XYZ   "
+# with A and B the same 20-digit field, "000" and the 17 significant digits,
+# then keeps the bytes the cell's layout prints: the sign, "0." and leading
+# zeros below 1, the integer digits from A, the point and the fraction
+# digits from B, and the exponent.  Each run of kept bytes is contiguous,
+# which keeps the boolean copy fast.
+_BODY = 56
+_BODY_TEXT = " -0." + "0" * 20 + "   ." + "0" * 20 + "e+000   "
+_E_LO, _E_HI = -281, 280  # decimal exponents of the certified range [1e-280, 1e280]
+_LAYOUTS = 23  # fixed notation for exponents -4..16, scientific with 2 or 3 exponent digits
+_FALLBACK = 24  # bytes of the longest ".17g" text, "-2.2250738585072014e-308"
+
+
+@functools.cache
+def _format_tables():
+    """The formatter's tables, built on first use: 10**(16 - E) as a
+    double-double (hi, lo) by E, the layout's first mask row by E, the ASCII
+    words of 0000..9999 and the place of their last nonzero digit, the
+    exponent text by E as two words, and the keep masks of the body: row L
+    keeps the first L bytes, for a fallback text of length L <= _FALLBACK,
+    then one row per (layout, significant digits, sign)."""
+    hi, lo = [], []
+    for e in range(_E_LO, _E_HI + 1):
+        k = 16 - e
+        if k >= 0:  # each part correctly rounded from Python ints
+            n = 10 ** k
+            hi.append(float(n))
+            lo.append(float(n - int(hi[-1])))
+        else:
+            n = 10 ** -k
+            hi.append(1 / n)
+            a, b = hi[-1].as_integer_ratio()
+            lo.append((b - a * n) / (b * n))
+    e = np.arange(_E_LO, _E_HI + 1)
+    layout = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    g = np.arange(10000)
+    quad = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    words = (48 + quad).astype(np.uint8).view(np.uint32).ravel()
+    # -100 for 0000, so that a zero group never holds the last digit
+    last = np.where(g == 0, -100, 4 - np.argmax(quad[:, ::-1] != 0, axis=1))
+    a = np.abs(e)
+    etext = np.stack([np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                      48 + a // 100, 48 + a // 10 % 10, 48 + a % 10,
+                      *[np.full_like(e, ord(" "))] * 3], axis=1)
+    lay = np.arange(_LAYOUTS)[:, None, None, None]
+    s = np.arange(1, 18)[:, None, None]
+    neg = np.arange(2)[:, None]
+    pos = np.arange(_BODY)
+    small, sci = lay < 4, lay >= 21
+    nint = np.where(sci, 1, lay - 3)  # digits before the point, E >= 0
+    nexp = np.where(lay == 22, 3, 2)
+    keep = np.zeros((_LAYOUTS, 17, 2, _BODY), bool)
+    keep |= (pos == 1) & (neg == 1)
+    keep |= small & ((pos == 2) | (pos == 3))
+    keep |= (pos >= 4 + np.where(small, lay, 3)) & (pos < 7 + np.where(small, s, nint))
+    keep |= ~small & (s > nint) & ((pos == 27) | ((pos >= 31 + nint) & (pos < 31 + s)))
+    keep |= sci & (((pos >= 48) & (pos < 50)) | ((pos >= 53 - nexp) & (pos < 53)))
+    fallback = pos < np.arange(_FALLBACK + 1)[:, None]
+    return (np.array(hi), np.array(lo), _FALLBACK + 1 + 34 * layout, words,
+            last.astype(np.int8), etext.astype(np.uint8).view(np.uint32),
+            np.concatenate([fallback, keep.reshape(-1, _BODY)]))
+
+
+def _split(a):
+    """Dekker's split of ``a`` into two halves of 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _format(x: np.ndarray, body: np.ndarray) -> np.ndarray:
+    """Write the ``format(v, ".17g")`` text of each float64 in ``x`` into
+    the rows of ``body`` (uint8, shape (x.size, _BODY)) and return each
+    cell's keep-mask row.
+
+    |v| times 10**(16 - E), E = floor(log10|v|), is formed as a double
+    hi + lo with Dekker's exact product (Numer. Math. 18:224, 1971), to
+    within 1e-14; its floor and fraction give the 17 digits rounded half
+    to even.  A cell the fast path cannot certify -- 0, inf, nan, |v|
+    outside [1e-280, 1e280], a fraction within 1e-6 of one half, or a
+    floor outside [1e16, 1e17 - 1), which a wrong E or a carry into the
+    next decade gives -- is written by ``format`` itself.
+    """
+    hi, lo, base, words, last, etext, _ = _format_tables()
+    ax = np.abs(x)
+    ok = (ax >= 1e-280) & (ax <= 1e280)
+    ax[~ok] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.intp) - _E_LO
+    h = hi[e]
+    p = ax * h
+    (ah, al), (hh, hl) = _split(ax), _split(h)
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + ax * lo[e]
+    floor = np.floor(r)
+    frac = r - floor
+    d = p.astype(np.int64) + floor.astype(np.int64)
+    ok &= (np.abs(frac - 0.5) > 1e-6) & (d >= 10 ** 16) & (d < 10 ** 17 - 1)
+    d += frac > 0.5
+    groups = np.empty((x.size, 5), np.int64)  # four digits each
+    for k in range(4, 0, -1):
+        q = d // 10000
+        groups[:, k] = d - 10000 * q
+        d = q
+    groups[:, 0] = d
+    at = last[groups]
+    s = at[:, 0] - 3  # significant digits once trailing zeros go
+    for k in range(1, 5):
+        np.maximum(s, at[:, k] + (4 * k - 3), out=s)
+    idx = base[e] + 2 * s + np.signbit(x) - 2
+    w = body.view(np.uint32)
+    w[:, 1:6] = w[:, 7:12] = words[groups]
+    w[:, 12] = etext[e, 0]
+    w[:, 13] = etext[e, 1]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        texts = [format(v, ".17g") for v in x[bad].tolist()]
+        body[bad, :_FALLBACK] = np.frombuffer("".join(
+            t.ljust(_FALLBACK) for t in texts).encode(), np.uint8).reshape(-1, _FALLBACK)
+        idx[bad] = np.fromiter(map(len, texts), np.intp, len(texts))
+    return idx
+
+
 def _csv_chunks(table: dict, columns):
-    """Yield ``columns`` of ``table`` as CSV text: the header, then the rows
-    _BLOCK_CELLS at a time, one ``%`` call each, 17 significant digits a cell
-    and an empty cell in a None column.  The table is checked first."""
+    """Yield ``columns`` of ``table`` as CSV bytes: the header, then the rows
+    about _CSV_CELLS cells per pass, each cell the bytes of
+    ``format(x, ".17g")`` and an empty cell in a None column.  The table is
+    checked first."""
     cols = [table[c] for c in columns]
     live = [np.ravel(a) for a in cols if a is not None]
     if len({a.size for a in live}) > 1:
         raise ValueError(f"table columns differ in length: {[a.size for a in live]}")
-    fmt = ",".join("" if a is None else "%.17g" for a in cols) + "\n"
-    yield ",".join(columns) + "\n"
-    for i in range(0, live[0].size if live else 0, _BLOCK_CELLS):
-        cells = np.column_stack([a[i:i + _BLOCK_CELLS] for a in live])
-        yield (fmt * len(cells)) % tuple(cells.ravel().tolist())
+    yield (",".join(columns) + "\n").encode()
+    if not live:
+        return
+    # A live cell ends with its separator and the commas of the None cells
+    # after it; the first one starts with the commas of those before it.
+    lead, seps = 0, []
+    for a in cols:
+        if a is not None:
+            seps.append(",")
+        elif seps:
+            seps[-1] += ","
+        else:
+            lead += 1
+    seps[-1] = seps[-1][:-1] + "\n"
+    pre, post = -(-lead // 4) * 4, -(-max(map(len, seps)) // 4) * 4
+    width = pre + _BODY + post
+    template = np.frombuffer("".join(
+        ("," * lead if j == 0 else "").ljust(pre) + _BODY_TEXT + s.ljust(post)
+        for j, s in enumerate(seps)).encode(), np.uint8).reshape(len(seps), width)
+    fixed = np.zeros(template.shape, bool)  # the kept separator bytes
+    fixed[0, :lead] = True
+    for j, s in enumerate(seps):
+        fixed[j, pre + _BODY:pre + _BODY + len(s)] = True
+    body_masks = _format_tables()[-1]
+    masks = np.zeros((len(body_masks), width), bool)
+    masks[:, pre:pre + _BODY] = body_masks
+    rows = max(1, _CSV_CELLS // len(live))
+    for i in range(0, live[0].size, rows):
+        x = np.column_stack([a[i:i + rows] for a in live]).astype(float, copy=False)
+        out = np.empty(x.shape + (width,), np.uint8)
+        out[...] = template
+        idx = _format(x.ravel(), out.reshape(-1, width)[:, pre:pre + _BODY])
+        keep = masks[idx].reshape(out.shape)
+        keep |= fixed
+        yield out[keep].tobytes()
 
 
 def write_csv(table: dict, path: str, columns=CANONICAL_COLUMNS) -> None:
@@ -360,7 +526,7 @@ def write_csv(table: dict, path: str, columns=CANONICAL_COLUMNS) -> None:
     header = next(chunks)  # checks the table before any file exists
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(header)
             fh.writelines(chunks)
         os.replace(tmp, path)

@@ -188,6 +188,17 @@ class TestMutualInformation:
             pop = populations(build_model(DqdParams(vg=vg, vsd=vsd, **REF)))
             assert mutual_information(pop) >= 0.0
 
+    def test_nonnegative_where_the_joint_is_subnormal(self):
+        # at (353, 0) p11 = 1.1e-311 and p10 = p01 = 4.9e-154: the terms
+        # summed to -1.1e-310
+        p = _point_params(SweepConfig(), 353.0, 0.0, False)
+        pop = populations(build_model(p))
+        assert 0.0 < pop.p11 < 1e-300
+        assert mutual_information(pop) == 0.0
+        batch = _point_params(SweepConfig(), np.array([353.0, 0.0]), np.zeros(2), False)
+        mi = mutual_information(populations(build_model(batch)))
+        assert mi[0] == 0.0 and mi[1] > 0.0
+
     def test_peaks_inside_central_diamond(self):
         # scan the shifted gate axis at zero bias: the hopping-dominated
         # center carries the strongest dot-dot correlation

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 import re
@@ -8,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_sweep as reference
 from exclab.dqd import build_model
@@ -16,6 +18,7 @@ from exclab.errors import DegenerateFermi, MalformedCsv, UnknownColumn
 from exclab.sweep import (
     CANONICAL_COLUMNS,
     SweepConfig,
+    _csv_chunks,
     _point_params,
     compute_row,
     evaluate,
@@ -85,6 +88,8 @@ class TestConfig:
         ("vsd_lo = 5\nvsd_hi = 9\nvsd_lo = 12\n", 3, "vsd_lo",
          "grid bounds must satisfy lo <= hi"),
         ("workers = 0\nvg_n = 0\n", 2, "vg_n", "grid needs at least one point per axis"),
+        ("u = 10\ntemperature = nan\n", 2, "temperature", "temperature must be finite"),
+        ("vsd_lo = -inf\nvg_n = 3\n", 1, "vsd_lo", "vsd_lo must be finite"),
     ])
     def test_invalid_value_names_its_line_and_key(self, tmp_path, text, line, key, message):
         path = tmp_path / "c.cfg"
@@ -101,6 +106,19 @@ class TestConfig:
         assert r.stderr == (f"exclab sweep: error: {path}:2: vsd_n: "
                             "grid needs at least one point per axis\n")
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (("--temperature", "nan"), "temperature must be finite"),
+        (("--u", "inf"), "u must be finite"),
+        (("--grid", "vg:nan:1:3"), "vg_lo must be finite"),
+        (("--grid", "vsd:-1:inf:3"), "vsd_hi must be finite"),
+    ])
+    def test_non_finite_setting_named_by_the_cli(self, tmp_path, args, message):
+        # these failed at the first cell, which they named as the culprit
+        r = run_cli("sweep", *args, "--out", str(tmp_path / "s.csv"))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == f"exclab sweep: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_spec(self):
         upd = parse_grid_spec("vg:-1:1:11,vsd:0:5:3")
@@ -362,6 +380,78 @@ class TestReferenceWriter:
         new, old = self._both(tmp_path, table, rows, CANONICAL_COLUMNS)
         assert new == old
         assert new.splitlines()[1].startswith(b"0,inf,inf,")
+
+
+    @pytest.mark.parametrize("empty", [(), ("p00",), ("vg",), ("mi",), ("vg", "vsd", "mi")])
+    @pytest.mark.parametrize("n", [1, 5000])
+    def test_empty_columns_anywhere(self, tmp_path, empty, n):
+        # an empty column first, in the middle or last, in a one-row table
+        # and in one longer than a formatter pass
+        columns = ("vg", "vsd", "p00", "mi")
+        rng = np.random.default_rng(n)
+        table = {c: None if c in empty else rng.standard_normal(n) * 10.0 ** rng.integers(-9, 9, n)
+                 for c in columns}
+        rows = [{c: None if v is None else v[i] for c, v in table.items()} for i in range(n)]
+        new, old = self._both(tmp_path, table, rows, columns)
+        assert new == old
+        assert new.count(b"\n") == n + 1
+
+
+class TestFormatter:
+    """The sweep's formatter against ``format(x, ".17g")``, one cell a line."""
+
+    @staticmethod
+    def _assert_formats(x):
+        x = np.asarray(x, dtype=float)
+        got = b"".join(list(_csv_chunks({"x": x}, ["x"]))[1:])
+        want = ("\n".join(map(format, x.tolist(), itertools.repeat(".17g"))) + "\n").encode()
+        if got != want:
+            lines = got.splitlines()
+            bad = next(i for i, w in enumerate(want.splitlines()) if lines[i] != w)
+            assert lines[bad].decode() == format(x[bad], ".17g"), repr(x[bad])
+        assert got == want
+
+    def test_random_bit_patterns(self):
+        # 2**20 random words; 63 in 64 get an exponent field within 2**+-128,
+        # where sweep values lie and the fast path runs; the rest keep the
+        # whole range, which goes through format twice and costs most
+        words = np.random.default_rng(19).integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+        field = np.random.default_rng(20).integers(1023 - 128, 1023 + 128, words.size)
+        redraw = np.arange(words.size) % 64 != 0
+        words[redraw] = ((words[redraw] & np.uint64(0x800FFFFFFFFFFFFF))
+                         | (field[redraw].astype(np.uint64) << np.uint64(52)))
+        self._assert_formats(words.view(np.float64))
+
+    def test_exact_ties(self):
+        # m * 2**-k with m odd is m * 5**k / 10**k: its exact decimal ends
+        # in 5, and with 18 significant digits it is a tie at 17
+        rng = np.random.default_rng(7)
+        ties = []
+        for k in range(2, 26):  # the only k with 18 digits and m below 2**53
+            lo, hi = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
+            for m in rng.integers(lo, hi, 256).tolist():
+                m |= 1
+                if len(str(m * 5 ** k)) == 18:
+                    ties.append(math.ldexp(m, -k))
+        assert len(ties) > 4000
+        self._assert_formats(ties + [-t for t in ties])
+
+    def test_powers_of_ten_and_neighbours(self):
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        self._assert_formats(np.concatenate([near, -near]))
+
+    def test_special_values(self):
+        tiny = np.random.default_rng(3).integers(1, 2 ** 52, 1000, dtype=np.uint64)
+        self._assert_formats([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                              5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                              1.7976931348623157e308, 1e-280, 1e280,
+                              *tiny.view(np.float64), *-tiny.view(np.float64)])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_floats(self, x):
+        self._assert_formats(x)
 
 
 class TestReferenceEngine:
@@ -707,6 +797,7 @@ class TestCli:
         assert r.returncode == 0 and r.stderr == ""
         row = dict(zip(CANONICAL_COLUMNS, r.stdout.splitlines()[-1].split(",")))
         assert float(row["tur_rhs"]) == math.inf
+        assert row["mi"] == "0"  # the terms summed to -1.1e-310
 
     def test_sweep_far_gate_overflow_names_the_cell(self, tmp_path):
         # 1/gamma_A**2 overflows from vg = 360 on: this sweep wrote d2 = inf
