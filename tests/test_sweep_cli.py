@@ -381,7 +381,6 @@ class TestReferenceWriter:
         assert new == old
         assert new.splitlines()[1].startswith(b"0,inf,inf,")
 
-
     @pytest.mark.parametrize("empty", [(), ("p00",), ("vg",), ("mi",), ("vg", "vsd", "mi")])
     @pytest.mark.parametrize("n", [1, 5000])
     def test_empty_columns_anywhere(self, tmp_path, empty, n):
@@ -405,10 +404,9 @@ class TestFormatter:
         x = np.asarray(x, dtype=float)
         got = b"".join(list(_csv_chunks({"x": x}, ["x"]))[1:])
         want = ("\n".join(map(format, x.tolist(), itertools.repeat(".17g"))) + "\n").encode()
-        if got != want:
-            lines = got.splitlines()
-            bad = next(i for i, w in enumerate(want.splitlines()) if lines[i] != w)
-            assert lines[bad].decode() == format(x[bad], ".17g"), repr(x[bad])
+        if got != want:  # name the first cell that differs
+            for v, line in zip(x.tolist(), got.decode().splitlines()):
+                assert line == format(v, ".17g"), repr(v)
         assert got == want
 
     def test_random_bit_patterns(self):
