@@ -23,8 +23,8 @@ from .montecarlo import (
     sample_excursions,
     simulate,
 )
+from .observables import ZERO_CURRENT
 from .sweep import (
-    ZERO_CURRENT,
     SweepConfig,
     _columns,
     _csv_chunks,
@@ -46,6 +46,9 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", type=float, help="Coulomb repulsion (MHz)")
     p.add_argument("--blockade", action="store_true", default=None,
                    help="use the 3-state Coulomb-blockade model")
+
+
+def _add_gate_shift(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gate-shift", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="recenter the gate axis by vg -> vg - u/2")
@@ -57,11 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full report at one grid point")
     _add_model_args(pa)
+    _add_gate_shift(pa)
     pa.add_argument("--vg", type=float, default=0.0)
     pa.add_argument("--vsd", type=float, default=0.0)
 
     ps = sub.add_parser("sweep", help="evaluate a (vg, vsd) grid to CSV")
     _add_model_args(ps)
+    _add_gate_shift(ps)
     ps.add_argument("--out", metavar="PATH", default="sweep.csv")
     ps.add_argument("--grid", metavar="SPEC",
                     help="vg:lo:hi:n,vsd:lo:hi:n (either axis optional)")
@@ -69,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser(
         "simulate", help="Monte Carlo comparison at one grid point")
     _add_model_args(pm)
+    _add_gate_shift(pm)
     pm.add_argument("--vg", type=float, default=0.0)
     pm.add_argument("--vsd", type=float, default=7.0)
     pm.add_argument("--n", type=int, default=100_000,
@@ -145,7 +151,7 @@ def cmd_analyze(args) -> int:
         pop_line += f" p11={pop.p11:.6g}"
     out.append(pop_line)
     out.append(f"mutual information: {row['mi']:.6g} nats")
-    if abs(rep_tr.j) < ZERO_CURRENT:
+    if abs(rep_tr.j) <= ZERO_CURRENT:
         out.append("fano (transport): divergent (j = 0)")
     else:
         out.append(f"fano (transport): {row['fano']:.6g}")

@@ -44,6 +44,7 @@ __all__ = [
     "populations",
     "mutual_information",
     "BoundsReport",
+    "ZERO_CURRENT",
     "precision_bounds",
 ]
 
@@ -269,17 +270,20 @@ def _holds(lhs, rhs):
     return ok if ok.ndim else bool(ok)
 
 
+ZERO_CURRENT = 1e-14  # |J| up to this is zero: D/J^2 and the Fano factor diverge
+
+
 def precision_bounds(j, d, j_act, j_sigma, cur_rhs) -> BoundsReport:
     """The entropy, activity and excess-time bounds on D/J^2 from the
     current ``j`` and noise ``d`` of one observable, the activity and
     entropy currents and the excess time, on floats or arrays.
 
-    A numerically zero current gives lhs = inf, and a vanishing entropy
-    current an infinite entropy bound.
+    A current of magnitude at most ``ZERO_CURRENT`` gives lhs = inf, and
+    a vanishing entropy current an infinite entropy bound.
     """
     j, j_sigma = np.asarray(j), np.asarray(j_sigma)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lhs = np.where(np.abs(j) > 1e-13, d / j**2, math.inf)
+        lhs = np.where(np.abs(j) > ZERO_CURRENT, d / j**2, math.inf)
         tur_rhs = np.where(j_sigma != 0.0, 2.0 / j_sigma, math.inf)
     kur_rhs = 1.0 / j_act
     fields = dict(

@@ -41,6 +41,7 @@ from .excursions import (
 )
 from .markov import RateMatrix, WeightScheme
 from .observables import (
+    ZERO_CURRENT,
     BoundsReport,
     OutcomeTriple,
     Populations,
@@ -72,8 +73,6 @@ CANONICAL_COLUMNS = (
     "p01", "p11", "mi", "p_suc", "p_fail", "p_dis", "tur_lhs", "tur_rhs",
     "kur_rhs", "cur_rhs",
 )
-
-ZERO_CURRENT = 1e-14  # |J| below this makes the Fano factor divergent
 
 # Grid cells per pass of the batched engine, and CSV cells per pass of the
 # formatter.  Bigger passes save little time but hold more stacked arrays
@@ -109,7 +108,11 @@ class SweepConfig:
     columns: tuple[str, ...] = CANONICAL_COLUMNS
 
     def __post_init__(self):
-        for key in _FLOAT_KEYS:  # settings of the whole grid, not of a cell
+        # settings of the whole grid, not of a cell: the model's are checked
+        # where every point's are, then the grid bounds
+        DqdParams(g=self.g, gamma=self.gamma, temperature=self.temperature,
+                  u=self.u, vg=0.0, vsd=0.0)
+        for key in ("vg_lo", "vg_hi", "vsd_lo", "vsd_hi"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite")
         if self.vg_n < 1 or self.vsd_n < 1:
@@ -291,7 +294,7 @@ def _columns(ev: Evaluation, vg, vsd) -> dict:
     # numpy values even for one point, so that a zero divisor gives inf
     j, d = np.asarray(rep.j), rep.d
     with np.errstate(divide="ignore", invalid="ignore"):
-        fano_val = np.where(np.abs(j) < ZERO_CURRENT, math.inf, d / np.abs(j))
+        fano_val = np.where(np.abs(j) <= ZERO_CURRENT, math.inf, d / np.abs(j))
     cols = {
         "vg": vg, "vsd": vsd,
         "j_qr": j, "d_qr": d, "d1": rep.d1, "d2": rep.d2, "d3": rep.d3,

@@ -1,10 +1,12 @@
 """Invariant battery: every identity the library promises, checked over a
 built-in 7 x 7 diamond grid and reported as one pass/fail line per check.
 
-Each point's analytic side is the sweep's :func:`~exclab.sweep.evaluate`;
-the oracles it is held to (finite differences, tilted-generator FCS,
-the outcome quadrature, the excess-time scheme) run on their own, per
-point.
+Each point's analytic side is the sweep's :func:`~exclab.sweep.evaluate`,
+whose reports are the numbers the sweep writes; the oracles it is held to
+(finite differences, tilted-generator FCS, the outcome quadrature, the
+excess-time scheme) run on their own, per point.  Each checked quantity
+keeps its worst error and prints it as
+``<what> <err> at vg=..., vsd=...[, <label>], err/tol ... (tol ...)``.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import numpy as np
 from .dqd import lead_log_ratio
 from .excursions import (
     _float,
-    cross_moments,
     excursion_report,
     finite_difference_moments,
     outcome_distribution,
@@ -45,14 +46,6 @@ def _rel(a: float, b: float) -> float:
     return gap / max(abs(a), abs(b)) if gap else 0.0
 
 
-def _fcs_close(a: float, b: float) -> float:
-    """Error measure for the FCS comparison: relative, with an absolute
-    floor at the finite-difference target scale for equilibrium points."""
-    if abs(a - b) <= 1e-9:
-        return 0.0
-    return _rel(a, b)
-
-
 def _points(cfg: SweepConfig):
     for vsd in _GRID_VSD:
         for vg in _GRID_VG:
@@ -60,164 +53,154 @@ def _points(cfg: SweepConfig):
 
 
 class _Worst:
-    """The largest error seen and the point where it occurred.
+    """The worst error of one checked quantity, the grid point where it
+    occurred and an optional label there (such as the scheme).
 
     A comparison with NaN is false, so ``max`` and ``>`` would drop a NaN
     error; here a non-finite error is the worst of all, and the first one
-    seen is kept.  ``ok(tol)`` fails on it.  Errors at or below ``floor``
-    record no point.
+    seen is kept.  ``ok`` fails on it.
     """
 
-    def __init__(self, floor: float = 0.0):
-        self.err, self.at = floor, None
+    def __init__(self, what: str, tol: float = math.inf):
+        self.what, self.tol = what, tol
+        self.err, self.at, self.label = -1.0, None, None
 
-    def add(self, err: float, at, *where) -> None:
+    def add(self, err: float, at, label=None) -> None:
         if math.isfinite(self.err) and not err <= self.err:
-            self.err, self.at = err, (at, *where)
+            self.err, self.at, self.label = err, at, label
 
-    def ok(self, tol: float) -> bool:
-        return self.err <= tol
+    @property
+    def ok(self) -> bool:
+        return self.err <= self.tol
+
+    def where(self) -> str:
+        return f"{self.what} {self.err:.2e} at vg={self.at.vg:.4g}, vsd={self.at.vsd:.4g}"
 
     def __str__(self) -> str:
-        if self.at is None:
-            return f"{self.err:.2e}"
-        p = self.at[0]
-        return f"{self.err:.2e} at vg={p.vg:.4g}, vsd={p.vsd:.4g}"
+        label = "" if self.label is None else f", {self.label}"
+        mant, exp = f"{self.tol:.0e}".split("e")
+        return (f"{self.where()}{label}, err/tol {self.err / self.tol:.2e} "
+                f"(tol {mant}e{int(exp)})")
+
+
+def _line(name: str, *worsts: _Worst, extra: str = "") -> CheckResult:
+    """Check ``name`` passes when each quantity is within its tolerance;
+    its detail lists each one's worst error, then ``extra``."""
+    detail = "; ".join(map(str, worsts)) + (f"; {extra}" if extra else "")
+    return CheckResult(name, all(w.ok for w in worsts), detail)
 
 
 def run_verify(cfg: SweepConfig, inject_d2: float = 0.0) -> list[CheckResult]:
     """Run every check; ``inject_d2`` perturbs the D2 noise term inside
     this battery's FCS comparison only (fault-injection hook).
 
-    Each check keeps its worst error and the point where it occurred; a
-    NaN or infinite error fails the check and is the point it names.
+    A NaN or infinite error fails its check and is the point it names.
+    Cells where a relative comparison has no scale (a vanishing current or
+    closed form) count as error 0.
     """
-    results = []
-
-    worst_norm = _Worst()
-    # unfloored worst finite-difference error, its point and its scheme
-    worst_fd = _Worst(-1.0)
-    worst_prop_mean = _Worst()
-    worst_prop_var = _Worst()
-    worst_fcs_j = _Worst()
-    worst_fcs_d = _Worst()
-    # unfloored worst relative FCS errors, where they occur and the absolute
-    # gap there, for display: the gap shows where the 1e-9 floor decides
-    raw_fcs = {"J": _Worst(-1.0), "D": _Worst(-1.0)}
-    worst_excess_j = _Worst()
-    worst_excess_d = _Worst()
-    bounds_ok = True
-    bounds_detail = "all inequalities hold"
+    norm = _Worst("worst rel err", 1e-10)
+    fd = _Worst("worst rel err", 1e-6)
+    prop = _Worst("mean rel err", 1e-10), _Worst("var rel err", 1e-10)
+    # relative FCS errors, floored where the absolute gap is at most 1e-9
+    # (equilibrium points), and unfloored, labelled with that gap, for display
+    fcs = _Worst("J rel err", 1e-6), _Worst("D rel err", 1e-6)
+    raw_fcs = _Worst("J"), _Worst("D")
+    excess = _Worst("|J-1|", 1e-10), _Worst("rel |D-T|", 1e-8)
+    bounds_failed = None
     evaluated = [(p, evaluate(p)) for p in _points(cfg)]
     for p, ev in evaluated:
         dec = ev.dec
 
-        norm = _float((dec.w_ab @ dec.fundamental @ dec.w_ba)[..., 0, 0])
-        worst_norm.add(abs(norm - dec.gamma_a) / dec.gamma_a, p)
+        norm_val = _float((dec.w_ab @ dec.fundamental @ dec.w_ba)[..., 0, 0])
+        norm.add(abs(norm_val - dec.gamma_a) / dec.gamma_a, p)
 
-        # insertion formulas against central differences of the transform
+        # the reports against central differences of the transform, on the
+        # raw-moment scale
         for name, scheme in ev.schemes.items():
-            (e_q, e_t), ((e_q2, e_qt), (_, e_t2)) = cross_moments(dec, [scheme, None])
+            r = ev.reports[name]
             f_q, f_q2, f_t, f_t2, f_qt = finite_difference_moments(dec, scheme)
             scale = max(1.0, abs(f_q2), abs(f_t2), abs(f_qt))
-            for a, b in ((e_q, f_q), (e_q2, f_q2), (e_t, f_t), (e_t2, f_t2), (e_qt, f_qt)):
-                worst_fd.add(abs(a - b) / scale, p, name)
+            for a, b in ((r.e_q, f_q), (r.var_q, f_q2 - f_q**2), (r.e_t, f_t),
+                         (r.var_t, f_t2 - f_t**2), (r.cov_qt, f_qt - f_q * f_t)):
+                fd.add(abs(a - b) / scale, p, f"scheme {name}")
 
         # thermodynamic currents are proportional to transport
         rq, rs = ev.reports["transport"], ev.reports["entropy"]
         zeta = lead_log_ratio(p, "R") - lead_log_ratio(p, "L")
-        if not abs(rq.e_q) <= 1e-8:
-            worst_prop_mean.add(_rel(rs.e_q, zeta * rq.e_q), p)
-            worst_prop_var.add(_rel(rs.var_q, zeta**2 * rq.var_q), p)
+        live = not abs(rq.e_q) <= 1e-8
+        prop[0].add(_rel(rs.e_q, zeta * rq.e_q) if live else 0.0, p)
+        prop[1].add(_rel(rs.var_q, zeta**2 * rq.var_q) if live else 0.0, p)
 
-        # precision bounds
-        bounds = ev.bounds
-        if not bounds.tur_ok:
-            bounds_ok, bounds_detail = False, f"TUR fails at vg={p.vg}, vsd={p.vsd}"
-        if not bounds.cur_ok:
-            bounds_ok, bounds_detail = False, f"CUR fails at vg={p.vg}, vsd={p.vsd}"
-        if not _holds(bounds.cur_rhs, bounds.kur_rhs):
-            bounds_ok, bounds_detail = False, f"excess time below 1/J_A at vg={p.vg}, vsd={p.vsd}"
+        # precision bounds, by the flags and slack rule of the bounds themselves
+        b = ev.bounds
+        for ok, what in ((b.tur_ok, "TUR fails"), (b.cur_ok, "CUR fails"),
+                         (_holds(b.cur_rhs, b.kur_rhs), "excess time below 1/J_A")):
+            if not ok and bounds_failed is None:
+                bounds_failed = f"{what} at vg={p.vg}, vsd={p.vsd}"
 
         # long-time FCS from the tilted generator
         d_val = rq.d1 + rq.d2 * (1.0 + inject_d2) + rq.d3
         j_fcs, d_fcs = fcs_current_noise(ev.model, ev.schemes["transport"])
-        worst_fcs_j.add(_fcs_close(rq.j, j_fcs), p)
-        worst_fcs_d.add(_fcs_close(d_val, d_fcs), p)
-        for key, a, b in (("J", rq.j, j_fcs), ("D", d_val, d_fcs)):
-            raw_fcs[key].add(_rel(a, b), p, abs(a - b))
+        for w, raw, a, c in zip(fcs, raw_fcs, (rq.j, d_val), (j_fcs, d_fcs)):
+            gap = abs(a - c)
+            w.add(0.0 if gap <= 1e-9 else _rel(a, c), p)
+            raw.add(_rel(a, c), p, gap)
 
         # the excess-time scheme saturates its own bound
         rx = excursion_report(dec, excess_time_weights(ev.model))
-        worst_excess_j.add(abs(rx.j - 1.0), p)
-        worst_excess_d.add(_rel(rx.d, bounds.cur_rhs), p)
+        excess[0].add(abs(rx.j - 1.0), p)
+        excess[1].add(_rel(rx.d, b.cur_rhs), p)
 
-    results.append(CheckResult(
-        "normalization identity", worst_norm.ok(1e-10),
-        f"worst rel err {worst_norm} (tol 1e-10)"))
-    results.append(CheckResult(
-        "moment formulas vs finite differences", worst_fd.ok(1e-6),
-        f"worst rel err {worst_fd}, scheme {worst_fd.at[1]}, "
-        f"err/tol {worst_fd.err / 1e-6:.2e} (tol 1e-6)"))
-    results.append(CheckResult(
-        "entropy/transport proportionality",
-        worst_prop_mean.ok(1e-10) and worst_prop_var.ok(1e-10),
-        f"worst rel err mean {worst_prop_mean}, var {worst_prop_var} (tol 1e-10)"))
-    results.append(CheckResult("bound inequalities", bounds_ok, bounds_detail))
-    fcs_detail = ", ".join(f"{key} {w} (abs gap {w.at[1]:.2e})" for key, w in raw_fcs.items())
-    results.append(CheckResult(
-        "FCS equivalence", worst_fcs_j.ok(1e-6) and worst_fcs_d.ok(1e-6),
-        f"worst rel err {fcs_detail} (tol 1e-6; gaps <= 1e-9 pass)"))
-    results.append(CheckResult(
-        "excess-time self-consistency",
-        worst_excess_j.ok(1e-10) and worst_excess_d.ok(1e-8),
-        f"worst |J-1| {worst_excess_j}, rel |D-T| {worst_excess_d}"))
+    gaps = ", ".join(f"{w.where()} (abs gap {w.label:.2e})" for w in raw_fcs)
+    results = [
+        _line("normalization identity", norm),
+        _line("moment formulas vs finite differences", fd),
+        _line("entropy/transport proportionality", *prop),
+        CheckResult("bound inequalities", bounds_failed is None,
+                    bounds_failed or "all inequalities hold"),
+        _line("FCS equivalence", *fcs,
+              extra=f"unfloored {gaps}, gaps <= 1e-9 pass"),
+        _line("excess-time self-consistency", *excess),
+    ]
 
     # closed-form cross-checks always run on the three-state chain; a
     # blockade run already evaluated those points above
-    worst_cf = _Worst()
-    worst_sum = _Worst()
-    # worst |P(q) error| and where, against the closed forms and the
-    # quadrature, and the largest mass the engine puts outside (-2, 2)
-    worst_out = {"closed forms": _Worst(-1.0), "quadrature": _Worst(-1.0)}
-    outside = _Worst()
+    cf = _Worst("worst rel err", 1e-10)
+    total = _Worst("worst deviation", 1e-12)
+    # worst |P(q) error| against the closed forms and the quadrature, and
+    # the largest mass the engine puts outside (-2, 2)
+    dist = {"closed forms": _Worst("worst abs err", 1e-8),
+            "quadrature": _Worst("worst abs err", 1e-12)}
+    outside = _Worst("worst mass outside range")
     if not cfg.blockade:
         evaluated = [(pb, evaluate(pb)) for pb in _points(replace(cfg, blockade=True))]
     for pb, ev in evaluated:
-        cf = blockade_analytics(pb)
+        closed = blockade_analytics(pb)
         rq, ra, rs = (ev.reports[k] for k in ("transport", "activity", "entropy"))
         pairs = [
-            (cf.e_t, rq.e_t), (cf.e_tau, rq.e_tau), (cf.mu, rq.mu),
-            (cf.e_qr, rq.e_q), (cf.e_a, ra.e_q), (cf.e_sigma, rs.e_q),
-            (cf.p_l, ev.pop.p_left), (cf.p_r, ev.pop.p_right),
+            (closed.e_t, rq.e_t), (closed.e_tau, rq.e_tau), (closed.mu, rq.mu),
+            (closed.e_qr, rq.e_q), (closed.e_a, ra.e_q), (closed.e_sigma, rs.e_q),
+            (closed.p_l, ev.pop.p_left), (closed.p_r, ev.pop.p_right),
         ]
-        for a, b in pairs:
-            if not (abs(a) <= 1e-14 and abs(b) <= 1e-14):
-                worst_cf.add(_rel(a, b), pb)
+        for a, c in pairs:
+            cf.add(0.0 if abs(a) <= 1e-14 and abs(c) <= 1e-14 else _rel(a, c), pb)
         if cfg.blockade:
             triple = ev.outcomes
-            worst_sum.add(abs(triple.p_suc + triple.p_fail + triple.p_dis - 1.0), pb)
+            total.add(abs(triple.p_suc + triple.p_fail + triple.p_dis - 1.0), pb)
             qs, probs = outcome_distribution(ev.dec, ev.schemes["transport"], (-2, 2))
             _, quad = outcome_quadrature(ev.dec, ev.schemes["transport"], (-2, 2))
             ref = {1: triple.p_suc, 0: triple.p_fail, -1: triple.p_dis, 2: 0.0, -2: 0.0}
-            closed = np.array([ref[int(q)] for q in qs])
-            for key, want in (("closed forms", closed), ("quadrature", quad)):
-                worst_out[key].add(float(np.max(np.abs(probs - want))), pb)
+            want = {"closed forms": np.array([ref[int(q)] for q in qs]),
+                    "quadrature": quad}
+            for key, w in dist.items():
+                w.add(float(np.max(np.abs(probs - want[key]))), pb)
             outside.add(1.0 - float(probs.sum()), pb)
-    results.append(CheckResult(
-        "blockade closed forms vs engine", worst_cf.ok(1e-10),
-        f"worst rel err {worst_cf} (tol 1e-10)"))
+    results.append(_line("blockade closed forms vs engine", cf))
     if cfg.blockade:
-        results.append(CheckResult(
-            "outcome probabilities sum to one", worst_sum.ok(1e-12),
-            f"worst deviation {worst_sum} (tol 1e-12)"))
-        for key, tol in (("closed forms", 1e-8), ("quadrature", 1e-12)):
-            w = worst_out[key]
-            results.append(CheckResult(
-                f"outcome distribution vs {key}", w.ok(tol),
-                f"worst abs err {w}, "
-                f"err/tol {w.err / tol:.2e} (tol {tol:.0e}); "
-                f"worst mass outside range {outside.err:.2e}"))
+        results.append(_line("outcome probabilities sum to one", total))
+        for key, w in dist.items():
+            results.append(_line(f"outcome distribution vs {key}", w,
+                                 extra=f"{outside.what} {outside.err:.2e}"))
     return results
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -24,8 +25,8 @@ from exclab import (
 )
 from exclab.dqd import lead_log_ratio
 from exclab.errors import DegenerateFermi
-from exclab.observables import _holds
-from exclab.sweep import SweepConfig, _point_params, compute_row, evaluate
+from exclab.observables import ZERO_CURRENT, _holds
+from exclab.sweep import SweepConfig, _columns, _point_params, compute_row, evaluate
 
 from conftest import REF, GAMMA, grid
 
@@ -233,6 +234,19 @@ class TestFano:
         row = compute_row(SweepConfig(**REF), 1.0, 0.0, False)
         assert abs(row["j_qr"]) < 1e-14
         assert row["fano"] == math.inf
+
+    @pytest.mark.parametrize("j", [5e-14, 5e-15])
+    def test_one_zero_current_rule(self, j):
+        # the Fano factor and D/J^2 diverge at the same current
+        ev = evaluate(_point_params(SweepConfig(**REF), 0.0, 7.0, False))
+        rq = dataclasses.replace(ev.reports["transport"], j=j)
+        bounds = precision_bounds(j, rq.d, 1.0, 1.0, 1.0)
+        ev = dataclasses.replace(ev, reports={**ev.reports, "transport": rq},
+                                 bounds=bounds)
+        row = _columns(ev, 0.0, 7.0)
+        finite = j > ZERO_CURRENT
+        assert math.isfinite(row["fano"]) is math.isfinite(row["tur_lhs"]) is finite
+        assert math.isfinite(bounds.lhs) is finite
 
 
 class TestUncertaintyBounds:

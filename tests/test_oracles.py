@@ -3,6 +3,7 @@
 charge-resolved outcome distribution against its quadrature oracle."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,57 @@ def test_verify_fails_on_one_nan(monkeypatch, check, name, spoil, blockade):
     assert [r.name for r in failed] == [check]
     assert "nan at vg=" in failed[0].detail
     assert "1 FAILED" in verify.format_results(results)
+
+
+def _small_grid(monkeypatch):
+    monkeypatch.setattr(verify, "_GRID_VG", np.linspace(-10.0, 10.0, 3))
+    monkeypatch.setattr(verify, "_GRID_VSD", np.linspace(-20.0, 20.0, 3))
+
+
+def test_verify_checks_the_reports_the_sweep_writes(monkeypatch):
+    # spoil var_q of one point's transport report; (0, 0) is an equilibrium
+    # point, where the proportionality check, which also reads var_q, has
+    # no current to scale by
+    _small_grid(monkeypatch)
+
+    def spoiled(p):
+        ev = evaluate(p)
+        if (p.vg, p.vsd) != (0.0, 0.0):
+            return ev
+        _, f_q2, _, f_t2, f_qt = finite_difference_moments(ev.dec, ev.schemes["transport"])
+        rq = ev.reports["transport"]
+        rq = dataclasses.replace(
+            rq, var_q=rq.var_q + 1e-3 * max(1.0, abs(f_q2), abs(f_t2), abs(f_qt)))
+        return dataclasses.replace(ev, reports={**ev.reports, "transport": rq})
+    monkeypatch.setattr(verify, "evaluate", spoiled)
+    failed = [r for r in verify.run_verify(SweepConfig()) if not r.passed]
+    assert [r.name for r in failed] == ["moment formulas vs finite differences"]
+    assert " at vg=0, vsd=0, scheme transport, err/tol " in failed[0].detail
+
+
+# one checked quantity: its worst error, point, optional label, err/tol and tol
+_WORST = re.compile(r"(?P<what>[^;]+?) (?P<err>\S+) at vg=[^,\s]+, vsd=[^,\s]+"
+                    r"(?:, scheme \w+)?, err/tol (?P<ratio>\S+) \(tol (?P<tol>1e-\d+)\)")
+
+
+@pytest.mark.parametrize("blockade", [False, True])
+def test_verify_lines_share_one_format(monkeypatch, blockade):
+    _small_grid(monkeypatch)
+    results = verify.run_verify(SweepConfig(blockade=blockade))
+    assert len(results) == (10 if blockade else 7)
+    for r in results:
+        assert r.passed, r
+        if r.name == "bound inequalities":
+            continue
+        parts = r.detail.split("; ")
+        # the FCS and outcome lines end with one extra that is not checked
+        if r.name == "FCS equivalence" or r.name.startswith("outcome distribution"):
+            parts = parts[:-1]
+        assert parts, r
+        for part in parts:
+            m = _WORST.fullmatch(part)
+            assert m, part
+            assert m["ratio"] == f"{float(m['err']) / float(m['tol']):.2e}", part
 
 
 def test_verify_fcs_line_shows_the_absolute_gap():

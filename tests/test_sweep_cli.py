@@ -1,3 +1,4 @@
+import argparse
 import csv
 import itertools
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sweep as reference
+from exclab.cli import _build_parser
 from exclab.dqd import build_model
 from exclab.heatmap import render_heatmap
 from exclab.errors import DegenerateFermi, MalformedCsv, UnknownColumn
@@ -119,6 +121,21 @@ class TestConfig:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr == f"exclab sweep: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, message", [
+        (("--temperature", "-3"), "g, gamma and temperature must be positive"),
+        (("--u", "-1"), "u must be nonnegative"),
+        (("--config", "c.cfg"), "c.cfg:1: gamma: g, gamma and temperature must be positive"),
+    ])
+    def test_nonpositive_setting_named_by_the_cli(self, tmp_path, args, message):
+        # these failed at the first cell, which they named as the culprit
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("gamma = 0\n", encoding="utf-8")
+        args = [str(cfg) if a == "c.cfg" else a for a in args]
+        r = run_cli("sweep", *args, "--out", str(tmp_path / "s.csv"))
+        assert r.returncode == 2 and r.stdout == "" and "at vg=" not in r.stderr
+        assert r.stderr == f"exclab sweep: error: {message.replace('c.cfg', str(cfg))}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_grid_spec(self):
         upd = parse_grid_spec("vg:-1:1:11,vsd:0:5:3")
@@ -716,6 +733,34 @@ class TestCli:
         assert vg in {f"{v:.4g}" for v in np.linspace(-10.0, 10.0, 7)}
         assert vsd in {f"{v:.4g}" for v in np.linspace(-20.0, 20.0, 7)}
         assert ratio == f"{float(err) / 1e-6:.2e}"
+
+    def test_verify_takes_no_gate_shift(self, tmp_path):
+        # verify's grid is never shifted: the flag is gone, a config key is ignored
+        r = run_cli("verify", "--gate-shift")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --gate-shift" in r.stderr
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("gate_shift = true\n", encoding="utf-8")
+        assert run_cli("verify", "--config", str(cfg)).stdout == run_cli("verify").stdout
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        # a new or dead option has to change this table
+        model = ["--blockade", "--config", "--g", "--gamma", "--temperature", "--u"]
+        shift = ["--gate-shift", "--no-gate-shift"]
+        want = {
+            "analyze": model + shift + ["--vg", "--vsd"],
+            "sweep": model + shift + ["--grid", "--out"],
+            "simulate": model + shift + ["--dump-trajectory", "--n", "--seed",
+                                         "--vg", "--vsd", "--workers"],
+            "verify": model + ["--inject-d2"],
+            "heatmap": ["--out"],
+        }
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        got = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}
+        assert got == {name: sorted(opts + ["-h", "--help"])
+                       for name, opts in want.items()}
 
     def test_verify_blockade_includes_outcome_checks(self):
         r = run_cli("verify", "--blockade")
