@@ -30,16 +30,19 @@ holds the durations and the tally block, and
 
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
-same draws, in the same order, as a loop over full-size arrays, and
-:func:`sample_excursions` copies each batch into its slice of the
-preallocated outputs as soon as it returns, in index order.  The jackknife
-is a two-pass stream over slices of ``_JACKKNIFE_SLICE`` excursions:
-:func:`_tree_sum` splits a range the way numpy's pairwise sum splits a
-contiguous float64 row, so the sums of the slices, added back up the tree,
-are ``np.sum`` of the whole row to the last bit.  Pass 1 sums the
-leave-one-out statistics for their means; pass 2 recomputes them, centres,
-squares and sums again, so no full-size row or product column (q*q, q*t,
-...) is formed.  One jackknife per sample serves every scheme:
+same draws, in the same order, as a loop over full-size arrays; each jump
+is one lookup in a constant table over (state, bin of u), and only the
+jumps that land in a bin a threshold splits compare against the
+thresholds.  On the serial path each batch is written straight into its
+slice of the preallocated outputs; a pooled batch is copied there in index
+order as it returns.  The jackknife is a two-pass stream over slices of
+``_JACKKNIFE_SLICE`` excursions: :func:`_tree_sum` splits a range the way
+numpy's pairwise sum splits a contiguous float64 row, so the sums of the
+slices, added back up the tree, are ``np.sum`` of the whole row to the
+last bit.  Pass 1 sums the leave-one-out statistics for their means; pass
+2 recomputes them, centres, squares and sums again, so no full-size row or
+product column (q*q, q*t, ...) is formed.  The leave-one-out rows are
+formed, and the statistics computed, centred and squared, in place.  One jackknife per sample serves every scheme:
 :attr:`ExcursionSample.moments` evaluates the duration statistics once per
 slice and then the five rows of each scheme in ``q``, and caches them with
 the direct batches' cycle times.  A sample's arrays and its ``q`` mapping
@@ -80,6 +83,7 @@ __all__ = [
 ]
 
 _BATCH = 65536        # ensemble batch size, fixed for reproducibility
+_BINS = 256           # ensemble code-table bins per state; u * 256 is exact
 _BLOCK = 8192         # trajectory draws per refill, fixed for reproducibility
 _FEW_SEGMENTS = 16    # segments that excursion_filter sums one at a time
 _DIRECT_BATCHES = 32  # batch-means batches for the direct noise estimate
@@ -440,69 +444,133 @@ class ExcursionSample:
         )
 
 
+def _code_table(cum: np.ndarray) -> np.ndarray:
+    """The jump code ``nxt * k + s`` of each (state s, bin b of u), flat at
+    ``s * _BINS + b``, or -1 where a threshold splits the bin.
+
+    Bin b holds the u in ``[b / _BINS, (b + 1) / _BINS)``.  The next state
+    counts the thresholds ``cum[s, j] <= u`` over every column but the last
+    (which is 1.0 > u), so a threshold t decides the whole bin when
+    ``t <= b / _BINS`` or ``t >= (b + 1) / _BINS``; the entry is the count
+    at the bin's lowest u.  ``cum * _BINS`` is exact, so the test is too.
+    """
+    k = cum.shape[0]
+    thresholds = cum[:, :-1, None] * _BINS
+    bins = np.arange(_BINS)
+    nxt = np.count_nonzero(thresholds <= bins, axis=1)
+    split = np.any((bins < thresholds) & (thresholds < bins + 1), axis=1)
+    codes = (nxt * k + np.arange(k)[:, None]).astype(np.intp)
+    codes[split] = -1
+    return codes.reshape(-1)
+
+
 def _sample_batch(
     m: RateMatrix,
     a_state: int,
     schemes: dict[str, WeightScheme],
-    n: int,
     seed_seq: np.random.SeedSequence,
-    keep_counts: bool,
-):
-    """Vectorized ensemble of ``n`` independent excursions.
+    durations: np.ndarray,
+    residences: np.ndarray,
+    q: dict[str, np.ndarray],
+    counts: np.ndarray | None,
+) -> None:
+    """Vectorized ensemble of ``durations.size`` independent excursions,
+    written into ``durations``, ``residences``, the ``q`` array of each
+    scheme and, unless None, the ``(n, k, k)`` int32 tallies ``counts``.
 
     The loop works on compacted arrays of the excursions still out of A:
-    their indices ``idx``, states ``s``, durations and one accumulator per
-    scheme.  Excursions that return are written back, and the rest are
-    kept with one index.  Each step draws ``standard_exponential(m)`` then
-    ``random(m)`` for the m excursions still out, in index order, and adds
-    in the same order as a full-size loop, so the sums are the same.
+    their indices ``idx``, durations, one accumulator per scheme and
+    ``row = state * _BINS``.  Each step draws ``standard_exponential(m)``
+    then ``random(m)`` for the m excursions still out, in index order, and
+    adds in the same order as a full-size loop, so the sums are the same.
+
+    The jump is one lookup in the constant :func:`_code_table`: ``u *
+    _BINS`` is exact, so its truncation plus ``row`` is the (state, bin)
+    entry, and the entry's jump code gives every weight, the next row and
+    the return flag by lookup.  A bin split by a threshold holds -1, and
+    the jumps that land there take the exact compare ``cum[s, j] <= u``
+    against each threshold column; a state has at most k - 1 split bins,
+    so at most (k - 1) / _BINS of its jumps fall back.  ``_BINS``
+    is 256 so that a 4-state table of intp is 8 KB and stays in L1; a
+    table of 65 536 bins per state missed the cache on every lookup.
+    Returned excursions are written back, and the rest are kept with one
+    index.
     """
     rng = np.random.Generator(np.random.Philox(seed_seq))
     cum = _cumulative_jump_probs(m)
     gamma = m.gamma
     k = m.n
-    names = list(schemes)
-    flat = [schemes[name].weights.reshape(-1) for name in names]
-    # cum[:, j] for every column but the last, which is 1.0 > u exactly
-    columns = [np.ascontiguousarray(cum[:, j]) for j in range(k - 1)]
+    n = durations.size
+    outs = list(q.values())
+    flat = [schemes[name].weights.reshape(-1) for name in q]
+    table = _code_table(cum)
+    # the split-bin fallback: cum[:, j] <= u, both sides scaled exactly by
+    # _BINS, for every column but the last, which is 1.0 > u exactly
+    columns = [cum[:, j] * _BINS for j in range(k - 1)]
+    dest = np.arange(k * k) // k
+    next_row = dest * _BINS
+    returned = dest == a_state
+    gamma_rows = np.repeat(gamma, _BINS)
 
-    residences = rng.standard_exponential(n) / gamma[a_state]
+    rng.standard_exponential(out=residences)
+    residences /= gamma[a_state]
     u = rng.random(n)
     state = np.searchsorted(cum[a_state], u, side="right")
-    durations = np.zeros(n)
     code = state * k + a_state
-    q = [w[code] for w in flat]
-    counts = np.zeros((n, k, k), dtype=np.int32) if keep_counts else None
+    for out, w in zip(outs, flat):
+        w.take(code, out=out)
     tally = None if counts is None else counts.reshape(n, k * k)
     if tally is not None:
+        tally.fill(0)
         tally[np.arange(n), code] = 1
+    durations.fill(0.0)  # kept by an excursion whose first jump is back to A
 
     idx = np.flatnonzero(state != a_state)
-    s = state[idx]
+    row = state.take(idx)
+    row *= _BINS
     dur = np.zeros(idx.size)
-    acc = [qk[idx] for qk in q]
+    acc = [out.take(idx) for out in outs]
     while idx.size:
-        dur += rng.standard_exponential(idx.size) / gamma[s]
+        hold = rng.standard_exponential(idx.size)
+        hold /= gamma_rows.take(row)
+        dur += hold
         u = rng.random(idx.size)
-        nxt = np.zeros(idx.size, dtype=np.intp)
-        for col in columns:
-            nxt += col[s] <= u
-        code = nxt * k + s
+        u *= _BINS
+        cell = u.astype(np.intp)
+        cell += row
+        code = table.take(cell)
+        miss = (code < 0).nonzero()[0]
+        if miss.size:
+            s = row.take(miss) // _BINS
+            um = u.take(miss)
+            nxt = np.zeros(miss.size, dtype=np.intp)
+            for col in columns:
+                nxt += col.take(s) <= um
+            nxt *= k
+            nxt += s
+            code[miss] = nxt
         for a, w in zip(acc, flat):
-            a += w[code]
+            a += w.take(code)
         if tally is not None:
             tally[idx, code] += 1  # one entry per excursion, so no repeats
-        back = np.flatnonzero(nxt == a_state)
+        ret = returned.take(code)
+        back = ret.nonzero()[0]
         if back.size:
-            done = idx[back]
-            durations[done] = dur[back]
-            for qk, a in zip(q, acc):
-                qk[done] = a[back]
-            keep = np.flatnonzero(nxt != a_state)
-            idx, dur, acc = idx[keep], dur[keep], [a[keep] for a in acc]
-            nxt = nxt[keep]
-        s = nxt
-    return durations, residences, dict(zip(names, q)), counts
+            done = idx.take(back)
+            durations[done] = dur.take(back)
+            for out, a in zip(outs, acc):
+                out[done] = a.take(back)
+            keep = np.logical_not(ret, out=ret).nonzero()[0]
+            idx, dur, code = idx.take(keep), dur.take(keep), code.take(keep)
+            acc = [a.take(keep) for a in acc]
+        row = next_row.take(code)
+
+
+def _outputs(n: int, names, k: int, keep_counts: bool):
+    """Uninitialised durations, residences, ``q`` by scheme name and, when
+    ``keep_counts``, int32 tallies for ``n`` excursions of a k-state chain."""
+    counts = np.empty((n, k, k), dtype=np.int32) if keep_counts else None
+    return np.empty(n), np.empty(n), {name: np.empty(n) for name in names}, counts
 
 
 def sample_excursions(
@@ -517,9 +585,9 @@ def sample_excursions(
     """Draw ``n_excursions`` iid excursions with per-scheme observables.
 
     Work is split into fixed-size batches with independent spawned RNG
-    streams; each batch is copied into its slice of the outputs as soon as
-    it returns, in index order, so the result is identical for any
-    ``workers`` value.
+    streams, each written into its slice of the outputs, so the result is
+    identical for any ``workers`` value: in place on the serial path, and
+    copied in index order as each pooled task returns.
     """
     if n_excursions < 1:
         raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
@@ -530,41 +598,38 @@ def sample_excursions(
     if n_excursions % _BATCH:
         sizes.append(n_excursions % _BATCH)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    args = [(m, a_state, schemes, sz, ss, keep_counts) for sz, ss in zip(sizes, children)]
-    durations = np.empty(n_excursions)
-    residences = np.empty(n_excursions)
-    q = {k: np.empty(n_excursions) for k in schemes}
-    counts = np.empty((n_excursions, m.n, m.n), dtype=np.int32) if keep_counts else None
-    lo = 0
-    for dur, res, qs, cnt in _batches(args, workers):
-        hi = lo + dur.size
-        durations[lo:hi], residences[lo:hi] = dur, res
-        for k, v in q.items():
-            v[lo:hi] = qs[k]
-        if counts is not None:
-            counts[lo:hi] = cnt
-        lo = hi
+    bounds = np.cumsum([0] + sizes).tolist()
+    durations, residences, q, counts = _outputs(n_excursions, schemes, m.n, keep_counts)
+    if workers > 1 and len(sizes) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        args = [(m, a_state, schemes, sz, ss, keep_counts) for sz, ss in zip(sizes, children)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_sample_task, args)
+            for lo, hi, (dur, res, qs, cnt) in zip(bounds, bounds[1:], parts):
+                durations[lo:hi], residences[lo:hi] = dur, res
+                for name, v in q.items():
+                    v[lo:hi] = qs[name]
+                if counts is not None:
+                    counts[lo:hi] = cnt
+    else:
+        for lo, hi, ss in zip(bounds, bounds[1:], children):
+            _sample_batch(
+                m, a_state, schemes, ss, durations[lo:hi], residences[lo:hi],
+                {name: v[lo:hi] for name, v in q.items()},
+                None if counts is None else counts[lo:hi])
     return ExcursionSample(
         durations=durations, residences=residences, q=q,
         schemes=dict(schemes), gamma_a=float(m.gamma[a_state]), counts=counts,
     )
 
 
-def _batches(args, workers: int):
-    """The results of ``_sample_batch(*a)`` for each ``a`` in ``args``, in
-    order; on a process pool when ``workers > 1`` and there is more than
-    one batch."""
-    if workers > 1 and len(args) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_sample_batch_star, args)
-    else:
-        for a in args:
-            yield _sample_batch(*a)
-
-
-def _sample_batch_star(args):
-    return _sample_batch(*args)
+def _sample_task(args):
+    """One pooled batch: ``(m, a_state, schemes, n, seed_seq, keep_counts)``
+    sampled into arrays of its own, which are returned."""
+    m, a_state, schemes, n, seed_seq, keep_counts = args
+    out = _outputs(n, schemes, m.n, keep_counts)
+    _sample_batch(m, a_state, schemes, seed_seq, *out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -613,17 +678,28 @@ _REPORT_KEYS = ("e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "
 def _stats(m_t, m_t2, m_tau, m_tau2, *scheme_means):
     """e_t, var_t, mu and delta2, then e_q, var_q, cov_qt, j and d of each
     scheme, from the means of t, t^2, tau and tau^2 and, per scheme, of q,
-    q^2 and q*t."""
-    var_t = m_t2 - m_t**2
-    mu = m_t + m_tau
-    delta2 = var_t + (m_tau2 - m_tau**2)
+    q^2 and q*t.
+
+    Leave-one-out rows are overwritten once their own values are spent:
+    the operations and their order are those of the plain formulas, as
+    IEEE addition is commutative; scalar means simply rebind.
+    """
+    var_t = m_t2
+    var_t -= m_t**2
+    delta2 = m_tau2
+    delta2 -= m_tau**2
+    delta2 += var_t
+    mu = m_tau
+    mu += m_t
     out = [m_t, var_t, mu, delta2]
     for i in range(0, len(scheme_means), 3):
-        m_q, m_q2, m_qt = scheme_means[i : i + 3]
-        var_q = m_q2 - m_q**2
-        cov_qt = m_qt - m_q * m_t
-        d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
-        out += [m_q, var_q, cov_qt, m_q / mu, d1 + d2 + d3]
+        m_q, var_q, cov_qt = scheme_means[i : i + 3]
+        var_q -= m_q**2
+        cov_qt -= m_q * m_t
+        d, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
+        d += d2
+        d += d3
+        out += [m_q, var_q, cov_qt, m_q / mu, d]
     return out
 
 
@@ -654,16 +730,29 @@ def _jackknife(stats_fn, columns, n: int):
     full product.  The means and the leave-one-out statistics' row means
     and squared deviations are :func:`_tree_sum` sums, the same bits as
     ``np.sum`` over full-size rows; pass 2 recomputes the statistics rather
-    than keep them.
+    than keep them.  Each leave-one-out row ``(n * mean - column) / (n -
+    1)`` is formed in one array of its own, which ``stats_fn`` may
+    overwrite; it must return distinct rows, which pass 2 centres and
+    squares in place.
     """
     means = _tree_sum(columns, 0, n) / n
     theta = stats_fn(*means)
 
     def loo(lo, hi):
-        return stats_fn(*[(n * mu - c) / (n - 1) for mu, c in zip(means, columns(lo, hi))])
+        rows = [np.subtract(n * mu, c) for mu, c in zip(means, columns(lo, hi))]
+        for r in rows:
+            r /= n - 1
+        return stats_fn(*rows)
+
+    def squared_deviations(lo, hi):
+        rows = loo(lo, hi)
+        for r, c in zip(rows, centres):
+            r -= c
+            np.square(r, out=r)
+        return rows
 
     centres = _tree_sum(loo, 0, n) / n
-    spread = _tree_sum(lambda lo, hi: [(r - c) ** 2 for r, c in zip(loo(lo, hi), centres)], 0, n)
+    spread = _tree_sum(squared_deviations, 0, n)
     return theta, [float(s) for s in np.sqrt((n - 1) / n * spread)]
 
 

@@ -31,6 +31,7 @@ from exclab import (
     transport_weights,
 )
 from exclab.dqd import lead_log_ratio
+from exclab.observables import ZERO_CURRENT
 from exclab.sweep import SweepConfig, sweep_rows, sweep_to_csv
 
 GAMMA = 2 * math.pi * 0.1
@@ -161,7 +162,7 @@ def test_criterion_5_uncertainty_relations():
             tur_rhs = 2.0 / rs.j if rs.j != 0.0 else math.inf
 
             def lhs(r):
-                return r.d / r.j**2 if abs(r.j) > 1e-13 else math.inf
+                return r.d / r.j**2 if abs(r.j) > ZERO_CURRENT else math.inf
 
             def holds(a, b):
                 if math.isinf(a):

@@ -1,0 +1,44 @@
+"""The verdicts ``tools/bench_pairs.py`` writes per workload and metric."""
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.02]
+
+
+def _verdicts(parent, change, better="lower", bound=0.15):
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    return bench_pairs._verdicts(bench_pairs._summary(parent), bench_pairs._summary(change),
+                                 better, bound, wins)
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_margin_over_the_parents_iqr():
+    faster = [v * 0.92 for v in PARENT]
+    assert _verdicts(PARENT, faster) == {"gain": True, "regression": False,
+                                         "unresolved": False}
+    eight_wins = faster[:8] + [v * 1.05 for v in PARENT[8:]]
+    assert not _verdicts(PARENT, eight_wins)["gain"]
+    within_iqr = [v - 0.001 for v in PARENT]
+    assert not _verdicts(PARENT, within_iqr)["gain"]
+    # higher is better: the same runs read the other way
+    assert _verdicts(faster, PARENT, better="higher")["gain"]
+    assert not _verdicts(PARENT, faster, better="higher")["gain"]
+
+
+def test_regression_beyond_the_relative_bound():
+    assert _verdicts(PARENT, [v * 1.2 for v in PARENT])["regression"]
+    assert not _verdicts(PARENT, [v * 1.1 for v in PARENT])["regression"]
+    assert _verdicts(PARENT, [v * 0.8 for v in PARENT], better="higher")["regression"]
+
+
+def test_unresolved_when_the_runs_spread_wider_than_the_bound():
+    wide = [0.7, 1.3, 0.8, 1.2, 1.0, 0.9, 1.1, 0.75, 1.25, 1.0]
+    assert _verdicts(PARENT, wide)["unresolved"]
+    assert _verdicts(wide, PARENT)["unresolved"]
+    # unless every run of the change is better than every run of the parent
+    assert not _verdicts([2 * v for v in wide], wide)["unresolved"]

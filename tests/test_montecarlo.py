@@ -32,7 +32,7 @@ from exclab.errors import DimensionMismatch, NonIntegerScheme, TooFewRecords
 from exclab.montecarlo import _BATCH, ExcursionRecords, Trajectory, dump_trajectory
 
 import reference_montecarlo as reference
-from conftest import REF, GAMMA
+from conftest import REF, GAMMA, random_chain
 
 
 def _schemes(params, n):
@@ -526,11 +526,14 @@ class TestReferenceEnsemble:
         if a_state == 0:
             assert sample.counts.sum(axis=(1, 2)).max() > 100
 
-    def test_two_workers_and_ragged_batches_match_reference(self, ref_params, ref_model):
+    @pytest.mark.parametrize("keep_counts", [False, True])
+    def test_two_workers_and_ragged_batches_match_reference(self, ref_params, ref_model,
+                                                            keep_counts):
         n = _BATCH + 777
         schemes = _schemes(ref_params, 4)
-        sample = sample_excursions(ref_model, schemes, n, seed=9, workers=2)
-        assert_same_sample(sample, reference.sample_excursions(ref_model, schemes, n, seed=9))
+        kwargs = dict(seed=9, keep_counts=keep_counts)
+        sample = sample_excursions(ref_model, schemes, n, workers=2, **kwargs)
+        assert_same_sample(sample, reference.sample_excursions(ref_model, schemes, n, **kwargs))
 
     @pytest.mark.parametrize("name", ["transport", "activity", "entropy"])
     def test_empirical_moments_match_reference_at_64(self, ref_params, ref_model, name):
@@ -556,6 +559,60 @@ class TestReferenceEnsemble:
             ref = reference.empirical_moments(sample, name)
             assert emp.estimates == ref.estimates, name
             assert emp.scales == ref.scales
+
+
+def _dyadic_chain():
+    """A 4-state chain whose jump probabilities are 1/4 and 1/2, so every
+    cumulative threshold sits on an edge of the code table's bins; state
+    0's first threshold is 0 and state 3's last one is 1."""
+    w = np.zeros((4, 4))
+    w[1:, 0] = [1.0, 1.0, 2.0]
+    w[[0, 2, 3], 1] = [2.0, 1.0, 1.0]
+    w[[0, 1, 3], 2] = [1.0, 2.0, 1.0]
+    w[:3, 3] = [2.0, 1.0, 1.0]
+    return validate_rate_matrix(w)
+
+
+class TestCodeTable:
+    """The ensemble's (state, bin of u) code table against ``searchsorted``
+    at the lowest and the highest u of every bin."""
+
+    @staticmethod
+    def assert_matches_searchsorted(cum):
+        k, bins = cum.shape[0], montecarlo._BINS
+        table = montecarlo._code_table(cum).reshape(k, bins)
+        edges = np.arange(bins + 1) / bins
+        lowest, highest = edges[:-1], np.nextafter(edges[1:], 0.0)
+        for s in range(k):
+            lo = np.searchsorted(cum[s], lowest, side="right") * k + s
+            hi = np.searchsorted(cum[s], highest, side="right") * k + s
+            # a bin is split exactly where its two ends jump differently
+            assert np.array_equal(table[s], np.where(lo == hi, lo, -1)), s
+        return table
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_chains(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            m = validate_rate_matrix(random_chain(rng, n))
+            table = self.assert_matches_searchsorted(montecarlo._cumulative_jump_probs(m))
+            # a two-state chain's one threshold per state is 0 or 1
+            assert (table < 0).any() == (n > 2)
+
+    def test_thresholds_on_bin_edges_split_no_bin(self):
+        cum = montecarlo._cumulative_jump_probs(_dyadic_chain())
+        assert set(cum.ravel().tolist()) == {0.0, 0.25, 0.5, 0.75, 1.0}
+        assert cum[0, 0] == 0.0 and cum[3, 2] == 1.0
+        assert (self.assert_matches_searchsorted(cum) >= 0).all()
+
+    @pytest.mark.parametrize("a_state", [0, 3])
+    def test_dyadic_chain_sample_matches_reference(self, a_state):
+        m = _dyadic_chain()
+        schemes = {"transport": transport_weights("R", 4), "activity": activity_weights(4),
+                   "spread": WeightScheme(np.arange(16.0).reshape(4, 4) / 7.0)}
+        kwargs = dict(seed=13, a_state=a_state, keep_counts=True)
+        sample = sample_excursions(m, schemes, 3001, **kwargs)
+        assert_same_sample(sample, reference.sample_excursions(m, schemes, 3001, **kwargs))
 
 
 def _random_sample(n, params, seed=21):
@@ -689,6 +746,14 @@ class TestDurationHalf:
             tracemalloc.stop()
         result = sum(a.nbytes for a in (sample.durations, sample.residences, *sample.q.values()))
         assert peak <= 1.5 * result, peak / result
+
+    def test_serial_ensemble_writes_its_batches_in_place(self, ref_params, ref_model):
+        # batches copied into the outputs peaked at 1.34 x the result bytes;
+        # written into their slices they peak at 1.22 x
+        schemes = {k: v for k, v in _schemes(ref_params, 4).items() if k != "transport_L"}
+        sample, peak = _traced_peak(sample_excursions, ref_model, schemes, 1_000_000, seed=2)
+        result = sum(a.nbytes for a in (sample.durations, sample.residences, *sample.q.values()))
+        assert peak <= 1.25 * result, peak / result
 
 
 class TestEmpiricalMoments:

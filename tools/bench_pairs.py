@@ -8,9 +8,18 @@ For every workload in ``BENCHMARK.json`` this runs
 ``bench/run.py --trace 0`` (seed 1, the spec's ``run_seconds``) in the two
 checkouts, ``--pairs`` times each, alternating which side runs first.  It writes, per
 workload and end-to-end metric, each side's runs, median and quartiles,
-and how many pairs the change won (ties count for neither), with the
-machine (nproc, Python, numpy) and both checkouts' git SHAs.  Standard
-library only; each checkout measures its own ``src/``.
+how many pairs the change won (ties count for neither) and three verdicts,
+with the machine (nproc, Python, numpy) and both checkouts' git SHAs:
+
+- ``gain``: the change won at least 9 of every 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the metric's relative ``bound`` in ``BENCHMARK.json``;
+- ``unresolved``: either side's interquartile range, relative to its
+  median, is wider than that bound, and not every run of the change is
+  better than every run of the parent.
+
+Standard library only; each checkout measures its own ``src/``.
 """
 from __future__ import annotations
 
@@ -61,6 +70,22 @@ def _summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def _verdicts(parent: dict, change: dict, better: str, bound: float, wins: int) -> dict:
+    """``gain``, ``regression`` and ``unresolved`` for one metric from the
+    two sides' summaries, which direction is ``better`` and the change's
+    pair wins."""
+    sign = 1 if better == "lower" else -1
+    pairs = len(parent["runs"])
+    margin = sign * (parent["median"] - change["median"])
+    spread = max((s["q3"] - s["q1"]) / abs(s["median"]) for s in (parent, change))
+    separated = max(sign * v for v in change["runs"]) < min(sign * v for v in parent["runs"])
+    return {
+        "gain": 10 * wins >= 9 * pairs and margin > parent["q3"] - parent["q1"],
+        "regression": -margin > bound * abs(parent["median"]),
+        "unresolved": spread > bound and not separated,
+    }
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -74,6 +99,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     result = {
@@ -101,13 +127,20 @@ def main(argv=None) -> int:
             p = [r["metrics"][name] for r in runs["parent"]]
             c = [r["metrics"][name] for r in runs["change"]]
             sign = 1 if direction == "lower" else -1
+            wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
             metrics[name] = {
                 "better": direction,
+                "bound": bounds[name],
                 "parent": _summary(p),
                 "change": _summary(c),
-                "change_wins": sum(sign * (a - b) > 0 for a, b in zip(p, c)),
+                "change_wins": wins,
                 "parent_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
             }
+            verdicts = _verdicts(metrics[name]["parent"], metrics[name]["change"],
+                                 direction, bounds[name], wins)
+            metrics[name].update(verdicts)
+            print(f"{workload} {name}: {', '.join(k for k, v in verdicts.items() if v) or 'flat'}",
+                  file=sys.stderr)
         result["workloads"][workload] = {
             "metrics": metrics,
             "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
