@@ -8,17 +8,29 @@ observables Q_i come from the tilted resolvent
 
 with the real tilt exp(weights_i * chi_i) on every off-diagonal rate.  Every
 first and second derivative at the origin is one bilinear insertion,
-:func:`cross_moments`; :func:`time_moments` and :func:`observable_moments`
-are its views for T and for (Q, T), and :func:`noise_terms` assembles the
-noise D = D1 + D2 + D3 from them.  :func:`observable_moments` and
+:func:`cross_moments`; :func:`observable_moments` is its view for (Q, T),
+:func:`time_moments` reads the same sums for T alone off the insertion's
+ends, and :func:`noise_terms` assembles the noise D = D1 + D2 + D3 from
+them.  :func:`observable_moments` and
 :func:`excursion_report` take one scheme or a mapping or sequence of
 schemes; several schemes share one insertion, and each result is bit for
 bit that of its scheme alone.
 
+The fundamental matrix G = (diag(gamma_B) - W_B)^-1 comes from GTH
+elimination (Grassmann, Taksar & Heyman, Oper. Res. 33:1107, 1985): its
+pivots are sums of the exit rates w[A, b] and the off-diagonal rates, so
+no step subtracts, and G keeps its relative accuracy on stiff chains whose
+exits are many decades below their internal rates.  No LAPACK call forms
+it.
+
 A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
 insertion formulas then run as broadcast matrix products over the batch;
-every check is made cell by cell.  The duration moments of
-:func:`time_moments` are formed once per decomposition and cached on it.
+every check is made cell by cell.  The elimination runs entry by entry, on
+one array over the cells per entry, with a Python loop over the B states
+only; one point runs the same arithmetic on Python floats, so a batch
+equals its points bit for bit.  The duration moments of
+:func:`time_moments` are read off the ends of the insertion once per
+decomposition and cached on it, with no insertion of their own.
 The transform oracles (:func:`finite_difference_moments`,
 :func:`outcome_quadrature`) take single chains only.  They stack their
 probes instead: each ladder of trial steps of the finite differences, their
@@ -32,6 +44,7 @@ net counts, level by level (single chains only as well).
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -110,15 +123,27 @@ class BlockDecomposition:
     def jump_bound(self):
         """2 + max(gamma) * ||G||_1, a bound on the expected jump count of an
         excursion; the rails of :func:`excursion_report` scale with it."""
-        return 2.0 + np.max(self.parent.gamma, axis=-1) * (
-            np.abs(self.fundamental).sum(axis=-2).max(axis=-1)
+        return 2.0 + _leading(self.parent.gamma, 1).max(axis=0) * (
+            np.abs(_leading(self.fundamental)).sum(axis=0).max(axis=0)
         )
 
     @cached_property
     def duration_moments(self):
-        """``(e_t, e_t2, var_t, mu, delta2)`` of :func:`time_moments`, from
-        one :func:`cross_moments` insertion; batch arrays are read-only."""
-        (e_t,), ((e_t2,),) = cross_moments(self, [None])
+        """``(e_t, e_t2, var_t, mu, delta2)`` of :func:`time_moments`, read
+        off the ends L, R; batch arrays are read-only.
+
+        T inserts the identity on B, so gamma_A e_t = sum_b L_b R_b and
+        gamma_A E[T^2] = 2 L_B G R_B.  The products and sums run in the
+        order of :func:`cross_moments`, so both equal its T row and T x T
+        entry bit for bit, without an insertion of their own.
+        """
+        lft, rgt, _ = self.ends
+        bi = list(self.b_states)
+        terms = lft * np.swapaxes(rgt, -1, -2)
+        terms[..., self.a_state] = 0.0
+        c = (lft[..., bi] @ self.fundamental) @ rgt[..., bi, :]
+        e_t = _float(terms.sum(axis=-1)[..., 0] / self.gamma_a)
+        e_t2 = _float((c + c)[..., 0, 0] / self.gamma_a)
         var_t = e_t2 - e_t * e_t
         # 1/gamma_a**2 overflows on slow chains; excursion_report's rail fails them
         with np.errstate(divide="ignore", over="ignore"):
@@ -148,6 +173,12 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
 
     ``a`` is a single state index or a singleton iterable; larger regions
     are rejected because the renewal-cycle results assume one A state.
+    The fundamental matrix G is formed by GTH elimination from the
+    off-diagonal rates, the exits w[A, b] included, and never reads the
+    rounded escape rates on the diagonal of ``gen_b``.  Raises SingularB
+    for a zero or non-finite pivot, and where G fails a check of
+    :func:`_check_decomposition`; for a batch the message is the first
+    failing cell's.
     """
     if isinstance(a, (int, np.integer)):
         a_set = {int(a)}
@@ -166,38 +197,128 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
     w_ba = _block(m.w, bi, a)
     w_b = _block(m.w, bi, bi)
     gen_b = _block(m.generator, bi, bi)
-    try:
-        fund = np.linalg.solve(-gen_b, np.eye(len(bi)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularB(str(exc)) from None
+    fund = _fundamental(m, a_state, b_states)
     gamma_a = _float(m.gamma[..., a_state])
-    _check_decomposition(m, bi, gen_b, fund, w_ab, w_ba, gamma_a)
+    _check_decomposition(m, gen_b, fund, w_ab, w_ba, gamma_a)
     return BlockDecomposition(
         parent=m, a_state=a_state, b_states=b_states, gamma_a=gamma_a,
         w_ab=w_ab, w_ba=w_ba, w_b=w_b, gen_b=gen_b, fundamental=fund,
     )
 
 
-def _check_decomposition(m, bi, gen_b, fund, w_ab, w_ba, gamma_a):
-    scale = np.maximum(np.max(m.gamma, axis=-1), 1.0)
+def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its last ``k`` axes first: entry by
+    entry, one array over the cells.  numpy reduces over those leading axes
+    in one elementwise pass per entry, where a reduction over short trailing
+    axes loops cell by cell; the values and the order of the sums are the
+    same."""
+    return np.moveaxis(x, range(-k, 0), range(k)).copy()
+
+
+def _fundamental(m: RateMatrix, a_state: int, b_states) -> np.ndarray:
+    """G = (diag(gamma_B) - W_B)^-1 by GTH elimination (Grassmann, Taksar
+    & Heyman, Oper. Res. 33:1107, 1985), with no LAPACK call; C-contiguous
+    like the blocks.
+
+    The elimination reads the rates themselves: Python floats for one
+    point, one array over the cells per entry for a batch, so that a batch
+    equals its points bit for bit.  Raises SingularB, through
+    :func:`raise_first`, where a pivot is zero or not finite.
+    """
+    batch, nb = m.w.shape[:-2], len(b_states)
+    w = _leading(m.w) if batch else m.w.tolist()
+    o = [[w[i][j] for j in b_states] for i in b_states]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pivots, g = _gth(o, [w[a_state][j] for j in b_states])
+    pivots = np.array(pivots)
+    bad = ~((pivots > 0.0) & (pivots < np.inf))
+    if bad.any():
+        first = np.argmax(bad, axis=0)
+        raise_first(bad.any(axis=0), SingularB,
+                    "B block of the generator is singular: GTH pivot {!r} at state {}",
+                    np.take_along_axis(pivots, first[None], axis=0)[0],
+                    np.asarray(b_states)[first])
+    if not batch:
+        return np.array(g)
+    fund = np.empty(batch + (nb, nb))
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            fund[..., i, j] = x
+    return fund
+
+
+def _gth(o: list, e: list):
+    """The pivots and the inverse of diag(e + column sums of o) - o.
+
+    ``o[i][j]`` is the rate j -> i between B states (the diagonal is not
+    read) and ``e[j]`` the exit rate j -> A.  Eliminating state k, the
+    paths j -> k -> i add o_ik o_kj / d_k to o_ij and j -> k -> A adds
+    o_kj e_k / d_k to e_j; the pivot d_k is e_k plus the rates left in
+    column k, a sum rather than a difference.  With L_ik = -o_ik / d_k and
+    U_kj = -o_kj the factors of the eliminated matrix, the forward and back
+    substitutions for each column of the inverse add nonnegative terms
+    only, so no step subtracts.  Returns ``(pivots, g)`` as lists; one
+    point stops at a pivot that is not positive and finite, with g None.
+    """
+    nb = len(e)
+    o, e, pivots = [list(row) for row in o], list(e), []
+    for k in range(nb):
+        d = e[k]
+        for i in range(k + 1, nb):
+            d = d + o[i][k]
+        pivots.append(d)
+        if not isinstance(d, np.ndarray) and not 0.0 < d < math.inf:
+            return pivots, None
+        for j in range(k + 1, nb):
+            t = o[k][j] / d
+            e[j] = e[j] + t * e[k]
+            for i in range(k + 1, nb):
+                if i != j:
+                    o[i][j] = o[i][j] + t * o[i][k]
+    lower = [[o[i][k] / pivots[k] for k in range(i)] for i in range(nb)]
+    g = [[None] * nb for _ in range(nb)]
+    for m in range(nb):
+        # L y = unit vector m: y_i = sum_k (o_ik / d_k) y_k, zero above m
+        y = [1.0]
+        for i in range(m + 1, nb):
+            s = lower[i][m]
+            for k in range(m + 1, i):
+                s = s + lower[i][k] * y[k - m]
+            y.append(s)
+        # U x = y: x_k = (y_k + sum_(j > k) o_kj x_j) / d_k
+        for k in range(nb - 1, -1, -1):
+            s = y[k - m] if k >= m else None
+            for j in range(k + 1, nb):
+                s = o[k][j] * g[j][m] if s is None else s + o[k][j] * g[j][m]
+            g[k][m] = s / pivots[k]
+    return pivots, g
+
+
+def _check_decomposition(m, gen_b, fund, w_ab, w_ba, gamma_a):
+    # every reduction runs over the leading axes of entry-major copies
+    gen, g = _leading(gen_b), _leading(fund)
+    scale = np.maximum(_leading(m.gamma, 1).max(axis=0), 1.0)
     # substochastic B block: column sums <= 0, at least one strictly negative
-    colsum = gen_b.sum(axis=-2)
-    tol = 1e-12 * scale[..., None]
-    raise_first(np.any(colsum > tol, axis=-1) | ~np.any(colsum < -tol, axis=-1),
+    colsum = gen.sum(axis=0)
+    tol = 1e-12 * scale
+    raise_first(np.any(colsum > tol, axis=0) | ~np.any(colsum < -tol, axis=0),
                 SingularB, "B block of the generator is not substochastic")
-    raise_first(np.any(fund < -1e-12 / scale[..., None, None], axis=(-2, -1)),
+    raise_first(np.any(g < -1e-12 / scale, axis=(0, 1)),
                 SingularB, "fundamental matrix has negative entries")
-    # backward-stable solves leave a residual ~ eps * |gen_b| * |G|, so the
-    # 1e-10 criterion is taken relative to that conditioning scale
+    # G's rounding and gamma's, on the diagonal of gen_b, leave a residual
+    # ~ eps * |gen_b| * |G|, so the 1e-10 criterion is taken relative to
+    # that conditioning scale
     cond = np.maximum(
         1.0,
-        np.abs(gen_b).sum(axis=-1).max(axis=-1)
-        * np.abs(fund).sum(axis=-1).max(axis=-1),
+        np.abs(gen).sum(axis=1).max(axis=0) * np.abs(g).sum(axis=1).max(axis=0),
     )
-    resid = np.max(np.abs(gen_b @ fund + np.eye(len(bi))), axis=(-2, -1))
+    prod = (gen[:, :, None] * g[None]).sum(axis=1)
+    prod[np.diag_indices(len(prod))] += 1.0
+    resid = np.abs(prod).max(axis=(0, 1))
     raise_first(resid > 1e-10 * cond, SingularB,
                 "fundamental-matrix residual {:.3e}", resid)
-    norm = _float((w_ab @ fund @ w_ba)[..., 0, 0])
+    lg = (_leading(w_ab[..., 0, :], 1)[:, None] * g).sum(axis=0)
+    norm = _float((lg * _leading(w_ba[..., 0], 1)).sum(axis=0))
     raise_first(
         np.abs(norm - gamma_a) > 1e-10 * gamma_a * np.maximum(1.0, 1e-4 * cond),
         SingularB, "normalization identity violated: {!r} != {!r}",
@@ -242,7 +363,8 @@ def cross_moments(d: BlockDecomposition, schemes: list[WeightScheme | None]):
 
 
 def time_moments(d: BlockDecomposition):
-    """Excursion-duration and cycle-time moments from :func:`cross_moments`.
+    """Excursion-duration and cycle-time moments, the T row and T x T entry
+    of :func:`cross_moments` read off the decomposition's ends.
 
     Returns ``(e_t, e_t2, var_t, mu, delta2)`` where mu and delta2 are the
     mean and variance of the renewal cycle (excursion plus the following
@@ -621,12 +743,13 @@ def outcome_distribution(
     width = hi - lo + 1
     pad = width if back_lo or back_hi else 0
     live = rate_in > 0
+    chain = []  # the widening passes share their pivots
     while True:
         start = core_lo - pad
         n_blk = -(-(core_hi + pad - start + 1) // g)
         rhs = np.zeros((n_blk * g, nb))
         rhs[nu_in[live] - start, np.flatnonzero(live)] = rate_in[live]
-        x = _block_thomas(*blocks, rhs.reshape(n_blk, g * nb)).reshape(-1, nb)
+        x = _block_thomas(*blocks, rhs.reshape(n_blk, g * nb), chain).reshape(-1, nb)
         ret = x * rate_out
         lost_lo = sum(o @ x[:-k].sum(axis=0) for k, o in out_rate.items() if k < 0)
         lost_hi = sum(o @ x[-k:].sum(axis=0) for k, o in out_rate.items() if k > 0)
@@ -650,7 +773,7 @@ def outcome_distribution(
         pad = min(2 * pad, 16 * width)
 
 
-def _block_thomas(diag, lower, upper, rhs):
+def _block_thomas(diag, lower, upper, rhs, chain):
     """Solve the block-tridiagonal system with the constant blocks ``diag``,
     ``lower`` (coupling to the previous block) and ``upper`` (to the next)
     for the right-hand sides ``rhs`` of shape (n_blk, s).
@@ -659,17 +782,33 @@ def _block_thomas(diag, lower, upper, rhs):
     dominant charge-resolved matrix: one solve per block on the way down,
     matrix products on the way back.  No dense matrix of the whole system
     is formed.
+
+    With constant blocks the pivots S_j = D - L S_(j-1)^-1 U and the
+    factors S_j^-1 U depend only on the distance j from the first block.
+    ``chain`` keeps them, as ``(S_j, S_j^-1 U)`` by j, for the next call on
+    the same blocks.  Below the first nonzero right-hand side the solution
+    is zero, so a level there whose factor is kept needs no solve.
     """
     n_blk, s = rhs.shape
     elim = np.empty((n_blk, s, s))
-    y = np.empty((n_blk, s))
+    y = np.zeros((n_blk, s))
+    first = int(np.argmax(rhs.any(axis=1)))
     pivot, carry = diag, rhs[0]
     for j in range(n_blk):
-        if j:
+        if j < len(chain):
+            pivot, elim[j] = chain[j]
+            if j < first:
+                # LAPACK's columns for U do not depend on the carry's, so
+                # the kept factor is the one a zero carry would give
+                continue
+        elif j:
             pivot = diag - lower @ elim[j - 1]
+        if j:
             carry = rhs[j] - lower @ y[j - 1]
         sol = np.linalg.solve(pivot, np.column_stack((upper, carry)))
         elim[j], y[j] = sol[:, :s], sol[:, s]
+        if j == len(chain):
+            chain.append((pivot, elim[j]))
     for j in range(n_blk - 2, -1, -1):
         y[j] -= elim[j] @ y[j + 1]
     return y

@@ -519,10 +519,10 @@ def _sample_batch(
     code = state * k + a_state
     for out, w in zip(outs, flat):
         w.take(code, out=out)
-    tally = None if counts is None else counts.reshape(n, k * k)
+    tally = None if counts is None else counts.reshape(-1)
     if tally is not None:
         tally.fill(0)
-        tally[np.arange(n), code] = 1
+        tally[np.arange(n) * (k * k) + code] = 1
     durations.fill(0.0)  # kept by an excursion whose first jump is back to A
 
     idx = np.flatnonzero(state != a_state)
@@ -552,7 +552,10 @@ def _sample_batch(
         for a, w in zip(acc, flat):
             a += w.take(code)
         if tally is not None:
-            tally[idx, code] += 1  # one entry per excursion, so no repeats
+            # one flat index per excursion, so no repeats
+            at = idx * (k * k)
+            at += code
+            tally[at] += 1
         ret = returned.take(code)
         back = ret.nonzero()[0]
         if back.size:

@@ -27,19 +27,29 @@ def _one(m):
 class Reference:
     """G, gamma_A and the per-excursion moments of one chain at ``DPS``
     digits.  ``w`` and ``gamma`` are the float arrays of a RateMatrix;
-    observables are weight matrices, or None for the duration T."""
+    observables are weight matrices, or None for the duration T.
 
-    def __init__(self, w, gamma, a_state=0):
-        n = len(gamma)
+    With ``exact_gamma`` the escape rates are the exact sums of the float
+    off-diagonal rates, and ``gamma`` is not read: the chain the float
+    rates define, not the one their rounded column sums define.
+    """
+
+    def __init__(self, w, gamma, a_state=0, exact_gamma=False):
+        n = len(w)
         self.n, self.a = n, a_state
         self.bi = [i for i in range(n) if i != a_state]
         with mpmath.workdps(DPS):
             self.w = [[mpmath.mpf(float(w[x][y])) for y in range(n)]
                       for x in range(n)]
-            self.gamma_a = mpmath.mpf(float(gamma[a_state]))
+            if exact_gamma:
+                # the sum of the float rates, exact to DPS digits
+                gam = [mpmath.fsum(self.w[x][y] for x in range(n) if x != y)
+                       for y in range(n)]
+            else:
+                gam = [mpmath.mpf(float(gamma[y])) for y in range(n)]
+            self.gamma_a = gam[a_state]
             self.w_ab, self.w_ba, w_b = _blocks(self.w, a_state, self.bi)
-            gen_b = w_b - mpmath.diag([mpmath.mpf(float(gamma[i]))
-                                       for i in self.bi])
+            gen_b = w_b - mpmath.diag([gam[i] for i in self.bi])
             self.g = mpmath.inverse(-gen_b)
 
     def _v(self, nu):

@@ -2,6 +2,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -42,3 +44,15 @@ def test_unresolved_when_the_runs_spread_wider_than_the_bound():
     assert _verdicts(wide, PARENT)["unresolved"]
     # unless every run of the change is better than every run of the parent
     assert not _verdicts([2 * v for v in wide], wide)["unresolved"]
+
+
+def test_relative_median_change_is_printed_with_the_verdicts():
+    parent, change = bench_pairs._summary(PARENT), bench_pairs._summary([v * 0.95 for v in PARENT])
+    rel = bench_pairs._relative_change(parent, change)
+    assert rel == pytest.approx(-0.05)
+    metric = dict(_verdicts(PARENT, change["runs"]), relative_change=rel)
+    assert bench_pairs._report_line("diamond-sweep", "run_s", metric) == (
+        "diamond-sweep run_s: gain, median -5.00%")
+    flat = dict(_verdicts(PARENT, PARENT), relative_change=0.0)
+    assert bench_pairs._report_line("mc-oracle", "peak_rss_mb", flat) == (
+        "mc-oracle peak_rss_mb: flat, median +0.00%")

@@ -8,8 +8,11 @@ For every workload in ``BENCHMARK.json`` this runs
 ``bench/run.py --trace 0`` (seed 1, the spec's ``run_seconds``) in the two
 checkouts, ``--pairs`` times each, alternating which side runs first.  It writes, per
 workload and end-to-end metric, each side's runs, median and quartiles,
-how many pairs the change won (ties count for neither) and three verdicts,
-with the machine (nproc, Python, numpy) and both checkouts' git SHAs:
+how many pairs the change won (ties count for neither), the relative
+median change (change / parent - 1, also printed with the verdicts, so that
+a claim can be read against the side bias of two checkouts of the same
+code) and three verdicts, with the machine (nproc, Python, numpy) and both
+checkouts' git SHAs:
 
 - ``gain``: the change won at least 9 of every 10 pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -86,6 +89,18 @@ def _verdicts(parent: dict, change: dict, better: str, bound: float, wins: int) 
     }
 
 
+def _relative_change(parent: dict, change: dict) -> float:
+    """The change's median over the parent's, minus one: -0.05 is 5 % lower."""
+    return change["median"] / parent["median"] - 1.0
+
+
+def _report_line(workload: str, name: str, metric: dict) -> str:
+    """One metric's verdicts and relative median change, for stderr."""
+    verdicts = [k for k in ("gain", "regression", "unresolved") if metric[k]]
+    return (f"{workload} {name}: {', '.join(verdicts) or 'flat'}, "
+            f"median {metric['relative_change']:+.2%}")
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -136,11 +151,11 @@ def main(argv=None) -> int:
                 "change_wins": wins,
                 "parent_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
             }
-            verdicts = _verdicts(metrics[name]["parent"], metrics[name]["change"],
-                                 direction, bounds[name], wins)
-            metrics[name].update(verdicts)
-            print(f"{workload} {name}: {', '.join(k for k, v in verdicts.items() if v) or 'flat'}",
-                  file=sys.stderr)
+            metrics[name].update(_verdicts(metrics[name]["parent"], metrics[name]["change"],
+                                           direction, bounds[name], wins))
+            metrics[name]["relative_change"] = _relative_change(
+                metrics[name]["parent"], metrics[name]["change"])
+            print(_report_line(workload, name, metrics[name]), file=sys.stderr)
         result["workloads"][workload] = {
             "metrics": metrics,
             "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
