@@ -211,8 +211,12 @@ def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:
     entry, one array over the cells.  numpy reduces over those leading axes
     in one elementwise pass per entry, where a reduction over short trailing
     axes loops cell by cell; the values and the order of the sums are the
-    same."""
-    return np.moveaxis(x, range(-k, 0), range(k)).copy()
+    same.  One point, with no batch axes, is ``x`` itself."""
+    if x.ndim == k:
+        return x
+    entries = x.shape[-k:]
+    flat = x.reshape(-1, math.prod(entries))
+    return np.ascontiguousarray(flat.T).reshape(entries + x.shape[:-k])
 
 
 def _fundamental(m: RateMatrix, a_state: int, b_states) -> np.ndarray:
@@ -230,14 +234,15 @@ def _fundamental(m: RateMatrix, a_state: int, b_states) -> np.ndarray:
     o = [[w[i][j] for j in b_states] for i in b_states]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pivots, g = _gth(o, [w[a_state][j] for j in b_states])
-    pivots = np.array(pivots)
-    bad = ~((pivots > 0.0) & (pivots < np.inf))
-    if bad.any():
-        first = np.argmax(bad, axis=0)
-        raise_first(bad.any(axis=0), SingularB,
-                    "B block of the generator is singular: GTH pivot {!r} at state {}",
-                    np.take_along_axis(pivots, first[None], axis=0)[0],
-                    np.asarray(b_states)[first])
+    if batch or g is None:  # one point stops at its first bad pivot
+        pivots = np.array(pivots)
+        bad = ~((pivots > 0.0) & (pivots < np.inf))
+        if bad.any():
+            first = np.argmax(bad, axis=0)
+            raise_first(bad.any(axis=0), SingularB,
+                        "B block of the generator is singular: GTH pivot {!r} at state {}",
+                        np.take_along_axis(pivots, first[None], axis=0)[0],
+                        np.asarray(b_states)[first])
     if not batch:
         return np.array(g)
     fund = np.empty(batch + (nb, nb))
