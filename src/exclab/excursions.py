@@ -21,14 +21,17 @@ elimination (Grassmann, Taksar & Heyman, Oper. Res. 33:1107, 1985): its
 pivots are sums of the exit rates w[A, b] and the off-diagonal rates, so
 no step subtracts, and G keeps its relative accuracy on stiff chains whose
 exits are many decades below their internal rates.  No LAPACK call forms
-it.
+it.  The insertions apply G by the elimination's factors, not by G's
+entries: on such a chain G's columns agree to many digits, and a net count
+whose insertion vectors sum to nearly zero across them would lose those
+digits to the rounding of the entries.
 
 A stacked chain (``w`` of shape (..., n, n)) gives stacked blocks, and the
-insertion formulas then run as broadcast matrix products over the batch;
-every check is made cell by cell.  The elimination runs entry by entry, on
-one array over the cells per entry, with a Python loop over the B states
-only; one point runs the same arithmetic on Python floats, so a batch
-equals its points bit for bit.  The duration moments of
+insertion formulas then run over the batch; every check is made cell by
+cell.  The elimination and the substitutions that apply G run entry by
+entry, on one array over the cells per entry, with a Python loop over the
+B states only; one point runs the same arithmetic on Python floats, so a
+batch equals its points bit for bit.  The duration moments of
 :func:`time_moments` are read off the ends of the insertion once per
 decomposition and cached on it, with no insertion of their own.
 The transform oracles (:func:`finite_difference_moments`,
@@ -48,7 +51,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -91,8 +94,10 @@ class BlockDecomposition:
     ``w_ab`` (1 x nb) and ``w_ba`` (nb x 1) are the off-diagonal coupling
     blocks, ``gen_b`` the substochastic B block of the generator, and
     ``fundamental`` its negated inverse G, whose entries are expected
-    occupation times in B before absorption into A.  For a stacked chain
-    every block carries the leading batch axes and ``gamma_a`` is an array.
+    occupation times in B before absorption into A.  ``factors`` are the
+    pivots and eliminated rates of the GTH elimination that formed G, with
+    which :func:`_solve_g` applies G.  For a stacked chain every block
+    carries the leading batch axes and ``gamma_a`` is an array.
     """
 
     parent: RateMatrix
@@ -104,6 +109,7 @@ class BlockDecomposition:
     w_b: np.ndarray
     gen_b: np.ndarray
     fundamental: np.ndarray
+    factors: tuple
 
     @property
     def nb(self) -> int:
@@ -133,17 +139,17 @@ class BlockDecomposition:
         off the ends L, R; batch arrays are read-only.
 
         T inserts the identity on B, so gamma_A e_t = sum_b L_b R_b and
-        gamma_A E[T^2] = 2 L_B G R_B.  The products and sums run in the
-        order of :func:`cross_moments`, so both equal its T row and T x T
-        entry bit for bit, without an insertion of their own.
+        gamma_A E[T^2] = 2 L_B G R_B, with G R_B from the GTH factors.  The
+        products and sums run in the order of :func:`cross_moments`, so both
+        equal its T row and T x T entry bit for bit, without an insertion
+        of their own.
         """
         lft, rgt, _ = self.ends
-        bi = list(self.b_states)
         terms = lft * np.swapaxes(rgt, -1, -2)
         terms[..., self.a_state] = 0.0
-        c = (lft[..., bi] @ self.fundamental) @ rgt[..., bi, :]
+        c = _insert(self, lft, rgt)[0, 0]
         e_t = _float(terms.sum(axis=-1)[..., 0] / self.gamma_a)
-        e_t2 = _float((c + c)[..., 0, 0] / self.gamma_a)
+        e_t2 = _float((c + c) / self.gamma_a)
         var_t = e_t2 - e_t * e_t
         # 1/gamma_a**2 overflows on slow chains; excursion_report's rail fails them
         with np.errstate(divide="ignore", over="ignore"):
@@ -153,6 +159,14 @@ class BlockDecomposition:
             if isinstance(x, np.ndarray):
                 x.flags.writeable = False
         return moments
+
+
+@cache
+def _on_b(n: int, a_state: int) -> np.ndarray:
+    """The identity on B, the block that T inserts; read-only."""
+    on_b = np.diag(np.arange(n) != a_state)
+    on_b.flags.writeable = False
+    return on_b
 
 
 def _float(v):
@@ -197,12 +211,13 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
     w_ba = _block(m.w, bi, a)
     w_b = _block(m.w, bi, bi)
     gen_b = _block(m.generator, bi, bi)
-    fund = _fundamental(m, a_state, b_states)
+    fund, factors = _fundamental(m, a_state, b_states)
     gamma_a = _float(m.gamma[..., a_state])
     _check_decomposition(m, gen_b, fund, w_ab, w_ba, gamma_a)
     return BlockDecomposition(
         parent=m, a_state=a_state, b_states=b_states, gamma_a=gamma_a,
         w_ab=w_ab, w_ba=w_ba, w_b=w_b, gen_b=gen_b, fundamental=fund,
+        factors=factors,
     )
 
 
@@ -219,10 +234,11 @@ def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:
     return np.ascontiguousarray(flat.T).reshape(entries + x.shape[:-k])
 
 
-def _fundamental(m: RateMatrix, a_state: int, b_states) -> np.ndarray:
+def _fundamental(m: RateMatrix, a_state: int, b_states):
     """G = (diag(gamma_B) - W_B)^-1 by GTH elimination (Grassmann, Taksar
     & Heyman, Oper. Res. 33:1107, 1985), with no LAPACK call; C-contiguous
-    like the blocks.
+    like the blocks.  Returns G and the factors ``(pivots, lower, upper)``
+    of :func:`_gth` for :func:`_solve_g`.
 
     The elimination reads the rates themselves: Python floats for one
     point, one array over the cells per entry for a batch, so that a batch
@@ -232,10 +248,14 @@ def _fundamental(m: RateMatrix, a_state: int, b_states) -> np.ndarray:
     batch, nb = m.w.shape[:-2], len(b_states)
     w = _leading(m.w) if batch else m.w.tolist()
     o = [[w[i][j] for j in b_states] for i in b_states]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pivots, g = _gth(o, [w[a_state][j] for j in b_states])
+    e = [w[a_state][j] for j in b_states]
+    if batch:  # Python floats neither warn nor divide by a bad pivot
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            factors, g = _gth(o, e)
+    else:
+        factors, g = _gth(o, e)
     if batch or g is None:  # one point stops at its first bad pivot
-        pivots = np.array(pivots)
+        pivots = np.array(factors[0])
         bad = ~((pivots > 0.0) & (pivots < np.inf))
         if bad.any():
             first = np.argmax(bad, axis=0)
@@ -244,12 +264,12 @@ def _fundamental(m: RateMatrix, a_state: int, b_states) -> np.ndarray:
                         np.take_along_axis(pivots, first[None], axis=0)[0],
                         np.asarray(b_states)[first])
     if not batch:
-        return np.array(g)
+        return np.array(g), factors
     fund = np.empty(batch + (nb, nb))
     for i, row in enumerate(g):
         for j, x in enumerate(row):
             fund[..., i, j] = x
-    return fund
+    return fund, factors
 
 
 def _gth(o: list, e: list):
@@ -262,8 +282,10 @@ def _gth(o: list, e: list):
     column k, a sum rather than a difference.  With L_ik = -o_ik / d_k and
     U_kj = -o_kj the factors of the eliminated matrix, the forward and back
     substitutions for each column of the inverse add nonnegative terms
-    only, so no step subtracts.  Returns ``(pivots, g)`` as lists; one
-    point stops at a pivot that is not positive and finite, with g None.
+    only, so no step subtracts.  Returns the factors ``(pivots, lower,
+    upper)``, with lower[i][k] = o_ik / d_k and upper[k][j] = o_kj (j > k),
+    and g, all as lists; one point stops at a pivot that is not positive
+    and finite, with the factors after the pivots and g None.
     """
     nb = len(e)
     o, e, pivots = [list(row) for row in o], list(e), []
@@ -273,7 +295,7 @@ def _gth(o: list, e: list):
             d = d + o[i][k]
         pivots.append(d)
         if not isinstance(d, np.ndarray) and not 0.0 < d < math.inf:
-            return pivots, None
+            return (pivots, None, None), None
         for j in range(k + 1, nb):
             t = o[k][j] / d
             e[j] = e[j] + t * e[k]
@@ -296,7 +318,60 @@ def _gth(o: list, e: list):
             for j in range(k + 1, nb):
                 s = o[k][j] * g[j][m] if s is None else s + o[k][j] * g[j][m]
             g[k][m] = s / pivots[k]
-    return pivots, g
+    return (pivots, lower, o), g
+
+
+def _solve_g(factors, r: list) -> list:
+    """G r by the forward and back substitutions of the GTH factors.
+
+    ``r`` is a list of B-state components, floats for one point or arrays
+    broadcasting against the factors' cell arrays for a batch, and so is
+    the result.  r may have either sign.  On a stiff chain G is nearly
+    rank one, its columns equal to 10 digits at T = 0.7, and an r that sums
+    to nearly zero across them loses those digits in the products with G's
+    rounded entries; the substitutions with the factors do not.
+    """
+    pivots, lower, upper = factors
+    nb = len(pivots)
+    y = []
+    for i in range(nb):
+        s = r[i]
+        for k in range(i):
+            s = s + lower[i][k] * y[k]
+        y.append(s)
+    x = [None] * nb
+    for k in range(nb - 1, -1, -1):
+        s = y[k]
+        for j in range(k + 1, nb):
+            s = s + upper[k][j] * x[j]
+        x[k] = s / pivots[k]
+    return x
+
+
+def _insert(d: BlockDecomposition, lv: np.ndarray, vr: np.ndarray) -> np.ndarray:
+    """The terms l_i G r_j for the B parts l_i of the rows of ``lv``
+    (..., k, n) and r_j of the columns of ``vr`` (..., n, k), with G applied
+    by :func:`_solve_g`: shape (k, k) for one point, (k, k) + batch for a
+    batch.  One point runs on Python floats the arithmetic that a batch
+    runs on arrays over its cells, so that the two agree bit for bit."""
+    if lv.ndim == 2:
+        ls, rs = lv.tolist(), vr.T.tolist()
+        for row in ls + rs:  # the B parts
+            del row[d.a_state]
+        cols = [_solve_g(d.factors, r) for r in rs]
+        return np.array([[_dot(l, x) for x in cols] for l in ls]).reshape(len(ls), len(rs))
+    # entry by entry: each B component one array over the k columns and the cells
+    lvl, vrl = _leading(lv), _leading(vr)
+    x = _solve_g(d.factors, [vrl[b] for b in d.b_states])
+    return _dot([lvl[:, b, None] for b in d.b_states], [xb[None] for xb in x])
+
+
+def _dot(a: list, b: list):
+    """a_0 b_0 + a_1 b_1 + ..., summed in that order."""
+    s = a[0] * b[0]
+    for i in range(1, len(a)):
+        s = s + a[i] * b[i]
+    return s
 
 
 def _check_decomposition(m, gen_b, fund, w_ab, w_ba, gamma_a):
@@ -306,9 +381,9 @@ def _check_decomposition(m, gen_b, fund, w_ab, w_ba, gamma_a):
     # substochastic B block: column sums <= 0, at least one strictly negative
     colsum = gen.sum(axis=0)
     tol = 1e-12 * scale
-    raise_first(np.any(colsum > tol, axis=0) | ~np.any(colsum < -tol, axis=0),
+    raise_first((colsum > tol).any(axis=0) | ~(colsum < -tol).any(axis=0),
                 SingularB, "B block of the generator is not substochastic")
-    raise_first(np.any(g < -1e-12 / scale, axis=(0, 1)),
+    raise_first((g < -1e-12 / scale).any(axis=(0, 1)),
                 SingularB, "fundamental matrix has negative entries")
     # G's rounding and gamma's, on the diagonal of gen_b, leave a residual
     # ~ eps * |gen_b| * |G|, so the 1e-10 criterion is taken relative to
@@ -317,13 +392,17 @@ def _check_decomposition(m, gen_b, fund, w_ab, w_ba, gamma_a):
         1.0,
         np.abs(gen).sum(axis=1).max(axis=0) * np.abs(g).sum(axis=1).max(axis=0),
     )
-    prod = (gen[:, :, None] * g[None]).sum(axis=1)
-    prod[np.diag_indices(len(prod))] += 1.0
+    if g.ndim == 2:  # one point: no cells to run over, the products are shorter
+        prod, norm = gen @ g, float(w_ab[0] @ g @ w_ba[:, 0])
+    else:
+        prod = (gen[:, :, None] * g[None]).sum(axis=1)
+        lg = (_leading(w_ab[..., 0, :], 1)[:, None] * g).sum(axis=0)
+        norm = (lg * _leading(w_ba[..., 0], 1)).sum(axis=0)
+    nb = len(prod)
+    prod.reshape(nb * nb, -1)[:: nb + 1] += 1.0  # + the identity, in place
     resid = np.abs(prod).max(axis=(0, 1))
     raise_first(resid > 1e-10 * cond, SingularB,
                 "fundamental-matrix residual {:.3e}", resid)
-    lg = (_leading(w_ab[..., 0, :], 1)[:, None] * g).sum(axis=0)
-    norm = _float((lg * _leading(w_ba[..., 0], 1)).sum(axis=0))
     raise_first(
         np.abs(norm - gamma_a) > 1e-10 * gamma_a * np.maximum(1.0, 1e-4 * cond),
         SingularB, "normalization identity violated: {!r} != {!r}",
@@ -342,29 +421,33 @@ def cross_moments(d: BlockDecomposition, schemes: list[WeightScheme | None]):
         gamma_A E[X] = L V R,
         gamma_A E[XY] = l_X G r_Y + l_Y G r_X + L (nu_X nu_Y w) R,
 
-    whose last term sums nu_X nu_Y over single jumps (zero for T).
+    whose last term sums nu_X nu_Y over single jumps (zero for T).  G r
+    comes from the GTH factors (:func:`_insert`), not from G's entries:
+    near equilibrium l_Q and r_Q of a net count cancel against the nearly
+    equal rows of a stiff G, and the products with its rounded entries
+    would leave var(Q) off by up to 2e-7 at T = 0.7.
     """
     n, k = d.parent.n, len(schemes)
     if any(s is not None and s.n != n for s in schemes):
         raise DimensionMismatch("scheme dimension does not match chain")
-    w, g, bi = d.parent.w, d.fundamental, list(d.b_states)
+    w = d.parent.w
     lft, rgt, jump = d.ends
     batch = w.shape[:-2]
-    on_b = np.diag(np.arange(n) != d.a_state)
+    on_b = _on_b(n, d.a_state)
     v = np.empty(batch + (n, k, n))  # v[..., x, i, y] = V_i[x, y]
     for i, s in enumerate(schemes):
         v[..., i, :] = on_b if s is None else s.weights * w
     lv = (lft @ v.reshape(batch + (n, k * n))).reshape(batch + (k, n))
     vr = (v.reshape(batch + (n * k, n)) @ rgt).reshape(batch + (n, k))
-    c = (lv[..., bi] @ g) @ vr[..., bi, :]
-    m1, m2 = (lv * np.swapaxes(rgt, -1, -2)).sum(axis=-1), c + np.swapaxes(c, -1, -2)
+    c = _insert(d, lv, vr)  # entries first
+    m1, m2 = (lv * np.swapaxes(rgt, -1, -2)).sum(axis=-1), c + np.swapaxes(c, 0, 1)
     qs = [i for i, s in enumerate(schemes) if s is not None]
     for i, j in combinations_with_replacement(qs, 2):
         nu_nu = schemes[i].weights * schemes[j].weights
-        m2[..., i, j] = m2[..., j, i] = m2[..., i, j] + (nu_nu * jump).sum(axis=(-2, -1))
+        m2[i, j] = m2[j, i] = m2[i, j] + (nu_nu * jump).sum(axis=(-2, -1))
     if not batch:
         return (m1 / d.gamma_a).tolist(), (m2 / d.gamma_a).tolist()
-    return np.moveaxis(m1, -1, 0) / d.gamma_a, np.moveaxis(m2, (-2, -1), (0, 1)) / d.gamma_a
+    return np.moveaxis(m1, -1, 0) / d.gamma_a, m2 / d.gamma_a
 
 
 def time_moments(d: BlockDecomposition):
@@ -748,13 +831,12 @@ def outcome_distribution(
     width = hi - lo + 1
     pad = width if back_lo or back_hi else 0
     live = rate_in > 0
-    chain = []  # the widening passes share their pivots
     while True:
         start = core_lo - pad
         n_blk = -(-(core_hi + pad - start + 1) // g)
         rhs = np.zeros((n_blk * g, nb))
         rhs[nu_in[live] - start, np.flatnonzero(live)] = rate_in[live]
-        x = _block_thomas(*blocks, rhs.reshape(n_blk, g * nb), chain).reshape(-1, nb)
+        x = _block_thomas(*blocks, rhs.reshape(n_blk, g * nb)).reshape(-1, nb)
         ret = x * rate_out
         lost_lo = sum(o @ x[:-k].sum(axis=0) for k, o in out_rate.items() if k < 0)
         lost_hi = sum(o @ x[-k:].sum(axis=0) for k, o in out_rate.items() if k > 0)
@@ -778,7 +860,7 @@ def outcome_distribution(
         pad = min(2 * pad, 16 * width)
 
 
-def _block_thomas(diag, lower, upper, rhs, chain):
+def _block_thomas(diag, lower, upper, rhs):
     """Solve the block-tridiagonal system with the constant blocks ``diag``,
     ``lower`` (coupling to the previous block) and ``upper`` (to the next)
     for the right-hand sides ``rhs`` of shape (n_blk, s).
@@ -787,33 +869,17 @@ def _block_thomas(diag, lower, upper, rhs, chain):
     dominant charge-resolved matrix: one solve per block on the way down,
     matrix products on the way back.  No dense matrix of the whole system
     is formed.
-
-    With constant blocks the pivots S_j = D - L S_(j-1)^-1 U and the
-    factors S_j^-1 U depend only on the distance j from the first block.
-    ``chain`` keeps them, as ``(S_j, S_j^-1 U)`` by j, for the next call on
-    the same blocks.  Below the first nonzero right-hand side the solution
-    is zero, so a level there whose factor is kept needs no solve.
     """
     n_blk, s = rhs.shape
     elim = np.empty((n_blk, s, s))
-    y = np.zeros((n_blk, s))
-    first = int(np.argmax(rhs.any(axis=1)))
+    y = np.empty((n_blk, s))
     pivot, carry = diag, rhs[0]
     for j in range(n_blk):
-        if j < len(chain):
-            pivot, elim[j] = chain[j]
-            if j < first:
-                # LAPACK's columns for U do not depend on the carry's, so
-                # the kept factor is the one a zero carry would give
-                continue
-        elif j:
-            pivot = diag - lower @ elim[j - 1]
         if j:
+            pivot = diag - lower @ elim[j - 1]
             carry = rhs[j] - lower @ y[j - 1]
         sol = np.linalg.solve(pivot, np.column_stack((upper, carry)))
         elim[j], y[j] = sol[:, :s], sol[:, s]
-        if j == len(chain):
-            chain.append((pivot, elim[j]))
     for j in range(n_blk - 2, -1, -1):
         y[j] -= elim[j] @ y[j + 1]
     return y

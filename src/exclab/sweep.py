@@ -264,10 +264,11 @@ def evaluate(params: DqdParams) -> Evaluation:
 
     Each quantity is computed once per pass: the lead occupations (cached
     on ``params``), the rate matrix, one partition and its fundamental
-    matrix, one duration insertion (cached on the decomposition), one
-    moment insertion for all three schemes through one
-    :func:`excursion_report` call, and one steady-state solve (cached on
-    the chain), which the excess time and the populations share.
+    matrix, one moment insertion for all three schemes through one
+    :func:`excursion_report` call, whose ends also give the duration
+    moments (cached on the decomposition), and one steady-state solve
+    (cached on the chain), which the excess time and the populations
+    share.
     """
     model = build_model(params)
     dec = partition(model, 0)

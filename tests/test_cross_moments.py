@@ -152,6 +152,21 @@ class TestAgainstExactGamma:
             self._assert_close(d, cell, ref, _cell_weights(schemes, cell),
                                m1[:, cell], m2[:, :, cell])
 
+    def test_equilibrium_transport_variance(self):
+        # at vsd = 0 on the T = 0.7 diamond l and r of the net count sum to
+        # nearly zero against the nearly equal rows of G, exits 3e-10 against
+        # internal rates 3: products with G's rounded entries left var(Q) off
+        # by 2.2e-7 at vg = -10; G applied by its GTH factors keeps it
+        cfg = SweepConfig(temperature=0.7, vg_n=21)
+        vg = cfg.vg_values()
+        d = partition(build_model(_point_params(cfg, vg, np.zeros_like(vg), True)), 0)
+        tr = transport_weights("R", d.parent.n)
+        var_q = observable_moments(d, tr)[2]
+        for cell in range(vg.size):
+            r = Reference(d.parent.w[cell], None, exact_gamma=True).renewal(tr.weights)
+            want = float(r["var_q"])
+            assert abs(var_q[cell] - want) <= 1e-13 * want, vg[cell]
+
     def test_random_chains_over_fifteen_decades(self):
         # LAPACK's G missed this by 1.4e-8 on these 40 chains
         rng = np.random.default_rng(23)

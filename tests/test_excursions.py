@@ -92,11 +92,19 @@ class TestPartition:
         # the stiff cells
         cfg = SweepConfig(temperature=0.7, vg_n=21, vsd_n=21)
         vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
-        d = partition(build_model(_point_params(cfg, vg, vsd, True)), 0)
+        p = _point_params(cfg, vg, vsd, True)
+        d = partition(build_model(p), 0)
         assert d.fundamental.flags.c_contiguous
+        schemes = [transport_weights("R", 4), activity_weights(4), entropy_weights(p), None]
+        m1, m2 = cross_moments(d, schemes)
         for i, (x, y) in enumerate(zip(vg.tolist(), vsd.tolist())):
-            one = partition(build_model(_point_params(cfg, x, y, True)), 0)
+            q = _point_params(cfg, x, y, True)
+            one = partition(build_model(q), 0)
             assert one.fundamental.tobytes() == d.fundamental[i].tobytes(), (x, y)
+            # and so does the insertion, which applies G by the factors
+            o1, o2 = cross_moments(one, schemes[:2] + [entropy_weights(q), None])
+            assert np.array(o1).tobytes() == m1[:, i].tobytes(), (x, y)
+            assert np.array(o2).tobytes() == m2[:, :, i].tobytes(), (x, y)
 
     def test_zero_pivot_names_its_cell(self):
         # state 2 leaves only for state 1, at 1e-300, and state 1 returns to

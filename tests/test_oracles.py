@@ -327,38 +327,8 @@ class TestOutcomeEngine:
         assert shapes == [(2, 2)] * 6
         shapes.clear()
         outcome_distribution(ref_dec, transport_weights("R", 4), (-10, 10))
-        # B -> B jumps add +-1: one 3 x 3 solve per level
+        # B -> B jumps add +-1: one 3 x 3 solve per level, in every pass
         assert shapes and set(shapes) == {(3, 3)}
-
-    def test_wider_passes_reuse_the_pivots(self, monkeypatch):
-        # a ladder of +20 jumps at 1e-4 each, and -20 back: every widening
-        # of a (-2, 2) window finds 1e-4 times less mass beyond it, so five
-        # passes run, with the window's entry level ever further up
-        w, nu = np.zeros((5, 5)), np.zeros((5, 5))
-        w[1, 0] = w[0, 1] = 1.0
-        for i in (1, 2, 3):
-            w[i + 1, i], nu[i + 1, i] = 1e-4, 20.0
-            w[i, i + 1], nu[i, i + 1] = 1.0, -20.0
-        d, s = partition(validate_rate_matrix(w), 0), WeightScheme(nu)
-        passes, thomas = [], excursions._block_thomas
-
-        def recorded(diag, lower, upper, rhs, chain):
-            # levels, and the first level with an entry
-            passes.append((len(rhs), int(np.argmax(rhs.any(axis=1)))))
-            return thomas(diag, lower, upper, rhs, chain)
-
-        monkeypatch.setattr(excursions, "_block_thomas", recorded)
-        sizes = _count_calls(monkeypatch, "solve")
-        qs, probs = outcome_distribution(d, s, (-2, 2))
-        # the first pass solves every level; a wider one reuses the pivots
-        # and the zero solution below its entry level, and solves from there
-        assert passes == [(1, 0), (2, 0), (3, 1), (5, 2), (9, 4)]
-        assert len(sizes) == 13 < sum(n for n, _ in passes)
-        # bit for bit what a pass with pivots of its own gives
-        monkeypatch.setattr(excursions, "_block_thomas",
-                            lambda diag, lower, upper, rhs, chain:
-                            thomas(diag, lower, upper, rhs, []))
-        assert outcome_distribution(d, s, (-2, 2))[1].tobytes() == probs.tobytes()
 
 
 @st.composite
