@@ -237,8 +237,8 @@ def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:
 def _fundamental(m: RateMatrix, a_state: int, b_states):
     """G = (diag(gamma_B) - W_B)^-1 by GTH elimination (Grassmann, Taksar
     & Heyman, Oper. Res. 33:1107, 1985), with no LAPACK call; C-contiguous
-    like the blocks.  Returns G and the factors ``(pivots, lower, upper)``
-    of :func:`_gth` for :func:`_solve_g`.
+    like the blocks.  Returns G and the factors of :func:`_gth`, with which
+    :func:`_solve_g` applies G; G is G applied to the unit vectors.
 
     The elimination reads the rates themselves: Python floats for one
     point, one array over the cells per entry for a batch, so that a batch
@@ -251,10 +251,10 @@ def _fundamental(m: RateMatrix, a_state: int, b_states):
     e = [w[a_state][j] for j in b_states]
     if batch:  # Python floats neither warn nor divide by a bad pivot
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            factors, g = _gth(o, e)
+            factors = _gth(o, e)
     else:
-        factors, g = _gth(o, e)
-    if batch or g is None:  # one point stops at its first bad pivot
+        factors = _gth(o, e)
+    if batch or factors[1] is None:  # one point stops at its first bad pivot
         pivots = np.array(factors[0])
         bad = ~((pivots > 0.0) & (pivots < np.inf))
         if bad.any():
@@ -263,29 +263,29 @@ def _fundamental(m: RateMatrix, a_state: int, b_states):
                         "B block of the generator is singular: GTH pivot {!r} at state {}",
                         np.take_along_axis(pivots, first[None], axis=0)[0],
                         np.asarray(b_states)[first])
+    unit = np.eye(nb)
     if not batch:
-        return np.array(g), factors
-    fund = np.empty(batch + (nb, nb))
-    for i, row in enumerate(g):
-        for j, x in enumerate(row):
-            fund[..., i, j] = x
-    return fund, factors
+        cols = [_solve_g(factors, col) for col in unit.tolist()]
+        return np.array(cols).T.copy(), factors
+    # all nb unit vectors at once: component b is row b of the identity
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = _solve_g(factors, list(unit.reshape((nb, nb) + (1,) * len(batch))))
+    return np.ascontiguousarray(np.moveaxis(np.array(g), (0, 1), (-2, -1))), factors
 
 
 def _gth(o: list, e: list):
-    """The pivots and the inverse of diag(e + column sums of o) - o.
+    """The GTH factors of diag(e + column sums of o) - o.
 
     ``o[i][j]`` is the rate j -> i between B states (the diagonal is not
     read) and ``e[j]`` the exit rate j -> A.  Eliminating state k, the
     paths j -> k -> i add o_ik o_kj / d_k to o_ij and j -> k -> A adds
     o_kj e_k / d_k to e_j; the pivot d_k is e_k plus the rates left in
-    column k, a sum rather than a difference.  With L_ik = -o_ik / d_k and
-    U_kj = -o_kj the factors of the eliminated matrix, the forward and back
-    substitutions for each column of the inverse add nonnegative terms
-    only, so no step subtracts.  Returns the factors ``(pivots, lower,
-    upper)``, with lower[i][k] = o_ik / d_k and upper[k][j] = o_kj (j > k),
-    and g, all as lists; one point stops at a pivot that is not positive
-    and finite, with the factors after the pivots and g None.
+    column k, a sum rather than a difference.  Returns ``(pivots, lower,
+    upper)`` as lists, with lower[i][k] = o_ik / d_k (k < i) and
+    upper[k][j] = o_kj (j > k) after the elimination: the factors
+    L_ik = -lower[i][k] and U_kj = -upper[k][j], U_kk = d_k.  One point
+    stops at a pivot that is not positive and finite, with lower and upper
+    None.
     """
     nb = len(e)
     o, e, pivots = [list(row) for row in o], list(e), []
@@ -295,7 +295,7 @@ def _gth(o: list, e: list):
             d = d + o[i][k]
         pivots.append(d)
         if not isinstance(d, np.ndarray) and not 0.0 < d < math.inf:
-            return (pivots, None, None), None
+            return pivots, None, None
         for j in range(k + 1, nb):
             t = o[k][j] / d
             e[j] = e[j] + t * e[k]
@@ -303,22 +303,7 @@ def _gth(o: list, e: list):
                 if i != j:
                     o[i][j] = o[i][j] + t * o[i][k]
     lower = [[o[i][k] / pivots[k] for k in range(i)] for i in range(nb)]
-    g = [[None] * nb for _ in range(nb)]
-    for m in range(nb):
-        # L y = unit vector m: y_i = sum_k (o_ik / d_k) y_k, zero above m
-        y = [1.0]
-        for i in range(m + 1, nb):
-            s = lower[i][m]
-            for k in range(m + 1, i):
-                s = s + lower[i][k] * y[k - m]
-            y.append(s)
-        # U x = y: x_k = (y_k + sum_(j > k) o_kj x_j) / d_k
-        for k in range(nb - 1, -1, -1):
-            s = y[k - m] if k >= m else None
-            for j in range(k + 1, nb):
-                s = o[k][j] * g[j][m] if s is None else s + o[k][j] * g[j][m]
-            g[k][m] = s / pivots[k]
-    return (pivots, lower, o), g
+    return pivots, lower, o
 
 
 def _solve_g(factors, r: list) -> list:
@@ -326,7 +311,9 @@ def _solve_g(factors, r: list) -> list:
 
     ``r`` is a list of B-state components, floats for one point or arrays
     broadcasting against the factors' cell arrays for a batch, and so is
-    the result.  r may have either sign.  On a stiff chain G is nearly
+    the result.  With the signs of L and U folded into lower and upper,
+    a nonnegative r adds nonnegative terms only, so no step subtracts; r
+    may have either sign.  On a stiff chain G is nearly
     rank one, its columns equal to 10 digits at T = 0.7, and an r that sums
     to nearly zero across them loses those digits in the products with G's
     rounded entries; the substitutions with the factors do not.
