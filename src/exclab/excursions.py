@@ -229,9 +229,9 @@ def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:
     same.  One point, with no batch axes, is ``x`` itself."""
     if x.ndim == k:
         return x
-    entries = x.shape[-k:]
-    flat = x.reshape(-1, math.prod(entries))
-    return np.ascontiguousarray(flat.T).reshape(entries + x.shape[:-k])
+    entries, batch = x.shape[-k:], x.shape[:-k]
+    flat = x.reshape(math.prod(batch), math.prod(entries))
+    return np.ascontiguousarray(flat.T).reshape(entries + batch)
 
 
 def _fundamental(m: RateMatrix, a_state: int, b_states):

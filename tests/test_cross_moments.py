@@ -290,6 +290,10 @@ class TestSeveralSchemes:
     def test_no_schemes(self, ref_dec):
         assert excursion_report(ref_dec, []) == []
         assert observable_moments(ref_dec, {}) == {}
+        assert cross_moments(ref_dec, []) == ([], [])
+        _, d = _diamond(False, 3)
+        m1, m2 = cross_moments(d, [])
+        assert m1.shape == (0, 9) and m2.shape == (0, 0, 9)
 
 
 CROSS_SCHEMES = {
