@@ -204,13 +204,10 @@ def cmd_simulate(args) -> int:
     worst = 0.0
     keys = ["e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d"]
     for name, r in ev.reports.items():
-        analytic = {
-            "e_q": r.e_q, "var_q": r.var_q, "e_t": r.e_t, "var_t": r.var_t,
-            "cov_qt": r.cov_qt, "mu": r.mu, "delta2": r.delta2,
-            "j": r.j, "d": r.d, "j_direct": r.j,
-        }
+        analytic = {k: getattr(r, k) for k in keys}
+        analytic["j_direct"] = r.j
         emp = empirical_moments(sample, name)
-        for key in keys + ["j_direct"]:
+        for key in analytic:
             v, se = emp.estimates[key]
             z = emp.z(key, analytic[key])
             worst = max(worst, abs(z))

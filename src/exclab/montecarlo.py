@@ -7,26 +7,29 @@ through ``SeedSequence(seed)``; parallel batches draw from
 ``SeedSequence(seed).spawn(i)`` children with a fixed batch size, so
 results are identical for any worker count.
 
-Two sampling paths share the statistics code: :func:`simulate` produces a
-single long trajectory which :func:`excursion_filter` segments into
-excursion records, and :func:`sample_excursions` draws independent
-excursions directly as a vectorized ensemble (excursions of a renewal
-cycle are iid, so this is exact and much faster for large counts).
+Both sampling paths ask for a number of excursions and share the
+statistics code: :func:`simulate` produces a single long trajectory from
+the reference state to its given number of returns there, which
+:func:`excursion_filter` segments into excursion records, and
+:func:`sample_excursions` draws that many independent excursions
+directly as a vectorized ensemble of durations, residences and
+observables (excursions of a renewal cycle are iid, so this is exact and
+much faster for large counts).
 
 The trajectory path walks only where it must and holds each full-size
-array once.  :func:`simulate` walks the jump chain on a Python list,
-refilling each state's table of next states from the jump stream in the
-order the walk needs them; it converts the list once to int64, drops it,
-and draws the holds from the separate hold stream block by block into one
-preallocated array, dividing each block in place by its states' exit
-rates.  :func:`excursion_filter` finds the visits of the reference state
-with ``flatnonzero``, sums each excursion's holds in trajectory order with
-one vectorised add per position, and tallies the transitions with one
-``bincount`` per slice of ``_SLICE`` excursions into the preallocated
-``(K, n, n)`` block.  Its records are columnar, :class:`ExcursionRecords`
-holds the durations and the tally block, and
-:meth:`ExcursionSample.from_records` reads them as they are, filling each
-``q`` column one slice of rows at a time.
+array once.  :func:`simulate` walks the jump chain on a Python list up
+to the last return, refilling each state's table of next states from the
+jump stream in the order the walk needs them; it converts the list once
+to int64, drops it, and draws the holds from the separate hold stream
+block by block into one preallocated array, dividing each block in place
+by its states' exit rates.  :func:`excursion_filter` finds the visits of
+the reference state with ``flatnonzero``, sums each excursion's holds in
+trajectory order with one vectorised add per position, and tallies the
+transitions with one ``bincount`` per slice of ``_SLICE`` excursions
+into the preallocated ``(K, n, n)`` block.  Its records are columnar,
+:class:`ExcursionRecords` holds the durations and the tally block, and
+:meth:`ExcursionSample.from_records` reads them as they are, filling
+each ``q`` column one slice of rows at a time.
 
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
@@ -42,7 +45,8 @@ slices, added back up the tree, are ``np.sum`` of the whole row to the
 last bit.  Pass 1 sums the leave-one-out statistics for their means; pass
 2 recomputes them, centres, squares and sums again, so no full-size row or
 product column (q*q, q*t, ...) is formed.  The leave-one-out rows are
-formed, and the statistics computed, centred and squared, in place.  One jackknife per sample serves every scheme:
+formed, and the statistics computed, centred and squared, in place.
+One jackknife per sample serves every scheme:
 :attr:`ExcursionSample.moments` evaluates the duration statistics once per
 slice and then the five rows of each scheme in ``q``, and caches them with
 the direct batches' cycle times.  A sample's arrays and its ``q`` mapping
@@ -55,7 +59,6 @@ oracles.
 """
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -122,17 +125,16 @@ def _cumulative_jump_probs(m: RateMatrix) -> np.ndarray:
     return cum
 
 
-def _walk(states, tables, refill, a_state, steps, returns_left):
-    """Extend the jump chain ``states`` by up to ``steps`` jumps.
+def _walk(states, tables, refill, a_state, returns_left):
+    """Extend the jump chain ``states`` up to the return to ``a_state``
+    that brings ``returns_left`` to zero.
 
     ``tables[x]`` holds the unused next states out of ``x``, the next one
-    last; ``refill(x)`` supplies a fresh table when it runs dry.  The walk
-    stops early at the return to ``a_state`` that brings ``returns_left``
-    to zero; the count still missing is returned.
+    last; ``refill(x)`` supplies a fresh table when it runs dry.
     """
     state = states[-1]
     append = states.append
-    for _ in range(steps):
+    for _ in range(sys.maxsize):
         row = tables[state]
         if not row:
             row = tables[state] = refill(state)
@@ -142,32 +144,19 @@ def _walk(states, tables, refill, a_state, steps, returns_left):
             returns_left -= 1
             if returns_left <= 0:
                 break
-    return returns_left
 
 
-def simulate(
-    m: RateMatrix,
-    seed: int,
-    max_time: float | None = None,
-    max_excursions: int | None = None,
-    a_state: int = 0,
-    start_state: int | None = None,
-) -> Trajectory:
-    """Sample one trajectory, bit-reproducible for a given (model, seed,
-    stop) triple.
+def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) -> Trajectory:
+    """Sample one trajectory from ``a_state`` to its ``max_excursions``-th
+    return there, bit-reproducible for a given (model, seed,
+    ``max_excursions``, ``a_state``).
 
-    Stops once the accumulated time reaches ``max_time`` (the crossing hold
-    is kept whole) or once ``max_excursions`` returns to ``a_state`` have
-    occurred, whichever is given; after the last return one more hold in
-    ``a_state`` is kept, so the final excursion stays complete.
+    After the last return one more hold in ``a_state`` is kept, so the
+    final excursion stays complete.
     """
-    if max_time is None and max_excursions is None:
-        raise ValueError("need max_time or max_excursions")
-    if max_excursions is not None and max_excursions < 1:
+    if max_excursions < 1:
         raise ValueError(f"max_excursions must be >= 1, got {max_excursions}")
-    state = a_state if start_state is None else start_state
     cum = _cumulative_jump_probs(m)
-    gamma = m.gamma
     jump_seq, hold_seq = np.random.SeedSequence(seed).spawn(2)
     jump_rng = np.random.Generator(np.random.Philox(jump_seq))
 
@@ -176,49 +165,11 @@ def simulate(
         return np.searchsorted(cum[x], u, side="right")[::-1].tolist()
 
     tables: list[list[int]] = [[] for _ in range(m.n)]
-    states = [state]
-    returns_left = math.inf if max_excursions is None else max_excursions
-    if max_time is None:
-        _walk(states, tables, refill, a_state, sys.maxsize, returns_left)
-    else:
-        # Walk in chunks; after each, run the clock over the new states only,
-        # one draw block at a time, from a copy of the hold stream, and cut
-        # the chain at the first hold that reaches max_time.  Jumps walked
-        # past the cut only draw table entries that no kept state uses.
-        clock_rng = np.random.Generator(np.random.Philox(hold_seq))
-        t, done, draws = 0.0, 0, None
-
-        def cut():
-            """The chain length that keeps the first hold reaching max_time,
-            or None when the states walked so far stay below it."""
-            nonlocal t, done, draws
-            while done < len(states):
-                start = done - done % _BLOCK
-                if done == start:
-                    draws = clock_rng.standard_exponential(_BLOCK)
-                hi = min(len(states), start + _BLOCK)
-                held = draws[done - start : hi - start] / gamma[states[done:hi]]
-                clock = np.cumsum(np.concatenate(([t], held)))[1:]
-                crossed = np.flatnonzero(clock >= max_time)
-                if crossed.size:
-                    return done + int(crossed[0]) + 1
-                t, done = float(clock[-1]), hi
-            return None
-
-        steps = _BLOCK
-        while True:
-            returns_left = _walk(states, tables, refill, a_state, steps, returns_left)
-            length = cut()
-            if length is not None:
-                del states[length:]
-                break
-            if returns_left <= 0:
-                break
-            # about as far again as the clock still has to run, at most double
-            steps = int(min(done * (max_time / t - 1.0) * 1.05 + 64, 2 * done))
+    states = [a_state]
+    _walk(states, tables, refill, a_state, max_excursions)
     chain = np.array(states, dtype=np.int64)
     del states
-    holds = _holds(chain, hold_seq, gamma)
+    holds = _holds(chain, hold_seq, m.gamma)
     return Trajectory(states=chain, holds=holds, total_time=float(np.sum(holds)))
 
 
@@ -344,7 +295,6 @@ class ExcursionSample:
     q: Mapping[str, np.ndarray]
     schemes: dict[str, WeightScheme]
     gamma_a: float
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("durations", "residences"):
@@ -440,7 +390,6 @@ class ExcursionSample:
             q=q,
             schemes=dict(schemes),
             gamma_a=gamma_a,
-            counts=counts,
         )
 
 
@@ -472,11 +421,10 @@ def _sample_batch(
     durations: np.ndarray,
     residences: np.ndarray,
     q: dict[str, np.ndarray],
-    counts: np.ndarray | None,
 ) -> None:
     """Vectorized ensemble of ``durations.size`` independent excursions,
-    written into ``durations``, ``residences``, the ``q`` array of each
-    scheme and, unless None, the ``(n, k, k)`` int32 tallies ``counts``.
+    written into ``durations``, ``residences`` and the ``q`` array of each
+    scheme.
 
     The loop works on compacted arrays of the excursions still out of A:
     their indices ``idx``, durations, one accumulator per scheme and
@@ -519,10 +467,6 @@ def _sample_batch(
     code = state * k + a_state
     for out, w in zip(outs, flat):
         w.take(code, out=out)
-    tally = None if counts is None else counts.reshape(-1)
-    if tally is not None:
-        tally.fill(0)
-        tally[np.arange(n) * (k * k) + code] = 1
     durations.fill(0.0)  # kept by an excursion whose first jump is back to A
 
     idx = np.flatnonzero(state != a_state)
@@ -551,11 +495,6 @@ def _sample_batch(
             code[miss] = nxt
         for a, w in zip(acc, flat):
             a += w.take(code)
-        if tally is not None:
-            # one flat index per excursion, so no repeats
-            at = idx * (k * k)
-            at += code
-            tally[at] += 1
         ret = returned.take(code)
         back = ret.nonzero()[0]
         if back.size:
@@ -569,11 +508,10 @@ def _sample_batch(
         row = next_row.take(code)
 
 
-def _outputs(n: int, names, k: int, keep_counts: bool):
-    """Uninitialised durations, residences, ``q`` by scheme name and, when
-    ``keep_counts``, int32 tallies for ``n`` excursions of a k-state chain."""
-    counts = np.empty((n, k, k), dtype=np.int32) if keep_counts else None
-    return np.empty(n), np.empty(n), {name: np.empty(n) for name in names}, counts
+def _outputs(n: int, names):
+    """Uninitialised durations, residences and ``q`` by scheme name for
+    ``n`` excursions."""
+    return np.empty(n), np.empty(n), {name: np.empty(n) for name in names}
 
 
 def sample_excursions(
@@ -583,7 +521,6 @@ def sample_excursions(
     seed: int,
     a_state: int = 0,
     workers: int = 1,
-    keep_counts: bool = False,
 ) -> ExcursionSample:
     """Draw ``n_excursions`` iid excursions with per-scheme observables.
 
@@ -602,35 +539,32 @@ def sample_excursions(
         sizes.append(n_excursions % _BATCH)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     bounds = np.cumsum([0] + sizes).tolist()
-    durations, residences, q, counts = _outputs(n_excursions, schemes, m.n, keep_counts)
+    durations, residences, q = _outputs(n_excursions, schemes)
     if workers > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(m, a_state, schemes, sz, ss, keep_counts) for sz, ss in zip(sizes, children)]
+        args = [(m, a_state, schemes, sz, ss) for sz, ss in zip(sizes, children)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_sample_task, args)
-            for lo, hi, (dur, res, qs, cnt) in zip(bounds, bounds[1:], parts):
+            for lo, hi, (dur, res, qs) in zip(bounds, bounds[1:], parts):
                 durations[lo:hi], residences[lo:hi] = dur, res
                 for name, v in q.items():
                     v[lo:hi] = qs[name]
-                if counts is not None:
-                    counts[lo:hi] = cnt
     else:
         for lo, hi, ss in zip(bounds, bounds[1:], children):
             _sample_batch(
                 m, a_state, schemes, ss, durations[lo:hi], residences[lo:hi],
-                {name: v[lo:hi] for name, v in q.items()},
-                None if counts is None else counts[lo:hi])
+                {name: v[lo:hi] for name, v in q.items()})
     return ExcursionSample(
         durations=durations, residences=residences, q=q,
-        schemes=dict(schemes), gamma_a=float(m.gamma[a_state]), counts=counts,
+        schemes=dict(schemes), gamma_a=float(m.gamma[a_state]),
     )
 
 
 def _sample_task(args):
-    """One pooled batch: ``(m, a_state, schemes, n, seed_seq, keep_counts)``
-    sampled into arrays of its own, which are returned."""
-    m, a_state, schemes, n, seed_seq, keep_counts = args
-    out = _outputs(n, schemes, m.n, keep_counts)
+    """One pooled batch: ``(m, a_state, schemes, n, seed_seq)`` sampled
+    into arrays of its own, which are returned."""
+    m, a_state, schemes, n, seed_seq = args
+    out = _outputs(n, schemes)
     _sample_batch(m, a_state, schemes, seed_seq, *out)
     return out
 
@@ -645,12 +579,6 @@ class EmpiricalReport:
     estimates: dict[str, tuple[float, float]]
     n: int
     scales: dict[str, float] = field(default_factory=dict)
-
-    def value(self, key: str) -> float:
-        return self.estimates[key][0]
-
-    def se(self, key: str) -> float:
-        return self.estimates[key][1]
 
     def z(self, key: str, analytic: float) -> float:
         """(estimate - analytic) / se.  A sample without spread (se = 0)

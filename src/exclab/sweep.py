@@ -224,12 +224,17 @@ def parse_grid_spec(spec: str) -> dict:
     updates: dict = {}
     for part in spec.split(","):
         fields = part.strip().split(":")
+        bad = ValueError(f"bad grid spec {part!r}, want axis:lo:hi:n")
         if len(fields) != 4 or fields[0] not in ("vg", "vsd"):
-            raise ValueError(f"bad grid spec {part!r}, want axis:lo:hi:n")
+            raise bad
         axis = fields[0]
-        updates[f"{axis}_lo"] = float(fields[1])
-        updates[f"{axis}_hi"] = float(fields[2])
-        updates[f"{axis}_n"] = int(fields[3])
+        try:
+            lo, hi, n = float(fields[1]), float(fields[2]), int(fields[3])
+        except ValueError:
+            raise bad from None
+        if f"{axis}_n" in updates:
+            raise ValueError(f"bad grid spec {spec!r}: axis {axis} repeated")
+        updates.update({f"{axis}_lo": lo, f"{axis}_hi": hi, f"{axis}_n": n})
     return updates
 
 

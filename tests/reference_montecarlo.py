@@ -11,9 +11,10 @@ oracles:
   (``empirical_moments``).
 
 The library versions must reproduce them bit for bit: same states, holds,
-total time, durations, tallies, residences, observables, estimates and dump
-bytes.  Comparing with these loops, rather than with pinned digests, keeps
-the tests valid across numpy releases that change a random stream.
+total time, filter durations and tallies, residences, observables,
+estimates and dump bytes.  Comparing with these loops, rather than with
+pinned digests, keeps the tests valid across numpy releases that change a
+random stream.
 """
 from __future__ import annotations
 
@@ -45,24 +46,11 @@ class ExcursionRecord:
     counts: np.ndarray
 
 
-def simulate(
-    m: RateMatrix,
-    seed: int,
-    max_time: float | None = None,
-    max_excursions: int | None = None,
-    a_state: int = 0,
-    start_state: int | None = None,
-) -> Trajectory:
-    """Sample one trajectory, bit-reproducible for a given (model, seed,
-    stop) triple.
-
-    Stops once the accumulated time reaches ``max_time`` (the crossing hold
-    is kept whole) or once ``max_excursions`` returns to ``a_state`` have
-    occurred, whichever is given.
-    """
-    if max_time is None and max_excursions is None:
-        raise ValueError("need max_time or max_excursions")
-    state = a_state if start_state is None else start_state
+def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) -> Trajectory:
+    """Sample one trajectory from ``a_state`` to its ``max_excursions``-th
+    return there, bit-reproducible for a given (model, seed,
+    ``max_excursions``, ``a_state``)."""
+    state = a_state
     cum = _cumulative_jump_probs(m)
     gamma = m.gamma
     root = np.random.SeedSequence(seed)
@@ -76,7 +64,6 @@ def simulate(
 
     states = [state]
     holds: list[float] = []
-    t = 0.0
     returns = 0
     while True:
         if hold_ptr >= hold_block.size:
@@ -85,9 +72,6 @@ def simulate(
         tau = hold_block[hold_ptr] / gamma[state]
         hold_ptr += 1
         holds.append(tau)
-        t += tau
-        if max_time is not None and t >= max_time:
-            break
         if next_ptr[state] >= next_blocks[state].size:
             u = jump_rng.random(block)
             next_blocks[state] = np.searchsorted(cum[state], u, side="right")
@@ -98,14 +82,13 @@ def simulate(
         states.append(state)
         if state == a_state:
             returns += 1
-            if max_excursions is not None and returns >= max_excursions:
+            if returns >= max_excursions:
                 # trailing hold in A so the final excursion stays complete
                 if hold_ptr >= hold_block.size:
                     hold_block = hold_rng.standard_exponential(block)
                     hold_ptr = 0
                 tau = hold_block[hold_ptr] / gamma[state]
                 holds.append(tau)
-                t += tau
                 break
     return Trajectory(
         states=np.asarray(states, dtype=np.int64),
@@ -220,7 +203,6 @@ def from_records(
         q=q,
         schemes=dict(schemes),
         gamma_a=gamma_a,
-        counts=counts,
     )
 
 
@@ -230,7 +212,6 @@ def _sample_batch(
     schemes: dict[str, WeightScheme],
     n: int,
     seed_seq: np.random.SeedSequence,
-    keep_counts: bool,
 ):
     """Vectorized ensemble of ``n`` independent excursions."""
     rng = np.random.Generator(np.random.Philox(seed_seq))
@@ -244,9 +225,6 @@ def _sample_batch(
     state = np.searchsorted(cum[a_state], u, side="right")
     durations = np.zeros(n)
     q = [nu[state, a_state].copy() for nu in nus]
-    counts = np.zeros((n, m.n, m.n), dtype=np.int32) if keep_counts else None
-    if counts is not None:
-        np.add.at(counts, (np.arange(n), state, a_state), 1)
 
     active = np.nonzero(state != a_state)[0]
     while active.size:
@@ -256,11 +234,9 @@ def _sample_batch(
         nxt = (cum[s] <= u[:, None]).sum(axis=1)
         for k, nu in enumerate(nus):
             q[k][active] += nu[nxt, s]
-        if counts is not None:
-            np.add.at(counts, (active, nxt, s), 1)
         state[active] = nxt
         active = active[nxt != a_state]
-    return durations, residences, {k: q[i] for i, k in enumerate(names)}, counts
+    return durations, residences, {k: q[i] for i, k in enumerate(names)}
 
 
 def sample_excursions(
@@ -269,7 +245,6 @@ def sample_excursions(
     n_excursions: int,
     seed: int,
     a_state: int = 0,
-    keep_counts: bool = False,
 ) -> ExcursionSample:
     """The serial path of ``sample_excursions`` over the full-size loop:
     fixed-size batches with spawned streams, concatenated in index order."""
@@ -277,17 +252,16 @@ def sample_excursions(
     if n_excursions % _BATCH:
         sizes.append(n_excursions % _BATCH)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    args = [(m, a_state, schemes, sz, ss, keep_counts) for sz, ss in zip(sizes, children)]
+    args = [(m, a_state, schemes, sz, ss) for sz, ss in zip(sizes, children)]
     parts = [_sample_batch(*a) for a in args]
     durations = np.concatenate([p[0] for p in parts])
     residences = np.concatenate([p[1] for p in parts])
     q = {
         k: np.concatenate([p[2][k] for p in parts]) for k in schemes
     }
-    counts = np.concatenate([p[3] for p in parts]) if keep_counts else None
     return ExcursionSample(
         durations=durations, residences=residences, q=q,
-        schemes=dict(schemes), gamma_a=float(m.gamma[a_state]), counts=counts,
+        schemes=dict(schemes), gamma_a=float(m.gamma[a_state]),
     )
 
 

@@ -56,3 +56,25 @@ def test_relative_median_change_is_printed_with_the_verdicts():
     flat = dict(_verdicts(PARENT, PARENT), relative_change=0.0)
     assert bench_pairs._report_line("mc-oracle", "peak_rss_mb", flat) == (
         "mc-oracle peak_rss_mb: flat, median +0.00%")
+
+
+def test_no_gain_where_the_change_fails_a_larger_share():
+    def runs(values, failed):
+        return [{"metrics": {"run_s": v}, "attempted": 100, "failed": failed} for v in values]
+
+    faster = [v * 0.92 for v in PARENT]
+    spec = ({"run_s": "lower"}, {"run_s": 0.15})
+    same = bench_pairs._workload("mc-oracle", {"parent": runs(PARENT, 1),
+                                               "change": runs(faster, 1)}, *spec)
+    assert same["metrics"]["run_s"]["gain"]
+    assert same["failed_share"] == {"parent": 0.01, "change": 0.01}
+    worse = bench_pairs._workload("mc-oracle", {"parent": runs(PARENT, 1),
+                                                "change": runs(faster, 2)}, *spec)
+    assert not worse["metrics"]["run_s"]["gain"]
+    assert worse["failed_share"] == {"parent": 0.01, "change": 0.02}
+    assert worse["failed"] == {"parent": [1] * 10, "change": [2] * 10}
+    assert worse["attempted"]["change"] == [100] * 10
+    # fewer failures never deny a gain
+    fewer = bench_pairs._workload("mc-oracle", {"parent": runs(PARENT, 2),
+                                                "change": runs(faster, 0)}, *spec)
+    assert fewer["metrics"]["run_s"]["gain"]

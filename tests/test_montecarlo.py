@@ -59,10 +59,13 @@ class TestSimulate:
             simulate(ref_model, seed=1, max_excursions=n)
 
     def test_trajectory_invariants(self, ref_model):
-        t = simulate(ref_model, seed=1, max_time=2000.0)
+        t = simulate(ref_model, seed=1, max_excursions=700)
         assert np.all(t.states[1:] != t.states[:-1])
         assert np.all(t.holds > 0.0)
-        assert t.total_time >= 2000.0
+        assert t.total_time == np.sum(t.holds)
+        # from A to the last return, which keeps its hold in A
+        assert t.states[0] == t.states[-1] == 0
+        assert np.count_nonzero(t.states == 0) == 701
         # jumps only along nonzero rates
         rates = ref_model.w[t.states[1:], t.states[:-1]]
         assert np.all(rates > 0.0)
@@ -70,7 +73,7 @@ class TestSimulate:
     def test_two_state_occupation(self):
         a, b = 1.3, 0.4  # 0 -> 1 at rate a, 1 -> 0 at rate b
         m = validate_rate_matrix([[0.0, b], [a, 0.0]])
-        t = simulate(m, seed=5, max_time=200_000.0)
+        t = simulate(m, seed=5, max_excursions=60_000)
         occ1 = t.holds[t.states == 1].sum() / t.holds.sum()
         expect = a / (a + b)
         # binomial-ish SE on the occupied fraction from cycle counting
@@ -151,22 +154,20 @@ class TestReferenceLoops:
     @pytest.mark.parametrize("stop, outside", [
         (dict(max_excursions=700), False),
         (dict(max_excursions=700), True),
-        (dict(max_time=3500.0), False),
-        (dict(max_time=3500.0), True),
-        (dict(max_time=300.0, max_excursions=700), False),
+        (dict(max_excursions=1), False),
+        (dict(max_excursions=1), True),
+        (dict(max_excursions=9000), False),
     ])
     def test_simulate_and_filter_match_reference(self, chain, stop, outside, request):
         m = _chain(chain, request)
-        kwargs = dict(stop, start_state=m.n - 1) if outside else stop
+        # outside: the walk returns to state 1, so the filter at state 0
+        # starts outside its A
+        kwargs = dict(stop, a_state=1) if outside else stop
         for seed in (0, 1, 2):
             t = simulate(m, seed=seed, **kwargs)
             assert_same_trajectory(t, reference.simulate(m, seed=seed, **kwargs))
-            if "max_time" in stop and len(t.states) > 1:
-                # the crossing hold is kept whole
-                clock = np.cumsum(t.holds)
-                assert clock[-2] < stop["max_time"] <= clock[-1]
             if outside:
-                assert t.states[0] == m.n - 1
+                assert t.states[0] == 1
             assert_same_filter(t, 0, m.n)
             assert_same_filter(t)
 
@@ -187,11 +188,8 @@ class TestReferenceLoops:
 
 
 def assert_same_sample(sample, ref):
-    for name in ("durations", "residences", "counts"):
+    for name in ("durations", "residences"):
         got, want = getattr(sample, name), getattr(ref, name)
-        if want is None:
-            assert got is None
-            continue
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
     assert sample.q.keys() == ref.q.keys()
@@ -271,28 +269,19 @@ class TestSliceBoundaries:
     @pytest.mark.parametrize("outside", [False, True])
     def test_excursions_past_one_slice(self, chain, outside, ref_params, request):
         m = _chain(chain, request)
-        kwargs = dict(max_excursions=montecarlo._SLICE + 1003)
+        n = montecarlo._SLICE + 1003
+        t = simulate(m, seed=21, max_excursions=n)
+        assert_same_trajectory(t, reference.simulate(m, seed=21, max_excursions=n))
         if outside:
-            kwargs["start_state"] = m.n - 1
-        t = simulate(m, seed=21, **kwargs)
-        assert_same_trajectory(t, reference.simulate(m, seed=21, **kwargs))
+            # without its first hold in A the trajectory starts outside it
+            t = Trajectory(states=t.states[1:], holds=t.holds[1:],
+                           total_time=float(np.sum(t.holds[1:])))
         schemes = _schemes(ref_params, m.n) if chain == "dqd" else {
             "transport": transport_weights("R", m.n), "activity": activity_weights(m.n)}
         k = assert_same_records(t, m, 0, schemes)
         # one full slice and a ragged one
         assert montecarlo._SLICE < k < 2 * montecarlo._SLICE
         assert k % 8
-
-    @pytest.mark.parametrize("start_state", [None, 3])
-    def test_max_time_across_several_draw_blocks(self, ref_params, ref_model, start_state):
-        kwargs = dict(max_time=20_000.0, start_state=start_state)
-        for seed in (0, 1):
-            t = simulate(ref_model, seed=seed, **kwargs)
-            assert len(t.states) > 5 * montecarlo._BLOCK
-            assert_same_trajectory(t, reference.simulate(ref_model, seed=seed, **kwargs))
-            clock = np.cumsum(t.holds)
-            assert clock[-2] < kwargs["max_time"] <= clock[-1]
-            assert_same_records(t, ref_model, 0, _schemes(ref_params, 4))
 
     def test_from_records_matches_one_thread_reference_at_any_length(self):
         # The stacked reference hands BLAS one gemv over every row; a
@@ -337,14 +326,10 @@ class TestTrajectoryPeaks:
     def trajectory(self, ref_model):
         return simulate(ref_model, seed=9, max_excursions=100_000)
 
-    @pytest.mark.parametrize("stop", ["max_excursions", "max_time"])
-    def test_simulate_below_one_and_a_quarter_trajectories(self, ref_model, trajectory, stop):
+    def test_simulate_below_one_and_a_quarter_trajectories(self, ref_model):
         # the list of states, the hold blocks, their concatenation, the
-        # gamma gather and a second states copy peaked at 2.54 x (2.83 x
-        # with max_time, whose clock re-gathered every hold per chunk)
-        kwargs = ({"max_excursions": 100_000} if stop == "max_excursions"
-                  else {"max_time": 0.999 * trajectory.total_time})
-        t, peak = _traced_peak(simulate, ref_model, seed=9, **kwargs)
+        # gamma gather and a second states copy peaked at 2.54 x
+        t, peak = _traced_peak(simulate, ref_model, seed=9, max_excursions=100_000)
         size = t.states.nbytes + t.holds.nbytes
         assert peak <= 1.25 * size, peak / size
 
@@ -375,7 +360,7 @@ class TestExcursionFilter:
         assert list(residences) == [0.5, 0.25]
 
     def test_segmentation_completeness(self, ref_model):
-        t = simulate(ref_model, seed=9, max_time=5000.0)
+        t = simulate(ref_model, seed=9, max_excursions=2000)
         records, residences = excursion_filter(t, 0, n_states=4)
         durations = sum(records.durations.tolist())
         tail = t.total_time - durations - residences.sum()
@@ -487,14 +472,6 @@ class TestSampleExcursions:
         with pytest.raises(ValueError, match=f"n_excursions must be >= 1, got {n}"):
             sample_excursions(ref_model, schemes, n, seed=4)
 
-    def test_counts_kept_when_requested(self, ref_params, ref_model):
-        schemes = {"transport": transport_weights("R", 4)}
-        sample = sample_excursions(ref_model, schemes, 1000, seed=4,
-                                   keep_counts=True)
-        q = np.tensordot(sample.counts, schemes["transport"].weights,
-                         axes=([1, 2], [0, 1]))
-        assert np.array_equal(q, sample.q["transport"])
-
 
 class TestReferenceEnsemble:
     """The compacted ensemble loop and the sliced jackknife reproduce the
@@ -502,14 +479,14 @@ class TestReferenceEnsemble:
 
     @pytest.mark.parametrize("chain", ["dqd", "blockade"])
     @pytest.mark.parametrize("a_state", [0, -1])
-    @pytest.mark.parametrize("keep_counts", [False, True])
-    def test_sample_matches_reference(self, chain, a_state, keep_counts, request):
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_sample_matches_reference(self, chain, a_state, spread, request):
         m = _chain(chain, request)
         a = a_state % m.n
         params = request.getfixturevalue(
             {"dqd": "ref_params", "blockade": "ref_blockade_params"}[chain])
-        schemes = _schemes(params, m.n)
-        kwargs = dict(seed=5, a_state=a, keep_counts=keep_counts)
+        schemes = {"spread": _spread(m.n)} if spread else _schemes(params, m.n)
+        kwargs = dict(seed=5, a_state=a)
         sample = sample_excursions(m, schemes, 3001, **kwargs)
         assert_same_sample(sample, reference.sample_excursions(m, schemes, 3001, **kwargs))
 
@@ -520,20 +497,19 @@ class TestReferenceEnsemble:
         p = DqdParams(vg=-10.0, vsd=7.0, **REF)
         m = build_model(p)
         schemes = _schemes(p, 4)
-        kwargs = dict(seed=11, a_state=a_state, keep_counts=True)
+        kwargs = dict(seed=11, a_state=a_state)
         sample = sample_excursions(m, schemes, 300, **kwargs)
         assert_same_sample(sample, reference.sample_excursions(m, schemes, 300, **kwargs))
         if a_state == 0:
-            assert sample.counts.sum(axis=(1, 2)).max() > 100
+            assert sample.q["activity"].max() > 100
 
-    @pytest.mark.parametrize("keep_counts", [False, True])
+    @pytest.mark.parametrize("spread", [False, True])
     def test_two_workers_and_ragged_batches_match_reference(self, ref_params, ref_model,
-                                                            keep_counts):
+                                                            spread):
         n = _BATCH + 777
-        schemes = _schemes(ref_params, 4)
-        kwargs = dict(seed=9, keep_counts=keep_counts)
-        sample = sample_excursions(ref_model, schemes, n, workers=2, **kwargs)
-        assert_same_sample(sample, reference.sample_excursions(ref_model, schemes, n, **kwargs))
+        schemes = {"spread": _spread(4)} if spread else _schemes(ref_params, 4)
+        sample = sample_excursions(ref_model, schemes, n, seed=9, workers=2)
+        assert_same_sample(sample, reference.sample_excursions(ref_model, schemes, n, seed=9))
 
     @pytest.mark.parametrize("name", ["transport", "activity", "entropy"])
     def test_empirical_moments_match_reference_at_64(self, ref_params, ref_model, name):
@@ -559,6 +535,12 @@ class TestReferenceEnsemble:
             ref = reference.empirical_moments(sample, name)
             assert emp.estimates == ref.estimates, name
             assert emp.scales == ref.scales
+
+
+def _spread(n):
+    """A scheme with a distinct weight per transition, so a jump taken
+    under a wrong code moves its excursion's q."""
+    return WeightScheme(np.arange(float(n * n)).reshape(n, n) / 7.0)
 
 
 def _dyadic_chain():
@@ -609,8 +591,8 @@ class TestCodeTable:
     def test_dyadic_chain_sample_matches_reference(self, a_state):
         m = _dyadic_chain()
         schemes = {"transport": transport_weights("R", 4), "activity": activity_weights(4),
-                   "spread": WeightScheme(np.arange(16.0).reshape(4, 4) / 7.0)}
-        kwargs = dict(seed=13, a_state=a_state, keep_counts=True)
+                   "spread": _spread(4)}
+        kwargs = dict(seed=13, a_state=a_state)
         sample = sample_excursions(m, schemes, 3001, **kwargs)
         assert_same_sample(sample, reference.sample_excursions(m, schemes, 3001, **kwargs))
 
@@ -799,7 +781,7 @@ class TestEmpiricalMoments:
             q={"transport": np.full(n, 0.5)}, schemes={"transport": scheme},
             gamma_a=1.0)
         emp = empirical_moments(sample, "transport")
-        assert emp.se("e_q") == 0.0 and emp.value("e_q") == 0.5
+        assert emp.estimates["e_q"] == (0.5, 0.0)
         assert emp.z("e_q", 0.5) == 0.0
         assert emp.z("e_q", 0.5 + 1e-12) == 0.0
         assert emp.z("e_q", 0.5 + 1e-3) == math.inf
@@ -820,7 +802,7 @@ class TestEmpiricalMoments:
         e1 = empirical_moments(s1, "transport")
         e2 = empirical_moments(s2, "transport")
         for key in ("e_q", "var_q", "j", "d"):
-            ratio = e2.se(key) / e1.se(key)
+            ratio = e2.estimates[key][1] / e1.estimates[key][1]
             assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2), key
 
 

@@ -144,6 +144,11 @@ class TestConfig:
         assert parse_grid_spec("vsd:-2:2:5") == dict(vsd_lo=-2.0, vsd_hi=2.0, vsd_n=5)
         with pytest.raises(ValueError):
             parse_grid_spec("vx:0:1:2")
+        for spec in ("vg:1:2:x", "vg:a:2:3", "vsd:1:2:3.5"):
+            with pytest.raises(ValueError, match=rf"^bad grid spec '{spec}', want axis:lo:hi:n$"):
+                parse_grid_spec(spec)
+        with pytest.raises(ValueError, match=r"^bad grid spec 'vg:1:2:3,vg:4:5:1': axis vg repeated$"):
+            parse_grid_spec("vg:1:2:3,vg:4:5:1")
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -282,9 +287,16 @@ class TestSweep:
             compute_row(cfg, -10.0, -60.0, False)
 
     def test_arithmetic_failure_is_named(self):
-        # gamma_A**2 underflows to 0 at vg = 400 and 1/gamma_A**2 divides by 0
-        with pytest.raises(ZeroDivisionError, match=r"vg=400, vsd=0"):
+        # gamma_A**2 underflows to 0 at vg = 400; 1/gamma_A**2 is then inf
+        # for the point as for a batch, and the noise rail names the cause
+        with pytest.raises(ArithmeticError, match=r"vg=400, vsd=0: non-finite noise") as point:
             compute_row(SweepConfig(), 400.0, 0.0, False)
+        # vg = 360 fails the rail in a batch already; the block names its
+        # first failing cell as the point does
+        with pytest.raises(ArithmeticError) as block:
+            compute_row(SweepConfig(), np.array([400.0, 360.0]), np.zeros(2), False)
+        assert type(block.value) is type(point.value)
+        assert str(block.value) == str(point.value)
 
     @pytest.mark.parametrize("rail, message", [
         ("variance", "negative variance in excursion report"),

@@ -14,13 +14,17 @@ a claim can be read against the side bias of two checkouts of the same
 code) and three verdicts, with the machine (nproc, Python, numpy) and both
 checkouts' git SHAs:
 
-- ``gain``: the change won at least 9 of every 10 pairs, and its median is
-  better than the parent's by more than the parent's interquartile range;
+- ``gain``: the change won at least 9 of every 10 pairs, its median is
+  better than the parent's by more than the parent's interquartile range,
+  and its failed share on the workload is not higher than the parent's;
 - ``regression``: the change's median is worse than the parent's by more
   than the metric's relative ``bound`` in ``BENCHMARK.json``;
 - ``unresolved``: either side's interquartile range, relative to its
   median, is wider than that bound, and not every run of the change is
   better than every run of the parent.
+
+Per workload it also writes each side's failed and attempted operations
+per run and its failed share over all its runs.
 
 Standard library only; each checkout measures its own ``src/``.
 """
@@ -101,6 +105,46 @@ def _report_line(workload: str, name: str, metric: dict) -> str:
             f"median {metric['relative_change']:+.2%}")
 
 
+def _failed_share(runs: list[dict]) -> float:
+    """The share of one side's attempted operations that failed, over all
+    its runs of a workload."""
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def _workload(name: str, runs: dict, better: dict, bounds: dict) -> dict:
+    """One workload's metrics, verdicts and failure counts from both sides'
+    runs; no metric is a gain where the change fails a larger share."""
+    metrics = {}
+    for metric, direction in better.items():
+        p = [r["metrics"][metric] for r in runs["parent"]]
+        c = [r["metrics"][metric] for r in runs["change"]]
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        metrics[metric] = {
+            "better": direction,
+            "bound": bounds[metric],
+            "parent": _summary(p),
+            "change": _summary(c),
+            "change_wins": wins,
+            "parent_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+        }
+        metrics[metric].update(_verdicts(metrics[metric]["parent"], metrics[metric]["change"],
+                                         direction, bounds[metric], wins))
+        metrics[metric]["relative_change"] = _relative_change(
+            metrics[metric]["parent"], metrics[metric]["change"])
+    shares = {s: _failed_share(runs[s]) for s in runs}
+    for metric, summary in metrics.items():
+        summary["gain"] = summary["gain"] and shares["change"] <= shares["parent"]
+        print(_report_line(name, metric, summary), file=sys.stderr)
+    return {
+        "metrics": metrics,
+        "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
+        "attempted": {s: [r["attempted"] for r in runs[s]] for s in runs},
+        "failed_share": shares,
+    }
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -137,30 +181,7 @@ def main(argv=None) -> int:
             print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{s} run_s={runs[s][-1]['metrics']['run_s']:.4f}" for s in order),
                 file=sys.stderr, flush=True)
-        metrics = {}
-        for name, direction in better.items():
-            p = [r["metrics"][name] for r in runs["parent"]]
-            c = [r["metrics"][name] for r in runs["change"]]
-            sign = 1 if direction == "lower" else -1
-            wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
-            metrics[name] = {
-                "better": direction,
-                "bound": bounds[name],
-                "parent": _summary(p),
-                "change": _summary(c),
-                "change_wins": wins,
-                "parent_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
-            }
-            metrics[name].update(_verdicts(metrics[name]["parent"], metrics[name]["change"],
-                                           direction, bounds[name], wins))
-            metrics[name]["relative_change"] = _relative_change(
-                metrics[name]["parent"], metrics[name]["change"])
-            print(_report_line(workload, name, metrics[name]), file=sys.stderr)
-        result["workloads"][workload] = {
-            "metrics": metrics,
-            "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
-            "attempted": {s: [r["attempted"] for r in runs[s]] for s in runs},
-        }
+        result["workloads"][workload] = _workload(workload, runs, better, bounds)
     result["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
