@@ -151,12 +151,15 @@ class BlockDecomposition:
         e_t = _float(terms.sum(axis=-1)[..., 0] / self.gamma_a)
         e_t2 = _float((c + c) / self.gamma_a)
         var_t = e_t2 - e_t * e_t
-        # 1/gamma_a**2 overflows on slow chains, or divides by a gamma_a**2
-        # that underflowed to 0; np.divide gives inf for one point as for a
-        # batch, and excursion_report's rail fails it
+        # 1/gamma_a**2 overflows on slow chains; excursion_report's rail
+        # fails them.  One point's gamma_a**2 can underflow to 0, where
+        # Python raises instead of giving a batch's inf.
         with np.errstate(divide="ignore", over="ignore"):
-            moments = (e_t, e_t2, var_t, e_t + 1.0 / self.gamma_a,
-                       _float(var_t + np.divide(1.0, self.gamma_a**2)))
+            try:
+                inv_a2 = 1.0 / self.gamma_a**2
+            except ZeroDivisionError:
+                inv_a2 = math.inf
+            moments = (e_t, e_t2, var_t, e_t + 1.0 / self.gamma_a, var_t + inv_a2)
         for x in moments:
             if isinstance(x, np.ndarray):
                 x.flags.writeable = False
