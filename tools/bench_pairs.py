@@ -121,7 +121,7 @@ def _workload(name: str, runs: dict, better: dict, bounds: dict) -> dict:
         c = [r["metrics"][metric] for r in runs["change"]]
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
-        metrics[metric] = {
+        summary = metrics[metric] = {
             "better": direction,
             "bound": bounds[metric],
             "parent": _summary(p),
@@ -129,10 +129,9 @@ def _workload(name: str, runs: dict, better: dict, bounds: dict) -> dict:
             "change_wins": wins,
             "parent_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
         }
-        metrics[metric].update(_verdicts(metrics[metric]["parent"], metrics[metric]["change"],
-                                         direction, bounds[metric], wins))
-        metrics[metric]["relative_change"] = _relative_change(
-            metrics[metric]["parent"], metrics[metric]["change"])
+        summary.update(_verdicts(summary["parent"], summary["change"], direction,
+                                 bounds[metric], wins))
+        summary["relative_change"] = _relative_change(summary["parent"], summary["change"])
     shares = {s: _failed_share(runs[s]) for s in runs}
     for metric, summary in metrics.items():
         summary["gain"] = summary["gain"] and shares["change"] <= shares["parent"]
