@@ -60,6 +60,10 @@ class TooFewRecords(ExclabError):
     """Not enough excursion records for the requested estimate."""
 
 
+class TooManyStates(ExclabError):
+    """The chain has more states than the trajectory walk can hold."""
+
+
 class UnknownColumn(ExclabError):
     """Requested column is not present in the CSV header."""
 

@@ -17,19 +17,19 @@ observables (excursions of a renewal cycle are iid, so this is exact and
 much faster for large counts).
 
 The trajectory path walks only where it must and holds each full-size
-array once.  :func:`simulate` walks the jump chain on a Python list up
-to the last return, refilling each state's table of next states from the
-jump stream in the order the walk needs them; it converts the list once
-to int64, drops it, and draws the holds from the separate hold stream
-block by block into one preallocated array, dividing each block in place
-by its states' exit rates.  :func:`excursion_filter` finds the visits of
-the reference state with ``flatnonzero``, sums each excursion's holds in
-trajectory order with one vectorised add per position, and tallies the
-transitions with one ``bincount`` per slice of ``_SLICE`` excursions
-into the preallocated ``(K, n, n)`` block.  Its records are columnar,
-:class:`ExcursionRecords` holds the durations and the tally block, and
-:meth:`ExcursionSample.from_records` reads them as they are, filling
-each ``q`` column one slice of rows at a time.
+array once.  :func:`simulate` walks the jump chain as bytes up to the
+last return, each state taking its next states from a queue that draws
+them from the jump stream when the walk first needs one; it converts the
+bytes once to int64, drops them, and draws the holds from the separate
+hold stream block by block into one preallocated array, dividing each
+block in place by its states' exit rates.  :func:`excursion_filter`
+finds the visits of the reference state with ``flatnonzero``, sums each
+excursion's holds in trajectory order with one vectorised add per
+position, and tallies the transitions with one ``bincount`` per slice of
+``_SLICE`` excursions into the preallocated ``(K, n, n)`` block.  Its
+records are columnar, :class:`ExcursionRecords` holds the durations and
+the tally block, and :meth:`ExcursionSample.from_records` reads them as
+they are, filling each ``q`` column one slice of rows at a time.
 
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
@@ -59,16 +59,17 @@ oracles.
 """
 from __future__ import annotations
 
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonIntegerScheme, TooFewRecords
+from .errors import (BadPartition, DimensionMismatch, NonIntegerScheme, TooFewRecords,
+                     TooManyStates)
 from .excursions import noise_terms
 from .markov import RateMatrix, WeightScheme
 
@@ -118,32 +119,17 @@ class Trajectory:
     total_time: float
 
 
+def _check_state(a_state: int, n: int) -> None:
+    """Raise BadPartition unless ``a_state`` indexes one of ``n`` states."""
+    if not 0 <= a_state < n:
+        raise BadPartition(f"state index {a_state} out of range")
+
+
 def _cumulative_jump_probs(m: RateMatrix) -> np.ndarray:
     """Row y holds the cumulative jump distribution out of state y."""
     cum = np.cumsum((m.w / m.gamma).T, axis=1)
     cum[:, -1] = 1.0
     return cum
-
-
-def _walk(states, tables, refill, a_state, returns_left):
-    """Extend the jump chain ``states`` up to the return to ``a_state``
-    that brings ``returns_left`` to zero.
-
-    ``tables[x]`` holds the unused next states out of ``x``, the next one
-    last; ``refill(x)`` supplies a fresh table when it runs dry.
-    """
-    state = states[-1]
-    append = states.append
-    for _ in range(sys.maxsize):
-        row = tables[state]
-        if not row:
-            row = tables[state] = refill(state)
-        state = row.pop()
-        append(state)
-        if state == a_state:
-            returns_left -= 1
-            if returns_left <= 0:
-                break
 
 
 def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) -> Trajectory:
@@ -152,25 +138,41 @@ def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) ->
     ``max_excursions``, ``a_state``).
 
     After the last return one more hold in ``a_state`` is kept, so the
-    final excursion stays complete.
+    final excursion stays complete.  The walk runs on bytes, from one lazy
+    queue of next states per state; the queue of ``a_state`` ends after
+    ``max_excursions`` departures.  More than 256 states raise
+    TooManyStates, an ``a_state`` outside the chain BadPartition.
     """
     if max_excursions < 1:
         raise ValueError(f"max_excursions must be >= 1, got {max_excursions}")
+    _check_state(a_state, m.n)
+    if m.n > 256:
+        raise TooManyStates(f"simulate walks states as bytes: at most 256, got {m.n}")
     cum = _cumulative_jump_probs(m)
     jump_seq, hold_seq = np.random.SeedSequence(seed).spawn(2)
     jump_rng = np.random.Generator(np.random.Philox(jump_seq))
 
-    def refill(x):
+    def draws(x):
         u = jump_rng.random(_BLOCK)
-        return np.searchsorted(cum[x], u, side="right")[::-1].tolist()
+        return np.searchsorted(cum[x], u, side="right").astype(np.uint8).tobytes()
 
-    tables: list[list[int]] = [[] for _ in range(m.n)]
-    states = [a_state]
-    _walk(states, tables, refill, a_state, max_excursions)
-    chain = np.array(states, dtype=np.int64)
-    del states
-    holds = _holds(chain, hold_seq, m.gamma)
-    return Trajectory(states=chain, holds=holds, total_time=float(np.sum(holds)))
+    queues = [chain.from_iterable(map(draws, repeat(x))) for x in range(m.n)]
+    queues[a_state] = islice(queues[a_state], max_excursions)
+    nexts = [q.__next__ for q in queues]
+    walked = bytearray([a_state])
+    append = walked.append
+    state = a_state
+    try:
+        while True:
+            state = nexts[state]()
+            append(state)
+    except StopIteration:
+        pass
+    states = np.frombuffer(walked, dtype=np.uint8).astype(np.int64)
+    # the bound append keeps the buffer alive
+    del walked, append
+    holds = _holds(states, hold_seq, m.gamma)
+    return Trajectory(states=states, holds=holds, total_time=float(np.sum(holds)))
 
 
 def _holds(states: np.ndarray, seq: np.random.SeedSequence, gamma: np.ndarray) -> np.ndarray:
@@ -259,6 +261,7 @@ def excursion_filter(
     n = top + 1 if n_states is None else n_states
     if top >= n:
         raise DimensionMismatch(f"trajectory visits state {top} but n_states={n}")
+    _check_state(a_state, n)
     visits = np.flatnonzero(states == a_state)
     k = visits.size - 1
     if k < 1:
@@ -531,6 +534,7 @@ def sample_excursions(
     """
     if n_excursions < 1:
         raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
+    _check_state(a_state, m.n)
     for s in schemes.values():
         if s.n != m.n:
             raise DimensionMismatch("scheme dimension does not match chain")

@@ -78,3 +78,22 @@ def test_no_gain_where_the_change_fails_a_larger_share():
     fewer = bench_pairs._workload("mc-oracle", {"parent": runs(PARENT, 2),
                                                 "change": runs(faster, 0)}, *spec)
     assert fewer["metrics"]["run_s"]["gain"]
+
+
+def test_staging_copies_both_sides_to_sibling_paths_of_equal_length(tmp_path):
+    sides = {"parent": tmp_path / "p", "change": tmp_path / "a" / "much" / "longer" / "checkout"}
+    for side, checkout in sides.items():
+        for rel, text in (("src/exclab/__init__.py", side), ("bench/run.py", "run"),
+                          ("BENCHMARK.json", "{}"), ("tests/test_x.py", "skip"),
+                          ("src/exclab/__pycache__/x.cpython-311.pyc", "skip")):
+            (checkout / rel).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / rel).write_text(text)
+    staged = bench_pairs._stage(sides, tmp_path / "staged")
+    assert staged == {side: tmp_path / "staged" / side for side in sides}
+    assert len(str(staged["parent"])) == len(str(staged["change"]))
+    for side, path in staged.items():
+        assert (path / "src" / "exclab" / "__init__.py").read_text() == side
+        assert (path / "bench" / "run.py").read_text() == "run"
+        assert (path / "BENCHMARK.json").read_text() == "{}"
+        assert not (path / "tests").exists()
+        assert not (path / "src" / "exclab" / "__pycache__").exists()

@@ -1,8 +1,10 @@
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from exclab import (
     validate_rate_matrix,
 )
 from exclab import montecarlo
-from exclab.errors import DimensionMismatch, NonIntegerScheme, TooFewRecords
+from exclab.errors import (BadPartition, DimensionMismatch, NonIntegerScheme, TooFewRecords,
+                           TooManyStates)
 from exclab.montecarlo import _BATCH, ExcursionRecords, Trajectory, dump_trajectory
 
 import reference_montecarlo as reference
@@ -42,6 +45,51 @@ def _schemes(params, n):
         "activity": activity_weights(n),
         "entropy": entropy_weights(params),
     }
+
+
+@contextmanager
+def _deadline(seconds=2.0):
+    """Fail, rather than hang, a call that does not return in ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _ring(n):
+    """n states on a ring, twice as fast forward as back."""
+    w = np.zeros((n, n))
+    for x in range(n):
+        w[(x + 1) % n, x], w[(x - 1) % n, x] = 2.0, 1.0
+    return validate_rate_matrix(w)
+
+
+class TestReferenceStateRange:
+    """A reference state outside the chain is rejected before any walk:
+    unchecked, -1 walked forever and 4 failed on an unnamed IndexError."""
+
+    @pytest.mark.parametrize("a_state", [-1, 4])
+    def test_simulate(self, ref_model, a_state):
+        with _deadline(), pytest.raises(BadPartition, match=f"state index {a_state} out of range"):
+            simulate(ref_model, 1, 10, a_state=a_state)
+
+    @pytest.mark.parametrize("a_state", [-1, 4])
+    def test_sample_excursions(self, ref_model, a_state):
+        schemes = {"t": transport_weights("R", 4)}
+        with _deadline(), pytest.raises(BadPartition, match=f"state index {a_state} out of range"):
+            sample_excursions(ref_model, schemes, 100, seed=1, a_state=a_state)
+
+    @pytest.mark.parametrize("a_state", [-1, 4])
+    def test_excursion_filter(self, ref_model, a_state):
+        t = simulate(ref_model, 1, 10)
+        with _deadline(), pytest.raises(BadPartition, match=f"state index {a_state} out of range"):
+            excursion_filter(t, a_state, n_states=4)
 
 
 class TestSimulate:
@@ -96,6 +144,23 @@ class TestSimulate:
             se = ss[x] / math.sqrt(n_visits) * 1.5
             assert abs(occ - ss[x]) < 3 * max(se, 2e-4), f"state {x}"
 
+    def test_more_than_256_states_rejected_before_any_draw(self, monkeypatch):
+        m = _ring(257)
+
+        def drawn(*args):
+            raise AssertionError("simulate drew before it rejected the chain")
+
+        monkeypatch.setattr(montecarlo, "_cumulative_jump_probs", drawn)
+        with pytest.raises(TooManyStates, match="at most 256, got 257"):
+            simulate(m, seed=1, max_excursions=1)
+
+    def test_256_states_match_reference(self):
+        # state 255, one step back from A, survives the walk's bytes
+        m = _ring(256)
+        t = simulate(m, seed=3, max_excursions=40)
+        assert_same_trajectory(t, reference.simulate(m, seed=3, max_excursions=40))
+        assert 255 in t.states.tolist()
+
     def test_holding_times_exponential(self):
         # Kolmogorov-Smirnov at alpha = 0.001 per state, 1e5 samples; the
         # gate voltage is chosen so every state is visited often
@@ -147,7 +212,7 @@ def assert_same_filter(t, a_state=0, n_states=None):
 
 
 class TestReferenceLoops:
-    """The list-native walk and the vectorised filter reproduce the
+    """The byte-queue walk and the vectorised filter reproduce the
     per-jump loops bit for bit; the sizes cross the 8192-draw refills."""
 
     @pytest.mark.parametrize("chain", ["two_state", "dqd", "blockade"])
@@ -170,6 +235,14 @@ class TestReferenceLoops:
                 assert t.states[0] == 1
             assert_same_filter(t, 0, m.n)
             assert_same_filter(t)
+
+    @pytest.mark.parametrize("n", [montecarlo._BLOCK, montecarlo._BLOCK + 1])
+    def test_last_departure_at_a_block_edge(self, ref_model, n):
+        # A's n-th and last departure is the last draw of its first block,
+        # then the first draw of its second
+        t = simulate(ref_model, seed=5, max_excursions=n)
+        assert_same_trajectory(t, reference.simulate(ref_model, seed=5, max_excursions=n))
+        assert_same_filter(t, 0, ref_model.n)
 
     def test_filter_matches_reference_on_long_excursions(self):
         # state 00 is rare at vg = -10, so excursions run to hundreds of
@@ -327,8 +400,9 @@ class TestTrajectoryPeaks:
         return simulate(ref_model, seed=9, max_excursions=100_000)
 
     def test_simulate_below_one_and_a_quarter_trajectories(self, ref_model):
-        # the list of states, the hold blocks, their concatenation, the
-        # gamma gather and a second states copy peaked at 2.54 x
+        # the states and the holds, drawn once the walked bytes are dropped
+        # (1.04 x); a list of states, the hold blocks, their concatenation,
+        # the gamma gather and a second states copy peaked at 2.54 x
         t, peak = _traced_peak(simulate, ref_model, seed=9, max_excursions=100_000)
         size = t.states.nbytes + t.holds.nbytes
         assert peak <= 1.25 * size, peak / size

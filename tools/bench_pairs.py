@@ -26,7 +26,13 @@ checkouts' git SHAs:
 Per workload it also writes each side's failed and attempted operations
 per run and its failed share over all its runs.
 
-Standard library only; each checkout measures its own ``src/``.
+Before the runs, each checkout's ``src/``, ``bench/`` and
+``BENCHMARK.json`` are copied to ``parent/`` and ``change/`` under one
+temporary directory, and the runs measure those copies: two paths of equal
+length, so that the checkouts' own paths read as no difference.  The SHAs
+come from the checkouts; the staged paths are written with them.
+
+Standard library only; each side measures its own ``src/``.
 """
 from __future__ import annotations
 
@@ -34,9 +40,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,6 +58,19 @@ def _git_sha(checkout: Path) -> str:
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "bench"],
                            cwd=checkout, text=True, capture_output=True).stdout.strip()
     return (sha or "unknown") + ("-dirty" if dirty else "")
+
+
+def _stage(sides: dict[str, Path], root: Path) -> dict[str, Path]:
+    """Copy each side's ``src/``, ``bench/`` and ``BENCHMARK.json`` into
+    ``root / side``; side names of equal length give paths of equal length."""
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    staged = {}
+    for side, checkout in sides.items():
+        dest = staged[side] = root / side
+        for tree in ("src", "bench"):
+            shutil.copytree(checkout / tree, dest / tree, ignore=skip)
+        shutil.copy2(checkout / "BENCHMARK.json", dest / "BENCHMARK.json")
+    return staged
 
 
 def _numpy_version() -> str:
@@ -171,16 +192,19 @@ def main(argv=None) -> int:
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
-    for workload in workloads:
-        runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(_run(sides[side], workload, SEED, seconds))
-            print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{s} run_s={runs[s][-1]['metrics']['run_s']:.4f}" for s in order),
-                file=sys.stderr, flush=True)
-        result["workloads"][workload] = _workload(workload, runs, better, bounds)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        staged = _stage(sides, Path(tmp))
+        result["staged"] = {side: str(path) for side, path in staged.items()}
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(_run(staged[side], workload, SEED, seconds))
+                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    f"{s} run_s={runs[s][-1]['metrics']['run_s']:.4f}" for s in order),
+                    file=sys.stderr, flush=True)
+            result["workloads"][workload] = _workload(workload, runs, better, bounds)
     result["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
