@@ -9,7 +9,6 @@ from .dqd import (
     build_model,
     effective_coupling,
     fermi,
-    fermi_set,
 )
 from .excursions import (
     BlockDecomposition,

@@ -82,15 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--seed", type=int,
                     help="sampler seed (default: the config's, else 1234)")
     pm.add_argument("--workers", type=int,
-                    help="sampler processes (EXCLAB_WORKERS as fallback)")
+                    help="sampler processes (default: the config's, else 1)")
     pm.add_argument("--dump-trajectory", metavar="PATH",
                     help="simulate a single trajectory instead of an "
                          "ensemble and write one line per jump")
 
     pv = sub.add_parser("verify", help="run the invariant battery")
     _add_model_args(pv)
-    pv.add_argument("--inject-d2", type=float, default=0.0,
-                    help=argparse.SUPPRESS)
 
     ph = sub.add_parser("heatmap", help="render a sweep CSV column")
     ph.add_argument("csv", metavar="CSV")
@@ -183,19 +181,16 @@ def cmd_simulate(args) -> int:
     ev = evaluate(_point_params(cfg, args.vg, args.vsd, shift))
     model, schemes = ev.model, ev.schemes
 
-    out = []
     if args.dump_trajectory:
         traj = simulate(model, seed=cfg.seed, max_excursions=args.n)
-        dump_trajectory(traj, args.dump_trajectory, labels=model.labels)
         records, residences = excursion_filter(traj, 0, n_states=model.n)
         sample = ExcursionSample.from_records(
             records, residences, schemes, gamma_a=float(model.gamma[0]))
-        out.append(f"dumped {len(traj.states) - 1} jumps to {args.dump_trajectory}")
     else:
         sample = sample_excursions(
-            model, schemes, args.n, seed=cfg.seed,
-            workers=cfg.resolve_workers())
+            model, schemes, args.n, seed=cfg.seed, workers=cfg.workers)
 
+    out = []
     out.append(f"point: vg={args.vg:g} vsd={args.vsd:g} "
                f"({'blockade' if cfg.blockade else '4-state'}), "
                f"n={sample.n}, seed={cfg.seed}")
@@ -214,13 +209,17 @@ def cmd_simulate(args) -> int:
             out.append(f"{name:<10} {key:<9} {analytic[key]:>14.6g} "
                        f"{v:>14.6g} {se:>11.3g} {z:>7.2f}")
     out.append(f"worst |z| = {worst:.2f} (threshold 4)")
+    # dumped once the table stands, so that an error leaves no file behind
+    if args.dump_trajectory:
+        dump_trajectory(traj, args.dump_trajectory, labels=model.labels)
+        out.insert(0, f"dumped {len(traj.states) - 1} jumps to {args.dump_trajectory}")
     print("\n".join(out))
     return 0 if worst <= 4.0 else 1
 
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
-    results = run_verify(cfg, inject_d2=args.inject_d2)
+    results = run_verify(cfg)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -9,9 +9,10 @@ The model is one table, :data:`LEAD_JUMPS`, of the jumps in which an
 electron enters a dot from a lead: the rates (:func:`build_model`) and the
 transport and entropy weights (:mod:`exclab.observables`) are read off it.
 
-Gate and bias voltages may be equal-shape arrays: the parameters then
-describe a batch of points, and :func:`build_model` returns stacked rate matrices
-of shape (..., n, n).
+One gate voltage ``vg`` sets both dots' levels, as in the Coulomb
+diamond.  Gate and bias voltages may be equal-shape arrays: the parameters
+then describe a batch of points, and :func:`build_model` returns stacked
+rate matrices of shape (..., n, n).
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ __all__ = [
     "FermiSet",
     "fermi",
     "effective_coupling",
-    "fermi_set",
     "build_model",
     "LEAD_JUMPS",
     "LABELS_4",
@@ -51,10 +51,8 @@ LEAD_JUMPS = (
 class DqdParams:
     """Physical parameters of the double-dot transport model (MHz units).
 
-    ``vg`` sets a common gate voltage for both dots; pass ``vg_left`` and
-    ``vg_right`` instead to detune them (used for the effective-coupling
-    formula, the transport results assume equal gates).  The voltages may
-    be equal-shape arrays, one entry per point of a batch.
+    ``vg`` is the gate voltage of both dots.  The voltages may be
+    equal-shape arrays, one entry per point of a batch.
     """
 
     g: float
@@ -62,27 +60,19 @@ class DqdParams:
     temperature: float
     u: float
     vsd: float
-    vg: float | None = None
-    vg_left: float | None = None
-    vg_right: float | None = None
+    vg: float
     blockade: bool = False
 
     def __post_init__(self):
-        for name in ("g", "gamma", "temperature", "u", "vsd", "vg", "vg_left", "vg_right"):
+        for name in ("g", "gamma", "temperature", "u", "vsd", "vg"):
             v = getattr(self, name)
             if not (np.isfinite(v).all() if isinstance(v, np.ndarray)
-                    else v is None or math.isfinite(v)):
+                    else math.isfinite(v)):
                 raise ValueError(f"{name} must be finite")
         if self.g <= 0 or self.gamma <= 0 or self.temperature <= 0:
             raise ValueError("g, gamma and temperature must be positive")
         if self.u < 0:
             raise ValueError("u must be nonnegative")
-        if self.vg is None and (self.vg_left is None or self.vg_right is None):
-            raise ValueError("provide vg, or both vg_left and vg_right")
-        if self.vg_left is None:
-            object.__setattr__(self, "vg_left", self.vg)
-        if self.vg_right is None:
-            object.__setattr__(self, "vg_right", self.vg)
 
     @property
     def n_states(self) -> int:
@@ -92,8 +82,7 @@ class DqdParams:
     @property
     def batch_shape(self) -> tuple[int, ...]:
         """Shape of the batch of points; () for a single point."""
-        return np.broadcast_shapes(
-            np.shape(self.vg_left), np.shape(self.vg_right), np.shape(self.vsd))
+        return np.broadcast_shapes(np.shape(self.vg), np.shape(self.vsd))
 
     @property
     def mu_left(self) -> float:
@@ -105,13 +94,14 @@ class DqdParams:
 
     @cached_property
     def occupations(self) -> FermiSet:
-        """The :func:`fermi_set` of these parameters, evaluated on first use
-        from the voltages as they are then; batch arrays are read-only."""
+        """Bare and Coulomb-shifted lead occupations, evaluated on first use
+        from the voltages as they are then and cached; batch arrays are
+        read-only."""
         t = self.temperature
-        occ = (fermi(self.vg_left, self.mu_left, t),
-               fermi(self.vg_right, self.mu_right, t),
-               fermi(self.vg_left + self.u, self.mu_left, t),
-               fermi(self.vg_right + self.u, self.mu_right, t))
+        occ = (fermi(self.vg, self.mu_left, t),
+               fermi(self.vg, self.mu_right, t),
+               fermi(self.vg + self.u, self.mu_left, t),
+               fermi(self.vg + self.u, self.mu_right, t))
         for v in occ:
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
@@ -150,29 +140,22 @@ def fermi(energy, mu, temperature):
     return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def effective_coupling(g: float, gamma: float, vg_left: float, vg_right: float) -> float:
-    """Inter-dot hopping rate 2 g^2 gamma / (gamma^2 + (vg_left - vg_right)^2)."""
-    d = vg_left - vg_right
-    return 2.0 * g * g * gamma / (gamma * gamma + d * d)
-
-
-def fermi_set(p: DqdParams) -> FermiSet:
-    """Bare and Coulomb-shifted lead occupations of ``p``, computed once per
-    :class:`DqdParams` and cached on it (``p.occupations``)."""
-    return p.occupations
+def effective_coupling(g: float, gamma: float) -> float:
+    """Inter-dot hopping rate 2 g^2 gamma / gamma^2 of two dots at one gate
+    voltage; not reduced to 2 g^2 / gamma, which rounds differently."""
+    return 2.0 * g * g * gamma / (gamma * gamma)
 
 
 def lead_log_ratio(p: DqdParams, side: str, shifted: bool = False) -> float:
     """log((1 - f)/f) for one lead occupation, evaluated in closed form as
     (energy - mu)/T; avoids the 1 - f cancellation for occupations near 1."""
     if side == "L":
-        energy, mu = p.vg_left, p.mu_left
+        mu = p.mu_left
     elif side == "R":
-        energy, mu = p.vg_right, p.mu_right
+        mu = p.mu_right
     else:
         raise ValueError("side must be 'L' or 'R'")
-    if shifted:
-        energy = energy + p.u
+    energy = p.vg + p.u if shifted else p.vg
     return (energy - mu) / p.temperature
 
 
@@ -196,12 +179,12 @@ def build_model(p: DqdParams) -> RateMatrix:
     drops state 11: gamma*f on each jump of :data:`LEAD_JUMPS`, gamma*(1-f)
     on its reverse, and the effective coupling between 10 and 01."""
     n = p.n_states
-    f = fermi_set(p)
+    f = p.occupations
     gam = p.gamma
     w = np.zeros(p.batch_shape + (n, n))
     for to, frm, lead, shifted in lead_jumps(n):
         occ = f.of(lead, shifted)
         w[..., to, frm] = gam * occ
         w[..., frm, to] = gam * (1 - occ)
-    w[..., 1, 2] = w[..., 2, 1] = effective_coupling(p.g, gam, p.vg_left, p.vg_right)
+    w[..., 1, 2] = w[..., 2, 1] = effective_coupling(p.g, gam)
     return validate_rate_matrix(w, labels=LABELS_4[:n])

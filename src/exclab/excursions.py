@@ -190,24 +190,16 @@ def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def partition(m: RateMatrix, a) -> BlockDecomposition:
     """Split the generator into A/B blocks and invert the B block.
 
-    ``a`` is a single state index or a singleton iterable; larger regions
-    are rejected because the renewal-cycle results assume one A state.
-    The fundamental matrix G is formed by GTH elimination from the
-    off-diagonal rates, the exits w[A, b] included, and never reads the
-    rounded escape rates on the diagonal of ``gen_b``.  Raises SingularB
+    ``a`` is the index of the single state of region A, which the
+    renewal-cycle results assume; an index outside the chain raises
+    BadPartition.  The fundamental matrix G is formed by GTH elimination
+    from the off-diagonal rates, the exits w[A, b] included, and never
+    reads the rounded escape rates on the diagonal of ``gen_b``.  Raises SingularB
     for a zero or non-finite pivot, and where G fails a check of
     :func:`_check_decomposition`; for a batch the message is the first
     failing cell's.
     """
-    if isinstance(a, (int, np.integer)):
-        a_set = {int(a)}
-    else:
-        a_set = {int(x) for x in a}
-    if not a_set or len(a_set) >= m.n:
-        raise BadPartition("region A must be a nonempty proper subset")
-    if len(a_set) != 1:
-        raise BadPartition("only single-state regions A are supported")
-    a_state = a_set.pop()
+    a_state = operator.index(a)
     if not 0 <= a_state < m.n:
         raise BadPartition(f"state index {a_state} out of range")
     b_states = tuple(i for i in range(m.n) if i != a_state)

@@ -107,7 +107,6 @@ class WeightScheme:
 
     weights: np.ndarray
     kind: str = "transition"
-    name: str = ""
     integer_valued: bool = field(init=False)
 
     def __post_init__(self):
@@ -133,12 +132,6 @@ class WeightScheme:
     @property
     def n(self) -> int:
         return self.weights.shape[-1]
-
-    @property
-    def antisymmetric(self) -> bool:
-        """True when the scheme defines a thermodynamic current."""
-        flipped = np.swapaxes(self.weights, -1, -2)
-        return bool(np.allclose(self.weights, -flipped, atol=0.0))
 
     def max_abs_weight(self):
         """Largest |weight|: a float, or one per cell for a batch."""

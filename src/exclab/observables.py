@@ -22,7 +22,6 @@ from .dqd import (
     DqdParams,
     effective_coupling,
     fermi,
-    fermi_set,
     lead_jumps,
     lead_log_ratio,
     require_finite_fermi,
@@ -64,12 +63,12 @@ def transport_weights(side: str = "R", n: int = 4) -> WeightScheme:
     for to, frm, lead, _ in lead_jumps(n):
         if lead == side:
             nu[frm, to], nu[to, frm] = 1.0, -1.0
-    return WeightScheme(nu, name=f"transport_{side}")
+    return WeightScheme(nu)
 
 
 def activity_weights(n: int) -> WeightScheme:
     """Dynamical activity: every jump counts one."""
-    return WeightScheme(1.0 - np.eye(n), name="activity")
+    return WeightScheme(1.0 - np.eye(n))
 
 
 def entropy_weights(p: DqdParams) -> WeightScheme:
@@ -81,12 +80,12 @@ def entropy_weights(p: DqdParams) -> WeightScheme:
     Raises DegenerateFermi when an occupation is exactly 0 or 1.
     """
     n = p.n_states
-    require_finite_fermi(fermi_set(p), with_u=not p.blockade)
+    require_finite_fermi(p.occupations, with_u=not p.blockade)
     nu = np.zeros(p.batch_shape + (n, n))
     for to, frm, lead, shifted in lead_jumps(n):
         z = lead_log_ratio(p, lead, shifted)
         nu[..., frm, to], nu[..., to, frm] = z, -z
-    return WeightScheme(nu, name="entropy")
+    return WeightScheme(nu)
 
 
 def state_weights(values) -> WeightScheme:
@@ -94,14 +93,14 @@ def state_weights(values) -> WeightScheme:
     ``weights[x, y] = values[y]`` for all x."""
     v = np.asarray(values, dtype=float)
     nu = np.tile(v, (v.size, 1))
-    return WeightScheme(nu, kind="state", name="state")
+    return WeightScheme(nu, kind="state")
 
 
 def excess_time_weights(m: RateMatrix) -> WeightScheme:
     """State scheme weighted by mean residence times 1/gamma; its current
     is one by construction and its noise equals the excess time."""
     nu = np.repeat((1.0 / m.gamma)[..., None, :], m.n, axis=-2)
-    return WeightScheme(nu, kind="state", name="excess_time")
+    return WeightScheme(nu, kind="state")
 
 
 @dataclass(frozen=True)
@@ -132,12 +131,12 @@ def success_fail_disaster(p: DqdParams) -> OutcomeTriple:
         p_fail = [hop (f_L(1-f_L) + f_R(1-f_R)) + lam (f_L+f_R)] / den
         den    = (f_L+f_R) (hop (2-f_L-f_R) + lam)
     """
-    f = fermi_set(p)
+    f = p.occupations
     fl, fr = f.f_left, f.f_right
     # complements through the swapped Fermi call keep full relative precision
-    cl = fermi(p.mu_left, p.vg_left, p.temperature)
-    cr = fermi(p.mu_right, p.vg_right, p.temperature)
-    hop = p.gamma * effective_coupling(p.g, p.gamma, p.vg_left, p.vg_right)
+    cl = fermi(p.mu_left, p.vg, p.temperature)
+    cr = fermi(p.mu_right, p.vg, p.temperature)
+    hop = p.gamma * effective_coupling(p.g, p.gamma)
     lam = p.gamma**2 * cl * cr
     n_suc = hop * fl * cr
     n_dis = hop * fr * cl
@@ -169,11 +168,11 @@ def blockade_analytics(p: DqdParams) -> BlockadeAnalytics:
     E(Sigma) = (zeta_R - zeta_L) E(Q_R) with zeta = log((1-f)/f), so it is
     assembled from the transport average rather than printed separately.
     """
-    f = fermi_set(p)
+    f = p.occupations
     fl, fr = f.f_left, f.f_right
     require_finite_fermi(f, with_u=False)
     gam = p.gamma
-    ge = effective_coupling(p.g, gam, p.vg_left, p.vg_right)
+    ge = effective_coupling(p.g, gam)
     root = gam * (1.0 - fl) * (1.0 - fr) + ge * (2.0 - fl - fr)
     e_t = ((2.0 * ge + gam) * fr + (2.0 * ge + gam - 2.0 * gam * fr) * fl) / (
         gam * (fl + fr) * root

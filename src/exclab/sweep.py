@@ -103,7 +103,7 @@ class SweepConfig:
     vsd_n: int = 101
     blockade: bool = False
     gate_shift: bool | None = None
-    workers: int | None = None
+    workers: int = 1
     seed: int = 1234
     columns: tuple[str, ...] = CANONICAL_COLUMNS
 
@@ -119,37 +119,19 @@ class SweepConfig:
             raise ValueError("grid needs at least one point per axis")
         if self.vg_lo > self.vg_hi or self.vsd_lo > self.vsd_hi:
             raise ValueError("grid bounds must satisfy lo <= hi")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ValueError("workers must be >= 1")
         bad = [c for c in self.columns if c not in CANONICAL_COLUMNS]
         if bad:
             raise ValueError(f"unknown columns {bad}")
-        ordered = tuple(c for c in CANONICAL_COLUMNS if c in self.columns)
-        if "vg" not in ordered or "vsd" not in ordered:
-            ordered = tuple(
-                c for c in CANONICAL_COLUMNS if c in ("vg", "vsd") or c in ordered
-            )
-        object.__setattr__(self, "columns", ordered)
+        object.__setattr__(self, "columns", tuple(
+            c for c in CANONICAL_COLUMNS if c in ("vg", "vsd") or c in self.columns))
 
     def vg_values(self) -> np.ndarray:
         return np.linspace(self.vg_lo, self.vg_hi, self.vg_n)
 
     def vsd_values(self) -> np.ndarray:
         return np.linspace(self.vsd_lo, self.vsd_hi, self.vsd_n)
-
-    def resolve_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        env = os.environ.get("EXCLAB_WORKERS", "")
-        if env.strip():
-            try:
-                w = int(env)
-            except ValueError:
-                raise ValueError(f"EXCLAB_WORKERS={env!r} is not an integer")
-            if w < 1:
-                raise ValueError("EXCLAB_WORKERS must be >= 1")
-            return w
-        return 1
 
 
 _BOOL_KEYS = ("blockade", "gate_shift")
@@ -163,8 +145,8 @@ def load_config(path: str, base: SweepConfig | None = None) -> SweepConfig:
     """Read a flat ``key = value`` config file over ``base`` defaults.
 
     Unknown keys are rejected; '#' starts a comment; booleans accept
-    true/false/1/0/yes/no.  An error names the file, and the line and key
-    it comes from.
+    true/false/1/0/yes/no/on/off.  An error names the file, and the line
+    and key it comes from.
     """
     cfg = base if base is not None else SweepConfig()
     updates: dict = {}  # ordered by the line that last set each key
@@ -529,16 +511,25 @@ def _csv_chunks(table: dict, columns):
 
 
 def write_csv(table: dict, path: str, columns=CANONICAL_COLUMNS) -> None:
-    """Write a :func:`sweep_rows` table atomically: temp file in the target
-    directory, then rename.  UTF-8, LF newlines, header exactly ``columns``."""
+    """Write a :func:`sweep_rows` table atomically: temp file beside the
+    file ``path`` resolves to, then rename onto it, so a symlink stays a
+    link.  A target that exists and is not a regular file (a FIFO, a
+    device) is written straight, not replaced.  UTF-8, LF newlines, header
+    exactly ``columns``."""
     chunks = _csv_chunks(table, columns)
     header = next(chunks)  # checks the table before any file exists
-    tmp = f"{path}.tmp"
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.write(header)
+            fh.writelines(chunks)
+        return
+    tmp = f"{target}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -85,7 +85,6 @@ def sweep_rows(cfg: SweepConfig, gate_shift: bool | None = None) -> list[dict]:
     shift = cfg.gate_shift if gate_shift is None else gate_shift
     if shift is None:
         shift = True
-    cfg.resolve_workers()  # rejects a bad EXCLAB_WORKERS, though unused here
     vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
     rows = []
     for lo in range(0, vg.size, _BLOCK_CELLS):

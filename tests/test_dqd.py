@@ -9,7 +9,6 @@ from exclab import (
     effective_coupling,
     entropy_weights,
     fermi,
-    fermi_set,
     steady_state,
     transport_weights,
 )
@@ -37,19 +36,15 @@ class TestFermi:
 
 class TestEffectiveCoupling:
     def test_equal_gates(self):
-        assert effective_coupling(1.0, GAMMA, 5.0, 5.0) == pytest.approx(
-            10.0 / math.pi, rel=1e-15)
-
-    def test_detuning_suppresses_hopping(self):
-        assert effective_coupling(1.0, GAMMA, 0.0, 1e6) < 1e-11
+        assert effective_coupling(1.0, GAMMA) == pytest.approx(10.0 / math.pi, rel=1e-15)
 
     def test_no_tunneling(self):
-        assert effective_coupling(0.0, GAMMA, 1.0, 2.0) == 0.0
+        assert effective_coupling(0.0, GAMMA) == 0.0
 
 
 class TestBuildDqd:
     def test_entry_placement(self, ref_params, ref_model):
-        f = fermi_set(ref_params)
+        f = ref_params.occupations
         # 00 -> 10 injects from the left lead; 10 -> 11 injects from the right
         assert ref_model.w[1, 0] == pytest.approx(GAMMA * f.f_left, rel=1e-15)
         assert ref_model.w[3, 1] == pytest.approx(GAMMA * f.f_right_u, rel=1e-15)
@@ -64,7 +59,7 @@ class TestBuildDqd:
 
     def test_no_repulsion_limit(self):
         p = DqdParams(g=1.0, gamma=GAMMA, temperature=2.0, u=0.0, vg=1.0, vsd=5.0)
-        f = fermi_set(p)
+        f = p.occupations
         assert f.f_left_u == f.f_left and f.f_right_u == f.f_right
 
     def test_shifted_occupations_strictly_below_bare(self):
@@ -73,7 +68,7 @@ class TestBuildDqd:
             p = DqdParams(g=1.0, gamma=GAMMA, temperature=float(rng.uniform(0.5, 5)),
                           u=float(rng.uniform(0.1, 20)), vg=float(rng.uniform(-10, 10)),
                           vsd=float(rng.uniform(-20, 20)))
-            f = fermi_set(p)
+            f = p.occupations
             assert f.f_left_u < f.f_left and f.f_right_u < f.f_right
 
     @pytest.mark.parametrize("batch", [False, True])
@@ -90,8 +85,8 @@ class TestBuildDqd:
         for blockade in (False, True):
             calls.clear()
             p = DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, blockade=blockade, **REF)
-            f = fermi_set(p)
-            assert fermi_set(p) is f and len(calls) == 4
+            f = p.occupations
+            assert p.occupations is f and len(calls) == 4
             build_model(p)
             assert len(calls) == 4
             for v in vars(f).values():
@@ -128,7 +123,7 @@ class TestBuildDqd:
 
 class TestBlockade:
     def test_empty_state_escape_rate(self, ref_blockade_params, ref_blockade_model):
-        f = fermi_set(ref_blockade_params)
+        f = ref_blockade_params.occupations
         assert ref_blockade_model.gamma[0] == pytest.approx(
             GAMMA * (f.f_left + f.f_right), rel=1e-15)
 
@@ -136,7 +131,7 @@ class TestBlockade:
         # f_L ~ 1, f_R ~ 0: the only way back to 00 is the 01 -> 00 exit
         p = DqdParams(g=1.0, gamma=GAMMA, temperature=0.5, u=10.0,
                       vg=0.0, vsd=-40.0, blockade=True)
-        f = fermi_set(p)
+        f = p.occupations
         assert f.f_left > 1 - 1e-8 and f.f_right < 1e-8
         m = build_model(p)
         assert m.w[0, 1] == pytest.approx(GAMMA * (1 - f.f_left))
@@ -178,12 +173,10 @@ class TestParams:
         with pytest.raises(ValueError):
             DqdParams(g=1.0, gamma=GAMMA, temperature=-1.0, u=10.0, vg=0.0, vsd=0.0)
 
-    @pytest.mark.parametrize("name", ["g", "gamma", "temperature", "u", "vsd",
-                                      "vg", "vg_left", "vg_right"])
+    @pytest.mark.parametrize("name", ["g", "gamma", "temperature", "u", "vsd", "vg"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, name, value):
-        gates = dict(vg_left=1.0, vg_right=2.0) if name.startswith("vg_") else dict(vg=1.0)
-        kw = dict(g=1.0, gamma=GAMMA, temperature=2.0, u=10.0, vsd=0.0, **gates)
+        kw = dict(g=1.0, gamma=GAMMA, temperature=2.0, u=10.0, vsd=0.0, vg=1.0)
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             DqdParams(**{**kw, name: value})
         batch = np.array([0.0, value])
@@ -194,9 +187,10 @@ class TestParams:
     def test_chemical_potentials(self, ref_params):
         assert ref_params.mu_left == -3.5 and ref_params.mu_right == 3.5
 
-    def test_split_gates(self):
-        p = DqdParams(g=1.0, gamma=GAMMA, temperature=2.0, u=10.0,
-                      vg_left=1.0, vg_right=2.0, vsd=0.0)
-        assert (p.vg_left, p.vg_right) == (1.0, 2.0)
-        with pytest.raises(ValueError):
-            DqdParams(g=1.0, gamma=GAMMA, temperature=2.0, u=10.0, vsd=0.0)
+    def test_one_gate_voltage(self):
+        # both dots sit at the one gate voltage vg, which is required
+        kw = dict(g=1.0, gamma=GAMMA, temperature=2.0, u=10.0, vsd=0.0)
+        with pytest.raises(TypeError):
+            DqdParams(vg_left=1.0, vg_right=2.0, **kw)
+        with pytest.raises(TypeError):
+            DqdParams(**kw)

@@ -44,9 +44,9 @@ class TestPartition:
         assert (d.w_ab @ d.fundamental @ d.w_ba).item() == pytest.approx(b)
 
     def test_dqd_blocks_match_construction(self, ref_params, ref_model):
-        from exclab import fermi_set, effective_coupling
-        f = fermi_set(ref_params)
-        ge = effective_coupling(1.0, GAMMA, ref_params.vg_left, ref_params.vg_right)
+        from exclab import effective_coupling
+        f = ref_params.occupations
+        ge = effective_coupling(1.0, GAMMA)
         d = partition(ref_model, 0)
         w_b = np.array([
             [0.0, ge, GAMMA * (1 - f.f_right_u)],
@@ -77,14 +77,12 @@ class TestPartition:
         assert np.all(ref_dec.fundamental >= 0.0)
 
     def test_bad_partitions(self, ref_model):
-        with pytest.raises(BadPartition):
-            partition(ref_model, [])
-        with pytest.raises(BadPartition):
-            partition(ref_model, [0, 1, 2, 3])
-        with pytest.raises(BadPartition):
-            partition(ref_model, [0, 1])
-        with pytest.raises(BadPartition):
-            partition(ref_model, 7)
+        # region A is one state, named by its index
+        with pytest.raises(TypeError):
+            partition(ref_model, [0])
+        for a in (7, 4, -1):
+            with pytest.raises(BadPartition, match=f"^state index {a} out of range$"):
+                partition(ref_model, a)
 
     def test_batch_equals_its_points(self):
         # the GTH elimination runs the same float arithmetic on a cell's

@@ -4,8 +4,10 @@ import itertools
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -156,13 +158,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(vsd_lo=3.0, vsd_hi=-3.0)
 
-    def test_workers_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("EXCLAB_WORKERS", "6")
-        assert SweepConfig().resolve_workers() == 6
-        assert SweepConfig(workers=2).resolve_workers() == 2
+    def test_workers_default_to_one(self, monkeypatch):
+        # the sampler's processes come from --workers or the config alone
         monkeypatch.setenv("EXCLAB_WORKERS", "nope")
-        with pytest.raises(ValueError):
-            SweepConfig().resolve_workers()
+        assert SweepConfig().workers == 1
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            SweepConfig(workers=0)
 
     def test_column_subset_keeps_canonical_order(self):
         cfg = SweepConfig(columns=("j_qr", "vsd", "vg", "mu"))
@@ -369,6 +370,30 @@ class TestSweep:
             write_csv(table, str(target))
         assert not target.exists()
         assert not (tmp_path / "late.csv.tmp").exists()
+
+    def test_writes_through_a_symlink_and_into_a_fifo(self, tmp_path):
+        # the rename lands on the file a link names, and a FIFO is written
+        # in place instead of being replaced by a regular file
+        table = sweep_rows(SweepConfig(vg_n=2, vsd_n=2))
+        want = tmp_path / "want.csv"
+        write_csv(table, str(want))
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"old\n")
+        link.symlink_to(real)
+        write_csv(table, str(link))
+        assert link.is_symlink() and real.read_bytes() == want.read_bytes()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_csv(table, str(fifo))
+        reader.join(timeout=10.0)
+        assert got == [want.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "pipe", "real.csv", "want.csv"]
 
 
 class TestReferenceWriter:
@@ -711,10 +736,17 @@ class TestCli:
         assert "DegenerateFermi" in r.stderr
         assert not out.exists() and not (tmp_path / "cold.csv.tmp").exists()
 
-    def test_simulate_too_few_records(self):
+    def test_simulate_too_few_records(self, tmp_path):
         r = run_cli("simulate", "--n", "10", "--temperature", "2")
         assert r.returncode == 2
         assert "excursions" in r.stderr
+        # a failing run leaves no dump behind
+        dump = tmp_path / "t.tsv"
+        r = run_cli("simulate", "--n", "10", "--temperature", "2",
+                    "--dump-trajectory", str(dump))
+        assert r.returncode == 2 and r.stdout == ""
+        assert "excursions" in r.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_simulate_nonpositive_count_exits_2(self, n):
@@ -723,13 +755,26 @@ class TestCli:
             assert r.returncode == 2 and r.stdout == ""
             assert r.stderr.count("\n") == 1 and n in r.stderr
 
-    def test_verify_passes_and_injection_fails(self):
-        r = run_cli("verify")
-        assert r.returncode == 0, r.stdout + r.stderr
-        r = run_cli("verify", "--inject-d2", "-0.1")
-        assert r.returncode == 1
-        assert "[FAIL] FCS equivalence" in r.stdout
-        assert "[PASS] entropy/transport proportionality" in r.stdout
+    def test_verify_passes_and_injection_fails(self, monkeypatch, capsys):
+        import exclab.cli
+        import exclab.verify
+        assert exclab.cli.main(["verify"]) == 0, capsys.readouterr().out
+        # lower the transport noise by a tenth of its D2 term, as the sweep
+        # would write it, and only the FCS comparison catches it
+        evaluate = exclab.verify.evaluate
+
+        def spoiled(p):
+            ev = evaluate(p)
+            rq = ev.reports["transport"]
+            rq = replace(rq, d=rq.d - 0.1 * rq.d2)
+            return replace(ev, reports={**ev.reports, "transport": rq})
+
+        monkeypatch.setattr(exclab.verify, "evaluate", spoiled)
+        capsys.readouterr()
+        assert exclab.cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] FCS equivalence" in out
+        assert "[PASS] entropy/transport proportionality" in out
 
     def test_verify_names_the_worst_finite_difference_cell(self):
         r = run_cli("verify")
@@ -764,7 +809,7 @@ class TestCli:
             "sweep": model + shift + ["--grid", "--out"],
             "simulate": model + shift + ["--dump-trajectory", "--n", "--seed",
                                          "--vg", "--vsd", "--workers"],
-            "verify": model + ["--inject-d2"],
+            "verify": model,
             "heatmap": ["--out"],
         }
         (sub,) = [a for a in _build_parser()._actions
@@ -937,14 +982,3 @@ class TestCli:
             want = [",".join(row[c] for c in ("vg", "vsd", "j_qr", "mu"))
                     for row in csv.DictReader(fh)]
         assert lines[1:] == want
-
-    def test_workers_env_used_by_cli(self, tmp_path):
-        # simulate reads EXCLAB_WORKERS; the sweep does not read it at all
-        r = run_cli("simulate", "--n", "2000", env={"EXCLAB_WORKERS": "2"})
-        assert r.returncode == 0, r.stdout + r.stderr
-        r = run_cli("simulate", "--n", "2000", env={"EXCLAB_WORKERS": "nope"})
-        assert r.returncode == 2 and "EXCLAB_WORKERS" in r.stderr
-        out = tmp_path / "env.csv"
-        r = run_cli("sweep", "--grid", "vg:-2:2:3,vsd:-2:2:3",
-                    "--out", str(out), env={"EXCLAB_WORKERS": "nope"})
-        assert r.returncode == 0 and out.exists()
