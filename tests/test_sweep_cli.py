@@ -759,8 +759,8 @@ class TestCli:
         import exclab.cli
         import exclab.verify
         assert exclab.cli.main(["verify"]) == 0, capsys.readouterr().out
-        # lower the transport noise by a tenth of its D2 term, as the sweep
-        # would write it, and only the FCS comparison catches it
+        # lower the transport noise the sweep writes by a tenth of its D2
+        # term: the FCS line catches it, the lines that do not read D pass
         evaluate = exclab.verify.evaluate
 
         def spoiled(p):
