@@ -25,11 +25,14 @@ hold stream block by block into one preallocated array, dividing each
 block in place by its states' exit rates.  :func:`excursion_filter`
 finds the visits of the reference state with ``flatnonzero``, sums each
 excursion's holds in trajectory order with one vectorised add per
-position, and tallies the transitions with one ``bincount`` per slice of
-``_SLICE`` excursions into the preallocated ``(K, n, n)`` block.  Its
-records are columnar, :class:`ExcursionRecords` holds the durations and
-the tally block, and :meth:`ExcursionSample.from_records` reads them as
-they are, filling each ``q`` column one slice of rows at a time.
+position, and keeps one jump code ``dest * n + src`` per jump, one byte
+wide for up to 16 states, with the visits' offsets into the codes; it
+forms no ``(K, n, n)`` tally block.  Its records are columnar:
+:class:`ExcursionRecords` holds the durations and the codes, and
+:meth:`ExcursionSample.from_records` tallies ``_SLICE`` excursions at a
+time with one ``bincount`` and fills that slice of each ``q`` column.
+The records' ``counts`` block is formed from the same slices only when
+it is read.
 
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
@@ -201,8 +204,9 @@ def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray
 
     ``np.add.reduceat`` sums pairwise and differences of one cumsum carry
     its rounding, so both move the last bits.  Here the segments, longest
-    first, take one vectorised add per position; the few longest finish
-    alone with a sequential cumsum, so long segments cost no extra passes.
+    first, take one vectorised add per position, each segment's next
+    position advanced in place; the few longest finish alone with a
+    sequential cumsum, so long segments cost no extra passes.
     """
     lengths = ends - starts
     order = np.argsort(lengths, kind="stable")[::-1]
@@ -210,32 +214,88 @@ def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray
     # live[p]: how many segments are longer than p (nonincreasing)
     live = lengths.size - np.cumsum(np.bincount(lengths))
     passes = int(np.count_nonzero(live > _FEW_SEGMENTS))
-    acc = np.zeros(lengths.size)
-    for pos, n_live in enumerate(live[:passes].tolist()):
-        acc[:n_live] += x[first[:n_live] + pos]
-    for k in range(np.count_nonzero(lengths > passes)):
-        rest = x[first[k] + passes : first[k] + lengths[k]]
-        acc[k] = np.cumsum(np.concatenate(([acc[k]], rest)))[-1]
+    rests = (lengths[: np.count_nonzero(lengths > passes)] - passes).tolist()
+    del lengths
+    acc = np.zeros(first.size)
+    for n_live in live[:passes].tolist():
+        acc[:n_live] += x[first[:n_live]]
+        first[:n_live] += 1
+    for k, rest in enumerate(rests):
+        acc[k] = np.cumsum(np.concatenate(([acc[k]], x[first[k] : first[k] + rest])))[-1]
     sums = np.empty_like(acc)
     sums[order] = acc
     return sums
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class ExcursionRecords:
     """Read-only columnar excursion records: ``durations (K,)`` and the
-    tally block ``counts (K, n, n)`` (int64)."""
+    tally block ``counts (K, n, n)`` (int64), where ``counts[k, y, x]``
+    counts the jumps x -> y of excursion k.
 
-    __slots__ = ("durations", "counts")
+    Records built from ``(durations, counts)`` hold read-only views of the
+    two arrays (the caller's own arrays stay writable).  Records from
+    :func:`excursion_filter` hold no tally block: they keep one jump code
+    ``dest * n + src`` per jump, in ``np.min_scalar_type(n * n - 1)`` (one
+    byte for up to 16 states), and the offsets of the visits of A into the
+    codes, which bound the excursions.  :meth:`ExcursionSample.from_records`
+    tallies them ``_SLICE`` excursions at a time, and ``counts`` is formed
+    from the same slices once, on first access.
+    """
+
+    __slots__ = ("durations", "_counts", "_codes", "_visits", "_n")
 
     def __init__(self, durations: np.ndarray, counts: np.ndarray):
-        # read-only views: the caller's own arrays stay writable
-        self.durations = durations.view()
-        self.counts = counts.view()
-        self.durations.flags.writeable = False
-        self.counts.flags.writeable = False
+        self.durations = _read_only(durations)
+        self._counts = _read_only(counts)
+        self._codes = self._visits = self._n = None
+
+    @classmethod
+    def _from_codes(cls, durations: np.ndarray, codes: np.ndarray, visits: np.ndarray,
+                    n: int) -> "ExcursionRecords":
+        """The records of the excursions between consecutive ``visits``,
+        offsets into ``codes``, the jump codes of an ``n``-state chain."""
+        records = cls.__new__(cls)
+        records.durations = _read_only(durations)
+        records._counts = None
+        records._codes, records._visits, records._n = codes, visits, n
+        return records
 
     def __len__(self) -> int:
         return self.durations.size
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The read-only ``(K, n, n)`` int64 tally block."""
+        if self._counts is None:
+            counts = np.empty((len(self), self._n, self._n), dtype=np.int64)
+            for lo, block in self._tallies():
+                counts[lo : lo + len(block)] = block
+            counts.flags.writeable = False
+            self._counts = counts
+        return self._counts
+
+    def _tallies(self):
+        """``(lo, counts[lo : lo + _SLICE])`` for each slice of ``_SLICE``
+        excursions; while no block is held, one ``bincount`` over the
+        slice's jump codes, each offset by its excursion's index times
+        ``n * n``."""
+        n = self._n
+        for lo in range(0, len(self), _SLICE):
+            if self._counts is not None:
+                yield lo, self._counts[lo : lo + _SLICE]
+                continue
+            bounds = self._visits[lo : lo + _SLICE + 1]
+            k = bounds.size - 1
+            code = self._codes[bounds[0] : bounds[-1]].astype(np.int64)
+            code += np.repeat(np.arange(0, k * n * n, n * n), np.diff(bounds))
+            yield lo, np.bincount(code, minlength=k * n * n).reshape(k, n, n)
 
 
 def excursion_filter(
@@ -248,36 +308,48 @@ def excursion_filter(
     at the end of the trajectory, are discarded.  Returns the records and
     the array of residence times in A, one per completed excursion (the
     pairing is exact).  ``n_states`` sets the tally matrix size; by default
-    it is inferred from the visited states.
+    it is inferred from the visited states (one state for an empty
+    trajectory).
 
     Vectorised over the visits of A: the durations are summed in
-    trajectory order, and one ``bincount`` per slice of ``_SLICE``
-    excursions fills its rows of the ``(K, n, n)`` block that the records
-    hold as it is.  ``states`` is a jump chain, so no state follows itself.
+    trajectory order, and the records keep one jump code per jump, from
+    the first visit of A to the last, formed without a full-size int64
+    temporary; no tallies are made here.  ``states`` is a jump chain, so no
+    state follows itself.  A state that is not an integer raises
+    ValueError; one outside ``[0, n_states)``, or ``holds`` of another
+    length than ``states``, DimensionMismatch.
     """
-    states = np.asarray(t.states, dtype=np.int64)
+    given = np.asarray(t.states)
     holds = np.asarray(t.holds, dtype=float)
-    top = int(states.max())
+    if holds.shape != given.shape:
+        raise DimensionMismatch(
+            f"holds has shape {holds.shape}, expected {given.shape} like states")
+    states = given.astype(np.int64, copy=False)
+    if given.dtype.kind not in "iu":
+        bad = np.flatnonzero(states != given)
+        if bad.size:
+            raise ValueError(f"trajectory state {given[bad[0]]} at position {bad[0]} "
+                             "is not an integer")
+    low, top = int(states.min(initial=0)), int(states.max(initial=0))
     n = top + 1 if n_states is None else n_states
-    if top >= n:
-        raise DimensionMismatch(f"trajectory visits state {top} but n_states={n}")
+    for state in (low, top):
+        if not 0 <= state < n:
+            raise DimensionMismatch(f"trajectory visits state {state}, outside [0, {n})")
     _check_state(a_state, n)
     visits = np.flatnonzero(states == a_state)
     k = visits.size - 1
     if k < 1:
         empty = ExcursionRecords(np.zeros(0), np.zeros((0, n, n), dtype=np.int64))
         return empty, np.asarray([], dtype=float)
-    counts = np.empty((k, n, n), dtype=np.int64)
-    for lo in range(0, k, _SLICE):
-        hi = min(lo + _SLICE, k)
-        first, last = visits[lo], visits[hi]
-        # one code per jump: excursion index in the slice, destination, source
-        code = states[first + 1 : last + 1] * n
-        code += states[first:last]
-        code += np.repeat(np.arange(0, (hi - lo) * n * n, n * n), np.diff(visits[lo : hi + 1]))
-        counts[lo:hi] = np.bincount(code, minlength=(hi - lo) * n * n).reshape(-1, n, n)
     durations = _sequential_segment_sums(holds, visits[:-1] + 1, visits[1:])
-    return ExcursionRecords(durations, counts), holds[visits[:-1]]
+    residences = holds[visits[:-1]]
+    first, last = int(visits[0]), int(visits[-1])
+    # dest * n + src, cast to the code dtype one ufunc buffer at a time
+    codes = np.multiply(states[first + 1 : last + 1], n, casting="unsafe",
+                        out=np.empty(last - first, dtype=np.min_scalar_type(n * n - 1)))
+    np.add(codes, states[first:last], out=codes, casting="unsafe")
+    visits -= first
+    return ExcursionRecords._from_codes(durations, codes, visits, n), residences
 
 
 @dataclass(frozen=True)
@@ -369,26 +441,27 @@ class ExcursionSample:
         schemes: dict[str, WeightScheme],
         gamma_a: float,
     ) -> "ExcursionSample":
-        """Sample from the columns of filter records, as they are.
+        """Sample from the columns of filter records.
 
-        Each ``q`` column is filled ``_SLICE`` rows at a time, so no float
-        copy of the whole tally block is made.  The slices are blocked by
-        BLAS as a one-thread BLAS blocks the unsliced ``tensordot``, so
-        ``q`` is that call's result to the last bit.  A threaded BLAS sums
-        the last rows of each thread's range of a large call with other
-        kernels, so the unsliced call's last bits depend on the thread
-        count; OpenBLAS splits no call of fewer than 460 800 tally entries,
-        which a slice stays below for chains of up to 7 states.
+        The records' tallies are taken ``_SLICE`` excursions at a time,
+        from the filter's jump codes or as slices of a given block, and
+        each ``q`` column is filled one such slice at a time, so neither
+        the tally block nor a float copy of it is formed.  The slices are
+        blocked by BLAS as a one-thread BLAS blocks the unsliced
+        ``tensordot``, so ``q`` is that call's result to the last bit.  A
+        threaded BLAS sums the last rows of each thread's range of a large
+        call with other kernels, so the unsliced call's last bits depend on
+        the thread count; OpenBLAS splits no call of fewer than 460 800
+        tally entries, which a slice stays below for chains of up to 7
+        states.
         """
-        durations, counts = records.durations, records.counts
         q = {name: np.empty(len(records)) for name in schemes}
-        for lo in range(0, len(records), _SLICE):
-            block = counts[lo : lo + _SLICE]
+        for lo, block in records._tallies():
             for name, s in schemes.items():
                 q[name][lo : lo + _SLICE] = np.tensordot(block, s.weights, axes=([1, 2], [0, 1]))
         res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
-            durations=durations,
+            durations=records.durations,
             residences=res,
             q=q,
             schemes=dict(schemes),

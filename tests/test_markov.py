@@ -113,10 +113,6 @@ class TestWeightScheme:
         assert s.integer_valued
         assert not WeightScheme([[0.0, 0.5], [0.5, 0.0]]).integer_valued
 
-    def test_antisymmetry_property(self):
-        nu = transport_weights("R", 4).weights
-        assert np.array_equal(nu, -nu.T)
-
     def test_state_kind_requires_constant_columns(self):
         WeightScheme([[0.0, 2.0], [1.0, 0.0]], kind="state")  # columns constant off-diagonal
         with pytest.raises(ValueError):

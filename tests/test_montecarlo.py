@@ -296,6 +296,19 @@ class TestColumnarRecords:
         assert_same_sample(
             ExcursionSample.from_records(records, residences, schemes, gamma_a), want)
 
+    def test_counts_formed_once_from_the_jump_codes(self, ref_model):
+        # two full slices and a ragged one
+        t = simulate(ref_model, seed=4, max_excursions=2 * montecarlo._SLICE + 77)
+        records, _ = excursion_filter(t, 0, ref_model.n)
+        ref_records, _ = reference.excursion_filter(t, 0, ref_model.n)
+        counts = records.counts
+        assert counts.dtype == np.int64
+        assert not counts.flags.writeable
+        assert records.counts is counts
+        assert np.array_equal(counts, np.stack([r.counts for r in ref_records]))
+        with pytest.raises(ValueError):
+            counts[0, 0, 0] = 7
+
     def test_caller_arrays_stay_writable(self):
         durations, counts = np.ones(3), np.zeros((3, 2, 2), dtype=np.int64)
         records = ExcursionRecords(durations, counts)
@@ -392,8 +405,9 @@ class TestSliceBoundaries:
 
 
 class TestTrajectoryPeaks:
-    """Each full-size array of the trajectory path exists once: traced peaks
-    on a 100 000-excursion trajectory (about 1.26 M jumps)."""
+    """Each full-size array of the trajectory path exists once, and the
+    filter keeps one byte per jump, not the tally block: traced peaks on a
+    100 000-excursion trajectory (about 1.26 M jumps)."""
 
     @pytest.fixture(scope="class")
     def trajectory(self, ref_model):
@@ -408,18 +422,28 @@ class TestTrajectoryPeaks:
         assert peak <= 1.25 * size, peak / size
 
     def test_filter_below_one_and_a_half_results(self, ref_model, trajectory):
-        # one code per jump and its np.repeat offsets peaked at 1.65 x
+        # what the filter keeps: one byte-wide code per jump from the first
+        # visit of A to the last, the K + 1 visits, the K durations and the
+        # K residences (1.31 x); with an index and a gather per segment-sum
+        # pass and the lengths kept through the passes it peaked at 1.75 x
         (records, residences), peak = _traced_peak(excursion_filter, trajectory, 0, ref_model.n)
-        size = records.durations.nbytes + records.counts.nbytes + residences.nbytes
+        visits = np.flatnonzero(trajectory.states == 0)
+        k = len(records)
+        assert visits.size == k + 1
+        size = (visits[-1] - visits[0]) * np.dtype(np.uint8).itemsize + visits.nbytes \
+            + records.durations.nbytes + residences.nbytes
         assert peak <= 1.5 * size, peak / size
 
     def test_from_records_below_half_the_tallies(self, ref_params, ref_model, trajectory):
-        # the float copy of the whole tally block peaked at 1.19 x
+        # the float copy of the whole tally block peaked at 1.19 x; the
+        # filter's records tally one slice at a time (0.42 x)
         records, residences = excursion_filter(trajectory, 0, ref_model.n)
         schemes = {k: v for k, v in _schemes(ref_params, 4).items() if k != "transport_L"}
         _, peak = _traced_peak(ExcursionSample.from_records, records, residences, schemes,
                                float(ref_model.gamma[0]))
-        assert peak <= 0.5 * records.counts.nbytes, peak / records.counts.nbytes
+        # the bytes the (K, n, n) int64 block would take, without forming it
+        tallies = len(records) * ref_model.n**2 * np.dtype(np.int64).itemsize
+        assert peak <= 0.5 * tallies, peak / tallies
 
 
 class TestExcursionFilter:
@@ -498,6 +522,42 @@ class TestExcursionFilter:
     def test_n_states_too_small(self):
         with pytest.raises(DimensionMismatch):
             excursion_filter(self._traj([0, 3, 0]), 0, n_states=3)
+
+    @pytest.mark.parametrize("n", [17, 256])
+    def test_two_byte_codes_match_reference(self, n):
+        # more than 16 states take a two-byte jump code
+        t = simulate(_ring(n), seed=3, max_excursions=10)
+        records, _ = assert_same_filter(t, 0, n)
+        assert records._codes.dtype == np.uint16
+
+    @pytest.mark.parametrize("n_states", [None, 3])
+    def test_empty_trajectory_gives_empty_records(self, n_states):
+        records, residences = excursion_filter(self._traj([]), 0, n_states)
+        assert len(records) == 0 and records.durations.shape == (0,)
+        n = 1 if n_states is None else n_states
+        assert records.counts.shape == (0, n, n)
+        assert residences.dtype == np.float64 and residences.shape == (0,)
+
+    @pytest.mark.parametrize("n_states", [None, 3])
+    def test_negative_state_named(self, n_states):
+        # a byte-wide jump code would wrap it
+        with pytest.raises(DimensionMismatch, match="state -1"):
+            excursion_filter(self._traj([0, 1, 0, -1, 0]), 0, n_states)
+
+    def test_non_integer_states_rejected(self):
+        holds = np.ones(5)
+        t = Trajectory(states=np.array([0.0, 1.5, 0.0, 2.0, 0.0]), holds=holds, total_time=5.0)
+        with pytest.raises(ValueError, match="1.5"):
+            excursion_filter(t, 0, 3)
+        # integral floats are states
+        t = Trajectory(states=np.array([0.0, 1.0, 0.0, 2.0, 0.0]), holds=holds, total_time=5.0)
+        assert excursion_filter(t, 0, 3)[0].counts.tolist() == \
+            excursion_filter(self._traj([0, 1, 0, 2, 0]), 0, 3)[0].counts.tolist()
+
+    def test_holds_of_another_length_rejected(self):
+        t = Trajectory(states=np.array([0, 1, 0, 2, 0]), holds=np.ones(4), total_time=4.0)
+        with pytest.raises(DimensionMismatch, match="holds"):
+            excursion_filter(t, 0, 3)
 
 
 class TestSampleExcursions:
