@@ -428,10 +428,9 @@ class TestTrajectoryPeaks:
         # pass and the lengths kept through the passes it peaked at 1.75 x
         (records, residences), peak = _traced_peak(excursion_filter, trajectory, 0, ref_model.n)
         visits = np.flatnonzero(trajectory.states == 0)
-        k = len(records)
-        assert visits.size == k + 1
-        size = (visits[-1] - visits[0]) * np.dtype(np.uint8).itemsize + visits.nbytes \
-            + records.durations.nbytes + residences.nbytes
+        assert visits.size == len(records) + 1
+        codes = visits[-1] - visits[0]  # bytes, one per jump
+        size = codes + visits.nbytes + records.durations.nbytes + residences.nbytes
         assert peak <= 1.5 * size, peak / size
 
     def test_from_records_below_half_the_tallies(self, ref_params, ref_model, trajectory):
