@@ -19,15 +19,16 @@ much faster for large counts).
 The trajectory path walks only where it must and holds each full-size
 array once.  :func:`simulate` walks the jump chain as bytes up to the
 last return, each state taking its next states from a queue that draws
-them from the jump stream when the walk first needs one; it converts the
-bytes once to int64, drops them, and draws the holds from the separate
-hold stream block by block into one preallocated array, dividing each
-block in place by its states' exit rates.  :func:`excursion_filter`
-finds the visits of the reference state with ``flatnonzero``, sums each
-excursion's holds in trajectory order with one vectorised add per
-position, and keeps one jump code ``dest * n + src`` per jump, one byte
-wide for up to 16 states, with the visits' offsets into the codes; it
-forms no ``(K, n, n)`` tally block.  Its records are columnar:
+them from the jump stream when the walk first needs one; the walked
+bytes are the trajectory's states, one byte per jump with no wider copy,
+and the holds are drawn from the separate hold stream block by block into
+one preallocated array, each block divided in place by its states' exit
+rates.  :func:`excursion_filter` reads the states at the width it is
+given, finds the visits of the reference state with ``flatnonzero``,
+sums each excursion's holds in trajectory order with one vectorised add
+per position, and keeps one jump code ``dest * n + src`` per jump, one
+byte wide for up to 16 states, with the visits' offsets into the codes;
+it forms no ``(K, n, n)`` tally block.  Its records are columnar:
 :class:`ExcursionRecords` holds the durations and the codes, and
 :meth:`ExcursionSample.from_records` tallies ``_SLICE`` excursions at a
 time with one ``bincount`` and fills that slice of each ``q`` column.
@@ -115,7 +116,12 @@ _ROUNDING = 1e-9
 class Trajectory:
     """Jump chain ``states`` with the residence time ``holds[i]`` spent in
     ``states[i]`` before the jump to ``states[i+1]``; the final hold has no
-    following jump."""
+    following jump.
+
+    :func:`simulate` gives the states as uint8, one byte per jump (it
+    walks at most 256 states): widen them before arithmetic that can leave
+    ``[0, 256)``, such as a product with the number of states.
+    """
 
     states: np.ndarray
     holds: np.ndarray
@@ -143,8 +149,9 @@ def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) ->
     After the last return one more hold in ``a_state`` is kept, so the
     final excursion stays complete.  The walk runs on bytes, from one lazy
     queue of next states per state; the queue of ``a_state`` ends after
-    ``max_excursions`` departures.  More than 256 states raise
-    TooManyStates, an ``a_state`` outside the chain BadPartition.
+    ``max_excursions`` departures, and the walked bytes are returned as the
+    uint8 states.  More than 256 states raise TooManyStates, an
+    ``a_state`` outside the chain BadPartition.
     """
     if max_excursions < 1:
         raise ValueError(f"max_excursions must be >= 1, got {max_excursions}")
@@ -171,9 +178,7 @@ def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) ->
             append(state)
     except StopIteration:
         pass
-    states = np.frombuffer(walked, dtype=np.uint8).astype(np.int64)
-    # the bound append keeps the buffer alive
-    del walked, append
+    states = np.frombuffer(walked, dtype=np.uint8)
     holds = _holds(states, hold_seq, m.gamma)
     return Trajectory(states=states, holds=holds, total_time=float(np.sum(holds)))
 
@@ -183,8 +188,9 @@ def _holds(states: np.ndarray, seq: np.random.SeedSequence, gamma: np.ndarray) -
     hold stream of ``seq`` taken ``_BLOCK`` draws at a time.
 
     Each block is drawn into its slice of the one output array and divided
-    there, so the holds exist once and no full-size gather of ``gamma`` is
-    formed; the last block is drawn whole, like every block, and cut.
+    there by ``gamma`` gathered by the block's states, at their own width,
+    so the holds exist once and no full-size gather of ``gamma`` is formed;
+    the last block is drawn whole, like every block, and cut.
     """
     rng = np.random.Generator(np.random.Philox(seq))
     holds = np.empty(states.size)
@@ -209,7 +215,10 @@ def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray
     sequential cumsum, so long segments cost no extra passes.
     """
     lengths = ends - starts
-    order = np.argsort(lengths, kind="stable")[::-1]
+    # on keys of 16 bits or fewer a stable sort is a radix sort, with the
+    # same permutation as on the int64 lengths
+    key_type = np.min_scalar_type(lengths.max())
+    order = np.argsort(lengths.astype(key_type), kind="stable")[::-1]
     first, lengths = starts[order], lengths[order]
     # live[p]: how many segments are longer than p (nonincreasing)
     live = lengths.size - np.cumsum(np.bincount(lengths))
@@ -314,18 +323,23 @@ def excursion_filter(
     Vectorised over the visits of A: the durations are summed in
     trajectory order, and the records keep one jump code per jump, from
     the first visit of A to the last, formed without a full-size int64
-    temporary; no tallies are made here.  ``states`` is a jump chain, so no
-    state follows itself.  A state that is not an integer raises
-    ValueError; one outside ``[0, n_states)``, or ``holds`` of another
-    length than ``states``, DimensionMismatch.
+    temporary; no tallies are made here.  States of an integer dtype are
+    read at their own width, such as the bytes of :func:`simulate`, and
+    the codes are computed in the code dtype, since a byte times ``n``
+    would wrap; other states are converted to int64 once, to check that
+    they are integers.  ``states`` is a jump chain, so no state follows
+    itself.  A state that is not an integer raises ValueError; one outside
+    ``[0, n_states)``, or ``holds`` of another length than ``states``,
+    DimensionMismatch.
     """
     given = np.asarray(t.states)
     holds = np.asarray(t.holds, dtype=float)
     if holds.shape != given.shape:
         raise DimensionMismatch(
             f"holds has shape {holds.shape}, expected {given.shape} like states")
-    states = given.astype(np.int64, copy=False)
+    states = given
     if given.dtype.kind not in "iu":
+        states = given.astype(np.int64)
         bad = np.flatnonzero(states != given)
         if bad.size:
             raise ValueError(f"trajectory state {given[bad[0]]} at position {bad[0]} "
@@ -344,10 +358,13 @@ def excursion_filter(
     durations = _sequential_segment_sums(holds, visits[:-1] + 1, visits[1:])
     residences = holds[visits[:-1]]
     first, last = int(visits[0]), int(visits[-1])
-    # dest * n + src, cast to the code dtype one ufunc buffer at a time
-    codes = np.multiply(states[first + 1 : last + 1], n, casting="unsafe",
-                        out=np.empty(last - first, dtype=np.min_scalar_type(n * n - 1)))
-    np.add(codes, states[first:last], out=codes, casting="unsafe")
+    # dest * n + src in the code dtype, the states cast into it one ufunc
+    # buffer at a time: in their own dtype a byte times n wraps from 17
+    # states on
+    code_type = np.min_scalar_type(n * n - 1)
+    codes = np.multiply(states[first + 1 : last + 1], n, dtype=code_type, casting="unsafe",
+                        out=np.empty(last - first, dtype=code_type))
+    np.add(codes, states[first:last], dtype=code_type, out=codes, casting="unsafe")
     visits -= first
     return ExcursionRecords._from_codes(durations, codes, visits, n), residences
 
@@ -828,7 +845,7 @@ def dump_trajectory(t: Trajectory, path, labels=None) -> None:
     states = np.asarray(t.states)
     holds = np.asarray(t.holds, dtype=float)
     jumps = states.size - 1
-    names = range(int(states.max(initial=-1)) + 1) if labels is None else labels
+    names = range(int(states.max(initial=0)) + 1) if labels is None else labels
     clock = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, jumps, _SLICE):

@@ -189,15 +189,20 @@ def _chain(name, request):
 
 
 def assert_same_trajectory(t, ref):
-    assert t.states.dtype == ref.states.dtype == np.int64
+    # the walked bytes themselves against the per-jump loop's int64 list
+    assert t.states.dtype == np.uint8 and ref.states.dtype == np.int64
     assert np.array_equal(t.states, ref.states)
     assert t.holds.dtype == ref.holds.dtype
     assert np.array_equal(t.holds, ref.holds)
     assert t.total_time == ref.total_time
 
 
-def assert_same_filter(t, a_state=0, n_states=None):
-    records, residences = excursion_filter(t, a_state, n_states)
+def assert_same_filter(t, a_state=0, n_states=None, dtype=None):
+    """The filter, on ``t``'s states cast to ``dtype`` if one is given,
+    against the per-jump loop on ``t``."""
+    given = t if dtype is None else Trajectory(
+        states=t.states.astype(dtype), holds=t.holds, total_time=t.total_time)
+    records, residences = excursion_filter(given, a_state, n_states)
     ref_records, ref_residences = reference.excursion_filter(t, a_state, n_states)
     assert residences.dtype == ref_residences.dtype
     assert residences.shape == ref_residences.shape
@@ -252,6 +257,27 @@ class TestReferenceLoops:
         records, _ = assert_same_filter(t, 0, 4)
         lengths = np.sort(records.counts.sum(axis=(1, 2)))
         assert lengths[-17] > 100
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.float64])
+    @pytest.mark.parametrize("n_states", [None, 4])
+    def test_filter_takes_states_of_any_dtype(self, ref_model, dtype, n_states):
+        # integer states are read at their own width, integral floats
+        # converted once
+        t = simulate(ref_model, seed=8, max_excursions=700)
+        assert_same_filter(t, 0, n_states, dtype=dtype)
+
+    @pytest.mark.parametrize("longest", [255, 256, 65_536], ids=["uint8", "uint16", "uint32"])
+    def test_segment_lengths_of_each_key_width_match_reference(self, longest):
+        # the segment sums sort the lengths on the narrowest key that holds
+        # the longest; more than 16 segments, so the passes run too
+        rng = np.random.default_rng(12)
+        states = [0]
+        for length in [3, longest, *rng.integers(1, 40, 30), longest - 1, 1]:
+            states += [1 + i % 2 for i in range(length)] + [0]
+        holds = rng.exponential(1.0, len(states))
+        t = Trajectory(states=np.array(states, dtype=np.uint8), holds=holds,
+                       total_time=float(holds.sum()))
+        assert_same_filter(t, 0, 3)
 
     def test_other_reference_state(self, ref_model):
         t = simulate(ref_model, seed=6, max_excursions=300, a_state=2)
@@ -414,9 +440,11 @@ class TestTrajectoryPeaks:
         return simulate(ref_model, seed=9, max_excursions=100_000)
 
     def test_simulate_below_one_and_a_quarter_trajectories(self, ref_model):
-        # the states and the holds, drawn once the walked bytes are dropped
-        # (1.04 x); a list of states, the hold blocks, their concatenation,
-        # the gamma gather and a second states copy peaked at 2.54 x
+        # the walked bytes, kept as the states, and the holds drawn block
+        # by block (1.09 x); an int64 copy of the states made the size 1.8
+        # times larger, and a list of states, the hold blocks, their
+        # concatenation, the gamma gather and a second states copy peaked
+        # at 2.54 x of that
         t, peak = _traced_peak(simulate, ref_model, seed=9, max_excursions=100_000)
         size = t.states.nbytes + t.holds.nbytes
         assert peak <= 1.25 * size, peak / size
@@ -1000,6 +1028,22 @@ class TestTrajectoryDump:
         dump_trajectory(t, tmp_path / "new.tsv", labels=labels)
         reference.dump_trajectory(t, tmp_path / "ref.tsv", labels=labels)
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    @pytest.mark.parametrize("dtype, top", [(np.uint8, 255), (np.uint16, 300)])
+    def test_unsigned_states_match_reference_writer(self, tmp_path, dtype, top):
+        rng = np.random.default_rng(4)
+        n = montecarlo._SLICE + 5
+        states = rng.integers(0, top + 1, n).astype(dtype)
+        t = Trajectory(states=states, holds=rng.exponential(1.0, n), total_time=0.0)
+        dump_trajectory(t, tmp_path / "new.tsv")
+        reference.dump_trajectory(t, tmp_path / "ref.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_unsigned_trajectory_without_jumps_writes_an_empty_file(self, tmp_path, n):
+        t = Trajectory(states=np.zeros(n, dtype=np.uint8), holds=np.ones(n), total_time=float(n))
+        dump_trajectory(t, tmp_path / "traj.tsv")
+        assert (tmp_path / "traj.tsv").read_bytes() == b""
 
     def test_traced_peak_does_not_grow_with_length(self, ref_model, tmp_path):
         # the whole clock list and one joined string raised ru_maxrss by
