@@ -28,6 +28,7 @@ from .sweep import (
     SweepConfig,
     _columns,
     _csv_chunks,
+    _point_named,
     _point_params,
     evaluate,
     load_config,
@@ -120,7 +121,8 @@ def _resolve_config(args) -> SweepConfig:
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     shift = bool(cfg.gate_shift)  # one-point commands default to no shift
-    ev = evaluate(_point_params(cfg, args.vg, args.vsd, shift))
+    with _point_named(args.vg, args.vsd):
+        ev = evaluate(_point_params(cfg, args.vg, args.vsd, shift))
     row = _columns(ev, args.vg, args.vsd)
 
     out = []
@@ -178,7 +180,8 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     shift = bool(cfg.gate_shift)  # one-point commands default to no shift
-    ev = evaluate(_point_params(cfg, args.vg, args.vsd, shift))
+    with _point_named(args.vg, args.vsd):
+        ev = evaluate(_point_params(cfg, args.vg, args.vsd, shift))
     model, schemes = ev.model, ev.schemes
 
     if args.dump_trajectory:

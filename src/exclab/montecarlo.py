@@ -20,15 +20,19 @@ The trajectory path walks only where it must and holds each full-size
 array once.  :func:`simulate` walks the jump chain as bytes up to the
 last return, each state taking its next states from a queue that draws
 them from the jump stream when the walk first needs one; the walked
-bytes are the trajectory's states, one byte per jump with no wider copy,
-and the holds are drawn from the separate hold stream block by block into
-one preallocated array, each block divided in place by its states' exit
-rates.  :func:`excursion_filter` reads the states at the width it is
-given, finds the visits of the reference state with ``flatnonzero``,
-sums each excursion's holds in trajectory order with one vectorised add
-per position, and keeps one jump code ``dest * n + src`` per jump, one
-byte wide for up to 16 states, with the visits' offsets into the codes;
-it forms no ``(K, n, n)`` tally block.  Its records are columnar:
+bytes are the trajectory's states, one byte per jump with no wider copy.
+The holds are drawn where they are read: the trajectory keeps the
+separate hold stream's seed sequence and the exit rates, and
+:func:`excursion_filter` and :func:`dump_trajectory` redraw the stream
+block by block, each block divided in place by its states' exit rates,
+so no full-size hold array is formed unless ``holds`` or ``total_time``
+is read (8 bytes per jump, cached).  :func:`excursion_filter` reads the
+states at the width it is given, finds the visits of the reference state
+with ``flatnonzero``, sums each excursion's holds in trajectory order
+across the blocks with one vectorised add per position, and keeps one
+jump code ``dest * n + src`` per jump, one byte wide for up to 16
+states, with the visits' offsets into the codes; it forms no
+``(K, n, n)`` tally block.  Its records are columnar:
 :class:`ExcursionRecords` holds the durations and the codes, and
 :meth:`ExcursionSample.from_records` tallies ``_SLICE`` excursions at a
 time with one ``bincount`` and fills that slice of each ``q`` column.
@@ -96,10 +100,10 @@ _BLOCK = 8192         # trajectory draws per refill, fixed for reproducibility
 _FEW_SEGMENTS = 16    # segments that excursion_filter sums one at a time
 _DIRECT_BATCHES = 32  # batch-means batches for the direct noise estimate
 _JACKKNIFE_SLICE = 16384  # leave-one-out statistics evaluated per slice
-# excursions per tally bincount and per q tensordot, jumps per dump write;
-# a multiple of 8 rows, so BLAS blocks a slice's rows as it blocks them in
-# the unsliced call
+# excursions per tally bincount and per q tensordot; a multiple of 8 rows,
+# so BLAS blocks a slice's rows as it blocks them in the unsliced call
 _SLICE = 8192
+_FILTER_BLOCK = 8 * _BLOCK  # holds per block of excursion_filter's segment sums
 
 # Powers of (largest |weight|, mean cycle time) that give each estimate its
 # own scale, and the relative rounding slack on that scale (the slack the
@@ -112,20 +116,44 @@ _DIMENSIONS = {
 _ROUNDING = 1e-9
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Jump chain ``states`` with the residence time ``holds[i]`` spent in
     ``states[i]`` before the jump to ``states[i+1]``; the final hold has no
-    following jump.
+    following jump.  ``total_time`` is the sum of the holds.
 
     :func:`simulate` gives the states as uint8, one byte per jump (it
     walks at most 256 states): widen them before arithmetic that can leave
-    ``[0, 256)``, such as a product with the number of states.
+    ``[0, 256)``, such as a product with the number of states.  It stores
+    no holds: its trajectory keeps the hold stream's seed sequence and the
+    exit rates, and :func:`excursion_filter` and :func:`dump_trajectory`
+    redraw the holds block by block where they read them.  Reading
+    ``holds`` or ``total_time`` of such a trajectory draws and sums the
+    holds once and caches them, at 8 bytes per jump.
     """
 
-    states: np.ndarray
-    holds: np.ndarray
-    total_time: float
+    def __init__(self, states: np.ndarray, holds: np.ndarray, total_time: float):
+        # given values shadow the cached properties below
+        self.states, self.holds, self.total_time = states, holds, total_time
+
+    @classmethod
+    def _drawn(cls, states: np.ndarray, seq: np.random.SeedSequence,
+               gamma: np.ndarray) -> "Trajectory":
+        """The trajectory of ``states`` whose holds are drawn from the hold
+        stream of ``seq`` and divided by the exit rates ``gamma``."""
+        t = cls.__new__(cls)
+        t.states, t._hold_stream = states, (seq, gamma)
+        return t
+
+    @cached_property
+    def holds(self) -> np.ndarray:
+        holds = np.empty(self.states.size)
+        for lo, block in _hold_blocks(self):
+            holds[lo : lo + block.size] = block
+        return holds
+
+    @cached_property
+    def total_time(self) -> float:
+        return float(np.sum(self.holds))
 
 
 def _check_state(a_state: int, n: int) -> None:
@@ -150,8 +178,10 @@ def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) ->
     final excursion stays complete.  The walk runs on bytes, from one lazy
     queue of next states per state; the queue of ``a_state`` ends after
     ``max_excursions`` departures, and the walked bytes are returned as the
-    uint8 states.  More than 256 states raise TooManyStates, an
-    ``a_state`` outside the chain BadPartition.
+    uint8 states.  No hold is drawn here: the trajectory keeps the hold
+    stream and the exit rates, and its holds are drawn where they are read
+    (see :class:`Trajectory`).  More than 256 states raise TooManyStates,
+    an ``a_state`` outside the chain BadPartition.
     """
     if max_excursions < 1:
         raise ValueError(f"max_excursions must be >= 1, got {max_excursions}")
@@ -179,34 +209,54 @@ def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) ->
     except StopIteration:
         pass
     states = np.frombuffer(walked, dtype=np.uint8)
-    holds = _holds(states, hold_seq, m.gamma)
-    return Trajectory(states=states, holds=holds, total_time=float(np.sum(holds)))
+    return Trajectory._drawn(states, hold_seq, m.gamma)
 
 
-def _holds(states: np.ndarray, seq: np.random.SeedSequence, gamma: np.ndarray) -> np.ndarray:
-    """The hold of ``states[i]``, ``draws[i] / gamma[states[i]]``, from the
-    hold stream of ``seq`` taken ``_BLOCK`` draws at a time.
+def _hold_blocks(t: Trajectory, size: int = _BLOCK):
+    """``(lo, holds[lo : lo + size])`` for each block of ``size`` holds of
+    ``t``, a multiple of ``_BLOCK``, in trajectory order.
 
-    Each block is drawn into its slice of the one output array and divided
-    there by ``gamma`` gathered by the block's states, at their own width,
-    so the holds exist once and no full-size gather of ``gamma`` is formed;
-    the last block is drawn whole, like every block, and cut.
+    Where ``t`` holds its holds (given, or drawn by a read of ``holds``)
+    the blocks are slices of them; holds of another length than the
+    states raise DimensionMismatch here, before any block is read.
+    Otherwise the hold stream is redrawn from its start, ``_BLOCK`` draws
+    at a time as :func:`simulate` defines it, into one buffer of ``size``
+    that each block reuses, and divided there by the exit rates gathered
+    by the block's states at their own width; the last draw is taken
+    whole, like every draw, and cut, so every hold keeps its bits.
     """
+    if "holds" in vars(t):
+        holds = np.asarray(t.holds, dtype=float)
+        if holds.shape != np.shape(t.states):
+            raise DimensionMismatch(f"holds has shape {holds.shape}, expected "
+                                    f"{np.shape(t.states)} like states")
+        return ((lo, holds[lo : lo + size]) for lo in range(0, holds.size, size))
+    return _drawn_hold_blocks(t.states, *t._hold_stream, size)
+
+
+def _drawn_hold_blocks(states: np.ndarray, seq: np.random.SeedSequence, gamma: np.ndarray,
+                       size: int):
+    """The blocks of :func:`_hold_blocks`, redrawn from the hold stream."""
     rng = np.random.Generator(np.random.Philox(seq))
-    holds = np.empty(states.size)
-    for lo in range(0, states.size, _BLOCK):
-        block = holds[lo : lo + _BLOCK]
-        if block.size == _BLOCK:
-            rng.standard_exponential(out=block)
-        else:
-            block[:] = rng.standard_exponential(_BLOCK)[: block.size]
-        block /= gamma[states[lo : lo + _BLOCK]]
-    return holds
+    buffer = np.empty(size)
+    for lo in range(0, states.size, size):
+        block = buffer[: min(size, states.size - lo)]
+        for at in range(0, block.size, _BLOCK):
+            draw = block[at : at + _BLOCK]
+            if draw.size == _BLOCK:
+                rng.standard_exponential(out=draw)
+            else:
+                draw[:] = rng.standard_exponential(_BLOCK)[: draw.size]
+            draw /= gamma[states[lo + at : lo + at + _BLOCK]]
+        yield lo, block
 
 
-def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``x[starts[k]:ends[k]].sum()`` for every k, added left to right from
-    0.0 as a plain loop adds.
+def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                             partial: np.ndarray | None = None) -> np.ndarray:
+    """``partial[k]`` plus ``x[starts[k]:ends[k]]`` for every k, added left
+    to right as a plain loop adds: from the default ``partial`` of 0.0 the
+    segment's sum, and from a segment's sum over earlier values of a
+    longer row, that sum continued.
 
     ``np.add.reduceat`` sums pairwise and differences of one cumsum carry
     its rounding, so both move the last bits.  Here the segments, longest
@@ -225,9 +275,9 @@ def _sequential_segment_sums(x: np.ndarray, starts: np.ndarray, ends: np.ndarray
     passes = int(np.count_nonzero(live > _FEW_SEGMENTS))
     rests = (lengths[: np.count_nonzero(lengths > passes)] - passes).tolist()
     del lengths
-    acc = np.zeros(first.size)
+    acc = np.zeros(first.size) if partial is None else partial[order]
     for n_live in live[:passes].tolist():
-        acc[:n_live] += x[first[:n_live]]
+        acc[:n_live] += x.take(first[:n_live])
         first[:n_live] += 1
     for k, rest in enumerate(rests):
         acc[k] = np.cumsum(np.concatenate(([acc[k]], x[first[k] : first[k] + rest])))[-1]
@@ -292,19 +342,23 @@ class ExcursionRecords:
 
     def _tallies(self):
         """``(lo, counts[lo : lo + _SLICE])`` for each slice of ``_SLICE``
-        excursions; while no block is held, one ``bincount`` over the
-        slice's jump codes, each offset by its excursion's index times
-        ``n * n``."""
-        n = self._n
+        excursions: slices of the block where one is held, else tallied
+        from the jump codes by :meth:`_tally`."""
         for lo in range(0, len(self), _SLICE):
-            if self._counts is not None:
-                yield lo, self._counts[lo : lo + _SLICE]
-                continue
-            bounds = self._visits[lo : lo + _SLICE + 1]
-            k = bounds.size - 1
-            code = self._codes[bounds[0] : bounds[-1]].astype(np.int64)
-            code += np.repeat(np.arange(0, k * n * n, n * n), np.diff(bounds))
-            yield lo, np.bincount(code, minlength=k * n * n).reshape(k, n, n)
+            held = self._counts is not None
+            yield lo, self._counts[lo : lo + _SLICE] if held else self._tally(lo)
+
+    def _tally(self, lo: int) -> np.ndarray:
+        """``counts[lo : lo + _SLICE]`` from one ``bincount`` over the
+        slice's jump codes, each offset by its excursion's index times
+        ``n * n``; the one jump-length temporary is freed on return."""
+        n = self._n
+        bounds = self._visits[lo : lo + _SLICE + 1]
+        k = bounds.size - 1
+        # each jump's excursion offset, with its code added in place
+        code = np.repeat(np.arange(0, k * n * n, n * n, dtype=np.intp), np.diff(bounds))
+        code += self._codes[bounds[0] : bounds[-1]]
+        return np.bincount(code, minlength=k * n * n).reshape(k, n, n)
 
 
 def excursion_filter(
@@ -320,8 +374,14 @@ def excursion_filter(
     it is inferred from the visited states (one state for an empty
     trajectory).
 
-    Vectorised over the visits of A: the durations are summed in
-    trajectory order, and the records keep one jump code per jump, from
+    Vectorised over the visits of A.  The holds are read one block of
+    ``_FILTER_BLOCK`` at a time from :func:`_hold_blocks`, redrawn for a
+    trajectory of :func:`simulate`, so no full-size hold array is formed:
+    in each block the pieces of the excursions there take the per-position
+    adds of :func:`_sequential_segment_sums`, each continuing its
+    excursion's sum over the blocks before, so the durations are summed in
+    trajectory order, and the residences are gathered from the block.  The
+    records keep one jump code per jump, from
     the first visit of A to the last, formed without a full-size int64
     temporary; no tallies are made here.  States of an integer dtype are
     read at their own width, such as the bytes of :func:`simulate`, and
@@ -333,10 +393,7 @@ def excursion_filter(
     DimensionMismatch.
     """
     given = np.asarray(t.states)
-    holds = np.asarray(t.holds, dtype=float)
-    if holds.shape != given.shape:
-        raise DimensionMismatch(
-            f"holds has shape {holds.shape}, expected {given.shape} like states")
+    blocks = _hold_blocks(t, _FILTER_BLOCK)
     states = given
     if given.dtype.kind not in "iu":
         states = given.astype(np.int64)
@@ -355,8 +412,20 @@ def excursion_filter(
     if k < 1:
         empty = ExcursionRecords(np.zeros(0), np.zeros((0, n, n), dtype=np.int64))
         return empty, np.asarray([], dtype=float)
-    durations = _sequential_segment_sums(holds, visits[:-1] + 1, visits[1:])
-    residences = holds[visits[:-1]]
+    departures, starts, ends = visits[:-1], visits[:-1] + 1, visits[1:]
+    durations, residences = np.zeros(k), np.empty(k)
+    for lo, block in blocks:
+        hi = lo + block.size
+        # the segments with holds in [lo, hi), cut to the block, each
+        # continuing from its sum over the blocks before
+        a, b = np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)
+        if a < b:
+            durations[a:b] = _sequential_segment_sums(
+                block, np.maximum(starts[a:b], lo) - lo, np.minimum(ends[a:b], hi) - lo,
+                durations[a:b])
+        a, b = np.searchsorted(departures, lo), np.searchsorted(departures, hi)
+        residences[a:b] = block.take(departures[a:b] - lo)
+    del starts
     first, last = int(visits[0]), int(visits[-1])
     # dest * n + src in the code dtype, the states cast into it one ufunc
     # buffer at a time: in their own dtype a byte times n wraps from 17
@@ -476,6 +545,7 @@ class ExcursionSample:
         for lo, block in records._tallies():
             for name, s in schemes.items():
                 q[name][lo : lo + _SLICE] = np.tensordot(block, s.weights, axes=([1, 2], [0, 1]))
+            del block  # before the next slice is tallied
         res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
             durations=records.durations,
@@ -839,18 +909,20 @@ def dump_trajectory(t: Trajectory, path, labels=None) -> None:
 
     The jump times are a sequential cumsum of the holds, so each equals the
     running sum ``clock += hold`` to the last bit, and prints as its repr.
-    The lines are formatted and written ``_SLICE`` jumps at a time, the
-    cumsum carried from one slice into the next.
+    The lines are formatted and written one hold block of ``_BLOCK`` jumps
+    at a time, the cumsum carried from one block into the next.
     """
     states = np.asarray(t.states)
-    holds = np.asarray(t.holds, dtype=float)
+    blocks = _hold_blocks(t)
     jumps = states.size - 1
     names = range(int(states.max(initial=0)) + 1) if labels is None else labels
     clock = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, jumps, _SLICE):
-            hi = min(lo + _SLICE, jumps)
-            times = np.cumsum(np.concatenate(([clock], holds[lo:hi])))[1:].tolist()
+        for lo, block in blocks:
+            hi = min(lo + block.size, jumps)
+            if hi <= lo:
+                break
+            times = np.cumsum(np.concatenate(([clock], block[: hi - lo])))[1:].tolist()
             clock = times[-1]
             chain = states[lo : hi + 1].tolist()
             fh.write("".join(

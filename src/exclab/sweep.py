@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -301,6 +302,10 @@ def _columns(ev: Evaluation, vg, vsd) -> dict:
     return cols
 
 
+# the failures a grid point is named in
+_POINT_ERRORS = (ExclabError, ValueError, ArithmeticError)
+
+
 def compute_row(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> dict:
     """All canonical columns at one grid point; keys are column names and
     values floats (blockade-only cells are None outside blockade mode).
@@ -318,15 +323,21 @@ def compute_row(cfg: SweepConfig, vg, vsd, gate_shift: bool) -> dict:
 
     try:
         return row(vg, vsd)
-    except (ExclabError, ValueError, ArithmeticError):
+    except _POINT_ERRORS:
         for at_vg, at_vsd in zip(np.ravel(vg).tolist(), np.ravel(vsd).tolist()):
-            try:
+            with _point_named(at_vg, at_vsd):
                 row(at_vg, at_vsd)
-            except (ExclabError, ValueError, ArithmeticError) as exc:
-                raise type(exc)(
-                    f"{type(exc).__name__} at vg={at_vg:g}, vsd={at_vsd:g}: {exc}"
-                ) from None
         raise
+
+
+@contextmanager
+def _point_named(vg: float, vsd: float):
+    """Raise a failure of the block as its own exception type, with a
+    message that names the class and the grid point (vg, vsd)."""
+    try:
+        yield
+    except _POINT_ERRORS as exc:
+        raise type(exc)(f"{type(exc).__name__} at vg={vg:g}, vsd={vsd:g}: {exc}") from None
 
 
 def sweep_rows(cfg: SweepConfig) -> dict:

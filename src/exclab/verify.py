@@ -25,7 +25,7 @@ from .excursions import (
 )
 from .markov import fcs_current_noise
 from .observables import _holds, blockade_analytics, excess_time_weights
-from .sweep import SweepConfig, _point_params, evaluate
+from .sweep import SweepConfig, _point_named, _point_params, evaluate
 
 __all__ = ["CheckResult", "run_verify", "format_results"]
 
@@ -50,6 +50,15 @@ def _points(cfg: SweepConfig):
     for vsd in _GRID_VSD:
         for vg in _GRID_VG:
             yield _point_params(cfg, float(vg), float(vsd), False)
+
+
+def _evaluated(cfg: SweepConfig):
+    """``(params, evaluation)`` at each grid point in order; the first
+    point that fails raises its error with the point named."""
+    for p in _points(cfg):
+        with _point_named(p.vg, p.vsd):
+            ev = evaluate(p)
+        yield p, ev
 
 
 class _Worst:
@@ -106,7 +115,7 @@ def run_verify(cfg: SweepConfig) -> list[CheckResult]:
     raw_fcs = _Worst("J"), _Worst("D")
     excess = _Worst("|J-1|", 1e-10), _Worst("rel |D-T|", 1e-8)
     bounds_failed = None
-    evaluated = [(p, evaluate(p)) for p in _points(cfg)]
+    evaluated = list(_evaluated(cfg))
     for p, ev in evaluated:
         dec = ev.dec
 
@@ -171,7 +180,7 @@ def run_verify(cfg: SweepConfig) -> list[CheckResult]:
             "quadrature": _Worst("worst abs err", 1e-12)}
     outside = _Worst("worst mass outside range")
     if not cfg.blockade:
-        evaluated = [(pb, evaluate(pb)) for pb in _points(replace(cfg, blockade=True))]
+        evaluated = list(_evaluated(replace(cfg, blockade=True)))
     for pb, ev in evaluated:
         closed = blockade_analytics(pb)
         rq, ra, rs = (ev.reports[k] for k in ("transport", "activity", "entropy"))

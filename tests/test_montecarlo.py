@@ -473,6 +473,73 @@ class TestTrajectoryPeaks:
         assert peak <= 0.5 * tallies, peak / tallies
 
 
+    def test_simulate_and_filter_below_the_holds(self, ref_model):
+        # the holds are drawn where the filter reads them; simulate kept
+        # them, 8 bytes per jump (10.1 MB here), and peaked at 16.4 MB with
+        # the filter after it
+        def simulate_and_filter():
+            t = simulate(ref_model, seed=9, max_excursions=100_000)
+            return t, excursion_filter(t, 0, ref_model.n)
+
+        (t, _), peak = _traced_peak(simulate_and_filter)
+        assert "holds" not in vars(t)
+        holds = t.states.size * np.dtype(np.float64).itemsize
+        assert peak < holds, peak / holds
+
+
+class TestDrawnHolds:
+    """A simulated trajectory keeps no holds: the filter and the dump
+    redraw them block by block, and ``holds`` and ``total_time`` are drawn
+    once, when first read, all with the per-jump loop's bits."""
+
+    @pytest.mark.parametrize("first", [None, "holds", "total_time"])
+    def test_holds_read_before_or_after_match_reference(self, ref_model, tmp_path, first):
+        # about 113 000 jumps, past one filter block
+        t = simulate(ref_model, seed=23, max_excursions=9000)
+        ref = reference.simulate(ref_model, seed=23, max_excursions=9000)
+        if first is not None:
+            getattr(t, first)
+        records, residences = excursion_filter(t, 0, ref_model.n)
+        dump_trajectory(t, tmp_path / "new.tsv", labels=ref_model.labels)
+        assert ("holds" in vars(t)) == (first is not None)
+        assert_same_trajectory(t, ref)
+        assert t.holds is t.holds
+        ref_records, ref_residences = reference.excursion_filter(ref, 0, ref_model.n)
+        assert np.array_equal(residences, ref_residences)
+        assert records.durations.tolist() == [r.duration for r in ref_records]
+        assert np.array_equal(records.counts, np.stack([r.counts for r in ref_records]))
+        reference.dump_trajectory(ref, tmp_path / "ref.tsv", labels=ref_model.labels)
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    def test_dump_leaves_the_holds_undrawn(self, ref_model, tmp_path):
+        t = simulate(ref_model, seed=24, max_excursions=20_000)
+        _, peak = _traced_peak(dump_trajectory, t, tmp_path / "traj.tsv")
+        assert "holds" not in vars(t) and "total_time" not in vars(t)
+        assert peak < t.states.size * np.dtype(np.float64).itemsize
+
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_segments_across_filter_blocks_match_reference(self, drawn):
+        # the first excursion ends at a filter block's edge, where the next
+        # departs; the second covers the next block whole
+        block = montecarlo._FILTER_BLOCK
+        rng = np.random.default_rng(13)
+        states = [0]
+        for length in [block - 1, 2 * block + 100, *rng.integers(1, 40, 300)]:
+            states += [1 + i % 2 for i in range(length)] + [0]
+        states = np.array(states, dtype=np.uint8)
+        assert states[block] == 0
+        seq, gamma = np.random.SeedSequence(5), np.array([1.0, 2.0, 0.5])
+        holds = Trajectory._drawn(states, seq, gamma).holds
+        t = (Trajectory._drawn(states, seq, gamma) if drawn
+             else Trajectory(states=states, holds=holds, total_time=0.0))
+        records, residences = excursion_filter(t, 0, 3)
+        assert ("holds" in vars(t)) != drawn
+        ref_records, ref_residences = reference.excursion_filter(
+            Trajectory(states=states, holds=holds, total_time=0.0), 0, 3)
+        assert np.array_equal(residences, ref_residences)
+        assert records.durations.tolist() == [r.duration for r in ref_records]
+
+
 class TestExcursionFilter:
     def test_minimal_handcrafted_trajectory(self):
         t = Trajectory(states=np.array([0, 1, 0, 2, 0]),

@@ -776,6 +776,32 @@ class TestCli:
         assert "[FAIL] FCS equivalence" in out
         assert "[PASS] entropy/transport proportionality" in out
 
+    @pytest.mark.parametrize("command", [("verify",), ("analyze", "--vg", "-10", "--vsd", "-20")])
+    def test_degenerate_point_is_named(self, command):
+        # below T = 0.69 a lead occupation rounds to 1; (-10, -20) is also
+        # the first point of verify's grid
+        r = run_cli(*command, "--temperature", "0.5")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == (f"exclab {command[0]}: error: DegenerateFermi at vg=-10, "
+                            "vsd=-20: Fermi occupation 1.0 is degenerate\n")
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_verify_names_the_first_failing_point(self, monkeypatch, blockade):
+        # the model's evaluate pass, then the blockade chain's: each names
+        # the first point that fails in grid order, vsd-major
+        import exclab.verify
+        evaluate = exclab.verify.evaluate
+
+        def failing(p):
+            if p.blockade == blockade and p.vg > 0 and p.vsd > 0:
+                raise DegenerateFermi("spoiled")
+            return evaluate(p)
+
+        monkeypatch.setattr(exclab.verify, "evaluate", failing)
+        with pytest.raises(DegenerateFermi,
+                           match=r"^DegenerateFermi at vg=3.33333, vsd=6.66667: spoiled$"):
+            exclab.verify.run_verify(SweepConfig())
+
     def test_verify_names_the_worst_finite_difference_cell(self):
         r = run_cli("verify")
         assert r.returncode == 0, r.stdout + r.stderr
