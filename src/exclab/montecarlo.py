@@ -342,23 +342,20 @@ class ExcursionRecords:
 
     def _tallies(self):
         """``(lo, counts[lo : lo + _SLICE])`` for each slice of ``_SLICE``
-        excursions: slices of the block where one is held, else tallied
-        from the jump codes by :meth:`_tally`."""
-        for lo in range(0, len(self), _SLICE):
-            held = self._counts is not None
-            yield lo, self._counts[lo : lo + _SLICE] if held else self._tally(lo)
-
-    def _tally(self, lo: int) -> np.ndarray:
-        """``counts[lo : lo + _SLICE]`` from one ``bincount`` over the
+        excursions; while no block is held, one ``bincount`` over the
         slice's jump codes, each offset by its excursion's index times
-        ``n * n``; the one jump-length temporary is freed on return."""
+        ``n * n``."""
         n = self._n
-        bounds = self._visits[lo : lo + _SLICE + 1]
-        k = bounds.size - 1
-        # each jump's excursion offset, with its code added in place
-        code = np.repeat(np.arange(0, k * n * n, n * n, dtype=np.intp), np.diff(bounds))
-        code += self._codes[bounds[0] : bounds[-1]]
-        return np.bincount(code, minlength=k * n * n).reshape(k, n, n)
+        for lo in range(0, len(self), _SLICE):
+            if self._counts is not None:
+                yield lo, self._counts[lo : lo + _SLICE]
+                continue
+            bounds = self._visits[lo : lo + _SLICE + 1]
+            k = bounds.size - 1
+            # each jump's excursion offset, with its code added in place
+            code = np.repeat(np.arange(0, k * n * n, n * n, dtype=np.intp), np.diff(bounds))
+            code += self._codes[bounds[0] : bounds[-1]]
+            yield lo, np.bincount(code, minlength=k * n * n).reshape(k, n, n)
 
 
 def excursion_filter(
@@ -545,7 +542,6 @@ class ExcursionSample:
         for lo, block in records._tallies():
             for name, s in schemes.items():
                 q[name][lo : lo + _SLICE] = np.tensordot(block, s.weights, axes=([1, 2], [0, 1]))
-            del block  # before the next slice is tallied
         res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
             durations=records.durations,
