@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification or z-score failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -208,7 +209,9 @@ def cmd_simulate(args) -> int:
         for key in analytic:
             v, se = emp.estimates[key]
             z = emp.z(key, analytic[key])
-            worst = max(worst, abs(z))
+            # max() would drop a NaN; the first non-finite |z| is the worst
+            if math.isfinite(worst) and not abs(z) <= worst:
+                worst = abs(z)
             out.append(f"{name:<10} {key:<9} {analytic[key]:>14.6g} "
                        f"{v:>14.6g} {se:>11.3g} {z:>7.2f}")
     out.append(f"worst |z| = {worst:.2f} (threshold 4)")

@@ -64,6 +64,10 @@ class TooManyStates(ExclabError):
     """The chain has more states than the trajectory walk can hold."""
 
 
+class CountOverflow(ExclabError):
+    """An excursion has more jumps than a unit count's int32 column holds."""
+
+
 class UnknownColumn(ExclabError):
     """Requested column is not present in the CSV header."""
 

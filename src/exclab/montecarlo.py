@@ -39,6 +39,16 @@ time with one ``bincount`` and fills that slice of each ``q`` column.
 The records' ``counts`` block is formed from the same slices only when
 it is read.
 
+A unit count, a scheme of integer weights with |w| <= 1 such as the
+charge current and the dynamical activity, is an integer per excursion:
+both samplers accumulate and store it as int32, 4 bytes per excursion,
+and every other scheme as float64.  An int32 count moves by at most 1 per
+jump, so an excursion of more jumps than ``_COUNT_MAX`` raises
+CountOverflow: the ensemble loop checks its step count, and
+:meth:`ExcursionSample.from_records` the longest excursion.  The
+statistics widen an int32 count to float64 one slice at a time before any
+product; its sums are exact, so every estimate is the float64 column's.
+
 The ensemble and the statistics run as array passes too.  The ensemble
 loop works on compacted arrays of the excursions still out of A, with the
 same draws, in the same order, as a loop over full-size arrays; each jump
@@ -62,8 +72,8 @@ are read-only, so the cache cannot go stale.
 
 Every one of these reproduces the loop it replaced bit for bit (the ``q``
 of :meth:`ExcursionSample.from_records` as a one-thread BLAS computes the
-unsliced call); ``tests/reference_montecarlo.py`` keeps those loops as
-oracles.
+unsliced call, and an int32 count after widening);
+``tests/reference_montecarlo.py`` keeps those loops as oracles.
 """
 from __future__ import annotations
 
@@ -76,8 +86,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BadPartition, DimensionMismatch, NonIntegerScheme, TooFewRecords,
-                     TooManyStates)
+from .errors import (BadPartition, CountOverflow, DimensionMismatch, NonIntegerScheme,
+                     TooFewRecords, TooManyStates)
 from .excursions import noise_terms
 from .markov import RateMatrix, WeightScheme
 
@@ -104,6 +114,7 @@ _JACKKNIFE_SLICE = 16384  # leave-one-out statistics evaluated per slice
 # so BLAS blocks a slice's rows as it blocks them in the unsliced call
 _SLICE = 8192
 _FILTER_BLOCK = 8 * _BLOCK  # holds per block of excursion_filter's segment sums
+_COUNT_MAX = int(np.iinfo(np.int32).max)  # the largest |q| a unit count's column holds
 
 # Powers of (largest |weight|, mean cycle time) that give each estimate its
 # own scale, and the relative rounding slack on that scale (the slack the
@@ -340,6 +351,12 @@ class ExcursionRecords:
             self._counts = counts
         return self._counts
 
+    def _longest(self) -> int:
+        """The number of jumps of the longest excursion (0 without one)."""
+        if self._counts is None:
+            return int(np.diff(self._visits).max(initial=0))
+        return int(self._counts.sum(axis=(1, 2)).max(initial=0))
+
     def _tallies(self):
         """``(lo, counts[lo : lo + _SLICE])`` for each slice of ``_SLICE``
         excursions; while no block is held, one ``bincount`` over the
@@ -435,6 +452,30 @@ def excursion_filter(
     return ExcursionRecords._from_codes(durations, codes, visits, n), residences
 
 
+def _column_dtype(scheme: WeightScheme) -> type:
+    """int32 for a unit count, a scheme of integer weights with |w| <= 1
+    (charge current, dynamical activity), whose q moves by at most 1 per
+    jump; float64 for every other scheme."""
+    unit = scheme.integer_valued and scheme.max_abs_weight() <= 1
+    return np.int32 if unit else np.float64
+
+
+def _stored(values) -> np.ndarray:
+    """A view of ``values`` as a sample stores a ``q`` column: int32 kept
+    as given, anything else as float64."""
+    values = np.asarray(values)
+    if values.dtype != np.int32:
+        values = values.astype(np.float64, copy=False)
+    return values.view()
+
+
+def _overflow(names, jumps: int) -> CountOverflow:
+    """The error for an excursion of ``jumps`` jumps counted by the unit
+    counts ``names``."""
+    return CountOverflow(f"unit count {', '.join(map(repr, names))}: an excursion of "
+                         f"{jumps} jumps can pass {_COUNT_MAX}, the largest int32 count")
+
+
 @dataclass(frozen=True)
 class ExcursionSample:
     """Struct-of-arrays batch of excursions for one model.
@@ -442,10 +483,13 @@ class ExcursionSample:
     ``q`` maps scheme name to the per-excursion observable values;
     ``residences`` pairs one A residence with each excursion.
     ``durations``, ``residences`` and every ``q`` array are read-only views
-    (float64 for ``q``; the caller's own arrays stay writable), and ``q``
-    itself is a read-only mapping, so :attr:`moments` cannot go stale.
-    Raises DimensionMismatch when a ``residences`` or ``q`` length is not
-    ``len(durations)``.
+    (the caller's own arrays stay writable), and ``q`` itself is a
+    read-only mapping, so :attr:`moments` cannot go stale.  A ``q`` array
+    given as int32 is kept so, as the samplers store a unit count's
+    integer values (4 bytes per excursion); any other is stored as
+    float64.  Widen an int32 column before a product, such as ``q * q``,
+    which int32 would wrap.  Raises DimensionMismatch when a
+    ``residences`` or ``q`` length is not ``len(durations)``.
     """
 
     durations: np.ndarray
@@ -460,7 +504,7 @@ class ExcursionSample:
             view.flags.writeable = False
             object.__setattr__(self, name, view)
         n = self.durations.size
-        q = {k: np.asarray(v, dtype=np.float64).view() for k, v in self.q.items()}
+        q = {k: _stored(v) for k, v in self.q.items()}
         labelled = [("residences", self.residences)] + [(f"q[{k!r}]", v) for k, v in q.items()]
         for label, view in labelled:
             if view.shape != (n,):
@@ -494,7 +538,8 @@ class ExcursionSample:
             ts, taus = t[lo:hi], tau[lo:hi]
             cols = [ts, ts * ts, taus, taus * taus]
             for qv in qs:
-                q_s = qv[lo:hi]
+                # an int32 count widened one slice at a time, exactly
+                q_s = qv[lo:hi].astype(np.float64, copy=False)
                 cols += [q_s, q_s * q_s, q_s * ts]
             return cols
 
@@ -537,8 +582,19 @@ class ExcursionSample:
         the thread count; OpenBLAS splits no call of fewer than 460 800
         tally entries, which a slice stays below for chains of up to 7
         states.
+
+        A unit count's column is int32 (see :func:`_column_dtype`): the
+        ``tensordot`` of integer tallies and weights is exact below 2**53,
+        and each slice is stored as those integers.  An excursion of more
+        jumps than the largest int32 count raises CountOverflow, naming
+        the unit counts, before any column is filled.
         """
-        q = {name: np.empty(len(records)) for name in schemes}
+        dtypes = {name: _column_dtype(s) for name, s in schemes.items()}
+        units = [name for name, dtype in dtypes.items() if dtype is np.int32]
+        longest = records._longest() if units else 0
+        if longest > _COUNT_MAX:
+            raise _overflow(units, longest)
+        q = {name: np.empty(len(records), dtype=dtype) for name, dtype in dtypes.items()}
         for lo, block in records._tallies():
             for name, s in schemes.items():
                 q[name][lo : lo + _SLICE] = np.tensordot(block, s.weights, axes=([1, 2], [0, 1]))
@@ -602,6 +658,12 @@ def _sample_batch(
     table of 65 536 bins per state missed the cache on every lookup.
     Returned excursions are written back, and the rest are kept with one
     index.
+
+    Each scheme's weights are taken, and its accumulator kept, in the
+    dtype of its ``q`` array: int32 for a unit count.  A unit count
+    moves by at most 1 per jump, so the loop raises CountOverflow, naming
+    the unit counts, before the jump that could carry one past
+    ``_COUNT_MAX``.
     """
     rng = np.random.Generator(np.random.Philox(seed_seq))
     cum = _cumulative_jump_probs(m)
@@ -609,7 +671,10 @@ def _sample_batch(
     k = m.n
     n = durations.size
     outs = list(q.values())
-    flat = [schemes[name].weights.reshape(-1) for name in q]
+    flat = [schemes[name].weights.reshape(-1).astype(out.dtype) for name, out in q.items()]
+    units = [name for name, out in q.items() if out.dtype == np.int32]
+    # the jump after which a count could pass _COUNT_MAX (never without one)
+    limit = _COUNT_MAX if units else -1
     table = _code_table(cum)
     # the split-bin fallback: cum[:, j] <= u, both sides scaled exactly by
     # _BINS, for every column but the last, which is 1.0 > u exactly
@@ -633,7 +698,11 @@ def _sample_batch(
     row *= _BINS
     dur = np.zeros(idx.size)
     acc = [out.take(idx) for out in outs]
+    jumps = 1
     while idx.size:
+        if jumps == limit:
+            raise _overflow(units, jumps + 1)
+        jumps += 1
         hold = rng.standard_exponential(idx.size)
         hold /= gamma_rows.take(row)
         dur += hold
@@ -667,10 +736,11 @@ def _sample_batch(
         row = next_row.take(code)
 
 
-def _outputs(n: int, names):
+def _outputs(n: int, schemes: dict[str, WeightScheme]):
     """Uninitialised durations, residences and ``q`` by scheme name for
-    ``n`` excursions."""
-    return np.empty(n), np.empty(n), {name: np.empty(n) for name in names}
+    ``n`` excursions, each ``q`` in its :func:`_column_dtype`."""
+    q = {name: np.empty(n, dtype=_column_dtype(s)) for name, s in schemes.items()}
+    return np.empty(n), np.empty(n), q
 
 
 def sample_excursions(
@@ -686,7 +756,11 @@ def sample_excursions(
     Work is split into fixed-size batches with independent spawned RNG
     streams, each written into its slice of the outputs, so the result is
     identical for any ``workers`` value: in place on the serial path, and
-    copied in index order as each pooled task returns.
+    copied in index order as each pooled task returns.  A unit count
+    (integer weights with |w| <= 1, such as the charge current and the
+    dynamical activity) is accumulated and stored as int32, every other
+    scheme as float64; an excursion that could carry a count past the
+    int32 range raises CountOverflow.
     """
     if n_excursions < 1:
         raise ValueError(f"n_excursions must be >= 1, got {n_excursions}")
@@ -864,9 +938,12 @@ def empirical_moments(
     mom = sample.moments
     estimates = dict(mom.estimates[scheme_name])
 
-    # direct long-run estimators over contiguous batches
+    # direct long-run estimators over contiguous batches, each batch of an
+    # int32 count widened alone; its sums are exact, as are its float64 sums
     qv = sample.q[scheme_name]
-    qb = np.add.reduceat(qv, mom.starts)
+    bounds = np.append(mom.starts, sample.n).tolist()
+    qb = np.concatenate([np.add.reduceat(qv[a:b], [0], dtype=np.float64)
+                         for a, b in zip(bounds, bounds[1:])])
     tb = mom.batch_times
     j_direct = float(qv.sum() / mom.total_time)
     jb = qb / tb
@@ -885,12 +962,16 @@ def empirical_moments(
 def empirical_outcome_histogram(sample: ExcursionSample, scheme_name: str):
     """Normalized outcome frequencies with multinomial standard errors.
 
-    Returns ``(qs, freqs, ses)`` over the observed integer support.
+    Returns ``(qs, freqs, ses)`` over the observed integer support.  An
+    int32 count is read as it is; a float64 column of an integer-valued
+    scheme is rounded to int64 first.
     """
     scheme = sample.schemes[scheme_name]
     if not scheme.integer_valued:
         raise NonIntegerScheme("histogram needs an integer-valued scheme")
-    vals = np.rint(sample.q[scheme_name]).astype(np.int64)
+    vals = sample.q[scheme_name]
+    if vals.dtype != np.int32:
+        vals = np.rint(vals).astype(np.int64)
     n = vals.size
     if n < 1:
         raise TooFewRecords("empty sample")

@@ -30,8 +30,8 @@ from exclab import (
     validate_rate_matrix,
 )
 from exclab import montecarlo
-from exclab.errors import (BadPartition, DimensionMismatch, NonIntegerScheme, TooFewRecords,
-                           TooManyStates)
+from exclab.errors import (BadPartition, CountOverflow, DimensionMismatch, NonIntegerScheme,
+                           TooFewRecords, TooManyStates)
 from exclab.montecarlo import _BATCH, ExcursionRecords, Trajectory, dump_trajectory
 
 import reference_montecarlo as reference
@@ -286,15 +286,27 @@ class TestReferenceLoops:
         assert_same_filter(t, 2, 4)
 
 
+def _unit_count(scheme):
+    """Whether the samplers store ``scheme`` as an int32 count: integer
+    weights of at most 1 in magnitude."""
+    return bool(scheme.integer_valued and np.abs(scheme.weights).max() <= 1)
+
+
 def assert_same_sample(sample, ref):
+    """Durations and residences equal and of one dtype; each ``q`` column
+    int32 for a unit count and float64 otherwise against the float64
+    reference, equal in value after widening."""
     for name in ("durations", "residences"):
         got, want = getattr(sample, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
     assert sample.q.keys() == ref.q.keys()
-    for name in ref.q:
-        assert sample.q[name].dtype == ref.q[name].dtype
-        assert np.array_equal(sample.q[name], ref.q[name]), name
+    for name, scheme in sample.schemes.items():
+        got, want = sample.q[name], ref.q[name]
+        assert want.dtype == np.float64, name
+        assert got.dtype == (np.int32 if _unit_count(scheme) else np.float64), name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.astype(np.float64), want), name
     assert sample.gamma_a == ref.gamma_a
 
 
@@ -440,13 +452,16 @@ class TestTrajectoryPeaks:
         return simulate(ref_model, seed=9, max_excursions=100_000)
 
     def test_simulate_below_one_and_a_quarter_trajectories(self, ref_model):
-        # the walked bytes, kept as the states, and the holds drawn block
-        # by block (1.09 x); an int64 copy of the states made the size 1.8
-        # times larger, and a list of states, the hold blocks, their
-        # concatenation, the gamma gather and a second states copy peaked
-        # at 2.54 x of that
+        # a simulated trajectory is its states, the walked bytes: the
+        # bytearray's over-allocation and the jump draws' blocks peak at
+        # 1.15 x of them here (1.14-1.25 x over seeds 1-8); an int64 copy
+        # of the states, or holds kept at 8 bytes per jump, peaked at over
+        # 9 x.  numpy imports numpy.random on first use, about 0.6 MB that
+        # is not the walk's, so a short walk runs first.
+        simulate(ref_model, seed=9, max_excursions=10)
         t, peak = _traced_peak(simulate, ref_model, seed=9, max_excursions=100_000)
-        size = t.states.nbytes + t.holds.nbytes
+        assert "holds" not in vars(t)
+        size = t.states.nbytes
         assert peak <= 1.25 * size, peak / size
 
     def test_filter_below_one_and_a_half_results(self, ref_model, trajectory):
@@ -769,6 +784,152 @@ def _spread(n):
     """A scheme with a distinct weight per transition, so a jump taken
     under a wrong code moves its excursion's q."""
     return WeightScheme(np.arange(float(n * n)).reshape(n, n) / 7.0)
+
+
+def _forward_ring(k):
+    """k states on a ring that turns only forward, so every excursion
+    takes exactly k jumps."""
+    w = np.zeros((k, k))
+    w[(np.arange(k) + 1) % k, np.arange(k)] = 1.0 + np.arange(k)
+    return validate_rate_matrix(w)
+
+
+def _signed(k):
+    """A unit count of k states: +1 for a jump out of an even state, -1
+    out of an odd one."""
+    return WeightScheme(np.where(np.arange(k) % 2, -1.0, 1.0) * (1.0 - np.eye(k)))
+
+
+class TestUnitCounts:
+    """A unit count (integer weights, |w| <= 1) is int32 from the samplers
+    to the sample, and equals the float64 references after widening
+    (``assert_same_sample``); every other scheme stays float64."""
+
+    @staticmethod
+    def _schemes(params):
+        schemes = _schemes(params, 4)
+        # integer but not unit weights, and non-integer ones
+        schemes["double"] = WeightScheme(2.0 * schemes["transport"].weights)
+        schemes["spread"] = _spread(4)
+        return schemes
+
+    @pytest.mark.parametrize("path", ["serial", "workers", "trajectory"])
+    def test_column_dtype_of_each_scheme(self, ref_params, ref_model, path):
+        schemes = self._schemes(ref_params)
+        if path == "trajectory":
+            t = simulate(ref_model, seed=3, max_excursions=3000)
+            records, residences = excursion_filter(t, 0, 4)
+            sample = ExcursionSample.from_records(records, residences, schemes,
+                                                  float(ref_model.gamma[0]))
+        else:
+            # two batches, so that two workers pool them
+            sample = sample_excursions(ref_model, schemes, _BATCH + 10, seed=3,
+                                       workers=2 if path == "workers" else 1)
+        assert {name: v.dtype for name, v in sample.q.items()} == {
+            "transport": np.int32, "transport_L": np.int32, "activity": np.int32,
+            "entropy": np.float64, "double": np.float64, "spread": np.float64}
+        assert np.array_equal(sample.q["double"], 2 * sample.q["transport"])
+        assert sample.q["activity"].min() >= 2
+
+    def test_sample_keeps_int32_columns_read_only(self):
+        counts = np.arange(64, dtype=np.int32)
+        sample = ExcursionSample(
+            durations=np.ones(64), residences=np.ones(64), q={"activity": counts},
+            schemes={"activity": activity_weights(4)}, gamma_a=1.0)
+        assert sample.q["activity"].dtype == np.int32
+        assert np.array_equal(sample.q["activity"], counts)
+        assert counts.flags.writeable
+        with pytest.raises(ValueError):
+            sample.q["activity"][0] = 7
+
+    def test_ensemble_guard_trips_before_a_count_could_pass_its_limit(self, monkeypatch):
+        m = _forward_ring(5)
+        schemes = {"activity": activity_weights(5), "signed": _signed(5)}
+        monkeypatch.setattr(montecarlo, "_COUNT_MAX", 5)
+        sample = sample_excursions(m, schemes, 100, seed=1)
+        assert sample.q["activity"].tolist() == [5] * 100
+        assert sample.q["signed"].tolist() == [1] * 100
+        monkeypatch.setattr(montecarlo, "_COUNT_MAX", 4)
+        with pytest.raises(CountOverflow, match=r"^unit count 'activity', 'signed': an "
+                                                r"excursion of 5 jumps can pass 4,"):
+            sample_excursions(m, schemes, 100, seed=1)
+        # a float64 column has no such limit
+        sample = sample_excursions(m, {"spread": _spread(5)}, 100, seed=1)
+        assert sample.q["spread"].dtype == np.float64
+
+    def test_from_records_guard_reads_the_longest_excursion(self, monkeypatch):
+        m = _forward_ring(5)
+        records, residences = excursion_filter(simulate(m, seed=2, max_excursions=50), 0, 5)
+        schemes = {"activity": activity_weights(5), "signed": _signed(5),
+                   "spread": _spread(5)}
+        monkeypatch.setattr(montecarlo, "_COUNT_MAX", 5)
+        sample = ExcursionSample.from_records(records, residences, schemes, 1.0)
+        assert sample.q["activity"].tolist() == [5] * 50
+        monkeypatch.setattr(montecarlo, "_COUNT_MAX", 4)
+        with pytest.raises(CountOverflow, match=r"^unit count 'activity', 'signed': an "
+                                                r"excursion of 5 jumps can pass 4,"):
+            ExcursionSample.from_records(records, residences, schemes, 1.0)
+        ExcursionSample.from_records(records, residences, {"spread": _spread(5)}, 1.0)
+
+    @pytest.mark.parametrize("extra, fits", [(0, True), (1, False)])
+    def test_from_records_guard_at_the_int32_limit(self, extra, fits):
+        # a given tally block of 2**31 - 1 jumps fits; one more does not
+        top = np.iinfo(np.int32).max
+        counts = np.array([[[0, top // 2], [top - top // 2 + extra, 0]]])
+        records = ExcursionRecords(np.ones(1), counts)
+        schemes = {"activity": activity_weights(2)}
+        if fits:
+            sample = ExcursionSample.from_records(records, np.ones(1), schemes, 1.0)
+            assert sample.q["activity"].dtype == np.int32
+            assert sample.q["activity"].tolist() == [top]
+        else:
+            with pytest.raises(CountOverflow, match=f"'activity': an excursion of {top + 1} "):
+                ExcursionSample.from_records(records, np.ones(1), schemes, 1.0)
+
+    def test_first_moments_call_forms_no_full_size_float_row(self, ref_params):
+        # a full-size float64 or int64 copy of a count is one row (8 bytes
+        # per excursion); the first call peaks at 0.30 rows and a later
+        # one, widening one direct batch at a time, at 0.03
+        n = 1_000_000
+        counts = _random_sample(n, ref_params)
+        q = {"transport": counts.q["transport"].astype(np.int32),
+             "activity": counts.q["activity"].astype(np.int32)}
+        sample = ExcursionSample(durations=counts.durations, residences=counts.residences, q=q,
+                                 schemes=counts.schemes, gamma_a=1.0)
+        for name, rows in (("transport", 0.5), ("activity", 0.1)):
+            emp, peak = _traced_peak(empirical_moments, sample, name)
+            assert peak <= rows * 8 * n, (name, peak / (8 * n))
+            # the float64 columns' estimates, to the last bit
+            assert emp.estimates == empirical_moments(counts, name).estimates, name
+
+    def test_moments_of_long_excursions_widen_before_products(self, ref_params):
+        # q * q of counts past 46 340 wraps in int32
+        floats = _random_sample(4096, ref_params)
+        rng = np.random.default_rng(3)
+        q = {"transport": rng.integers(-70_000, 70_000, 4096).astype(np.int32),
+             "activity": rng.integers(50_000, 90_000, 4096).astype(np.int32)}
+        counts = ExcursionSample(durations=floats.durations, residences=floats.residences,
+                                 q=q, schemes=floats.schemes, gamma_a=1.0)
+        floats = ExcursionSample(durations=floats.durations, residences=floats.residences,
+                                 q={k: v.astype(np.float64) for k, v in q.items()},
+                                 schemes=floats.schemes, gamma_a=1.0)
+        for name in q:
+            assert (empirical_moments(counts, name).estimates
+                    == empirical_moments(floats, name).estimates), name
+
+    def test_histogram_reads_the_counts_as_they_are(self, ref_params):
+        # np.rint and an int64 copy took 18 bytes per excursion; the int32
+        # counts are sorted in one copy of their own (6 bytes)
+        n = 1_000_000
+        floats = _random_sample(n, ref_params)
+        q = {"transport": floats.q["transport"].astype(np.int32)}
+        sample = ExcursionSample(durations=floats.durations, residences=floats.residences,
+                                 q=q, schemes=floats.schemes, gamma_a=1.0)
+        (qs, freqs, ses), peak = _traced_peak(empirical_outcome_histogram, sample, "transport")
+        assert peak < 8 * n, peak / n
+        want = empirical_outcome_histogram(floats, "transport")
+        assert qs.tolist() == want[0].tolist() == [-2, -1, 0, 1, 2]
+        assert np.array_equal(freqs, want[1]) and np.array_equal(ses, want[2])
 
 
 def _dyadic_chain():

@@ -727,6 +727,24 @@ class TestCli:
         assert r.returncode == 0, r.stdout + r.stderr
         assert "worst |z| = inf" not in r.stdout
 
+    def test_simulate_fails_on_a_nan_z(self, monkeypatch, capsys):
+        # max(worst, |z|) kept 0.0 over a NaN, so the table could pass
+        import exclab.cli
+        moments = exclab.cli.empirical_moments
+
+        def spoiled(sample, name):
+            emp = moments(sample, name)
+            if name == "activity":
+                emp.estimates["var_q"] = (math.nan, emp.estimates["var_q"][1])
+            return emp
+
+        monkeypatch.setattr(exclab.cli, "empirical_moments", spoiled)
+        args = ["simulate", "--temperature", "2", "--vg", "0", "--vsd", "7", "--n", "5000"]
+        assert exclab.cli.main(args) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^activity\s+var_q\s.*\snan$", out, re.M), out
+        assert "worst |z| = nan (threshold 4)" in out
+
     def test_sweep_failure_names_the_cell(self, tmp_path):
         out = tmp_path / "cold.csv"
         r = run_cli("sweep", "--temperature", "0.2", "--grid",
