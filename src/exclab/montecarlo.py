@@ -460,15 +460,6 @@ def _column_dtype(scheme: WeightScheme) -> type:
     return np.int32 if unit else np.float64
 
 
-def _stored(values) -> np.ndarray:
-    """A view of ``values`` as a sample stores a ``q`` column: int32 kept
-    as given, anything else as float64."""
-    values = np.asarray(values)
-    if values.dtype != np.int32:
-        values = values.astype(np.float64, copy=False)
-    return values.view()
-
-
 def _overflow(names, jumps: int) -> CountOverflow:
     """The error for an excursion of ``jumps`` jumps counted by the unit
     counts ``names``."""
@@ -504,7 +495,9 @@ class ExcursionSample:
             view.flags.writeable = False
             object.__setattr__(self, name, view)
         n = self.durations.size
-        q = {k: _stored(v) for k, v in self.q.items()}
+        q = {k: np.asarray(v) for k, v in self.q.items()}
+        q = {k: (v if v.dtype == np.int32 else np.asarray(v, dtype=np.float64)).view()
+             for k, v in q.items()}
         labelled = [("residences", self.residences)] + [(f"q[{k!r}]", v) for k, v in q.items()]
         for label, view in labelled:
             if view.shape != (n,):
@@ -686,8 +679,7 @@ def _sample_batch(
 
     rng.standard_exponential(out=residences)
     residences /= gamma[a_state]
-    u = rng.random(n)
-    state = np.searchsorted(cum[a_state], u, side="right")
+    state = np.searchsorted(cum[a_state], rng.random(n), side="right")
     code = state * k + a_state
     for out, w in zip(outs, flat):
         w.take(code, out=out)
@@ -696,6 +688,7 @@ def _sample_batch(
     idx = np.flatnonzero(state != a_state)
     row = state.take(idx)
     row *= _BINS
+    del state, code  # batch-size arrays the loop does not read
     dur = np.zeros(idx.size)
     acc = [out.take(idx) for out in outs]
     jumps = 1
@@ -721,6 +714,7 @@ def _sample_batch(
             nxt *= k
             nxt += s
             code[miss] = nxt
+        del hold, row  # spent; freed before the compaction copies
         for a, w in zip(acc, flat):
             a += w.take(code)
         ret = returned.take(code)

@@ -455,9 +455,9 @@ class TestTrajectoryPeaks:
         # a simulated trajectory is its states, the walked bytes: the
         # bytearray's over-allocation and the jump draws' blocks peak at
         # 1.15 x of them here (1.14-1.25 x over seeds 1-8); an int64 copy
-        # of the states, or holds kept at 8 bytes per jump, peaked at over
-        # 9 x.  numpy imports numpy.random on first use, about 0.6 MB that
-        # is not the walk's, so a short walk runs first.
+        # of the states, or holds kept at 8 bytes per jump, adds 8 x.  numpy
+        # imports numpy.random on first use, about 0.6 MB that is not the
+        # walk's, so a short walk runs first.
         simulate(ref_model, seed=9, max_excursions=10)
         t, peak = _traced_peak(simulate, ref_model, seed=9, max_excursions=100_000)
         assert "holds" not in vars(t)
