@@ -9,6 +9,7 @@ from .dqd import (
     build_model,
     effective_coupling,
     fermi,
+    fermi_pair,
 )
 from .excursions import (
     BlockDecomposition,

@@ -22,13 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFermi, raise_first
 from .markov import RateMatrix, validate_rate_matrix
 
 __all__ = [
     "DqdParams",
     "FermiSet",
     "fermi",
+    "fermi_pair",
     "effective_coupling",
     "build_model",
     "LEAD_JUMPS",
@@ -94,50 +94,63 @@ class DqdParams:
 
     @cached_property
     def occupations(self) -> FermiSet:
-        """Bare and Coulomb-shifted lead occupations, evaluated on first use
-        from the voltages as they are then and cached; batch arrays are
-        read-only."""
-        t = self.temperature
-        occ = (fermi(self.vg, self.mu_left, t),
-               fermi(self.vg, self.mu_right, t),
-               fermi(self.vg + self.u, self.mu_left, t),
-               fermi(self.vg + self.u, self.mu_right, t))
-        for v in occ:
+        """Bare and Coulomb-shifted lead occupations and their complements,
+        evaluated on first use from the voltages as they are then and
+        cached; batch arrays are read-only."""
+        levels = ((self.vg, self.mu_left), (self.vg, self.mu_right),
+                  (self.vg + self.u, self.mu_left), (self.vg + self.u, self.mu_right))
+        f, c = zip(*(fermi_pair(e, mu, self.temperature) for e, mu in levels))
+        for v in f + c:
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
-        return FermiSet(*occ)
+        return FermiSet(*f, *c)
 
 
 @dataclass(frozen=True)
 class FermiSet:
-    """Lead occupations: bare (f) and Coulomb-shifted (f_u) for each side."""
+    """Lead occupations f, bare and Coulomb-shifted (f_u) for each side,
+    and their complements c = 1 - f, each pair from :func:`fermi_pair`."""
 
     f_left: float
     f_right: float
     f_left_u: float
     f_right_u: float
+    c_left: float
+    c_right: float
+    c_left_u: float
+    c_right_u: float
 
-    def of(self, lead: str, shifted: bool = False):
-        """The occupation of lead ``"L"`` or ``"R"``, bare or shifted."""
-        return getattr(self, ("f_left" if lead == "L" else "f_right") + "_u" * shifted)
+    def pair(self, lead: str, shifted: bool = False):
+        """(f, 1 - f) of lead ``"L"`` or ``"R"``, bare or shifted."""
+        side = ("_left" if lead == "L" else "_right") + "_u" * shifted
+        return getattr(self, "f" + side), getattr(self, "c" + side)
 
 
 def fermi(energy, mu, temperature):
-    """Fermi occupation 1 / (exp((energy - mu) / T) + 1), overflow safe.
+    """Fermi occupation 1 / (exp((energy - mu) / T) + 1), overflow safe;
+    the first half of :func:`fermi_pair`."""
+    return fermi_pair(energy, mu, temperature)[0]
+
+
+def fermi_pair(energy, mu, temperature):
+    """The Fermi occupation f at x = (energy - mu) / T and its complement,
+    from one exponential: with e = exp(-|x|) the pair is e / (1 + e) and
+    1 / (1 + e) in the order the sign of x gives.  The complement is f at
+    -x, bit-equal to ``fermi(mu, energy, T)``, and neither value is a
+    rounded difference, so the smaller one keeps full relative precision.
 
     Elementwise over arrays.  The exponential is the C library's
-    ``math.exp``: numpy's vectorised ``exp`` can differ in the last bit,
-    and the 1 - f forms of the rates would carry that into stiff chains.
+    ``math.exp``: numpy's vectorised ``exp`` can differ in the last bit.
     """
     x = (energy - mu) / temperature
     if not isinstance(x, np.ndarray):
-        if x >= 0.0:
-            e = math.exp(-x)
-            return e / (1.0 + e)
-        return 1.0 / (1.0 + math.exp(x))
+        e = math.exp(-abs(x))
+        small, large = e / (1.0 + e), 1.0 / (1.0 + e)
+        return (small, large) if x >= 0.0 else (large, small)
     e = np.fromiter(map(math.exp, (-np.abs(x)).ravel().tolist()), float, x.size)
     e = e.reshape(x.shape)
-    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    small, large = e / (1.0 + e), 1.0 / (1.0 + e)
+    return np.where(x >= 0.0, small, large), np.where(x >= 0.0, large, small)
 
 
 def effective_coupling(g: float, gamma: float) -> float:
@@ -159,16 +172,6 @@ def lead_log_ratio(p: DqdParams, side: str, shifted: bool = False) -> float:
     return (energy - mu) / p.temperature
 
 
-def require_finite_fermi(f: FermiSet, with_u: bool = True) -> None:
-    """Raise DegenerateFermi when any occupation is exactly 0 or 1."""
-    vals = [f.f_left, f.f_right]
-    if with_u:
-        vals += [f.f_left_u, f.f_right_u]
-    for v in vals:
-        raise_first((v <= 0.0) | (v >= 1.0), DegenerateFermi,
-                    "Fermi occupation {} is degenerate", v)
-
-
 def lead_jumps(n: int) -> list[tuple[int, int, str, bool]]:
     """The entries of :data:`LEAD_JUMPS` among the first ``n`` states."""
     return [jump for jump in LEAD_JUMPS if jump[0] < n]
@@ -176,15 +179,16 @@ def lead_jumps(n: int) -> list[tuple[int, int, str, bool]]:
 
 def build_model(p: DqdParams) -> RateMatrix:
     """Rate matrix over (00, 10, 01, 11), or (00, 10, 01) when ``p.blockade``
-    drops state 11: gamma*f on each jump of :data:`LEAD_JUMPS`, gamma*(1-f)
-    on its reverse, and the effective coupling between 10 and 01."""
+    drops state 11: gamma times the occupation on each jump of
+    :data:`LEAD_JUMPS`, gamma times its cached complement on the reverse,
+    and the effective coupling between 10 and 01."""
     n = p.n_states
     f = p.occupations
     gam = p.gamma
     w = np.zeros(p.batch_shape + (n, n))
     for to, frm, lead, shifted in lead_jumps(n):
-        occ = f.of(lead, shifted)
+        occ, empty = f.pair(lead, shifted)
         w[..., to, frm] = gam * occ
-        w[..., frm, to] = gam * (1 - occ)
+        w[..., frm, to] = gam * empty
     w[..., 1, 2] = w[..., 2, 1] = effective_coupling(p.g, gam)
     return validate_rate_matrix(w, labels=LABELS_4[:n])

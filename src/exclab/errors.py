@@ -52,10 +52,6 @@ class MassDeficit(ExclabError):
     """Outcome distribution range captured too little probability mass."""
 
 
-class DegenerateFermi(ExclabError):
-    """A Fermi occupation is exactly 0 or 1, so entropy weights diverge."""
-
-
 class TooFewRecords(ExclabError):
     """Not enough excursion records for the requested estimate."""
 

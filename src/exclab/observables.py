@@ -21,10 +21,8 @@ import numpy as np
 from .dqd import (
     DqdParams,
     effective_coupling,
-    fermi,
     lead_jumps,
     lead_log_ratio,
-    require_finite_fermi,
 )
 from .errors import raise_first
 from .markov import RateMatrix, WeightScheme, steady_state
@@ -75,12 +73,9 @@ def entropy_weights(p: DqdParams) -> WeightScheme:
     """Entropy production: log ratio of forward to backward rate on every
     lead transition; hopping has equal rates both ways and counts zero.
     The log ratios log((1-f)/f) are evaluated in closed form as
-    (energy - mu)/T, which is exact and avoids the 1 - f cancellation.
-
-    Raises DegenerateFermi when an occupation is exactly 0 or 1.
+    (energy - mu)/T, which is exact and finite wherever the rates are.
     """
     n = p.n_states
-    require_finite_fermi(p.occupations, with_u=not p.blockade)
     nu = np.zeros(p.batch_shape + (n, n))
     for to, frm, lead, shifted in lead_jumps(n):
         z = lead_log_ratio(p, lead, shifted)
@@ -123,19 +118,17 @@ def success_fail_disaster(p: DqdParams) -> OutcomeTriple:
     """Closed-form outcome probabilities for blockade transport.
 
     Success is one net electron carried left to right, disaster the
-    reverse, fail a round trip.  With hop = gamma * g_eff and
-    lam = gamma^2 (1-f_L)(1-f_R):
+    reverse, fail a round trip.  With the occupations f_L, f_R, their
+    cached complements c_L, c_R, hop = gamma * g_eff and
+    lam = gamma^2 c_L c_R:
 
-        p_suc  = hop f_L (1-f_R) / den
-        p_dis  = hop f_R (1-f_L) / den
-        p_fail = [hop (f_L(1-f_L) + f_R(1-f_R)) + lam (f_L+f_R)] / den
-        den    = (f_L+f_R) (hop (2-f_L-f_R) + lam)
+        p_suc  = hop f_L c_R / den
+        p_dis  = hop f_R c_L / den
+        p_fail = [hop (f_L c_L + f_R c_R) + lam (f_L+f_R)] / den
+        den    = (f_L+f_R) (hop (c_L+c_R) + lam)
     """
     f = p.occupations
-    fl, fr = f.f_left, f.f_right
-    # complements through the swapped Fermi call keep full relative precision
-    cl = fermi(p.mu_left, p.vg, p.temperature)
-    cr = fermi(p.mu_right, p.vg, p.temperature)
+    fl, fr, cl, cr = f.f_left, f.f_right, f.c_left, f.c_right
     hop = p.gamma * effective_coupling(p.g, p.gamma)
     lam = p.gamma**2 * cl * cr
     n_suc = hop * fl * cr
@@ -169,11 +162,10 @@ def blockade_analytics(p: DqdParams) -> BlockadeAnalytics:
     assembled from the transport average rather than printed separately.
     """
     f = p.occupations
-    fl, fr = f.f_left, f.f_right
-    require_finite_fermi(f, with_u=False)
+    fl, fr, cl, cr = f.f_left, f.f_right, f.c_left, f.c_right
     gam = p.gamma
     ge = effective_coupling(p.g, gam)
-    root = gam * (1.0 - fl) * (1.0 - fr) + ge * (2.0 - fl - fr)
+    root = gam * cl * cr + ge * (cl + cr)
     e_t = ((2.0 * ge + gam) * fr + (2.0 * ge + gam - 2.0 * gam * fr) * fl) / (
         gam * (fl + fr) * root
     )
@@ -182,13 +174,13 @@ def blockade_analytics(p: DqdParams) -> BlockadeAnalytics:
     e_qr = ge * (fl - fr) / ((fl + fr) * root)
     e_a = (
         2.0 * ge**2 * (fl + fr)
-        + 2.0 * gam**2 * (fl - 1.0) * (fr - 1.0) * (fl + fr)
+        + 2.0 * gam**2 * cl * cr * (fl + fr)
         + ge * gam * (fl * (5.0 - 6.0 * fr) + fr * (5.0 - 2.0 * fr) - 2.0 * fl**2)
     ) / (gam * (fl + fr) * root)
     e_sigma = (lead_log_ratio(p, "R") - lead_log_ratio(p, "L")) * e_qr
-    zpop = ge * (2.0 + fl + fr) + gam * (1.0 - fl * fr)
-    p_l = (ge * fr + (ge + gam - gam * fr) * fl) / zpop
-    p_r = (fr * (ge + gam) + fl * (ge - gam * fr)) / zpop
+    zpop = ge * (2.0 + fl + fr) + gam * (cl + fl * cr)
+    p_l = (ge * fr + (ge + gam * cr) * fl) / zpop
+    p_r = (ge * (fl + fr) + gam * fr * cl) / zpop
     return BlockadeAnalytics(
         e_t=e_t, e_tau=e_tau, mu=mu, e_qr=e_qr, e_a=e_a, e_sigma=e_sigma,
         p_l=p_l, p_r=p_r,
@@ -223,7 +215,7 @@ def populations(m: RateMatrix) -> Populations:
 def mutual_information(pop: Populations):
     """Mutual information (nats) between the two dot occupancies, treating
     (n_left, n_right) in {0,1}^2 as a joint binary distribution; the
-    logarithm is the C library's, as in :func:`exclab.dqd.fermi`."""
+    logarithm is the C library's, as in :func:`exclab.dqd.fermi_pair`."""
     joint = np.stack([pop.p00, pop.p01, pop.p10, pop.p11], axis=-1)
     joint = joint.reshape(joint.shape[:-1] + (2, 2))
     marginals = joint.sum(axis=-1)[..., :, None] * joint.sum(axis=-2)[..., None, :]

@@ -2,7 +2,10 @@
 
 The fundamental matrix G and the insertion formulas are evaluated in mpmath
 on the engine's own float rates ``w`` and escape rates ``gamma``, so any gap
-to the float engine is rounding in the engine, not a different model.  The
+to the float engine is rounding in the engine, not a different model.
+:meth:`Reference.exact_fermi` builds the double-dot rates themselves in
+mpmath from the exact Fermi functions instead, so it also sees rounding in
+the float rates, such as a complement 1 - f formed by subtraction.  The
 formulas are written block by block, the way they read in the derivation:
 for the duration T the block V is the identity on B, for a scheme it is
 weights * w, and the one-jump term uses the squared or mixed weights.
@@ -31,7 +34,8 @@ class Reference:
 
     With ``exact_gamma`` the escape rates are the exact sums of the float
     off-diagonal rates, and ``gamma`` is not read: the chain the float
-    rates define, not the one their rounded column sums define.
+    rates define, not the one their rounded column sums define.  Entries
+    of ``w`` may be mpmath numbers.
     """
 
     def __init__(self, w, gamma, a_state=0, exact_gamma=False):
@@ -39,8 +43,7 @@ class Reference:
         self.n, self.a = n, a_state
         self.bi = [i for i in range(n) if i != a_state]
         with mpmath.workdps(DPS):
-            self.w = [[mpmath.mpf(float(w[x][y])) for y in range(n)]
-                      for x in range(n)]
+            self.w = [[mpmath.mpf(w[x][y]) for y in range(n)] for x in range(n)]
             if exact_gamma:
                 # the sum of the float rates, exact to DPS digits
                 gam = [mpmath.fsum(self.w[x][y] for x in range(n) if x != y)
@@ -51,6 +54,30 @@ class Reference:
             self.w_ab, self.w_ba, w_b = _blocks(self.w, a_state, self.bi)
             gen_b = w_b - mpmath.diag([gam[i] for i in self.bi])
             self.g = mpmath.inverse(-gen_b)
+
+    @classmethod
+    def exact_fermi(cls, p, a_state=0):
+        """The chain of one double-dot point ``p`` (an ``exclab.DqdParams``
+        with float voltages), its rates written out by hand at ``DPS``
+        digits: gamma f and gamma (1 - f) with f = 1 / (1 + exp(x)) and
+        x = (level - mu) / T exact, on each lead jump of the state order
+        (00, 10, 01, 11), and 2 g^2 / gamma between 10 and 01.  The escape
+        rates are the exact column sums."""
+        with mpmath.workdps(DPS):
+            mpf = mpmath.mpf
+            gam, t, u = mpf(p.gamma), mpf(p.temperature), mpf(p.u)
+            mu = {"L": -mpf(p.vsd) / 2, "R": mpf(p.vsd) / 2}
+            n = p.n_states
+            w = [[mpf(0)] * n for _ in range(n)]
+            # (to, from, lead, level): an electron enters a dot from the lead
+            jumps = [(1, 0, "L", mpf(p.vg)), (2, 0, "R", mpf(p.vg)),
+                     (3, 1, "R", p.vg + u), (3, 2, "L", p.vg + u)][:2 * (n - 2)]
+            for to, frm, lead, level in jumps:
+                x = (level - mu[lead]) / t
+                w[to][frm] = gam / (1 + mpmath.exp(x))
+                w[frm][to] = gam / (1 + mpmath.exp(-x))
+            w[1][2] = w[2][1] = 2 * mpf(p.g) ** 2 / gam
+        return cls(w, None, a_state, exact_gamma=True)
 
     def _v(self, nu):
         """(V_AB, V_BA, V_B) for one observable."""

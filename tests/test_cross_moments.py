@@ -184,6 +184,30 @@ class TestAgainstExactGamma:
                     self._assert_close(d, (), ref, nus, np.array(got1), np.array(got2))
 
 
+class TestAgainstExactFermi:
+    """The sweep's duration moments against the chain whose rates are built
+    from the exact Fermi functions: the float rates hold each occupation
+    and its complement to full relative precision, so e_t and var_t follow
+    to 1e-13 relative even where a lead occupation rounds to 1."""
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    @pytest.mark.parametrize("temperature", [1.0, 0.7])
+    def test_duration_moments(self, temperature, blockade):
+        # at (-10, 0), T = 0.7, 1 - f is 4.9e-10: formed by subtraction it
+        # was off by 1.2e-7 relative, and so was e_t
+        cfg = SweepConfig(temperature=temperature, vg_n=21, vsd_n=21,
+                          blockade=blockade)
+        vg, vsd = (a.ravel() for a in np.meshgrid(cfg.vg_values(), cfg.vsd_values()))
+        d = partition(build_model(_point_params(cfg, vg, vsd, True)), 0)
+        e_t, _, var_t = time_moments(d)[:3]
+        for cell in range(vg.size):
+            ref = Reference.exact_fermi(_point_params(cfg, vg[cell], vsd[cell], True))
+            want_e_t = ref.mean(None)
+            want_var_t = ref.product(None, None) - want_e_t**2
+            assert abs(e_t[cell] - want_e_t) <= 1e-13 * want_e_t, cell
+            assert abs(var_t[cell] - want_var_t) <= 1e-13 * want_var_t, cell
+
+
 class TestIdentities:
     @pytest.mark.parametrize("blockade", [False, True])
     def test_symmetric(self, blockade):

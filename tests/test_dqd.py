@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exclab import (
     DqdParams,
@@ -9,6 +10,7 @@ from exclab import (
     effective_coupling,
     entropy_weights,
     fermi,
+    fermi_pair,
     steady_state,
     transport_weights,
 )
@@ -32,6 +34,45 @@ class TestFermi:
             a = fermi(1.7 + c, -0.4 + c, 2.0)
             b = fermi(1.7, -0.4, 2.0)
             assert a == pytest.approx(b, rel=1e-12)
+
+
+_LEVELS = st.floats(-1e3, 1e3)
+_TEMPERATURES = st.floats(1e-3, 1e3)
+_EPS = np.finfo(float).eps
+
+
+class TestFermiPair:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_LEVELS, _LEVELS, _TEMPERATURES)
+    def test_pair(self, energy, mu, t):
+        f, c = fermi_pair(energy, mu, t)
+        # the complement is the occupation of the swapped level, bit for bit
+        assert f == fermi(energy, mu, t) and c == fermi(mu, energy, t)
+        assert 0.0 <= f <= 1.0 and 0.0 <= c <= 1.0
+        assert abs(f + c - 1.0) <= 2 * _EPS
+        # the smaller value is e / (1 + e), never 1 minus the larger one
+        e = math.exp(-abs((energy - mu) / t))
+        assert min(f, c) == e / (1.0 + e)
+        batch = fermi_pair(np.array([energy, mu]), np.array([mu, energy]), t)
+        assert batch[0].tolist() == [f, c] and batch[1].tolist() == [c, f]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_LEVELS, _LEVELS, _TEMPERATURES)
+    def test_smaller_value_keeps_its_relative_precision(self, energy, mu, t):
+        mpmath = pytest.importorskip("mpmath")
+        x = (energy - mu) / t
+        small = min(fermi_pair(energy, mu, t))
+        with mpmath.workdps(50):
+            exact = 1 / (1 + mpmath.exp(abs(mpmath.mpf(x))))
+            if exact < 1e-300:  # below the normal range: no relative digits
+                return
+            assert abs(small - exact) <= 4 * _EPS * exact
+
+    def test_complement_where_the_occupation_rounds_to_one(self):
+        # at x = -40 f rounds to 1, and 1 - f would be 0
+        f, c = fermi_pair(-40.0, 0.0, 1.0)
+        e = math.exp(-40.0)
+        assert f == 1.0 and c == e / (1.0 + e) and c > 4e-18
 
 
 class TestEffectiveCoupling:
@@ -73,15 +114,16 @@ class TestBuildDqd:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_occupations_computed_once_read_only(self, monkeypatch, batch):
+        # one (f, 1 - f) pair per lead level, none formed in build_model
         import exclab.dqd
         vg = np.linspace(-10.0, 10.0, 5) if batch else 1.5
-        calls, fermi = [], exclab.dqd.fermi
+        calls, fermi_pair = [], exclab.dqd.fermi_pair
 
         def counted(*args):
             calls.append(args)
-            return fermi(*args)
+            return fermi_pair(*args)
 
-        monkeypatch.setattr(exclab.dqd, "fermi", counted)
+        monkeypatch.setattr(exclab.dqd, "fermi_pair", counted)
         for blockade in (False, True):
             calls.clear()
             p = DqdParams(vg=vg, vsd=7.0 + 0.0 * vg, blockade=blockade, **REF)
@@ -89,6 +131,7 @@ class TestBuildDqd:
             assert p.occupations is f and len(calls) == 4
             build_model(p)
             assert len(calls) == 4
+            assert len(vars(f)) == 8
             for v in vars(f).values():
                 if batch:
                     with pytest.raises(ValueError):
@@ -134,6 +177,7 @@ class TestBlockade:
         f = p.occupations
         assert f.f_left > 1 - 1e-8 and f.f_right < 1e-8
         m = build_model(p)
+        assert m.w[0, 1] == GAMMA * f.c_left
         assert m.w[0, 1] == pytest.approx(GAMMA * (1 - f.f_left))
         assert m.w[0, 1] < 1e-8 < m.w[0, 2]
 

@@ -23,8 +23,7 @@ from exclab import (
     transport_weights,
     validate_rate_matrix,
 )
-from exclab.dqd import lead_log_ratio
-from exclab.errors import DegenerateFermi
+from exclab.dqd import lead_jumps, lead_log_ratio
 from exclab.observables import ZERO_CURRENT, _holds
 from exclab.sweep import SweepConfig, _columns, _point_params, compute_row, evaluate
 
@@ -73,10 +72,20 @@ class TestEntropyWeights:
         for x, y in ((1, 0), (0, 2), (3, 1), (2, 3)):
             assert nu[x, y] == pytest.approx(math.log(w[x, y] / w[y, x]), rel=1e-12)
 
-    def test_degenerate_occupation_rejected(self):
-        p = DqdParams(g=1.0, gamma=GAMMA, temperature=1e-3, u=10.0, vg=5.0, vsd=0.0)
-        with pytest.raises(DegenerateFermi):
-            entropy_weights(p)
+    def test_finite_where_an_occupation_rounds_to_one(self):
+        # f_L = 1 / (1 + e^-40) rounds to 1; its complement e^-40 / (1 + e^-40)
+        # gives the 10 -> 00 rate, and the weight is the log of the rate ratio
+        for blockade in (False, True):
+            p = DqdParams(g=1.0, gamma=GAMMA, temperature=0.5, u=10.0, vg=-10.0,
+                          vsd=-20.0, blockade=blockade)
+            assert p.occupations.f_left == 1.0
+            w = build_model(p).w
+            nu = entropy_weights(p).weights
+            assert np.all(np.isfinite(nu)) and nu[0, 1] == -40.0
+            for to, frm, _, _ in lead_jumps(p.n_states):
+                assert w[frm, to] > 0.0 and w[to, frm] > 0.0
+                assert nu[frm, to] == pytest.approx(
+                    math.log(w[frm, to] / w[to, frm]), rel=1e-12)
 
     def test_equilibrium_entropy_current_vanishes(self):
         p = DqdParams(vg=2.0, vsd=0.0, **REF)
@@ -132,8 +141,17 @@ class TestBlockadeAnalytics:
 
     def test_matches_engine_on_grid(self):
         # the cross-check that pins the closed-form symbol conventions
+        self._assert_matches_engine(REF)
+
+    def test_matches_engine_where_an_occupation_rounds_to_one(self):
+        # at T = 0.5 f_L rounds to 1 at (-10, -20); closed forms written
+        # with 1 - f were off by 3.6e-8 on this grid
+        self._assert_matches_engine(dict(REF, temperature=0.5))
+
+    @staticmethod
+    def _assert_matches_engine(model):
         for vg, vsd in grid(7, 7):
-            p = DqdParams(vg=vg, vsd=vsd, blockade=True, **REF)
+            p = DqdParams(vg=vg, vsd=vsd, blockade=True, **model)
             m = build_model(p)
             d = partition(m, 0)
             cf = blockade_analytics(p)

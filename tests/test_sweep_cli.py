@@ -18,7 +18,7 @@ import reference_sweep as reference
 from exclab.cli import _build_parser
 from exclab.dqd import build_model
 from exclab.heatmap import render_heatmap
-from exclab.errors import DegenerateFermi, MalformedCsv, UnknownColumn
+from exclab.errors import MalformedCsv, SingularB, UnknownColumn
 from exclab.sweep import (
     CANONICAL_COLUMNS,
     SweepConfig,
@@ -278,14 +278,16 @@ class TestSweep:
                 assert abs(got - want) <= tol, (col, idx, got, want)
 
     def test_failing_cell_is_named(self):
-        # only the point (vg, vsd) = (-10, -60) has a lead occupation of 1
-        cfg = SweepConfig(temperature=1.0)
+        # at T = 0.5 only the point (vg, vsd) = (-10, -4) has a B block that
+        # fails the substochastic check
+        cfg = SweepConfig(temperature=0.5)
         vg = np.array([[0.0, 5.0], [-10.0, 5.0]])
-        vsd = np.array([[-60.0, -60.0], [-60.0, 0.0]])
-        with pytest.raises(DegenerateFermi, match=r"vg=-10, vsd=-60"):
-            compute_row(cfg, vg, vsd, False)
-        with pytest.raises(DegenerateFermi, match=r"vg=-10, vsd=-60"):
-            compute_row(cfg, -10.0, -60.0, False)
+        vsd = np.array([[-4.0, -4.0], [-4.0, 0.0]])
+        message = r"^SingularB at vg=-10, vsd=-4: B block of the generator is not substochastic$"
+        with pytest.raises(SingularB, match=message):
+            compute_row(cfg, vg, vsd, True)
+        with pytest.raises(SingularB, match=message):
+            compute_row(cfg, -10.0, -4.0, True)
 
     def test_arithmetic_failure_is_named(self):
         # gamma_A**2 underflows to 0 at vg = 400; 1/gamma_A**2 is then inf
@@ -636,12 +638,12 @@ class TestCli:
         # one compute_row pass over a 7 x 7 block: one moment insertion for
         # the three schemes (the duration moments are read off its ends),
         # one steady-state solve (G comes from the GTH elimination, with no
-        # solve) and one set of lead occupations
+        # solve) and one set of lead occupations and their complements
         import exclab.dqd
         import exclab.excursions
         insertions, solvers, fermis = [], [], []
-        cross_moments, solve, fermi = (exclab.excursions.cross_moments,
-                                       np.linalg.solve, exclab.dqd.fermi)
+        cross_moments, solve, fermi_pair = (exclab.excursions.cross_moments,
+                                            np.linalg.solve, exclab.dqd.fermi_pair)
 
         def counted_cross_moments(d, schemes):
             insertions.append(sum(s is not None for s in schemes))
@@ -651,13 +653,13 @@ class TestCli:
             solvers.append(sys._getframe(1).f_globals["__name__"])
             return solve(*args, **kwargs)
 
-        def counted_fermi(*args):
+        def counted_fermi_pair(*args):
             fermis.append(args)
-            return fermi(*args)
+            return fermi_pair(*args)
 
         monkeypatch.setattr(exclab.excursions, "cross_moments", counted_cross_moments)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        monkeypatch.setattr(exclab.dqd, "fermi", counted_fermi)
+        monkeypatch.setattr(exclab.dqd, "fermi_pair", counted_fermi_pair)
         vg, vsd = np.meshgrid(np.linspace(-10, 10, 7), np.linspace(-20, 20, 7))
         compute_row(SweepConfig(), vg, vsd, True)
         assert insertions == [3]
@@ -750,8 +752,8 @@ class TestCli:
         r = run_cli("sweep", "--temperature", "0.2", "--grid",
                     "vg:-10:10:21,vsd:-20:20:21", "--out", str(out))
         assert r.returncode == 2
-        assert "vg=" in r.stderr and "vsd=" in r.stderr
-        assert "DegenerateFermi" in r.stderr
+        assert r.stderr == ("exclab sweep: error: SingularB at vg=-10, vsd=-18: "
+                            "B block of the generator is not substochastic\n")
         assert not out.exists() and not (tmp_path / "cold.csv.tmp").exists()
 
     def test_simulate_too_few_records(self, tmp_path):
@@ -794,14 +796,28 @@ class TestCli:
         assert "[FAIL] FCS equivalence" in out
         assert "[PASS] entropy/transport proportionality" in out
 
-    @pytest.mark.parametrize("command", [("verify",), ("analyze", "--vg", "-10", "--vsd", "-20")])
-    def test_degenerate_point_is_named(self, command):
-        # below T = 0.69 a lead occupation rounds to 1; (-10, -20) is also
-        # the first point of verify's grid
-        r = run_cli(*command, "--temperature", "0.5")
+    @pytest.mark.parametrize("command", [
+        ("verify",), ("analyze", "--vg", "-10", "--vsd", "-6.666666666666667")])
+    def test_cold_point_is_named(self, command):
+        # at T = 0.2 (-10, -20/3) is the first point of verify's grid whose
+        # B block fails the substochastic check
+        r = run_cli(*command, "--temperature", "0.2")
         assert r.returncode == 2 and r.stdout == ""
-        assert r.stderr == (f"exclab {command[0]}: error: DegenerateFermi at vg=-10, "
-                            "vsd=-20: Fermi occupation 1.0 is degenerate\n")
+        assert r.stderr == (f"exclab {command[0]}: error: SingularB at vg=-10, "
+                            "vsd=-6.66667: B block of the generator is not substochastic\n")
+
+    @pytest.mark.parametrize("blockade", [False, True])
+    def test_cold_verify_prints_every_line(self, blockade):
+        # at T = 0.5 a lead occupation rounds to 1 on verify's grid; every
+        # point is evaluated and every check prints its line
+        extra = ("--blockade",) if blockade else ()
+        r = run_cli("verify", "--temperature", "0.5", *extra)
+        assert r.returncode == 1 and r.stderr == ""
+        lines = r.stdout.splitlines()
+        n = 10 if blockade else 7
+        assert len(lines) == n + 1
+        assert re.fullmatch(rf"\d/{n} checks passed, \d FAILED", lines[-1]), lines[-1]
+        assert all(s.startswith(("[PASS] ", "[FAIL] ")) for s in lines[:-1])
 
     @pytest.mark.parametrize("blockade", [False, True])
     def test_verify_names_the_first_failing_point(self, monkeypatch, blockade):
@@ -812,12 +828,12 @@ class TestCli:
 
         def failing(p):
             if p.blockade == blockade and p.vg > 0 and p.vsd > 0:
-                raise DegenerateFermi("spoiled")
+                raise SingularB("spoiled")
             return evaluate(p)
 
         monkeypatch.setattr(exclab.verify, "evaluate", failing)
-        with pytest.raises(DegenerateFermi,
-                           match=r"^DegenerateFermi at vg=3.33333, vsd=6.66667: spoiled$"):
+        with pytest.raises(SingularB,
+                           match=r"^SingularB at vg=3.33333, vsd=6.66667: spoiled$"):
             exclab.verify.run_verify(SweepConfig())
 
     def test_verify_names_the_worst_finite_difference_cell(self):
