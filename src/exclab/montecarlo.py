@@ -31,13 +31,13 @@ states at the width it is given, finds the visits of the reference state
 with ``flatnonzero``, sums each excursion's holds in trajectory order
 across the blocks with one vectorised add per position, and keeps one
 jump code ``dest * n + src`` per jump, one byte wide for up to 16
-states, with the visits' offsets into the codes; it forms no
-``(K, n, n)`` tally block.  Its records are columnar:
-:class:`ExcursionRecords` holds the durations and the codes, and
+states, with the visits' offsets into the codes.  Its records are
+columnar and have that one form: :class:`ExcursionRecords` holds the
+durations, the codes and the visits, and
 :meth:`ExcursionSample.from_records` tallies ``_SLICE`` excursions at a
 time with one ``bincount`` and fills that slice of each ``q`` column.
-The records' ``counts`` block is formed from the same slices only when
-it is read.
+The records' ``(K, n, n)`` ``counts`` block is formed from the same
+slices only when it is read.
 
 A unit count, a scheme of integer weights with |w| <= 1 such as the
 charge current and the dynamical activity, is an integer per excursion:
@@ -130,7 +130,8 @@ _ROUNDING = 1e-9
 class Trajectory:
     """Jump chain ``states`` with the residence time ``holds[i]`` spent in
     ``states[i]`` before the jump to ``states[i+1]``; the final hold has no
-    following jump.  ``total_time`` is the sum of the holds.
+    following jump.  ``total_time`` is the sum of the holds, formed once
+    when first read.
 
     :func:`simulate` gives the states as uint8, one byte per jump (it
     walks at most 256 states): widen them before arithmetic that can leave
@@ -142,9 +143,9 @@ class Trajectory:
     holds once and caches them, at 8 bytes per jump.
     """
 
-    def __init__(self, states: np.ndarray, holds: np.ndarray, total_time: float):
-        # given values shadow the cached properties below
-        self.states, self.holds, self.total_time = states, holds, total_time
+    def __init__(self, states: np.ndarray, holds: np.ndarray):
+        # given holds shadow the cached property below
+        self.states, self.holds = states, holds
 
     @classmethod
     def _drawn(cls, states: np.ndarray, seq: np.random.SeedSequence,
@@ -305,37 +306,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class ExcursionRecords:
-    """Read-only columnar excursion records: ``durations (K,)`` and the
-    tally block ``counts (K, n, n)`` (int64), where ``counts[k, y, x]``
-    counts the jumps x -> y of excursion k.
+    """Read-only columnar excursion records: ``durations (K,)``, the jump
+    codes ``dest * n + src`` of an ``n``-state chain, and the ``K + 1``
+    offsets of the visits of A into the codes, which bound the excursions.
 
-    Records built from ``(durations, counts)`` hold read-only views of the
-    two arrays (the caller's own arrays stay writable).  Records from
-    :func:`excursion_filter` hold no tally block: they keep one jump code
-    ``dest * n + src`` per jump, in ``np.min_scalar_type(n * n - 1)`` (one
-    byte for up to 16 states), and the offsets of the visits of A into the
-    codes, which bound the excursions.  :meth:`ExcursionSample.from_records`
-    tallies them ``_SLICE`` excursions at a time, and ``counts`` is formed
-    from the same slices once, on first access.
+    :func:`excursion_filter` keeps the codes in
+    ``np.min_scalar_type(n * n - 1)``, one byte for up to 16 states.
+    ``durations`` is a read-only view (the caller's array stays writable).
+    :meth:`ExcursionSample.from_records` tallies the codes ``_SLICE``
+    excursions at a time, and ``counts``, the ``(K, n, n)`` int64 block
+    where ``counts[k, y, x]`` counts the jumps x -> y of excursion k, is
+    formed from the same slices once, on first access.
     """
 
     __slots__ = ("durations", "_counts", "_codes", "_visits", "_n")
 
-    def __init__(self, durations: np.ndarray, counts: np.ndarray):
+    def __init__(self, durations: np.ndarray, codes: np.ndarray, visits: np.ndarray,
+                 n: int):
         self.durations = _read_only(durations)
-        self._counts = _read_only(counts)
-        self._codes = self._visits = self._n = None
-
-    @classmethod
-    def _from_codes(cls, durations: np.ndarray, codes: np.ndarray, visits: np.ndarray,
-                    n: int) -> "ExcursionRecords":
-        """The records of the excursions between consecutive ``visits``,
-        offsets into ``codes``, the jump codes of an ``n``-state chain."""
-        records = cls.__new__(cls)
-        records.durations = _read_only(durations)
-        records._counts = None
-        records._codes, records._visits, records._n = codes, visits, n
-        return records
+        self._codes, self._visits, self._n = codes, visits, n
+        self._counts = None
 
     def __len__(self) -> int:
         return self.durations.size
@@ -353,20 +343,14 @@ class ExcursionRecords:
 
     def _longest(self) -> int:
         """The number of jumps of the longest excursion (0 without one)."""
-        if self._counts is None:
-            return int(np.diff(self._visits).max(initial=0))
-        return int(self._counts.sum(axis=(1, 2)).max(initial=0))
+        return int(np.diff(self._visits).max(initial=0))
 
     def _tallies(self):
         """``(lo, counts[lo : lo + _SLICE])`` for each slice of ``_SLICE``
-        excursions; while no block is held, one ``bincount`` over the
-        slice's jump codes, each offset by its excursion's index times
-        ``n * n``."""
+        excursions: one ``bincount`` over the slice's jump codes, each
+        offset by its excursion's index times ``n * n``."""
         n = self._n
         for lo in range(0, len(self), _SLICE):
-            if self._counts is not None:
-                yield lo, self._counts[lo : lo + _SLICE]
-                continue
             bounds = self._visits[lo : lo + _SLICE + 1]
             k = bounds.size - 1
             # each jump's excursion offset, with its code added in place
@@ -384,9 +368,9 @@ def excursion_filter(
     states before the first visit of ``a_state``, and a partial excursion
     at the end of the trajectory, are discarded.  Returns the records and
     the array of residence times in A, one per completed excursion (the
-    pairing is exact).  ``n_states`` sets the tally matrix size; by default
-    it is inferred from the visited states (one state for an empty
-    trajectory).
+    pairing is exact).  ``n_states`` is the number of states of the chain,
+    which the jump codes ``dest * n + src`` are formed in; by default it is
+    inferred from the visited states (one state for an empty trajectory).
 
     Vectorised over the visits of A.  The holds are read one block of
     ``_FILTER_BLOCK`` at a time from :func:`_hold_blocks`, redrawn for a
@@ -395,13 +379,13 @@ def excursion_filter(
     adds of :func:`_sequential_segment_sums`, each continuing its
     excursion's sum over the blocks before, so the durations are summed in
     trajectory order, and the residences are gathered from the block.  The
-    records keep one jump code per jump, from
-    the first visit of A to the last, formed without a full-size int64
-    temporary; no tallies are made here.  States of an integer dtype are
-    read at their own width, such as the bytes of :func:`simulate`, and
-    the codes are computed in the code dtype, since a byte times ``n``
-    would wrap; other states are converted to int64 once, to check that
-    they are integers.  ``states`` is a jump chain, so no state follows
+    records keep one jump code per jump, from the first visit of A to the
+    last, formed without a full-size int64 temporary, and the visits'
+    offsets into the codes; no tallies are made here.  States of an
+    integer dtype are read at their own width, such as the bytes of
+    :func:`simulate`, and the codes are computed in the code dtype, since
+    a byte times ``n`` would wrap; other states are converted to int64
+    once, to check that they are integers.  ``states`` is a jump chain, so no state follows
     itself.  A state that is not an integer raises ValueError; one outside
     ``[0, n_states)``, or ``holds`` of another length than ``states``,
     DimensionMismatch.
@@ -423,8 +407,10 @@ def excursion_filter(
     _check_state(a_state, n)
     visits = np.flatnonzero(states == a_state)
     k = visits.size - 1
+    code_type = np.min_scalar_type(n * n - 1)
     if k < 1:
-        empty = ExcursionRecords(np.zeros(0), np.zeros((0, n, n), dtype=np.int64))
+        empty = ExcursionRecords(np.zeros(0), np.zeros(0, dtype=code_type),
+                                 np.zeros(1, dtype=np.intp), n)
         return empty, np.asarray([], dtype=float)
     departures, starts, ends = visits[:-1], visits[:-1] + 1, visits[1:]
     durations, residences = np.zeros(k), np.empty(k)
@@ -444,12 +430,11 @@ def excursion_filter(
     # dest * n + src in the code dtype, the states cast into it one ufunc
     # buffer at a time: in their own dtype a byte times n wraps from 17
     # states on
-    code_type = np.min_scalar_type(n * n - 1)
     codes = np.multiply(states[first + 1 : last + 1], n, dtype=code_type, casting="unsafe",
                         out=np.empty(last - first, dtype=code_type))
     np.add(codes, states[first:last], dtype=code_type, out=codes, casting="unsafe")
     visits -= first
-    return ExcursionRecords._from_codes(durations, codes, visits, n), residences
+    return ExcursionRecords(durations, codes, visits, n), residences
 
 
 def _column_dtype(scheme: WeightScheme) -> type:
@@ -479,8 +464,9 @@ class ExcursionSample:
     given as int32 is kept so, as the samplers store a unit count's
     integer values (4 bytes per excursion); any other is stored as
     float64.  Widen an int32 column before a product, such as ``q * q``,
-    which int32 would wrap.  Raises DimensionMismatch when a
-    ``residences`` or ``q`` length is not ``len(durations)``.
+    which int32 would wrap.  Raises DimensionMismatch unless
+    ``durations``, ``residences`` and every ``q`` array have the shape
+    ``(n,)``, n the size of ``durations``.
     """
 
     durations: np.ndarray
@@ -491,19 +477,16 @@ class ExcursionSample:
 
     def __post_init__(self):
         for name in ("durations", "residences"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         n = self.durations.size
         q = {k: np.asarray(v) for k, v in self.q.items()}
-        q = {k: (v if v.dtype == np.int32 else np.asarray(v, dtype=np.float64)).view()
+        q = {k: _read_only(v if v.dtype == np.int32 else np.asarray(v, dtype=np.float64))
              for k, v in q.items()}
-        labelled = [("residences", self.residences)] + [(f"q[{k!r}]", v) for k, v in q.items()]
-        for label, view in labelled:
+        labelled = [("durations", self.durations), ("residences", self.residences)]
+        for label, view in labelled + [(f"q[{k!r}]", v) for k, v in q.items()]:
             if view.shape != (n,):
                 raise DimensionMismatch(
-                    f"{label} has shape {view.shape}, expected ({n},) like durations")
-            view.flags.writeable = False
+                    f"{label} has shape {view.shape}, expected ({n},), one per excursion")
         object.__setattr__(self, "q", MappingProxyType(q))
 
     @property
@@ -564,23 +547,24 @@ class ExcursionSample:
     ) -> "ExcursionSample":
         """Sample from the columns of filter records.
 
-        The records' tallies are taken ``_SLICE`` excursions at a time,
-        from the filter's jump codes or as slices of a given block, and
-        each ``q`` column is filled one such slice at a time, so neither
-        the tally block nor a float copy of it is formed.  The slices are
-        blocked by BLAS as a one-thread BLAS blocks the unsliced
-        ``tensordot``, so ``q`` is that call's result to the last bit.  A
-        threaded BLAS sums the last rows of each thread's range of a large
-        call with other kernels, so the unsliced call's last bits depend on
-        the thread count; OpenBLAS splits no call of fewer than 460 800
-        tally entries, which a slice stays below for chains of up to 7
-        states.
+        The records' tallies are taken ``_SLICE`` excursions at a time
+        from their jump codes, and each ``q`` column is filled one such
+        slice at a time, so neither the tally block nor a float copy of it
+        is formed.  The slices are blocked by BLAS as a one-thread BLAS
+        blocks the unsliced ``tensordot``, so ``q`` is that call's result
+        to the last bit.  A threaded BLAS sums the last rows of each
+        thread's range of a large call with other kernels, so the unsliced
+        call's last bits depend on the thread count; OpenBLAS splits no
+        call of fewer than 460 800 tally entries, which a slice stays below
+        for chains of up to 7 states.
 
         A unit count's column is int32 (see :func:`_column_dtype`): the
         ``tensordot`` of integer tallies and weights is exact below 2**53,
         and each slice is stored as those integers.  An excursion of more
         jumps than the largest int32 count raises CountOverflow, naming
-        the unit counts, before any column is filled.
+        the unit counts, before any column is filled.  ``residences`` is
+        taken as it is: one of another length than the records raises
+        DimensionMismatch.
         """
         dtypes = {name: _column_dtype(s) for name, s in schemes.items()}
         units = [name for name, dtype in dtypes.items() if dtype is np.int32]
@@ -591,10 +575,9 @@ class ExcursionSample:
         for lo, block in records._tallies():
             for name, s in schemes.items():
                 q[name][lo : lo + _SLICE] = np.tensordot(block, s.weights, axes=([1, 2], [0, 1]))
-        res = np.asarray(residences, dtype=float)[: len(records)]
         return cls(
             durations=records.durations,
-            residences=res,
+            residences=np.asarray(residences, dtype=float),
             q=q,
             schemes=dict(schemes),
             gamma_a=gamma_a,
@@ -981,12 +964,17 @@ def dump_trajectory(t: Trajectory, path, labels=None) -> None:
     The jump times are a sequential cumsum of the holds, so each equals the
     running sum ``clock += hold`` to the last bit, and prints as its repr.
     The lines are formatted and written one hold block of ``_BLOCK`` jumps
-    at a time, the cumsum carried from one block into the next.
+    at a time, the cumsum carried from one block into the next.  A state
+    without a label raises DimensionMismatch before ``path`` is opened.
     """
     states = np.asarray(t.states)
     blocks = _hold_blocks(t)
     jumps = states.size - 1
-    names = range(int(states.max(initial=0)) + 1) if labels is None else labels
+    top = int(states.max(initial=0))
+    names = range(top + 1) if labels is None else labels
+    if top >= len(names):
+        raise DimensionMismatch(f"trajectory visits state {top}, but {len(names)} labels "
+                                "are given")
     clock = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo, block in blocks:

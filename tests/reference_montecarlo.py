@@ -93,7 +93,6 @@ def simulate(m: RateMatrix, seed: int, max_excursions: int, a_state: int = 0) ->
     return Trajectory(
         states=np.asarray(states, dtype=np.int64),
         holds=np.asarray(holds, dtype=float),
-        total_time=float(np.sum(holds)),
     )
 
 

@@ -200,8 +200,7 @@ def assert_same_trajectory(t, ref):
 def assert_same_filter(t, a_state=0, n_states=None, dtype=None):
     """The filter, on ``t``'s states cast to ``dtype`` if one is given,
     against the per-jump loop on ``t``."""
-    given = t if dtype is None else Trajectory(
-        states=t.states.astype(dtype), holds=t.holds, total_time=t.total_time)
+    given = t if dtype is None else Trajectory(states=t.states.astype(dtype), holds=t.holds)
     records, residences = excursion_filter(given, a_state, n_states)
     ref_records, ref_residences = reference.excursion_filter(t, a_state, n_states)
     assert residences.dtype == ref_residences.dtype
@@ -275,8 +274,7 @@ class TestReferenceLoops:
         for length in [3, longest, *rng.integers(1, 40, 30), longest - 1, 1]:
             states += [1 + i % 2 for i in range(length)] + [0]
         holds = rng.exponential(1.0, len(states))
-        t = Trajectory(states=np.array(states, dtype=np.uint8), holds=holds,
-                       total_time=float(holds.sum()))
+        t = Trajectory(states=np.array(states, dtype=np.uint8), holds=holds)
         assert_same_filter(t, 0, 3)
 
     def test_other_reference_state(self, ref_model):
@@ -348,12 +346,14 @@ class TestColumnarRecords:
             counts[0, 0, 0] = 7
 
     def test_caller_arrays_stay_writable(self):
-        durations, counts = np.ones(3), np.zeros((3, 2, 2), dtype=np.int64)
-        records = ExcursionRecords(durations, counts)
-        assert durations.flags.writeable and counts.flags.writeable
+        # three excursions 0 -> 1 -> 0 of a two-state chain: codes 2 and 1
+        durations, codes = np.ones(3), np.tile(np.array([2, 1], dtype=np.uint8), 3)
+        records = ExcursionRecords(durations, codes, np.arange(0, 7, 2), 2)
+        assert durations.flags.writeable and codes.flags.writeable
         assert not records.durations.flags.writeable
         assert not records.counts.flags.writeable
         assert len(records) == 3
+        assert records.counts.tolist() == [[[0, 1], [1, 0]]] * 3
         with pytest.raises(ValueError):
             records.counts[0, 0, 0] = 7
 
@@ -398,8 +398,7 @@ class TestSliceBoundaries:
         assert_same_trajectory(t, reference.simulate(m, seed=21, max_excursions=n))
         if outside:
             # without its first hold in A the trajectory starts outside it
-            t = Trajectory(states=t.states[1:], holds=t.holds[1:],
-                           total_time=float(np.sum(t.holds[1:])))
+            t = Trajectory(states=t.states[1:], holds=t.holds[1:])
         schemes = _schemes(ref_params, m.n) if chain == "dqd" else {
             "transport": transport_weights("R", m.n), "activity": activity_weights(m.n)}
         k = assert_same_records(t, m, 0, schemes)
@@ -427,8 +426,13 @@ class TestSliceBoundaries:
             residences = rng.exponential(1.0, k)
             schemes = {"a": WeightScheme(rng.standard_normal((4, 4))),
                        "b": WeightScheme(rng.uniform(-3.0, 3.0, (4, 4)))}
-            got = ExcursionSample.from_records(
-                ExcursionRecords(durations, counts), residences, schemes, 1.0)
+            # each excursion's tallies as jump codes y * 4 + x, flat at
+            # the same index as counts[:, y, x]
+            codes = np.repeat(np.tile(np.arange(16, dtype=np.uint8), k), counts.ravel())
+            visits = np.concatenate(([0], np.cumsum(counts.sum(axis=(1, 2)))))
+            records = ExcursionRecords(durations, codes, visits, 4)
+            assert np.array_equal(records.counts, counts)
+            got = ExcursionSample.from_records(records, residences, schemes, 1.0)
             records = [reference.ExcursionRecord(d, c) for d, c in zip(durations, counts)]
             want = reference.from_records(records, residences, schemes, 1.0)
             print(all(np.array_equal(got.q[name], want.q[name]) for name in schemes))
@@ -546,11 +550,11 @@ class TestDrawnHolds:
         seq, gamma = np.random.SeedSequence(5), np.array([1.0, 2.0, 0.5])
         holds = Trajectory._drawn(states, seq, gamma).holds
         t = (Trajectory._drawn(states, seq, gamma) if drawn
-             else Trajectory(states=states, holds=holds, total_time=0.0))
+             else Trajectory(states=states, holds=holds))
         records, residences = excursion_filter(t, 0, 3)
         assert ("holds" in vars(t)) != drawn
         ref_records, ref_residences = reference.excursion_filter(
-            Trajectory(states=states, holds=holds, total_time=0.0), 0, 3)
+            Trajectory(states=states, holds=holds), 0, 3)
         assert np.array_equal(residences, ref_residences)
         assert records.durations.tolist() == [r.duration for r in ref_records]
 
@@ -558,8 +562,10 @@ class TestDrawnHolds:
 class TestExcursionFilter:
     def test_minimal_handcrafted_trajectory(self):
         t = Trajectory(states=np.array([0, 1, 0, 2, 0]),
-                       holds=np.array([0.5, 1.0, 0.25, 2.0, 0.125]),
-                       total_time=3.875)
+                       holds=np.array([0.5, 1.0, 0.25, 2.0, 0.125]))
+        assert t.total_time == 3.875
+        with pytest.raises(TypeError):
+            Trajectory(states=t.states, holds=t.holds, total_time=99.0)
         records, residences = excursion_filter(t, 0, n_states=3)
         assert len(records) == 2
         assert records.counts.sum(axis=(1, 2)).tolist() == [2, 2]
@@ -592,8 +598,7 @@ class TestExcursionFilter:
     @staticmethod
     def _traj(states):
         holds = 0.5 + 0.25 * np.arange(len(states))
-        return Trajectory(states=np.array(states, dtype=np.int64), holds=holds,
-                          total_time=float(holds.sum()))
+        return Trajectory(states=np.array(states, dtype=np.int64), holds=holds)
 
     def test_start_outside_a(self):
         t = self._traj([2, 1, 0, 1, 2, 0, 3, 0])
@@ -655,16 +660,16 @@ class TestExcursionFilter:
 
     def test_non_integer_states_rejected(self):
         holds = np.ones(5)
-        t = Trajectory(states=np.array([0.0, 1.5, 0.0, 2.0, 0.0]), holds=holds, total_time=5.0)
+        t = Trajectory(states=np.array([0.0, 1.5, 0.0, 2.0, 0.0]), holds=holds)
         with pytest.raises(ValueError, match="1.5"):
             excursion_filter(t, 0, 3)
         # integral floats are states
-        t = Trajectory(states=np.array([0.0, 1.0, 0.0, 2.0, 0.0]), holds=holds, total_time=5.0)
+        t = Trajectory(states=np.array([0.0, 1.0, 0.0, 2.0, 0.0]), holds=holds)
         assert excursion_filter(t, 0, 3)[0].counts.tolist() == \
             excursion_filter(self._traj([0, 1, 0, 2, 0]), 0, 3)[0].counts.tolist()
 
     def test_holds_of_another_length_rejected(self):
-        t = Trajectory(states=np.array([0, 1, 0, 2, 0]), holds=np.ones(4), total_time=4.0)
+        t = Trajectory(states=np.array([0, 1, 0, 2, 0]), holds=np.ones(4))
         with pytest.raises(DimensionMismatch, match="holds"):
             excursion_filter(t, 0, 3)
 
@@ -871,20 +876,14 @@ class TestUnitCounts:
             ExcursionSample.from_records(records, residences, schemes, 1.0)
         ExcursionSample.from_records(records, residences, {"spread": _spread(5)}, 1.0)
 
-    @pytest.mark.parametrize("extra, fits", [(0, True), (1, False)])
-    def test_from_records_guard_at_the_int32_limit(self, extra, fits):
-        # a given tally block of 2**31 - 1 jumps fits; one more does not
+    def test_from_records_guard_one_past_the_int32_limit(self):
+        # one excursion of 2**31 jumps, its codes a zero-stride view
         top = np.iinfo(np.int32).max
-        counts = np.array([[[0, top // 2], [top - top // 2 + extra, 0]]])
-        records = ExcursionRecords(np.ones(1), counts)
+        codes = np.broadcast_to(np.uint8(2), (top + 1,))
+        records = ExcursionRecords(np.ones(1), codes, np.array([0, top + 1]), 2)
         schemes = {"activity": activity_weights(2)}
-        if fits:
-            sample = ExcursionSample.from_records(records, np.ones(1), schemes, 1.0)
-            assert sample.q["activity"].dtype == np.int32
-            assert sample.q["activity"].tolist() == [top]
-        else:
-            with pytest.raises(CountOverflow, match=f"'activity': an excursion of {top + 1} "):
-                ExcursionSample.from_records(records, np.ones(1), schemes, 1.0)
+        with pytest.raises(CountOverflow, match=f"'activity': an excursion of {top + 1} "):
+            ExcursionSample.from_records(records, np.ones(1), schemes, 1.0)
 
     def test_first_moments_call_forms_no_full_size_float_row(self, ref_params):
         # a full-size float64 or int64 copy of a count is one row (8 bytes
@@ -1074,10 +1073,20 @@ class TestDurationHalf:
             ExcursionSample(durations=np.ones(64), residences=np.ones(64), q=q,
                             schemes={}, gamma_a=1.0)
 
-    def test_residences_of_the_wrong_length_rejected(self):
+    def test_residences_of_the_wrong_length_rejected(self, ref_model):
         with pytest.raises(DimensionMismatch, match="residences has shape"):
             ExcursionSample(durations=np.ones(64), residences=np.ones(65), q={},
                             schemes={}, gamma_a=1.0)
+        # durations are held to one dimension too
+        with pytest.raises(DimensionMismatch, match=r"^durations has shape \(8, 16\)"):
+            ExcursionSample(durations=np.ones((8, 16)), residences=np.ones(128), q={},
+                            schemes={}, gamma_a=1.0)
+        # from_records passes residences through whole, shorter or longer
+        t = simulate(ref_model, seed=3, max_excursions=100)
+        records, residences = excursion_filter(t, 0, ref_model.n)
+        for res in (residences[:50], np.concatenate([residences] * 5)):
+            with pytest.raises(DimensionMismatch, match="residences has shape"):
+                ExcursionSample.from_records(records, res, {}, 1.0)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 16383, 16384, 16385,
                                    16392, 32769, 65536, 999983, 1_000_000])
@@ -1262,14 +1271,23 @@ class TestTrajectoryDump:
         rng = np.random.default_rng(4)
         n = montecarlo._SLICE + 5
         states = rng.integers(0, top + 1, n).astype(dtype)
-        t = Trajectory(states=states, holds=rng.exponential(1.0, n), total_time=0.0)
+        t = Trajectory(states=states, holds=rng.exponential(1.0, n))
         dump_trajectory(t, tmp_path / "new.tsv")
         reference.dump_trajectory(t, tmp_path / "ref.tsv")
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
+    def test_too_few_labels_named_before_the_file_is_opened(self, ref_model, tmp_path):
+        t = simulate(ref_model, seed=14, max_excursions=50)
+        path = tmp_path / "traj.tsv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(DimensionMismatch, match=r"^trajectory visits state 3, but 3 "
+                                                    r"labels are given$"):
+            dump_trajectory(t, path, labels=ref_model.labels[:3])
+        assert path.read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_unsigned_trajectory_without_jumps_writes_an_empty_file(self, tmp_path, n):
-        t = Trajectory(states=np.zeros(n, dtype=np.uint8), holds=np.ones(n), total_time=float(n))
+        t = Trajectory(states=np.zeros(n, dtype=np.uint8), holds=np.ones(n))
         dump_trajectory(t, tmp_path / "traj.tsv")
         assert (tmp_path / "traj.tsv").read_bytes() == b""
 
@@ -1279,8 +1297,7 @@ class TestTrajectoryDump:
         rng = np.random.default_rng(3)
         peaks = []
         for n in (2 * montecarlo._SLICE, 16 * montecarlo._SLICE):
-            t = Trajectory(states=rng.integers(0, 4, n), holds=rng.exponential(1.0, n),
-                           total_time=0.0)
+            t = Trajectory(states=rng.integers(0, 4, n), holds=rng.exponential(1.0, n))
             peaks.append(_traced_peak(
                 dump_trajectory, t, tmp_path / "traj.tsv", labels=ref_model.labels)[1])
         assert peaks[1] <= 1.2 * peaks[0], peaks

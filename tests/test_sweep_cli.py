@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_montecarlo
 import reference_sweep as reference
 from exclab.cli import _build_parser
 from exclab.dqd import build_model
@@ -721,6 +722,19 @@ class TestCli:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert "worst |z|" in r1.stdout
+
+    def test_simulate_dump_matches_reference_loops(self, tmp_path):
+        # the CLI's dump against the per-jump walk and writer at the same
+        # point: T = 2, vg = 0 and vsd = 7 without the gate shift
+        dump = tmp_path / "t.tsv"
+        r = run_cli("simulate", "--temperature", "2", "--vg", "0", "--vsd", "7",
+                    "--n", "5000", "--seed", "99", "--dump-trajectory", str(dump))
+        assert r.returncode == 0, r.stdout + r.stderr
+        model = build_model(_point_params(SweepConfig(temperature=2.0), 0.0, 7.0, False))
+        reference_montecarlo.dump_trajectory(
+            reference_montecarlo.simulate(model, seed=99, max_excursions=5000),
+            tmp_path / "ref.tsv", labels=model.labels)
+        assert dump.read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
     def test_simulate_at_equilibrium_passes(self):
         # at vsd = 0 every entropy sample is exactly 0 (standard error 0)
