@@ -313,6 +313,7 @@ class ExcursionRecords:
     :func:`excursion_filter` keeps the codes in
     ``np.min_scalar_type(n * n - 1)``, one byte for up to 16 states.
     ``durations`` is a read-only view (the caller's array stays writable).
+    Visits of another shape than ``(K + 1,)`` raise DimensionMismatch.
     :meth:`ExcursionSample.from_records` tallies the codes ``_SLICE``
     excursions at a time, and ``counts``, the ``(K, n, n)`` int64 block
     where ``counts[k, y, x]`` counts the jumps x -> y of excursion k, is
@@ -324,6 +325,9 @@ class ExcursionRecords:
     def __init__(self, durations: np.ndarray, codes: np.ndarray, visits: np.ndarray,
                  n: int):
         self.durations = _read_only(durations)
+        if np.shape(visits) != (durations.size + 1,):
+            raise DimensionMismatch(f"visits has shape {np.shape(visits)}, expected "
+                                    f"({durations.size + 1},), one more than the durations")
         self._codes, self._visits, self._n = codes, visits, n
         self._counts = None
 

@@ -357,6 +357,15 @@ class TestColumnarRecords:
         with pytest.raises(ValueError):
             records.counts[0, 0, 0] = 7
 
+    @pytest.mark.parametrize("visits", [[0, 2, 4], [0, 2, 4, 6, 8]])
+    def test_visits_of_another_length_rejected(self, visits):
+        # one bound short or over: counts would keep an unfilled row, and
+        # from_records failed on a bare numpy broadcast
+        codes = np.tile(np.array([2, 1], dtype=np.uint8), 4)
+        with pytest.raises(DimensionMismatch, match=r"^visits has shape \(\d,\), expected "
+                                                    r"\(4,\), one more than the durations$"):
+            ExcursionRecords(np.ones(3), codes, np.array(visits), 2)
+
 
 def assert_same_records(t, m, a_state, schemes):
     """The filter and ``from_records`` against the list-building filter and
