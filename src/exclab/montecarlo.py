@@ -974,11 +974,12 @@ def dump_trajectory(t: Trajectory, path, labels=None) -> None:
     states = np.asarray(t.states)
     blocks = _hold_blocks(t)
     jumps = states.size - 1
-    top = int(states.max(initial=0))
+    low, top = int(states.min(initial=0)), int(states.max(initial=0))
     names = range(top + 1) if labels is None else labels
-    if top >= len(names):
-        raise DimensionMismatch(f"trajectory visits state {top}, but {len(names)} labels "
-                                "are given")
+    for state in (low, top):
+        if not 0 <= state < len(names):
+            raise DimensionMismatch(f"trajectory visits state {state}, but {len(names)} "
+                                    "labels are given")
     clock = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo, block in blocks:

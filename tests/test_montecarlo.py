@@ -1285,13 +1285,21 @@ class TestTrajectoryDump:
         reference.dump_trajectory(t, tmp_path / "ref.tsv")
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
-    def test_too_few_labels_named_before_the_file_is_opened(self, ref_model, tmp_path):
-        t = simulate(ref_model, seed=14, max_excursions=50)
+    @pytest.mark.parametrize("states, labels, state", [
+        ([0, 1, 3, 0], 3, 3),          # too few labels
+        ([0, 2, -1, 0], None, -1),     # range(3)[-1] wrote state 2
+        ([0, 2, -1, 0], 4, -1),        # labels[-1] wrote the last label
+    ])
+    def test_state_without_a_label_named_before_the_file_is_opened(
+            self, ref_model, tmp_path, states, labels, state):
+        t = Trajectory(states=np.array(states), holds=np.ones(len(states)))
+        given = None if labels is None else ref_model.labels[:labels]
         path = tmp_path / "traj.tsv"
         path.write_bytes(b"kept\n")
-        with pytest.raises(DimensionMismatch, match=r"^trajectory visits state 3, but 3 "
-                                                    r"labels are given$"):
-            dump_trajectory(t, path, labels=ref_model.labels[:3])
+        count = 3 if labels is None else labels
+        with pytest.raises(DimensionMismatch, match=f"^trajectory visits state {state}, but "
+                                                    f"{count} labels are given$"):
+            dump_trajectory(t, path, labels=given)
         assert path.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("n", [0, 1])
