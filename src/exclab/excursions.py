@@ -9,12 +9,11 @@ observables Q_i come from the tilted resolvent
 with the real tilt exp(weights_i * chi_i) on every off-diagonal rate.  Every
 first and second derivative at the origin is one bilinear insertion,
 :func:`cross_moments`; :func:`observable_moments` is its view for (Q, T),
-:func:`time_moments` reads the same sums for T alone off the insertion's
-ends, and :func:`noise_terms` assembles the noise D = D1 + D2 + D3 from
-them.  :func:`observable_moments` and
-:func:`excursion_report` take one scheme or a mapping or sequence of
-schemes; several schemes share one insertion, and each result is bit for
-bit that of its scheme alone.
+:func:`time_moments` is its T row, and :func:`noise_terms` assembles the
+noise D = D1 + D2 + D3 from them, the one place D is summed.
+:func:`observable_moments` and :func:`excursion_report` take one scheme or
+a mapping or sequence of schemes; several schemes share one insertion, and
+each result is bit for bit that of its scheme alone.
 
 The fundamental matrix G = (diag(gamma_B) - W_B)^-1 comes from GTH
 elimination (Grassmann, Taksar & Heyman, Oper. Res. 33:1107, 1985): its
@@ -32,8 +31,8 @@ cell.  The elimination and the substitutions that apply G run entry by
 entry, on one array over the cells per entry, with a Python loop over the
 B states only; one point runs the same arithmetic on Python floats, so a
 batch equals its points bit for bit.  The duration moments of
-:func:`time_moments` are read off the ends of the insertion once per
-decomposition and cached on it, with no insertion of their own.
+:func:`time_moments` are the T row of one :func:`cross_moments` insertion,
+made once per decomposition and cached on it.
 The transform oracles (:func:`finite_difference_moments`,
 :func:`outcome_quadrature`) take single chains only.  They stack their
 probes instead: each ladder of trial steps of the finite differences, their
@@ -135,30 +134,15 @@ class BlockDecomposition:
 
     @cached_property
     def duration_moments(self):
-        """``(e_t, e_t2, var_t, mu, delta2)`` of :func:`time_moments`, read
-        off the ends L, R; batch arrays are read-only.
-
-        T inserts the identity on B, so gamma_A e_t = sum_b L_b R_b and
-        gamma_A E[T^2] = 2 L_B G R_B, with G R_B from the GTH factors.  The
-        products and sums run in the order of :func:`cross_moments`, so both
-        equal its T row and T x T entry bit for bit, without an insertion
-        of their own.
-        """
-        lft, rgt, _ = self.ends
-        terms = lft * np.swapaxes(rgt, -1, -2)
-        terms[..., self.a_state] = 0.0
-        c = _insert(self, lft, rgt)[0, 0]
-        e_t = _float(terms.sum(axis=-1)[..., 0] / self.gamma_a)
-        e_t2 = _float((c + c) / self.gamma_a)
+        """``(e_t, e_t2, var_t, mu, delta2)`` of :func:`time_moments`: the T
+        row and T x T entry of :func:`cross_moments`, inserted once per
+        decomposition; batch arrays are read-only."""
+        (e_t,), ((e_t2,),) = cross_moments(self, [None])
         var_t = e_t2 - e_t * e_t
-        # 1/gamma_a**2 overflows on slow chains; excursion_report's rail
-        # fails them.  One point's gamma_a**2 can underflow to 0, where
-        # Python raises instead of giving a batch's inf.
+        # 1/gamma_a**2 overflows on slow chains, to inf for a point as for
+        # a batch; excursion_report's rail fails them
         with np.errstate(divide="ignore", over="ignore"):
-            try:
-                inv_a2 = 1.0 / self.gamma_a**2
-            except ZeroDivisionError:
-                inv_a2 = math.inf
+            inv_a2 = _float(1.0 / np.square(self.gamma_a))
             moments = (e_t, e_t2, var_t, e_t + 1.0 / self.gamma_a, var_t + inv_a2)
         for x in moments:
             if isinstance(x, np.ndarray):
@@ -376,12 +360,9 @@ def _check_decomposition(m, gen_b, fund, w_ab, w_ba, gamma_a):
         1.0,
         np.abs(gen).sum(axis=1).max(axis=0) * np.abs(g).sum(axis=1).max(axis=0),
     )
-    if g.ndim == 2:  # one point: no cells to run over, the products are shorter
-        prod, norm = gen @ g, float(w_ab[0] @ g @ w_ba[:, 0])
-    else:
-        prod = (gen[:, :, None] * g[None]).sum(axis=1)
-        lg = (_leading(w_ab[..., 0, :], 1)[:, None] * g).sum(axis=0)
-        norm = (lg * _leading(w_ba[..., 0], 1)).sum(axis=0)
+    prod = (gen[:, :, None] * g[None]).sum(axis=1)
+    lg = (_leading(w_ab[..., 0, :], 1)[:, None] * g).sum(axis=0)
+    norm = (lg * _leading(w_ba[..., 0], 1)).sum(axis=0)
     nb = len(prod)
     prod.reshape(nb * nb, -1)[:: nb + 1] += 1.0  # + the identity, in place
     resid = np.abs(prod).max(axis=(0, 1))
@@ -485,10 +466,12 @@ def noise_terms(var_q, e_q, cov_qt, mu, delta2):
     D1 = var(Q)/mu carries observable fluctuations, D2 = Delta^2 J^2/mu
     cycle-time fluctuations, D3 = -2 J cov(Q,T)/mu their interplay, with
     J = E(Q)/mu; no power of mu, which overflows beyond mu ~ 1e100.
-    Works on floats and arrays alike.  Returns ``(d1, d2, d3)``.
+    Works on floats and arrays alike.  Returns ``(d1, d2, d3, d)``, the
+    one place where D is summed.
     """
     j = e_q / mu
-    return var_q / mu, delta2 / mu * j * j, -2.0 * j * cov_qt / mu
+    d1, d2, d3 = var_q / mu, delta2 / mu * j * j, -2.0 * j * cov_qt / mu
+    return d1, d2, d3, d1 + d2 + d3
 
 
 @dataclass(frozen=True)
@@ -541,8 +524,7 @@ def excursion_report(d: BlockDecomposition, schemes):
                     ValueError, "covariance violates Cauchy-Schwarz")
         var_q = np.maximum(var_q, 0.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d1, d2, d3 = noise_terms(var_q, e_q, cov_qt, mu, delta2)
-            noise = d1 + d2 + d3
+            d1, d2, d3, noise = noise_terms(var_q, e_q, cov_qt, mu, delta2)
         raise_first(~np.isfinite(noise), ArithmeticError,
                     "non-finite noise d1={}, d2={}, d3={}", d1, d2, d3)
         reports.append(ExcursionReport(

@@ -842,9 +842,7 @@ def _stats(m_t, m_t2, m_tau, m_tau2, *scheme_means):
         m_q, var_q, cov_qt = scheme_means[i : i + 3]
         var_q -= m_q**2
         cov_qt -= m_q * m_t
-        d, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
-        d += d2
-        d += d3
+        d = noise_terms(var_q, m_q, cov_qt, mu, delta2)[3]
         out += [m_q, var_q, cov_qt, m_q / mu, d]
     return out
 

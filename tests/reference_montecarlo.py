@@ -310,8 +310,8 @@ def empirical_moments(
         mu = m_t + m_tau
         delta2 = var_t + (m_tau2 - m_tau**2)
         j = m_q / mu
-        d1, d2, d3 = noise_terms(var_q, m_q, cov_qt, mu, delta2)
-        return m_q, var_q, m_t, var_t, cov_qt, mu, delta2, j, d1 + d2 + d3
+        d = noise_terms(var_q, m_q, cov_qt, mu, delta2)[3]
+        return m_q, var_q, m_t, var_t, cov_qt, mu, delta2, j, d
 
     keys = ["e_q", "var_q", "e_t", "var_t", "cov_qt", "mu", "delta2", "j", "d"]
     theta, ses = _jackknife(stats, cols)

@@ -152,9 +152,9 @@ class TestTimeMoments:
         e_t, e_tau = times(10.0)
         assert e_t < 0.1 * e_tau
 
-    def test_duration_makes_no_insertion(self, ref_model, monkeypatch):
-        # the duration moments are read off the ends, cached once per
-        # decomposition: every insertion is one excursion_report's
+    def test_duration_is_one_cached_insertion(self, ref_model, monkeypatch):
+        # the duration moments are the T row of one insertion, cached once
+        # per decomposition: every other insertion is one excursion_report's
         from exclab import excursions
         calls, insert = [], excursions.cross_moments
 
@@ -170,7 +170,7 @@ class TestTimeMoments:
                   excess_time_weights(ref_model)):
             excursion_report(d, s)
         excess_time(d)
-        assert len(calls) == 3 and calls.count([None]) == 0
+        assert len(calls) == 4 and calls[0] == [None] and calls.count([None]) == 1
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_cached_equals_a_fresh_insertion(self, batch):
@@ -256,7 +256,7 @@ class TestCurrentAndNoise:
             r = excursion_report(ref_dec, s)
             assert r.d == r.d1 + r.d2 + r.d3
             assert noise_terms(r.var_q, r.e_q, r.cov_qt, r.mu, r.delta2) == (
-                r.d1, r.d2, r.d3)
+                r.d1, r.d2, r.d3, r.d)
             assert r.mu == r.e_t + r.e_tau
             assert r.var_q >= 0 and r.var_t >= 0
             assert abs(r.cov_qt) <= math.sqrt(r.var_q * r.var_t) * (1 + 1e-9)

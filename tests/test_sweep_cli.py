@@ -636,8 +636,8 @@ class TestCli:
         assert "# machine-readable" in capsys.readouterr().out
 
     def test_block_evaluates_each_quantity_once(self, monkeypatch):
-        # one compute_row pass over a 7 x 7 block: one moment insertion for
-        # the three schemes (the duration moments are read off its ends),
+        # one compute_row pass over a 7 x 7 block: one insertion for the
+        # duration moments and one for the three schemes,
         # one steady-state solve (G comes from the GTH elimination, with no
         # solve) and one set of lead occupations and their complements
         import exclab.dqd
@@ -663,7 +663,7 @@ class TestCli:
         monkeypatch.setattr(exclab.dqd, "fermi_pair", counted_fermi_pair)
         vg, vsd = np.meshgrid(np.linspace(-10, 10, 7), np.linspace(-20, 20, 7))
         compute_row(SweepConfig(), vg, vsd, True)
-        assert insertions == [3]
+        assert insertions == [0, 3]
         assert solvers == ["exclab.markov"]
         assert len(fermis) == 4  # f_L, f_R and their Coulomb-shifted pair
 
