@@ -511,27 +511,28 @@ def excursion_report(d: BlockDecomposition, schemes):
     noise raises ArithmeticError.
     """
     seq, shaped = _scheme_list(schemes)
-    e_t, e_t2, var_t, mu, delta2 = time_moments(d)
-    moments = observable_moments(d, seq)
-    t_scale = np.maximum(1.0, e_t2)
     reports = []
-    for scheme, (e_q, _, var_q, _, cov_qt) in zip(seq, moments):
-        q_scale = np.maximum(1.0, (scheme.max_abs_weight() * d.jump_bound) ** 2)
-        raise_first((var_t < -1e-9 * t_scale) | (var_q < -1e-9 * q_scale),
-                    ValueError, "negative variance in excursion report")
-        bound = np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_t, 0.0))
-        raise_first(np.abs(cov_qt) > bound + 1e-9 * np.maximum(q_scale, t_scale),
-                    ValueError, "covariance violates Cauchy-Schwarz")
-        var_q = np.maximum(var_q, 0.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # a far cell's moments overflow: the rails name it, with no numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e_t, e_t2, var_t, mu, delta2 = time_moments(d)
+        moments = observable_moments(d, seq)
+        t_scale = np.maximum(1.0, e_t2)
+        for scheme, (e_q, _, var_q, _, cov_qt) in zip(seq, moments):
+            q_scale = np.maximum(1.0, (scheme.max_abs_weight() * d.jump_bound) ** 2)
+            raise_first((var_t < -1e-9 * t_scale) | (var_q < -1e-9 * q_scale),
+                        ValueError, "negative variance in excursion report")
+            bound = np.sqrt(np.maximum(var_q, 0.0) * np.maximum(var_t, 0.0))
+            raise_first(np.abs(cov_qt) > bound + 1e-9 * np.maximum(q_scale, t_scale),
+                        ValueError, "covariance violates Cauchy-Schwarz")
+            var_q = np.maximum(var_q, 0.0)
             d1, d2, d3, noise = noise_terms(var_q, e_q, cov_qt, mu, delta2)
-        raise_first(~np.isfinite(noise), ArithmeticError,
-                    "non-finite noise d1={}, d2={}, d3={}", d1, d2, d3)
-        reports.append(ExcursionReport(
-            e_q=e_q, var_q=var_q, e_t=e_t, var_t=var_t, cov_qt=cov_qt,
-            e_tau=1.0 / d.gamma_a, mu=mu, delta2=delta2,
-            j=e_q / mu, d1=d1, d2=d2, d3=d3, d=noise,
-        ))
+            raise_first(~np.isfinite(noise), ArithmeticError,
+                        "non-finite noise d1={}, d2={}, d3={}", d1, d2, d3)
+            reports.append(ExcursionReport(
+                e_q=e_q, var_q=var_q, e_t=e_t, var_t=var_t, cov_qt=cov_qt,
+                e_tau=1.0 / d.gamma_a, mu=mu, delta2=delta2,
+                j=e_q / mu, d1=d1, d2=d2, d3=d3, d=noise,
+            ))
     return shaped(reports)
 
 

@@ -313,7 +313,9 @@ class ExcursionRecords:
     :func:`excursion_filter` keeps the codes in
     ``np.min_scalar_type(n * n - 1)``, one byte for up to 16 states.
     ``durations`` is a read-only view (the caller's array stays writable).
-    Visits of another shape than ``(K + 1,)`` raise DimensionMismatch.
+    Visits of another shape than ``(K + 1,)``, and a code outside
+    ``[0, n * n)``, which would land in another excursion's tallies, raise
+    DimensionMismatch.
     :meth:`ExcursionSample.from_records` tallies the codes ``_SLICE``
     excursions at a time, and ``counts``, the ``(K, n, n)`` int64 block
     where ``counts[k, y, x]`` counts the jumps x -> y of excursion k, is
@@ -328,6 +330,12 @@ class ExcursionRecords:
         if np.shape(visits) != (durations.size + 1,):
             raise DimensionMismatch(f"visits has shape {np.shape(visits)}, expected "
                                     f"({durations.size + 1},), one more than the durations")
+        low = codes.min(initial=0) if codes.dtype.kind == "i" else 0
+        top = codes.max(initial=0)
+        for code in (low, top):
+            if not 0 <= code < n * n:
+                raise DimensionMismatch(f"jump code {code} outside [0, {n * n}) "
+                                        f"of a {n}-state chain")
         self._codes, self._visits, self._n = codes, visits, n
         self._counts = None
 

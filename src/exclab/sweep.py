@@ -120,6 +120,9 @@ class SweepConfig:
             raise ValueError("grid needs at least one point per axis")
         if self.vg_lo > self.vg_hi or self.vsd_lo > self.vsd_hi:
             raise ValueError("grid bounds must satisfy lo <= hi")
+        for axis in ("vg", "vsd"):  # linspace steps by the span
+            if not math.isfinite(getattr(self, f"{axis}_hi") - getattr(self, f"{axis}_lo")):
+                raise ValueError(f"{axis} span {axis}_hi - {axis}_lo overflows")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         bad = [c for c in self.columns if c not in CANONICAL_COLUMNS]

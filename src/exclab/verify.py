@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dqd import lead_log_ratio
+from .errors import ExclabError
 from .excursions import (
     _float,
     excursion_report,
@@ -43,7 +44,7 @@ class CheckResult:
 def _rel(a: float, b: float) -> float:
     """Relative difference; NaN when either side is NaN."""
     gap = abs(a - b)
-    return gap / max(abs(a), abs(b)) if gap else 0.0
+    return gap / max(abs(a), abs(b)) if gap > 0.0 else gap
 
 
 def _points(cfg: SweepConfig):
@@ -102,7 +103,9 @@ def _line(name: str, *worsts: _Worst, extra: str = "") -> CheckResult:
 def run_verify(cfg: SweepConfig) -> list[CheckResult]:
     """Run every check on the built-in grid at the model of ``cfg``.
 
-    A NaN or infinite error fails its check and is the point it names.
+    A NaN or infinite error fails its check and is the point it names; the
+    FCS oracle's library error at a point is such a NaN, labelled with the
+    error's type and text.
     Cells where a relative comparison has no scale (a vanishing current or
     closed form) count as error 0.
     """
@@ -146,11 +149,17 @@ def run_verify(cfg: SweepConfig) -> list[CheckResult]:
             if not ok and bounds_failed is None:
                 bounds_failed = f"{what} at vg={p.vg}, vsd={p.vsd}"
 
-        # long-time FCS from the tilted generator
-        j_fcs, d_fcs = fcs_current_noise(ev.model, ev.schemes["transport"])
+        # long-time FCS from the tilted generator; a point it cannot
+        # evaluate is a NaN error there, labelled with the oracle's error
+        try:
+            j_fcs, d_fcs = fcs_current_noise(ev.model, ev.schemes["transport"])
+            failed = None
+        except ExclabError as exc:
+            j_fcs = d_fcs = math.nan
+            failed = f"{type(exc).__name__}: {exc}"
         for w, raw, a, c in zip(fcs, raw_fcs, (rq.j, rq.d), (j_fcs, d_fcs)):
             gap = abs(a - c)
-            w.add(0.0 if gap <= 1e-9 else _rel(a, c), p)
+            w.add(0.0 if gap <= 1e-9 else _rel(a, c), p, failed)
             raw.add(_rel(a, c), p, gap)
 
         # the excess-time scheme saturates its own bound

@@ -366,6 +366,16 @@ class TestColumnarRecords:
                                                     r"\(4,\), one more than the durations$"):
             ExcursionRecords(np.ones(3), codes, np.array(visits), 2)
 
+    @pytest.mark.parametrize("codes, bad", [([2, 5, 2, 1], 5), ([2, 4, 2, 1], 4),
+                                            ([2, -1, 2, 1], -1)])
+    def test_codes_outside_the_chain_rejected(self, codes, bad):
+        # 5 = 2 * 2 + 1 of a two-state chain spilled into the next
+        # excursion's tallies, and a negative code into the one before
+        dtype = np.int64 if bad < 0 else np.uint8
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^jump code {bad} outside \[0, 4\) of a 2-state chain$"):
+            ExcursionRecords(np.ones(2), np.array(codes, dtype=dtype), np.array([0, 2, 4]), 2)
+
 
 def assert_same_records(t, m, a_state, schemes):
     """The filter and ``from_records`` against the list-building filter and

@@ -25,7 +25,7 @@ from exclab import (
     transport_weights,
     validate_rate_matrix,
 )
-from exclab.errors import MassDeficit
+from exclab.errors import EigenFailure, MassDeficit, StepCollapse
 from exclab.excursions import outcome_quadrature
 from exclab.sweep import SweepConfig, evaluate
 from exclab.verify import _points
@@ -403,6 +403,36 @@ def test_verify_fails_on_one_nan(monkeypatch, check, name, spoil, blockade):
     assert [r.name for r in failed] == [check]
     assert "nan at vg=" in failed[0].detail
     assert "1 FAILED" in verify.format_results(results)
+
+
+@pytest.mark.parametrize("error", [StepCollapse("refinement stalled"), EigenFailure("no")])
+def test_verify_oracle_error_fails_its_line(monkeypatch, error):
+    # an FCS error at one point aborted the run with the point unnamed
+    monkeypatch.setattr(verify, "_GRID_VG", np.linspace(-10.0, 10.0, 3))
+    monkeypatch.setattr(verify, "_GRID_VSD", np.linspace(-20.0, 20.0, 3))
+    fcs, calls = verify.fcs_current_noise, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) >= 5:
+            raise error
+        return fcs(*args)
+    monkeypatch.setattr(verify, "fcs_current_noise", failing)
+    results = verify.run_verify(SweepConfig())
+    assert len(results) == 7 and len(calls) == 9
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["FCS equivalence"]
+    why = f"{type(error).__name__}: {error}"
+    assert failed[0].detail.startswith(
+        f"J rel err nan at vg=0, vsd=0, {why}, err/tol nan (tol 1e-6); "
+        f"D rel err nan at vg=0, vsd=0, {why}, err/tol nan (tol 1e-6); ")
+
+
+def test_rel_of_a_nan_side_is_nan():
+    # a failed oracle point compares against NaN; 0 against NaN divided by 0
+    for a, b in ((0.0, _NAN), (_NAN, 0.0), (1.0, _NAN), (_NAN, _NAN)):
+        assert math.isnan(verify._rel(a, b))
+    assert verify._rel(0.0, 0.0) == 0.0 and verify._rel(1.0, 2.0) == 0.5
 
 
 def _small_grid(monkeypatch):

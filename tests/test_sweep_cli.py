@@ -95,6 +95,8 @@ class TestConfig:
         ("workers = 0\nvg_n = 0\n", 2, "vg_n", "grid needs at least one point per axis"),
         ("u = 10\ntemperature = nan\n", 2, "temperature", "temperature must be finite"),
         ("vsd_lo = -inf\nvg_n = 3\n", 1, "vsd_lo", "vsd_lo must be finite"),
+        ("vsd_lo = -1e308\nvsd_hi = 1e308\n", 2, "vsd_hi",
+         "vsd span vsd_hi - vsd_lo overflows"),
     ])
     def test_invalid_value_names_its_line_and_key(self, tmp_path, text, line, key, message):
         path = tmp_path / "c.cfg"
@@ -117,6 +119,10 @@ class TestConfig:
         (("--u", "inf"), "u must be finite"),
         (("--grid", "vg:nan:1:3"), "vg_lo must be finite"),
         (("--grid", "vsd:-1:inf:3"), "vsd_hi must be finite"),
+        # finite bounds whose span overflows: numpy warned, then a nan cell
+        # off the grid was named
+        (("--grid", "vg:-1e308:1e308:3"), "vg span vg_hi - vg_lo overflows"),
+        (("--grid", "vsd:-1e308:1e308:1"), "vsd span vsd_hi - vsd_lo overflows"),
     ])
     def test_non_finite_setting_named_by_the_cli(self, tmp_path, args, message):
         # these failed at the first cell, which they named as the culprit
@@ -833,6 +839,17 @@ class TestCli:
         assert re.fullmatch(rf"\d/{n} checks passed, \d FAILED", lines[-1]), lines[-1]
         assert all(s.startswith(("[PASS] ", "[FAIL] ")) for s in lines[:-1])
 
+    def test_verify_fails_the_line_of_an_oracle_that_cannot_evaluate(self):
+        # fcs_current_noise stalls at 20 of the 49 points at gamma = 100,
+        # which aborted verify with exit 2 and no point named
+        r = run_cli("verify", "--gamma", "100")
+        assert r.returncode == 1 and r.stderr == ""
+        lines = r.stdout.splitlines()
+        assert len(lines) == 8 and lines[-1] == "6/7 checks passed, 1 FAILED"
+        (fcs,) = [s for s in lines if "FCS equivalence" in s]
+        assert fcs.startswith("[FAIL] FCS equivalence: J rel err nan at vg=-6.667, "
+                              "vsd=-20, StepCollapse: refinement stalled at dJ="), fcs
+
     @pytest.mark.parametrize("blockade", [False, True])
     def test_verify_names_the_first_failing_point(self, monkeypatch, blockade):
         # the model's evaluate pass, then the blockade chain's: each names
@@ -985,6 +1002,22 @@ class TestCli:
             "non-finite noise"), r.stderr
         assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
         assert not out.exists() and not (tmp_path / "far.csv.tmp").exists()
+
+    @pytest.mark.parametrize("command, args, vg", [
+        ("analyze", ("--no-gate-shift", "--vg", "-28.4", "--vsd", "1.2195517892108731e+154"),
+         "-28.4"),
+        ("sweep", ("--grid", "vg:-23.4:21.25:2,vsd:719.36:1.2195517892108731e+154:2"),
+         "-23.4"),
+    ])
+    def test_far_bias_prints_only_the_named_error(self, tmp_path, command, args, vg):
+        # the point's moments overflow; numpy's overflow warnings from the
+        # insertion and the rails came before the named error
+        r = run_cli(command, *args, *(("--out", str(tmp_path / "s.csv"))
+                                      if command == "sweep" else ()))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == (f"exclab {command}: error: ArithmeticError at vg={vg}, "
+                            "vsd=1.21955e+154: non-finite noise d1=nan, "
+                            "d2=6.222472101014319e+307, d3=-inf\n")
 
     def test_heatmap_default_out_keeps_dotted_directory(self, tmp_path):
         # the default output replaces only the CSV's own extension
