@@ -408,8 +408,7 @@ def test_verify_fails_on_one_nan(monkeypatch, check, name, spoil, blockade):
 @pytest.mark.parametrize("error", [StepCollapse("refinement stalled"), EigenFailure("no")])
 def test_verify_oracle_error_fails_its_line(monkeypatch, error):
     # an FCS error at one point aborted the run with the point unnamed
-    monkeypatch.setattr(verify, "_GRID_VG", np.linspace(-10.0, 10.0, 3))
-    monkeypatch.setattr(verify, "_GRID_VSD", np.linspace(-20.0, 20.0, 3))
+    _small_grid(monkeypatch)
     fcs, calls = verify.fcs_current_noise, []
 
     def failing(*args):
