@@ -63,7 +63,14 @@ from .errors import (
     SingularB,
     raise_first,
 )
-from .markov import RateMatrix, WeightScheme, _richardson, steady_state
+from .markov import (
+    RateMatrix,
+    WeightScheme,
+    _entry_sum,
+    _leading,
+    _richardson,
+    steady_state,
+)
 
 __all__ = [
     "BlockDecomposition",
@@ -202,19 +209,6 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
     )
 
 
-def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:
-    """A C-contiguous copy of ``x`` with its last ``k`` axes first: entry by
-    entry, one array over the cells.  numpy reduces over those leading axes
-    in one elementwise pass per entry, where a reduction over short trailing
-    axes loops cell by cell; the values and the order of the sums are the
-    same.  One point, with no batch axes, is ``x`` itself."""
-    if x.ndim == k:
-        return x
-    entries, batch = x.shape[-k:], x.shape[:-k]
-    flat = x.reshape(math.prod(batch), math.prod(entries))
-    return np.ascontiguousarray(flat.T).reshape(entries + batch)
-
-
 def _fundamental(m: RateMatrix, a_state: int, b_states):
     """G = (diag(gamma_B) - W_B)^-1 by GTH elimination (Grassmann, Taksar
     & Heyman, Oper. Res. 33:1107, 1985), with no LAPACK call; C-contiguous
@@ -316,20 +310,20 @@ def _solve_g(factors, r: list) -> list:
     return x
 
 
-def _insert(d: BlockDecomposition, lv: np.ndarray, vr: np.ndarray) -> np.ndarray:
-    """The terms l_i G r_j for the B parts l_i of the rows of ``lv``
-    (..., k, n) and r_j of the columns of ``vr`` (..., n, k), with G applied
-    by :func:`_solve_g`: shape (k, k) for one point, (k, k) + batch for a
-    batch.  One point runs on Python floats the arithmetic that a batch
-    runs on arrays over its cells, so that the two agree bit for bit."""
-    if lv.ndim == 2:
-        ls, rs = lv.tolist(), vr.T.tolist()
+def _insert(d: BlockDecomposition, lvl: np.ndarray, vrl: np.ndarray) -> np.ndarray:
+    """The terms l_i G r_j for the B parts l_i of the rows of ``lvl``
+    (k, n, ...) and r_j of the columns of ``vrl`` (n, k, ...), both entry
+    major (:func:`_leading`), with G applied by :func:`_solve_g`: shape
+    (k, k) for one point, (k, k) + batch for a batch.  One point runs on
+    Python floats the arithmetic that a batch runs on arrays over its
+    cells, so that the two agree bit for bit."""
+    if lvl.ndim == 2:
+        ls, rs = lvl.tolist(), vrl.T.tolist()
         for row in ls + rs:  # the B parts
             del row[d.a_state]
         cols = [_solve_g(d.factors, r) for r in rs]
         return np.array([[_dot(l, x) for x in cols] for l in ls]).reshape(len(ls), len(rs))
-    # entry by entry: each B component one array over the k columns and the cells
-    lvl, vrl = _leading(lv), _leading(vr)
+    # each B component one array over the k columns and the cells
     x = _solve_g(d.factors, [vrl[b] for b in d.b_states])
     return _dot([lvl[:, b, None] for b in d.b_states], [xb[None] for xb in x])
 
@@ -404,15 +398,23 @@ def cross_moments(d: BlockDecomposition, schemes: list[WeightScheme | None]):
         v[..., i, :] = on_b if s is None else s.weights * w
     lv = (lft @ v.reshape(batch + (n, k * n))).reshape(batch + (k, n))
     vr = (v.reshape(batch + (n * k, n)) @ rgt).reshape(batch + (n, k))
-    c = _insert(d, lv, vr)  # entries first
-    m1, m2 = (lv * np.swapaxes(rgt, -1, -2)).sum(axis=-1), c + np.swapaxes(c, 0, 1)
+    # entries first from here on: every sum is one pass per entry
+    lv, vr, rgt = _leading(lv), _leading(vr), _leading(rgt)
+    c = _insert(d, lv, vr)
+    m1, m2 = _entry_sum(np.swapaxes(lv, 0, 1) * rgt), c + np.swapaxes(c, 0, 1)
+
+    def flat(x):  # the n * n entries on one axis, the batch axes aligned
+        cells = (1,) * (len(batch) + 2 - x.ndim) + x.shape[:-2]
+        return _leading(x).reshape((n * n,) + cells)
+
     qs = [i for i, s in enumerate(schemes) if s is not None]
+    nus = {i: flat(schemes[i].weights) for i in qs}
+    jump = flat(jump) if qs else None  # T alone has no single-jump term
     for i, j in combinations_with_replacement(qs, 2):
-        nu_nu = schemes[i].weights * schemes[j].weights
-        m2[i, j] = m2[j, i] = m2[i, j] + (nu_nu * jump).sum(axis=(-2, -1))
+        m2[i, j] = m2[j, i] = m2[i, j] + _entry_sum(nus[i] * nus[j] * jump)
     if not batch:
         return (m1 / d.gamma_a).tolist(), (m2 / d.gamma_a).tolist()
-    return np.moveaxis(m1, -1, 0) / d.gamma_a, m2 / d.gamma_a
+    return m1 / d.gamma_a, m2 / d.gamma_a
 
 
 def time_moments(d: BlockDecomposition):
@@ -864,4 +866,4 @@ def excess_time(d: BlockDecomposition) -> float | np.ndarray:
     gam_b = d.parent.gamma[..., bi]
     e_t, _, _, mu, _ = time_moments(d)
     ga = d.gamma_a
-    return (1.0 / ga + mu * ga * np.sum(p_b / gam_b, axis=-1)) / (1.0 + ga * e_t)
+    return (1.0 / ga + mu * ga * _entry_sum(_leading(p_b / gam_b, 1))) / (1.0 + ga * e_t)

@@ -73,8 +73,8 @@ def render_heatmap(csv_path: str, column: str, out_path: str) -> dict:
         raise MalformedCsv(f"column {column!r} has no finite values")
     lo = float(grid[finite].min())
     hi = float(grid[finite].max())
-    if hi > lo:
-        t = (grid - lo) / (hi - lo)
+    if hi > lo:  # from halves: hi - lo overflows when the range passes 1.8e308
+        t = (grid / 2 - lo / 2) / (hi / 2 - lo / 2)
     else:
         t = np.full_like(grid, 0.5)
     t = np.where(np.isposinf(grid), 1.0, t)

@@ -13,6 +13,7 @@ oracle takes single chains only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,14 +83,16 @@ class RateMatrix:
             p = np.linalg.solve(a, b)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from None
-        resid = np.max(np.abs(self.generator @ p[..., None]), axis=(-2, -1))
-        scale = np.maximum(np.max(self.gamma, axis=-1), 1.0)
+        resid = np.abs(_leading(self.generator @ p[..., None])).max(axis=(0, 1))
+        scale = np.maximum(_leading(self.gamma, 1).max(axis=0), 1.0)
         raise_first(~np.isfinite(resid) | (resid > 1e-10 * scale), SingularSystem,
                     "steady-state residual {:.3e} too large", resid)
-        raise_first(np.any(p < -1e-12, axis=-1), SingularSystem,
+        entries = _leading(p, 1)
+        raise_first((entries < -1e-12).any(axis=0), SingularSystem,
                     "steady state has a negative component")
+        total = _entry_sum(np.maximum(entries, 0.0))
         p = np.maximum(p, 0.0)
-        p /= p.sum(axis=-1, keepdims=True)
+        p /= total[..., None]
         p.flags.writeable = False
         return p
 
@@ -135,27 +138,73 @@ class WeightScheme:
 
     def max_abs_weight(self):
         """Largest |weight|: a float, or one per cell for a batch."""
-        m = np.max(np.abs(self.weights), axis=(-2, -1))
+        m = np.abs(_leading(self.weights)).max(axis=(0, 1))
         return float(m) if m.ndim == 0 else m
 
 
-def _strongly_connected(adj: np.ndarray) -> np.ndarray:
-    """Strong connectivity of each directed graph in the stack ``adj``
-    (..., n, n), where ``adj[x, y]`` marks an edge y -> x.
+def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its last ``k`` axes first: entry
+    by entry, one array over the cells.  One point, with no batch axes, is
+    ``x`` itself.
 
-    Every node reachable from node 0 in the graph and in its reverse
-    implies strong connectivity of the whole graph; n - 1 rounds of
-    boolean products reach every node that a path can reach.
+    numpy reduces over short trailing axes with a loop per cell, at about
+    20 times the cost of an elementwise pass; over the leading axes of
+    this copy a reduction is one elementwise pass per entry.  Such a pass
+    adds the entries one by one from 0.0, which is also numpy's order for
+    a trailing axis of fewer than 8 entries and for a non-contiguous one
+    such as the column sums of a matrix (axis -2).  numpy adds 8 or more
+    contiguous entries pairwise: :func:`_entry_sum` keeps that order.
+    A maximum or an ``any`` gives the same values in any order.
     """
-    n = adj.shape[-1]
-    ok = np.ones(adj.shape[:-2], dtype=bool)
-    for a in (adj, np.swapaxes(adj, -1, -2)):
-        seen = np.zeros(adj.shape[:-1] + (1,), dtype=bool)
-        seen[..., 0, 0] = True
-        for _ in range(n - 1):
-            seen = seen | (a @ seen)
-        ok &= seen.all(axis=(-2, -1))
-    return ok
+    if x.ndim == k:
+        return x
+    entries, batch = x.shape[-k:], x.shape[:-k]
+    flat = x.reshape(math.prod(batch), math.prod(entries))
+    return np.ascontiguousarray(flat.T).reshape(entries + batch)
+
+
+def _entry_sum(x: np.ndarray):
+    """Sum over the first axis of an entry-major array, in the order numpy
+    sums that many contiguous entries of a trailing axis, bit for bit (but
+    for the sign and payload of a NaN, which depend on the operand order
+    of the compiled loop): one by one from 0.0 below 8 entries; else
+    pairwise, with 8 accumulators over blocks of at most 128 entries, each
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before
+    the tail entries are added, and larger runs halved at a multiple of 8.
+    One point (1-D ``x``) is summed by numpy itself."""
+    m = len(x)
+    if m < 8 or x.ndim == 1:
+        return x.sum(axis=0)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _entry_sum(x[:half]) + _entry_sum(x[half:])
+    body = m - m % 8
+    r = x[:8]
+    for i in range(8, body, 8):
+        r = r + x[i:i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for i in range(body, m):
+        total = total + x[i]
+    return 0.0 + total  # numpy adds the sum to its identity: -0.0 becomes 0.0
+
+
+def _strongly_connected(adj: np.ndarray) -> np.ndarray:
+    """Strong connectivity of each directed graph of the entry-major stack
+    ``adj`` (n, n, ...), where ``adj[x, y]`` marks an edge y -> x; a single
+    graph is (n, n).
+
+    Warshall's closure, one elementwise pass per intermediate node k: a
+    path y -> k -> x joins x's row to k's where y reaches k, so after step k
+    ``reach[x, y]`` marks every path y -> x through nodes 0..k.  The graph
+    is strongly connected when node 0 reaches every other node and every
+    other node reaches node 0.
+    """
+    reach = adj.copy()
+    for k in range(len(adj)):
+        reach |= reach[:, k, None] & reach[None, k]
+    return reach[0, 1:].all(axis=0) & reach[1:, 0].all(axis=0)
 
 
 def validate_rate_matrix(raw, labels=None) -> RateMatrix:
@@ -168,6 +217,9 @@ def validate_rate_matrix(raw, labels=None) -> RateMatrix:
     labels : sequence of str, optional
         State names; defaults to "0", "1", ...
 
+    Every check reduces over the leading axes of an entry-major copy of
+    the rates (:func:`_leading`), cell by cell.
+
     Raises
     ------
     NegativeRate, NonzeroDiagonal, Reducible
@@ -177,24 +229,25 @@ def validate_rate_matrix(raw, labels=None) -> RateMatrix:
         raise DimensionMismatch("rate matrix must be square with n >= 2")
     n = w.shape[-1]
     diag = np.arange(n)
-    raise_first(np.any(w[..., diag, diag] != 0.0, axis=-1), NonzeroDiagonal,
+    lw = _leading(w)
+    raise_first((lw[diag, diag] != 0.0).any(axis=0), NonzeroDiagonal,
                 "raw rate matrix must have a zero diagonal")
-    off = w[..., ~np.eye(n, dtype=bool)]
-    raise_first(np.any(off < 0.0, axis=-1), NegativeRate,
+    raise_first((lw < 0.0).any(axis=(0, 1)), NegativeRate,  # the diagonal is 0
                 "off-diagonal rates must be nonnegative")
-    raise_first(~_strongly_connected(w > 0.0), Reducible,
+    raise_first(~_strongly_connected(lw > 0.0), Reducible,
                 "transition graph is not strongly connected")
-    gamma = w.sum(axis=-2)
-    gen = w.copy()
-    gen[..., diag, diag] = -gamma
+    gamma = lw.sum(axis=0)
+    gen = lw.copy()
+    gen[diag, diag] = -gamma
     # construction identity: columns of the generator sum to zero
-    colsum = np.abs(gen.sum(axis=-2))
-    raise_first(np.any(colsum > 1e-12 * np.maximum(gamma, 1e-300), axis=-1),
+    colsum = np.abs(gen.sum(axis=0))
+    raise_first((colsum > 1e-12 * np.maximum(gamma, 1e-300)).any(axis=0),
                 SingularSystem, "generator column sums exceed tolerance")
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     return RateMatrix(
-        n=n, w=_frozen(w), gamma=_frozen(gamma), generator=_frozen(gen),
+        n=n, w=_frozen(w), gamma=_frozen(np.moveaxis(gamma, 0, -1)),
+        generator=_frozen(np.moveaxis(gen, (0, 1), (-2, -1))),
         labels=tuple(labels),
     )
 

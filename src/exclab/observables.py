@@ -216,14 +216,15 @@ def mutual_information(pop: Populations):
     """Mutual information (nats) between the two dot occupancies, treating
     (n_left, n_right) in {0,1}^2 as a joint binary distribution; the
     logarithm is the C library's, as in :func:`exclab.dqd.fermi_pair`."""
-    joint = np.stack([pop.p00, pop.p01, pop.p10, pop.p11], axis=-1)
-    joint = joint.reshape(joint.shape[:-1] + (2, 2))
-    marginals = joint.sum(axis=-1)[..., :, None] * joint.sum(axis=-2)[..., None, :]
+    # entry-major joint[a, b, ...]: each marginal sum is one pass per entry
+    joint = np.stack([pop.p00, pop.p01, pop.p10, pop.p11])
+    joint = joint.reshape((2, 2) + joint.shape[1:])
+    marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
     live = joint > 0.0
     ratio = np.where(live, joint / np.where(live, marginals, 1.0), 1.0)
     logs = np.fromiter(map(math.log, ratio.ravel().tolist()), float, ratio.size)
     terms = np.where(live, joint * logs.reshape(joint.shape), 0.0)
-    mi = terms[..., 0, 0] + terms[..., 0, 1] + terms[..., 1, 0] + terms[..., 1, 1]
+    mi = terms[0, 0] + terms[0, 1] + terms[1, 0] + terms[1, 1]
     # the information is nonnegative; rounding of near-independent or
     # subnormal joints can carry the sum of the terms just below zero
     mi = np.maximum(mi, 0.0)

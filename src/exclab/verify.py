@@ -93,6 +93,15 @@ class _Worst:
                 f"(tol {mant}e{int(exp)})")
 
 
+def _attempt(oracle, *args):
+    """``(oracle(*args), None)``, or ``(None, "<type>: <text>")`` where the
+    oracle cannot evaluate the point: a library or LAPACK error."""
+    try:
+        return oracle(*args), None
+    except (ExclabError, np.linalg.LinAlgError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _line(name: str, *worsts: _Worst, extra: str = "") -> CheckResult:
     """Check ``name`` passes when each quantity is within its tolerance;
     its detail lists each one's worst error, then ``extra``."""
@@ -103,8 +112,9 @@ def _line(name: str, *worsts: _Worst, extra: str = "") -> CheckResult:
 def run_verify(cfg: SweepConfig) -> list[CheckResult]:
     """Run every check on the built-in grid at the model of ``cfg``.
 
-    A NaN or infinite error fails its check and is the point it names; the
-    FCS oracle's library error at a point is such a NaN, labelled with the
+    A NaN or infinite error fails its check and is the point it names; an
+    oracle's library or LAPACK error at a point (finite differences, FCS,
+    outcome distribution and quadrature) is such a NaN, labelled with the
     error's type and text.
     Cells where a relative comparison has no scale (a vanishing current or
     closed form) count as error 0.
@@ -129,7 +139,11 @@ def run_verify(cfg: SweepConfig) -> list[CheckResult]:
         # raw-moment scale
         for name, scheme in ev.schemes.items():
             r = ev.reports[name]
-            f_q, f_q2, f_t, f_t2, f_qt = finite_difference_moments(dec, scheme)
+            moments, failed = _attempt(finite_difference_moments, dec, scheme)
+            if failed:
+                fd.add(math.nan, p, f"scheme {name}, {failed}")
+                continue
+            f_q, f_q2, f_t, f_t2, f_qt = moments
             scale = max(1.0, abs(f_q2), abs(f_t2), abs(f_qt))
             for a, b in ((r.e_q, f_q), (r.var_q, f_q2 - f_q**2), (r.e_t, f_t),
                          (r.var_t, f_t2 - f_t**2), (r.cov_qt, f_qt - f_q * f_t)):
@@ -151,13 +165,8 @@ def run_verify(cfg: SweepConfig) -> list[CheckResult]:
 
         # long-time FCS from the tilted generator; a point it cannot
         # evaluate is a NaN error there, labelled with the oracle's error
-        try:
-            j_fcs, d_fcs = fcs_current_noise(ev.model, ev.schemes["transport"])
-            failed = None
-        except ExclabError as exc:
-            j_fcs = d_fcs = math.nan
-            failed = f"{type(exc).__name__}: {exc}"
-        for w, raw, a, c in zip(fcs, raw_fcs, (rq.j, rq.d), (j_fcs, d_fcs)):
+        jd, failed = _attempt(fcs_current_noise, ev.model, ev.schemes["transport"])
+        for w, raw, a, c in zip(fcs, raw_fcs, (rq.j, rq.d), jd or (math.nan,) * 2):
             gap = abs(a - c)
             w.add(0.0 if gap <= 1e-9 else _rel(a, c), p, failed)
             raw.add(_rel(a, c), p, gap)
@@ -203,13 +212,21 @@ def run_verify(cfg: SweepConfig) -> list[CheckResult]:
         if cfg.blockade:
             triple = ev.outcomes
             total.add(abs(triple.p_suc + triple.p_fail + triple.p_dis - 1.0), pb)
-            qs, probs = outcome_distribution(ev.dec, ev.schemes["transport"], (-2, 2))
-            _, quad = outcome_quadrature(ev.dec, ev.schemes["transport"], (-2, 2))
+            args = ev.dec, ev.schemes["transport"], (-2, 2)
+            exact, failed = _attempt(outcome_distribution, *args)
+            quad, failed_quad = _attempt(outcome_quadrature, *args)
+            if failed:
+                for w in dist.values():
+                    w.add(math.nan, pb, failed)
+                continue
+            qs, probs = exact
             ref = {1: triple.p_suc, 0: triple.p_fail, -1: triple.p_dis, 2: 0.0, -2: 0.0}
-            want = {"closed forms": np.array([ref[int(q)] for q in qs]),
-                    "quadrature": quad}
-            for key, w in dist.items():
-                w.add(float(np.max(np.abs(probs - want[key]))), pb)
+            dist["closed forms"].add(
+                float(np.max(np.abs(probs - [ref[int(q)] for q in qs]))), pb)
+            if failed_quad:
+                dist["quadrature"].add(math.nan, pb, failed_quad)
+            else:
+                dist["quadrature"].add(float(np.max(np.abs(probs - quad[1]))), pb)
             outside.add(1.0 - float(probs.sum()), pb)
     results.append(_line("blockade closed forms vs engine", cf))
     if cfg.blockade:
