@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from exclab import (
     DqdParams,
@@ -15,12 +17,15 @@ from exclab import (
     transport_weights,
     validate_rate_matrix,
 )
+import exclab.markov
 from exclab.errors import (
     DimensionMismatch,
     NegativeRate,
     NonzeroDiagonal,
     Reducible,
+    SingularSystem,
 )
+from exclab.markov import _entry_sum, _leading, _strongly_connected
 
 from conftest import REF, GAMMA, grid, random_chain
 
@@ -169,3 +174,136 @@ class TestFcsCurrentNoise:
     def test_dimension_mismatch(self, ref_model):
         with pytest.raises(DimensionMismatch):
             fcs_current_noise(ref_model, transport_weights("R", 3))
+
+
+def _same(a, b) -> bool:
+    """Equal shapes and bits, a NaN matching any NaN: which NaN's sign and
+    payload survive an addition depends on the operand order of the
+    compiled loop, not on the order of the sum."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310,
+          1e308, -1e308]
+_STACKS = st.integers(2, 7).flatmap(lambda n: st.sampled_from(
+    [(), (1,), (3,), (5,), (2, 3), (3, 1)]).flatmap(lambda batch: hnp.arrays(
+        np.float64, batch + (n, n),
+        elements=st.one_of(st.sampled_from(_EDGES), st.floats(width=64)))))
+
+
+class TestEntryMajorReductions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_STACKS)
+    def test_equal_to_the_trailing_axis_reductions(self, x):
+        # each reduction the batch path makes over an entry-major copy
+        # against numpy's over the trailing axes: n entries (sequential),
+        # the n * n entries of a matrix (pairwise from 8), column sums, max
+        n, batch = x.shape[-1], x.shape[:-2]
+        with np.errstate(all="ignore"):
+            assert _same(_entry_sum(_leading(x, 1)), x.sum(axis=-1))
+            assert _same(_entry_sum(_leading(x).reshape((n * n,) + batch)),
+                         x.sum(axis=(-2, -1)))
+            assert _same(_leading(x).sum(axis=0), np.moveaxis(x.sum(axis=-2), -1, 0))
+            assert _same(_leading(x).max(axis=(0, 1)), x.max(axis=(-2, -1)))
+            assert _same(np.abs(_leading(x)).max(axis=(0, 1)),
+                         np.abs(x).max(axis=(-2, -1)))
+            assert _same(_leading(x, 1).max(axis=0), x.max(axis=-1))
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 15, 16, 17, 63, 127, 128, 129, 200, 300])
+    def test_long_runs_keep_numpys_blocks(self, m):
+        # 8 accumulators per block of at most 128 entries; longer runs halve
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((6, m)) * 10.0 ** rng.integers(-12, 12, (6, m))
+        assert _same(_entry_sum(_leading(x, 1)), x.sum(axis=-1))
+        assert _same(_entry_sum(-np.zeros((m, 3))), np.zeros(3))  # from 0.0
+
+
+def _reachability_reference(adj: np.ndarray) -> bool:
+    """Depth-first search from node 0 along the edges y -> x of adj[x, y],
+    then along the reversed edges."""
+    n = len(adj)
+    for a in (adj, adj.T):
+        seen, todo = {0}, [0]
+        while todo:
+            y = todo.pop()
+            for x in range(n):
+                if a[x, y] and x not in seen:
+                    seen.add(x)
+                    todo.append(x)
+        if len(seen) < n:
+            return False
+    return True
+
+
+class TestStronglyConnected:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("batch", [(), (40,), (5, 8)])
+    def test_against_reachability(self, n, batch):
+        rng = np.random.default_rng(n)
+        density = rng.uniform(0.05, 0.7, batch + (1, 1))
+        adj = rng.random(batch + (n, n)) < density
+        want = np.array([_reachability_reference(a)
+                         for a in adj.reshape((-1, n, n))]).reshape(batch)
+        got = _strongly_connected(_leading(adj))
+        assert got.shape == batch and np.array_equal(got, want)
+        if batch:  # the sample holds both kinds of graph
+            assert want.any() and not want.all()
+
+
+def _stiff_chain() -> np.ndarray:
+    # the bordered LAPACK solve of these rates leaves p[0] = -1.6e-3
+    w = 10.0 ** np.array([[0.0, -3.0, -11.0], [-13.0, 0.0, 8.0], [-6.0, 16.0, 15.0]])
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _spoil_diagonal(w):
+    w[1, 1] = 0.5
+
+
+def _spoil_rate(w):
+    w[0, 2] = -0.1
+
+
+def _spoil_graph(w):
+    w[2, :] = 0.0  # no edge into state 2
+
+
+def _spoil_steady_state(w):
+    w[...] = _stiff_chain()
+
+
+class TestBadCellInAStack:
+    @pytest.mark.parametrize("error, spoil", [
+        (NonzeroDiagonal, _spoil_diagonal), (NegativeRate, _spoil_rate),
+        (Reducible, _spoil_graph), (SingularSystem, _spoil_steady_state)])
+    @pytest.mark.parametrize("batch", [(5,), (2, 3)])
+    def test_raises_as_the_cell_alone(self, monkeypatch, error, spoil, batch):
+        # the type and message of the cell alone, and the failing cells
+        # are the spoiled ones, so the first of them is named
+        stack = np.random.default_rng(5).uniform(0.1, 2.0, batch + (3, 3))
+        cells = stack.reshape(-1, 3, 3)
+        cells[:, [0, 1, 2], [0, 1, 2]] = 0.0
+        spoil(cells[1])
+        spoil(cells[4])
+
+        def run(w):
+            validate_rate_matrix(w).stationary
+
+        with pytest.raises(error) as alone:
+            run(cells[1].copy())
+        masks, raise_first = [], exclab.markov.raise_first
+
+        def recorded(bad, *args):
+            masks.append(np.array(bad))
+            raise_first(bad, *args)
+
+        monkeypatch.setattr(exclab.markov, "raise_first", recorded)
+        with pytest.raises(error) as stacked:
+            run(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert masks[-1].shape == batch
+        assert np.flatnonzero(masks[-1]).tolist() == [1, 4]

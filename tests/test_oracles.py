@@ -427,6 +427,42 @@ def test_verify_oracle_error_fails_its_line(monkeypatch, error):
         f"D rel err nan at vg=0, vsd=0, {why}, err/tol nan (tol 1e-6); ")
 
 
+# (patched oracle, blockade run, the lines it fails, where the fifth call is)
+_FAILING_ORACLES = [
+    ("finite_difference_moments", False, ["moment formulas vs finite differences"],
+     "worst rel err nan at vg=0, vsd=-20, scheme activity, "),
+    ("outcome_distribution", True, ["outcome distribution vs closed forms",
+                                    "outcome distribution vs quadrature"],
+     "worst abs err nan at vg=0, vsd=0, "),
+    ("outcome_quadrature", True, ["outcome distribution vs quadrature"],
+     "worst abs err nan at vg=0, vsd=0, "),
+]
+
+
+@pytest.mark.parametrize("name, blockade, lines, where", _FAILING_ORACLES,
+                         ids=[o[0] for o in _FAILING_ORACLES])
+@pytest.mark.parametrize("error", [MassDeficit("range [-2, 2] captures only 0.99"),
+                                   np.linalg.LinAlgError("Singular matrix")])
+def test_verify_names_the_point_an_oracle_cannot_evaluate(
+        monkeypatch, name, blockade, lines, where, error):
+    # these oracles' errors aborted verify with the point unnamed
+    _small_grid(monkeypatch)
+    oracle, calls = getattr(verify, name), []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise error
+        return oracle(*args)
+    monkeypatch.setattr(verify, name, failing)
+    results = verify.run_verify(SweepConfig(blockade=blockade))
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == lines
+    why = f"{type(error).__name__}: {error}"
+    for r in failed:
+        assert r.detail.startswith(f"{where}{why}, err/tol nan (tol "), r.detail
+
+
 def test_rel_of_a_nan_side_is_nan():
     # a failed oracle point compares against NaN; 0 against NaN divided by 0
     for a, b in ((0.0, _NAN), (_NAN, 0.0), (1.0, _NAN), (_NAN, _NAN)):

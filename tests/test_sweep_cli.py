@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -590,6 +591,17 @@ class TestHeatmap:
         with pytest.raises(MalformedCsv):
             render_heatmap(str(csv_path), "p_suc", str(tmp_path / "x.ppm"))
 
+    def test_range_wider_than_the_largest_double(self, tmp_path):
+        # hi - lo overflowed to inf: numpy warned and every pixel was black
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("vg,vsd,j_qr\n0,0,-1e308\n1,0,0\n2,0,1e308\n",
+                            encoding="utf-8")
+        out = tmp_path / "wide.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_heatmap(str(csv_path), "j_qr", str(out))
+        assert out.read_bytes().split(b"255\n", 1)[1][::3] == bytes([0, 128, 255])
+
     def test_nonfinite_cells_are_clamped(self, tmp_path):
         # fano is inf on the vsd = 0 line
         cfg = SweepConfig(vg_n=3, vsd_n=3, vsd_lo=-5.0, vsd_hi=5.0,
@@ -849,6 +861,19 @@ class TestCli:
         (fcs,) = [s for s in lines if "FCS equivalence" in s]
         assert fcs.startswith("[FAIL] FCS equivalence: J rel err nan at vg=-6.667, "
                               "vsd=-20, StepCollapse: refinement stalled at dJ="), fcs
+
+    def test_verify_names_the_point_the_quadrature_cannot_evaluate(self):
+        # outcome_quadrature's MassDeficit at g = 1000 aborted verify with
+        # exit 2 and no point named
+        r = run_cli("verify", "--g", "1000", "--blockade")
+        assert r.returncode == 1 and r.stderr == ""
+        lines = r.stdout.splitlines()
+        assert len(lines) == 11 and lines[-1].endswith(" FAILED")
+        assert all(s.startswith(("[PASS] ", "[FAIL] ")) for s in lines[:-1])
+        (quad,) = [s for s in lines if "outcome distribution vs quadrature" in s]
+        assert quad.startswith(
+            "[FAIL] outcome distribution vs quadrature: worst abs err nan at vg=-10, "
+            "vsd=0, MassDeficit: range [-2, 2] captures only "), quad
 
     @pytest.mark.parametrize("blockade", [False, True])
     def test_verify_names_the_first_failing_point(self, monkeypatch, blockade):
