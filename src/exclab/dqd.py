@@ -79,9 +79,10 @@ class DqdParams:
         """4, or 3 for the blockade model, which drops state 11."""
         return 3 if self.blockade else 4
 
-    @property
+    @cached_property
     def batch_shape(self) -> tuple[int, ...]:
-        """Shape of the batch of points; () for a single point."""
+        """Shape of the batch of points; () for a single point.  Formed on
+        first use and cached, as the params are frozen."""
         return np.broadcast_shapes(np.shape(self.vg), np.shape(self.vsd))
 
     @property

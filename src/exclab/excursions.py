@@ -124,10 +124,15 @@ class BlockDecomposition:
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row L = (1, W_AB G), column R = (1, G W_BA) in state order, and
-        the jump weights L[x] w[x, y] R[y] (see :func:`cross_moments`)."""
-        g = self.fundamental
-        lft = np.insert(self.w_ab @ g, self.a_state, 1.0, axis=-1)
-        rgt = np.insert(g @ self.w_ba, self.a_state, 1.0, axis=-2)
+        the jump weights L[x] w[x, y] R[y] (see :func:`cross_moments`).
+        L (..., 1, n) and R (..., n, 1) are C-contiguous, each written into
+        one new array: 1 at A, the products at the B states around it."""
+        g, a, n = self.fundamental, self.a_state, self.parent.n
+        lg, gr = self.w_ab @ g, g @ self.w_ba
+        lft, rgt = np.empty(lg.shape[:-1] + (n,)), np.empty(gr.shape[:-2] + (n, 1))
+        lft[..., a] = rgt[..., a, :] = 1.0
+        lft[..., :a], lft[..., a + 1:] = lg[..., :a], lg[..., a:]
+        rgt[..., :a, :], rgt[..., a + 1:, :] = gr[..., :a, :], gr[..., a:, :]
         jump = np.swapaxes(lft, -1, -2) * self.parent.w * np.swapaxes(rgt, -1, -2)
         return lft, rgt, jump
 
@@ -170,12 +175,22 @@ def _float(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sub-block ``x[..., rows, cols]`` over the last two axes for integer
-    index arrays, C-contiguous so that every cell's products take the same
-    BLAS path as one point.  One gather; for a stack numpy lays the gathered
-    axes out ahead of the batch axes, so only a stack is copied again."""
-    return np.ascontiguousarray(x[..., rows[:, None], cols])
+@cache
+def _flat_index(n: int, rows: tuple, cols: tuple) -> np.ndarray:
+    """Flat indices ``r * n + c`` of the block ``rows`` x ``cols`` of an
+    n x n matrix, formed once per (n, rows, cols); read-only."""
+    index = np.array(rows)[:, None] * n + np.array(cols)
+    index.flags.writeable = False
+    return index
+
+
+def _block(x: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """Sub-block ``x[..., rows, cols]`` over the last two axes for tuples of
+    state indices: one ``take`` of the cached flat indices over the last two
+    axes, which makes a new C-contiguous array, so that every cell's
+    products take the same BLAS path as one point."""
+    n = x.shape[-1]
+    return x.reshape(x.shape[:-2] + (n * n,)).take(_flat_index(n, rows, cols), axis=-1)
 
 
 def partition(m: RateMatrix, a) -> BlockDecomposition:
@@ -194,7 +209,7 @@ def partition(m: RateMatrix, a) -> BlockDecomposition:
     if not 0 <= a_state < m.n:
         raise BadPartition(f"state index {a_state} out of range")
     b_states = tuple(i for i in range(m.n) if i != a_state)
-    a, bi = np.array([a_state]), np.array(b_states)
+    a, bi = (a_state,), b_states
     w_ab = _block(m.w, a, bi)
     w_ba = _block(m.w, bi, a)
     w_b = _block(m.w, bi, bi)
@@ -541,12 +556,14 @@ def excursion_report(d: BlockDecomposition, schemes):
 def _tilted_blocks(d: BlockDecomposition, tilt: np.ndarray):
     """A/B blocks of tilted rate matrices of the single chain behind ``d``.
 
-    ``tilt`` has shape (..., n, n), typically a (k, n, n) stack of probes.
-    Returns C-contiguous ``t_ab`` (..., 1, nb), ``t_ba`` (..., nb, 1) and
-    ``t_b`` (..., nb, nb); ``t_b`` carries the untilted diagonal -gamma_B.
+    ``tilt`` has shape (..., n, n), typically a (k, n, n) stack of probes,
+    real or complex.  Returns C-contiguous ``t_ab`` (..., 1, nb), ``t_ba``
+    (..., nb, 1) and ``t_b`` (..., nb, nb), each cut by one ``take`` of
+    flat indices cached per chain shape (:func:`_block`); ``t_b`` carries
+    the untilted diagonal -gamma_B.
     """
-    a, bi = np.array([d.a_state]), np.array(d.b_states)
-    t_b = _block(tilt, bi, bi) - np.diag(d.parent.gamma[bi])
+    a, bi = (d.a_state,), d.b_states
+    t_b = _block(tilt, bi, bi) - np.diag(d.parent.gamma[list(bi)])
     return _block(tilt, a, bi), _block(tilt, bi, a), t_b
 
 

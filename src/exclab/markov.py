@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -122,11 +122,9 @@ class WeightScheme:
         if self.kind not in ("transition", "state"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "state":
-            off = ~np.eye(n, dtype=bool)
-            for y in range(n):
-                col = nu[..., off[:, y], y]
-                if col.size and not np.all(col == col[..., :1]):
-                    raise ValueError("state scheme requires constant columns")
+            cols = nu.reshape(nu.shape[:-2] + (n * n,)).take(_off_diagonal(n), axis=-1)
+            if not np.all(cols == cols[..., :1, :]):
+                raise ValueError("state scheme requires constant columns")
         object.__setattr__(self, "weights", _frozen(nu))
         object.__setattr__(
             self, "integer_valued", bool(np.all(nu == np.round(nu)))
@@ -137,9 +135,30 @@ class WeightScheme:
         return self.weights.shape[-1]
 
     def max_abs_weight(self):
-        """Largest |weight|: a float, or one per cell for a batch."""
+        """Largest |weight|: a float, or a read-only array with one per cell
+        for a batch.  Formed on first use and kept, as the weights are
+        read-only; a maximum takes no order, so it is that of a fresh
+        ``np.abs(weights).max(axis=(-2, -1))`` bit for bit."""
+        return self._max_abs_weight
+
+    @cached_property
+    def _max_abs_weight(self):
         m = np.abs(_leading(self.weights)).max(axis=(0, 1))
-        return float(m) if m.ndim == 0 else m
+        if m.ndim == 0:
+            return float(m)
+        m.flags.writeable = False
+        return m
+
+
+@cache
+def _off_diagonal(n: int) -> np.ndarray:
+    """Flat indices ``x * n + y`` of the off-diagonal entries of an n x n
+    matrix, column by column: entry (i, y) is the i-th row other than y of
+    column y, shape (n - 1, n); read-only."""
+    i, y = np.arange(n - 1)[:, None], np.arange(n)
+    index = (i + (i >= y)) * n + y
+    index.flags.writeable = False
+    return index
 
 
 def _leading(x: np.ndarray, k: int = 2) -> np.ndarray:

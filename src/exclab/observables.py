@@ -14,7 +14,9 @@ single points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,11 +54,19 @@ _EMPTY, _LEFT, _RIGHT, _BOTH = 0, 1, 2, 3
 def transport_weights(side: str = "R", n: int = 4) -> WeightScheme:
     """Particle current into the chosen lead over the first ``n`` states:
     +1 per electron dumped into the reservoir, -1 per electron absorbed from
-    it, hopping zero.  Anti-symmetric and integer valued."""
+    it, hopping zero.  Anti-symmetric and integer valued.
+
+    One scheme per (side, n) is built and shared by every call: its
+    weights are read-only, and its ``max_abs_weight`` is formed once."""
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
     if n not in (3, 4):
         raise ValueError("n must be 3 or 4")
+    return _transport_weights(str(side), operator.index(n))
+
+
+@cache
+def _transport_weights(side: str, n: int) -> WeightScheme:
     nu = np.zeros((n, n))
     for to, frm, lead, _ in lead_jumps(n):
         if lead == side:
@@ -65,7 +75,13 @@ def transport_weights(side: str = "R", n: int = 4) -> WeightScheme:
 
 
 def activity_weights(n: int) -> WeightScheme:
-    """Dynamical activity: every jump counts one."""
+    """Dynamical activity: every jump counts one.  One read-only scheme per
+    ``n`` is built and shared by every call, as in :func:`transport_weights`."""
+    return _activity_weights(operator.index(n))
+
+
+@cache
+def _activity_weights(n: int) -> WeightScheme:
     return WeightScheme(1.0 - np.eye(n))
 
 

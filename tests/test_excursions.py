@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from exclab.errors import (
     NonIntegerScheme,
     SingularB,
 )
+from exclab.excursions import _tilted_blocks
 from exclab.sweep import SweepConfig, _point_params
 
 from conftest import REF, GAMMA, grid, random_chain
@@ -122,6 +124,66 @@ class TestPartition:
             d = partition(m, 0)
             norm = (d.w_ab @ d.fundamental @ d.w_ba).item()
             assert abs(norm - d.gamma_a) <= 1e-10 * d.gamma_a
+
+
+def _gathered(x, rows, cols):
+    # the block as two fancy gathers and a contiguous copy
+    return np.ascontiguousarray(x[..., np.array(rows)[:, None], np.array(cols)])
+
+
+def _inserted_ends(d):
+    # L and R with the 1 at A put in by np.insert
+    g = d.fundamental
+    return (np.insert(d.w_ab @ g, d.a_state, 1.0, axis=-1),
+            np.insert(g @ d.w_ba, d.a_state, 1.0, axis=-2))
+
+
+def _bits_and_layout(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.flags.c_contiguous and got.tobytes() == want.tobytes())
+
+
+class TestCutsFormedOnce:
+    @pytest.mark.parametrize("blockade", [False, True])
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_tilted_blocks_equal_the_gathers(self, ref_params, blockade, a):
+        # a real probe stack as _mgf tilts it, and the complex one of
+        # outcome_quadrature, on the 4- and the 3-state chain
+        p = dataclasses.replace(ref_params, blockade=blockade)
+        d = partition(build_model(p), a)
+        bi = d.b_states
+        chi = np.linspace(-0.3, 0.3, 32)
+        phase = np.exp(-1j * np.multiply.outer(chi, transport_weights("R", d.parent.n).weights))
+        for tilt in (d.parent.w * np.exp(entropy_weights(p).weights * chi[:, None, None]),
+                     phase * d.parent.w):
+            t_ab, t_ba, t_b = _tilted_blocks(d, tilt)
+            assert _bits_and_layout(t_ab, _gathered(tilt, (a,), bi))
+            assert _bits_and_layout(t_ba, _gathered(tilt, bi, (a,)))
+            assert _bits_and_layout(
+                t_b, _gathered(tilt, bi, bi) - np.diag(d.parent.gamma[list(bi)]))
+
+    def test_partition_blocks_equal_the_gathers(self):
+        w = np.stack([random_chain(np.random.default_rng(i), 4) for i in range(5)])
+        m = validate_rate_matrix(w)
+        for a in range(4):
+            d = partition(m, a)
+            bi = d.b_states
+            assert _bits_and_layout(d.w_ab, _gathered(m.w, (a,), bi))
+            assert _bits_and_layout(d.w_ba, _gathered(m.w, bi, (a,)))
+            assert _bits_and_layout(d.w_b, _gathered(m.w, bi, bi))
+            assert _bits_and_layout(d.gen_b, _gathered(m.generator, bi, bi))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ends_equal_the_inserted_form(self, n):
+        # on a point and on a block, with A at each place in the state order
+        w = np.stack([random_chain(np.random.default_rng(i), n) for i in range(6)])
+        for a in range(n):
+            for m in (validate_rate_matrix(w[2]), validate_rate_matrix(w.reshape(2, 3, n, n))):
+                d = partition(m, a)
+                lft, rgt, _ = d.ends
+                want_l, want_r = _inserted_ends(d)
+                assert _bits_and_layout(lft, want_l)
+                assert _bits_and_layout(rgt, want_r)
 
 
 class TestTimeMoments:

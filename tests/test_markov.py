@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from exclab import (
     DqdParams,
     WeightScheme,
     build_model,
+    entropy_weights,
+    excess_time_weights,
     excursion_report,
     fcs_current_noise,
     partition,
@@ -123,6 +126,38 @@ class TestWeightScheme:
         with pytest.raises(ValueError):
             WeightScheme([[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [2.0, 2.0, 0.0]],
                          kind="state")
+
+    @pytest.mark.parametrize("cell", [0, 3, 5])
+    def test_state_kind_names_one_bad_cell_in_a_batch(self, cell):
+        # the columns of every cell are checked in one comparison; one
+        # entry off in one cell fails the batch with the single-scheme error
+        v = np.random.default_rng(1).uniform(0.5, 2.0, (6, 4))
+        nu = np.repeat(v[:, None, :], 4, axis=1)
+        WeightScheme(nu, kind="state")
+        nu[cell, 3, 1] += 1e-12
+        with pytest.raises(ValueError, match="state scheme requires constant columns"):
+            WeightScheme(nu, kind="state")
+        nu[cell, 3, 1] = np.nan  # a NaN equals nothing, itself included
+        with pytest.raises(ValueError, match="state scheme requires constant columns"):
+            WeightScheme(nu[cell], kind="state")
+
+    def test_max_abs_weight_is_formed_once(self, ref_params):
+        # a fresh maximum, bit for bit, for a transition, a per-cell batch
+        # and a state scheme; the same value comes back on every call
+        batch = dataclasses.replace(ref_params, vg=np.linspace(-10.0, 10.0, 7),
+                                    vsd=np.linspace(-20.0, 20.0, 7))
+        for s in (transport_weights("R", 4), entropy_weights(batch),
+                  excess_time_weights(build_model(batch)),
+                  WeightScheme(np.random.default_rng(2).standard_normal((4, 4)))):
+            fresh = np.abs(s.weights).max(axis=(-2, -1))
+            got = s.max_abs_weight()
+            assert s.max_abs_weight() is got
+            assert np.asarray(got).tobytes() == fresh.tobytes()
+            if s.weights.ndim == 2:
+                assert isinstance(got, float)
+            else:
+                assert got.shape == s.weights.shape[:-2]
+                assert not got.flags.writeable
 
 
 class TestTiltGenerator:

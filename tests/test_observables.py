@@ -50,11 +50,39 @@ class TestTransportWeights:
         assert l[0, 1] == 1.0 and l[1, 0] == -1.0
 
 
+    def test_one_shared_read_only_scheme(self):
+        s = transport_weights("R", 4)
+        assert transport_weights("R", 4) is s
+        assert transport_weights("R", np.int64(4)) is s
+        assert transport_weights(np.str_("R"), 4) is s
+        assert transport_weights() is s
+        assert transport_weights("L", 4) is not s
+        with pytest.raises(ValueError):
+            s.weights[0, 2] = 5.0
+        assert s.weights[0, 2] == 1.0
+
+    @pytest.mark.parametrize("side, n", [("X", 4), ("R", 5), ("R", 2), (["R"], 4)])
+    def test_bad_arguments_raise_on_every_call(self, side, n):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                transport_weights(side, n)
+
+
 class TestActivityWeights:
     def test_all_off_diagonal_ones(self):
         nu = activity_weights(4).weights
         assert np.array_equal(nu, 1.0 - np.eye(4))
         assert activity_weights(4).integer_valued
+
+    def test_one_shared_read_only_scheme(self):
+        s = activity_weights(3)
+        assert activity_weights(3) is s and activity_weights(np.int64(3)) is s
+        assert activity_weights(4) is not s
+        with pytest.raises(ValueError):
+            s.weights[0, 1] = 2.0
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                activity_weights(-1)
 
 
 class TestEntropyWeights:
